@@ -11,6 +11,7 @@ family, and a regression model for simplex-valued targets, plus a CLI
 """
 
 from .simplex import (
+    FaceBatch,
     FaceIndexSet,
     HypercubeFace,
     ResourceLimitError,
@@ -36,6 +37,7 @@ from .mixed_dirichlet import (
 )
 from .extrinsic import (
     BinaryHardConcrete,
+    Concrete,
     GaussianSparsemax,
     KDHardConcrete,
     QuadratureConfig,

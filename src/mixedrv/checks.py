@@ -10,9 +10,7 @@ produce identical results.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,6 +107,23 @@ def _check_log_normalizer_vs_closed_form():
             a = face_gibbs.log_normalizer(w)
             b = face_gibbs.log_normalizer_closed_form(w)
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
+    _require(worst < 1e-12, f"worst relative error {worst:.2e} >= 1e-12")
+    return f"worst relative error {worst:.2e}"
+
+
+def _check_log_normalizer_extreme_potentials():
+    # far outside the N(0, 3) draws above: saturated, mixed-sign and very
+    # negative potentials, where naive closed forms cancel to -inf
+    rng = np.random.default_rng(118)
+    worst = 0.0
+    for K in range(2, 11):
+        cases = [np.full(K, 400.0), np.full(K, -400.0), np.full(K, -20.0),
+                 np.where(np.arange(K) % 2 == 0, 30.0, -30.0), rng.choice([-30.0, 30.0], K)]
+        for w in cases:
+            b = oracles.enum_log_normalizer(w)
+            for a in (face_gibbs.log_normalizer_closed_form(w), face_gibbs.log_normalizer(w)):
+                _require(bool(np.isfinite(a)), f"non-finite log-normalizer {a} at w={w}")
+                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     _require(worst < 1e-12, f"worst relative error {worst:.2e} >= 1e-12")
     return f"worst relative error {worst:.2e}"
 
@@ -684,6 +699,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("simplex.face_partition_property", _FAST, _check_face_partition),
     ("face_gibbs.log_normalizer_vs_enumeration", _FAST, _check_log_normalizer_vs_enum),
     ("face_gibbs.log_normalizer_vs_closed_form", _FAST, _check_log_normalizer_vs_closed_form),
+    ("face_gibbs.log_normalizer_extreme_potentials", _FAST, _check_log_normalizer_extreme_potentials),
     ("face_gibbs.moments_entropy_kl_vs_enumeration", _FAST, _check_gibbs_moments_vs_enum),
     ("face_gibbs.face_probs_sum_to_one", _FAST, _check_face_probs_sum),
     ("face_gibbs.grad_log_prob_vs_finite_differences", _FAST, _check_grad_log_prob),
@@ -744,16 +760,8 @@ def _run_one(name: str, fn: Callable[[], str]) -> CheckResult:
         return CheckResult(name, False, f"{type(e).__name__}: {e}", time.perf_counter() - t0)
 
 
-def run_checks(level: str = "fast", workers: int | None = None) -> list[CheckResult]:
-    """Run the registry at the given level; results come back in registry
-    order regardless of the worker count (MIXEDRV_THREADS by default)."""
+def run_checks(level: str = "fast") -> list[CheckResult]:
+    """Run the registry at the given level, in registry order."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    todo = [(name, fn) for name, lvl, fn in CHECKS if level == "full" or lvl == "fast"]
-    if workers is None:
-        workers = int(os.environ.get("MIXEDRV_THREADS", "1"))
-    if workers <= 1:
-        return [_run_one(name, fn) for name, fn in todo]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_one, name, fn) for name, fn in todo]
-        return [f.result() for f in futures]
+    return [_run_one(name, fn) for name, lvl, fn in CHECKS if level == "full" or lvl == "fast"]

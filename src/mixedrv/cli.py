@@ -96,13 +96,15 @@ def _resolve_seed(args_seed, spec_seed) -> int:
 
 
 def _sample_lines(spec, num: int, seed: int):
-    rng = np.random.default_rng(seed)
-    for face, point in spec.dist.sample_many(num, rng):
-        yield json.dumps({
-            "face": [i + 1 for i in face.indices],
-            "dim": face.dim,
-            "y": [float(v) for v in point.coords],
-        })
+    """JSON lines ``{"face": ..., "dim": ..., "y": ...}``, one per draw."""
+    batch = spec.dist.sample_many(num, np.random.default_rng(seed))
+    heads: dict[int, str] = {}
+    for mask, row in zip(batch.masks.tolist(), batch.coords.tolist()):
+        head = heads.get(mask)
+        if head is None:
+            face = [i + 1 for i in range(batch.K) if mask >> i & 1]
+            head = heads[mask] = f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": '
+        yield f"{head}{json.dumps(row)}}}"
 
 
 def cmd_sample(args) -> int:
@@ -112,8 +114,7 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed, spec.default_seed)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for line in _sample_lines(spec, args.num, seed):
-                fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in _sample_lines(spec, args.num, seed))
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
     return EXIT_OK

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import extrinsic, info_theory, mixed_dirichlet
-from .simplex import SimplexPoint
 
 __all__ = ["SpecError", "ParsedSpec", "parse_spec", "load_spec_file", "KINDS"]
 
@@ -70,65 +69,6 @@ def _check_k(obj: dict, K: int):
         raise SpecError(f"field 'k' is {obj['k']} but parameter vectors have length {K}")
 
 
-class _ConcreteDist:
-    """Sampling-only wrapper for the Concrete distribution."""
-
-    def __init__(self, z: np.ndarray, beta: float):
-        self.z = z
-        self.beta = beta
-        self.K = z.size
-
-    def sample(self, rng):
-        p = extrinsic.concrete_sample(self.z, self.beta, rng)
-        return p.support, p
-
-    def sample_many(self, n, rng):
-        out = []
-        for row in extrinsic.concrete_sample_coords(self.z, self.beta, n, rng):
-            p = SimplexPoint(row)
-            out.append((p.support, p))
-        return out
-
-
-class _KhcDist:
-    """Sampling-only wrapper around a K-D Hard Concrete."""
-
-    def __init__(self, d: extrinsic.KDHardConcrete):
-        self.d = d
-        self.K = d.K
-
-    def sample(self, rng):
-        return extrinsic.khc_sample(self.d, rng)
-
-    def sample_many(self, n, rng):
-        out = []
-        for row in extrinsic.khc_sample_coords(self.d, n, rng):
-            p = SimplexPoint(row)
-            out.append((p.support, p))
-        return out
-
-
-class _BinaryHcDist:
-    """Binary Hard Concrete presented as a distribution on the 2-simplex
-    (the unit interval embedded as (y, 1-y))."""
-
-    def __init__(self, d: extrinsic.BinaryHardConcrete):
-        self.d = d
-        self.K = 2
-
-    def sample(self, rng):
-        _, v = extrinsic.binary_hard_concrete_sample(self.d, rng)
-        p = SimplexPoint([v, 1.0 - v])
-        return p.support, p
-
-    def sample_many(self, n, rng):
-        out = []
-        for v in extrinsic.binary_hard_concrete_sample_values(self.d, n, rng):
-            p = SimplexPoint([float(v), 1.0 - float(v)])
-            out.append((p.support, p))
-        return out
-
-
 @dataclass
 class ParsedSpec:
     kind: str
@@ -138,7 +78,7 @@ class ParsedSpec:
 
     @property
     def supports_log_density(self) -> bool:
-        return hasattr(self.dist, "log_density")
+        return hasattr(self.dist, "log_density_many")
 
     def exact_entropy(self) -> float:
         """Exact direct-sum entropy, for the kinds that expose one."""
@@ -195,7 +135,7 @@ def parse_spec(obj: dict) -> ParsedSpec:
             z = _vector(obj, "z")
             _check_k(obj, z.size)
             d = extrinsic.KDHardConcrete(z, _scalar(obj, "beta"), _scalar(obj, "lambda", 1.1))
-            return ParsedSpec(kind, _KhcDist(d), d.K, seed)
+            return ParsedSpec(kind, d, d.K, seed)
         if kind == "binary-hard-concrete":
             _check_keys(obj, {"log_alpha", "beta", "l", "r"})
             d = extrinsic.BinaryHardConcrete(
@@ -204,7 +144,7 @@ def parse_spec(obj: dict) -> ParsedSpec:
                 _scalar(obj, "l", -0.1),
                 _scalar(obj, "r", 1.1),
             )
-            return ParsedSpec(kind, _BinaryHcDist(d), 2, seed)
+            return ParsedSpec(kind, d, 2, seed)
         if kind == "maxent":
             _check_keys(obj, {"n"})
             if "k" not in obj:
@@ -215,9 +155,8 @@ def parse_spec(obj: dict) -> ParsedSpec:
             _check_keys(obj, {"z", "beta"})
             z = _vector(obj, "z")
             _check_k(obj, z.size)
-            beta = _scalar(obj, "beta")
-            extrinsic._check_concrete_args(z, beta)
-            return ParsedSpec(kind, _ConcreteDist(z, beta), z.size, seed)
+            dist = extrinsic.Concrete(z, _scalar(obj, "beta"))
+            return ParsedSpec(kind, dist, dist.K, seed)
     except SpecError:
         raise
     except (ValueError, TypeError, KeyError) as e:

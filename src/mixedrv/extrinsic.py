@@ -19,16 +19,18 @@ place probability mass on every face:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, log_ndtr, logsumexp, ndtr, ndtri, xlogy
 
-from .simplex import FaceIndexSet, SimplexPoint, Trit, hypercube_face_of, sparsemax
+from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax
 
 __all__ = [
     "QuadratureConfig",
     "GaussianSparsemax",
+    "Concrete",
     "KDHardConcrete",
     "BinaryHardConcrete",
     "gs_sample",
@@ -41,6 +43,7 @@ __all__ = [
     "gs2_log_density_extrinsic",
     "gs2_log_density_intrinsic",
     "gs_log_density",
+    "gs_log_density_many",
     "concrete_sample",
     "concrete_sample_coords",
     "concrete_from_gumbels",
@@ -48,6 +51,7 @@ __all__ = [
     "khc_sample_coords",
     "binary_hard_concrete_sample",
     "binary_hard_concrete_from_logistic",
+    "binary_hard_concrete_sample_values",
 ]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -74,20 +78,31 @@ class QuadratureConfig:
             raise ValueError(f"need panels >= 2 and nodes >= 2, got {self}")
 
     def points_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(self.nodes)
-        left = self.panels // 2
-        right = self.panels - left
-        lo = _ENDPOINT_INSET
-        hi = 1.0 - _ENDPOINT_INSET
-        # edges at 0.5 * q^j, geometric from the inset up to the midpoint
-        edges_left = 0.5 * (2.0 * lo) ** (np.arange(left, -1, -1) / left)
-        edges_right = 1.0 - 0.5 * (2.0 * (1.0 - hi)) ** (np.arange(0, right + 1) / right)
-        edges = np.concatenate([edges_left, edges_right[1:]])
-        half = np.diff(edges) / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wts = (half[:, None] * w[None, :]).ravel()
+        """Nodes and weights on (0, 1), read-only and built once per config."""
+        pts, wts, _, _ = _quadrature_rule(self)
         return pts, wts
+
+
+@functools.lru_cache(maxsize=None)
+def _quadrature_rule(quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights, ``ndtri(nodes)`` and ``log(weights)`` of a rule."""
+    x, w = np.polynomial.legendre.leggauss(quad.nodes)
+    left = quad.panels // 2
+    right = quad.panels - left
+    lo = _ENDPOINT_INSET
+    hi = 1.0 - _ENDPOINT_INSET
+    # edges at 0.5 * q^j, geometric from the inset up to the midpoint
+    edges_left = 0.5 * (2.0 * lo) ** (np.arange(left, -1, -1) / left)
+    edges_right = 1.0 - 0.5 * (2.0 * (1.0 - hi)) ** (np.arange(0, right + 1) / right)
+    edges = np.concatenate([edges_left, edges_right[1:]])
+    half = np.diff(edges) / 2.0
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    wts = (half[:, None] * w[None, :]).ravel()
+    rule = (pts, wts, ndtri(pts), np.log(wts))
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _norm_logpdf(x, mean, sd):
@@ -131,11 +146,14 @@ class GaussianSparsemax:
     def sample(self, rng: np.random.Generator):
         return gs_sample(self, rng)
 
-    def sample_many(self, n: int, rng: np.random.Generator):
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         return gs_sample_many(self, n, rng)
 
     def log_density(self, y: SimplexPoint, quad: QuadratureConfig | None = None) -> float:
         return gs_log_density(self, y, quad)
+
+    def log_density_many(self, batch: FaceBatch, quad: QuadratureConfig | None = None) -> np.ndarray:
+        return gs_log_density_many(self, batch, quad)
 
     def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
         if self.K != 2:
@@ -170,12 +188,8 @@ def gs_sample(d: GaussianSparsemax, rng: np.random.Generator) -> tuple[FaceIndex
     return p.support, p
 
 
-def gs_sample_many(d: GaussianSparsemax, n: int, rng: np.random.Generator):
-    out = []
-    for row in gs_sample_coords(d, n, rng):
-        p = SimplexPoint(row)
-        out.append((p.support, p))
-    return out
+def gs_sample_many(d: GaussianSparsemax, n: int, rng: np.random.Generator) -> FaceBatch:
+    return FaceBatch.from_coords(gs_sample_coords(d, n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -291,21 +305,35 @@ def gs2_log_density_intrinsic(y: float, z: float, sigma: float) -> float:
 # off-support conditional, itself a 1-D integral over (0, 1).
 # ---------------------------------------------------------------------------
 
-def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Normal log-density of each row of ``x``."""
     diff = x - mean
     sign, logdet = np.linalg.slogdet(cov)
     if sign <= 0:
         raise np.linalg.LinAlgError("covariance is not positive definite")
-    return float(-0.5 * (diff @ np.linalg.solve(cov, diff) + logdet + x.size * _LOG_2PI))
+    maha = np.sum(diff * np.linalg.solve(cov, diff.T).T, axis=1)
+    return -0.5 * (maha + logdet + x.shape[1] * _LOG_2PI)
 
 
-def _orthant_log_general(mu, sigma, y, support, off, quad: QuadratureConfig) -> float:
+#: Elements of the (rows, nodes, |off|) quadrature array evaluated at once.
+_ORTHANT_CHUNK = 1 << 16
+
+
+def _orthant_log_general(mu, sigma, y, support, off, quad: QuadratureConfig):
+    """Log orthant probability at a point ``y`` (K,) or at each row of
+    ``y`` (rows, K) of one face."""
+    ys = np.atleast_2d(y)
     t_sum = float(np.sum(sigma[support] ** -2.0))
-    c = float(np.sum((y[support] - mu[support]) / sigma[support] ** 2))
-    u, w = quad.points_weights()
-    shift = (c + mu[off] * t_sum) / (sigma[off] * t_sum)
-    args = ndtri(u)[:, None] / (sigma[off] * np.sqrt(t_sum))[None, :] - shift[None, :]
-    return float(logsumexp(log_ndtr(args).sum(axis=1) + np.log(w)))
+    c = np.sum((ys[:, support] - mu[support]) / sigma[support] ** 2, axis=1)
+    _, _, z, log_w = _quadrature_rule(quad)
+    shift = (c[:, None] + mu[off] * t_sum) / (sigma[off] * t_sum)
+    scaled = z[:, None] / (sigma[off] * np.sqrt(t_sum))[None, :]
+    out = np.empty(len(ys))
+    step = max(1, _ORTHANT_CHUNK // scaled.size)
+    for i in range(0, len(ys), step):
+        args = scaled[None, :, :] - shift[i:i + step, None, :]
+        out[i:i + step] = logsumexp(log_ndtr(args).sum(axis=2) + log_w, axis=1)
+    return float(out[0]) if np.ndim(y) == 1 else out
 
 
 def _orthant_log_constant(mu, sigma, support, off, quad: QuadratureConfig) -> float:
@@ -313,23 +341,23 @@ def _orthant_log_constant(mu, sigma, support, off, quad: QuadratureConfig) -> fl
     # the support coordinates enter only through sum(y[support]) = 1.
     s = len(support)
     sig = float(sigma[0])
-    u, w = quad.points_weights()
+    _, _, z, log_w = _quadrature_rule(quad)
     shift = (mu[off] + (1.0 - float(np.sum(mu[support]))) / s) / sig
-    args = ndtri(u)[:, None] / np.sqrt(s) - shift[None, :]
-    return float(logsumexp(log_ndtr(args).sum(axis=1) + np.log(w)))
+    args = z[:, None] / np.sqrt(s) - shift[None, :]
+    return float(logsumexp(log_ndtr(args).sum(axis=1) + log_w))
 
 
-def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
-                   quad: QuadratureConfig | None = None,
-                   pivot: int | None = None) -> float:
-    """Log-density of a Gaussian-Sparsemax draw w.r.t. the direct-sum measure.
+def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
+                        quad: QuadratureConfig | None = None,
+                        pivot: int | None = None) -> np.ndarray:
+    """Log-density of each row of a batch w.r.t. the direct-sum measure.
 
     The support coordinates contribute ``log s`` plus a multivariate normal
     factor in the differences ``y_i - y_pivot`` (empty for vertices); the
     off-support coordinates contribute the log orthant probability, computed
-    by quadrature.  The pivot defaults to the lowest support index; any
-    support index gives the same value and the parameter exists so tests can
-    verify that.
+    by quadrature.  Rows are evaluated per distinct face.  The pivot
+    defaults to the lowest support index of each face; any support index
+    gives the same value and the parameter exists so tests can verify that.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -337,28 +365,41 @@ def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
         raise ValueError(
             f"density evaluation needs panels*nodes >= {_MIN_DENSITY_NODES}, got {quad}"
         )
-    if y.K != d.K:
-        raise ValueError(f"point has K={y.K}, distribution has K={d.K}")
-    support = list(y.support.indices)
-    if pivot is None:
-        pivot = support[0]
-    elif pivot not in support:
-        raise ValueError(f"pivot {pivot} is not in the support {support}")
-    rest = [i for i in support if i != pivot]
-    off = [j for j in range(d.K) if j not in support]
-    s = len(support)
-    out = float(np.log(s))
-    if rest:
-        x = y.coords[rest] - y.coords[pivot]
-        mean = d.mu[rest] - d.mu[pivot]
-        cov = np.diag(d.sigma[rest] ** 2) + d.sigma[pivot] ** 2
-        out += _mvn_logpdf(x, mean, cov)
-    if off:
-        if np.all(d.sigma == d.sigma[0]):
-            out += _orthant_log_constant(d.mu, d.sigma, support, off, quad)
+    if batch.K != d.K:
+        raise ValueError(f"point has K={batch.K}, distribution has K={d.K}")
+    constant_sigma = bool(np.all(d.sigma == d.sigma[0]))
+    out = np.empty(len(batch))
+    for mask, rows in face_groups(batch.masks):
+        support = [i for i in range(d.K) if mask >> i & 1]
+        if pivot is None:
+            p = support[0]
+        elif pivot in support:
+            p = pivot
         else:
-            out += _orthant_log_general(d.mu, d.sigma, y.coords, support, off, quad)
+            raise ValueError(f"pivot {pivot} is not in the support {support}")
+        rest = [i for i in support if i != p]
+        off = [j for j in range(d.K) if not mask >> j & 1]
+        ys = batch.coords[rows]
+        val = np.full(rows.size, float(np.log(len(support))))
+        if rest:
+            x = ys[:, rest] - ys[:, [p]]
+            mean = d.mu[rest] - d.mu[p]
+            cov = np.diag(d.sigma[rest] ** 2) + d.sigma[p] ** 2
+            val += _mvn_logpdf(x, mean, cov)
+        if off:
+            if constant_sigma:
+                val += _orthant_log_constant(d.mu, d.sigma, support, off, quad)
+            else:
+                val += _orthant_log_general(d.mu, d.sigma, ys, support, off, quad)
+        out[rows] = val
     return out
+
+
+def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
+                   quad: QuadratureConfig | None = None,
+                   pivot: int | None = None) -> float:
+    """``gs_log_density_many`` at a single point."""
+    return float(gs_log_density_many(d, FaceBatch.from_point(y), quad, pivot)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +444,28 @@ def concrete_sample_coords(z, beta: float, n: int, rng: np.random.Generator) -> 
 
 
 @dataclass(frozen=True, eq=False)
+class Concrete:
+    """Concrete (Gumbel-softmax) law with logits ``z`` at temperature ``beta``;
+    sampling only, every draw in the relative interior."""
+
+    z: np.ndarray
+    beta: float
+
+    def __init__(self, z, beta):
+        z = _check_concrete_args(z, beta).copy()
+        z.flags.writeable = False
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "beta", float(beta))
+
+    @property
+    def K(self) -> int:
+        return self.z.size
+
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
+        return FaceBatch.from_coords(concrete_sample_coords(self.z, self.beta, n, rng))
+
+
+@dataclass(frozen=True, eq=False)
 class KDHardConcrete:
     """Sparsemax of a Concrete draw stretched by ``lam >= 1``."""
 
@@ -426,6 +489,9 @@ class KDHardConcrete:
 
     def sample(self, rng: np.random.Generator):
         return khc_sample(self, rng)
+
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
+        return FaceBatch.from_coords(khc_sample_coords(self, n, rng))
 
 
 def khc_sample(d: KDHardConcrete, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
@@ -453,6 +519,11 @@ class BinaryHardConcrete:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not (self.l < 0.0 < 1.0 < self.r):
             raise ValueError(f"stretch interval must satisfy l < 0 < 1 < r, got ({self.l}, {self.r})")
+
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
+        """n draws embedded in the two-vertex simplex as ``(y, 1 - y)``."""
+        y = binary_hard_concrete_sample_values(self, n, rng)
+        return FaceBatch.from_coords(np.stack([y, 1.0 - y], axis=1))
 
 
 def binary_hard_concrete_from_logistic(d: BinaryHardConcrete, noise) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .simplex import FaceIndexSet
 
@@ -27,6 +28,7 @@ __all__ = [
     "expected_suff_stats",
     "face_log_prob",
     "sample_face",
+    "sample_face_masks",
     "sample_faces",
     "entropy",
     "kl",
@@ -144,12 +146,23 @@ def log_normalizer_closed_form(w) -> float | np.ndarray:
     The product over 2cosh counts every subset including the empty one;
     subtracting the empty subset's weight leaves the nonempty faces.  Kept
     free of the DAG code path so the two can validate each other.
+
+    Factoring out the empty face gives ``-sum w + log(expm1(S))`` with
+    ``S = sum_k softplus(2 w_k)``.  When every potential is very negative
+    the softplus terms underflow, so ``log S`` is accumulated in log space
+    and ``log(expm1(S))`` is evaluated from it.
     """
     w = _as_w(w)
-    # log 2cosh(x) = |x| + log1p(exp(-2|x|)), stable for large |x|
-    log_all = np.sum(np.abs(w) + np.log1p(np.exp(-2.0 * np.abs(w))), axis=-1)
-    log_empty = -np.sum(w, axis=-1)
-    out = log_all + np.log1p(-np.exp(log_empty - log_all))
+    two_w = 2.0 * w
+    softplus = np.logaddexp(0.0, two_w)
+    s = softplus.sum(axis=-1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # log softplus(x) is x - e^x / 2 to double precision below x = -30
+        log_s = logsumexp(np.where(two_w < -30.0, two_w - 0.5 * np.exp(two_w), np.log(softplus)), axis=-1)
+        # log(expm1(S)) = S + log(1 - e^-S) for S > 1, else log S + log(expm1(S) / S)
+        large = s + np.log(-np.expm1(-s))
+        small = log_s + np.log(np.where(s > 0.0, np.expm1(s) / s, 1.0))
+    out = -np.sum(w, axis=-1) + np.where(s > 1.0, large, small)
     return float(out) if w.ndim == 1 else out
 
 
@@ -161,17 +174,34 @@ def expected_suff_stats(w) -> np.ndarray:
     Accepts (K,) or (B, K).
     """
     w = _as_w(w)
-    K = w.shape[-1]
-    dag = _dag(K)
-    alpha = dag.forward(w)
-    beta = dag.backward(w)
+    dag = _dag(w.shape[-1])
+    return _expected_phi(dag, dag.forward(w), dag.backward(w))
+
+
+def _expected_phi(dag: FaceLatticeDag, alpha: dict, beta: dict) -> np.ndarray:
     log_z = alpha[dag.sink]
     probs = []
-    for k in range(1, K + 1):
+    for k in range(1, dag.K + 1):
         state = (k, 1, 1)
         probs.append(np.exp(alpha[state] + beta[state] - log_z))
     prob_in = np.stack(probs, axis=-1)
     return 2.0 * prob_in - 1.0
+
+
+def _take_probs(w: np.ndarray, beta: dict) -> np.ndarray:
+    """(K, 3) table of P(take vertex k | state) for ancestral sampling.
+
+    Per level, every live state is one of (b,s) in {(0,0),(0,1),(1,1)},
+    encoded 0/1/2.  A transition's probability is its arc weight times the
+    backward value of the state it enters, over the backward value of the
+    state it leaves; a source state that does not exist or is a dead end
+    gets probability 0.
+    """
+    K = w.size
+    src = np.array([[beta.get((k - 1, b, s), -np.inf) for b, s in ((0, 0), (0, 1), (1, 1))]
+                    for k in range(1, K + 1)], dtype=float)
+    num = w + np.array([beta[(k, 1, 1)] for k in range(1, K + 1)], dtype=float)
+    return np.where(src > -np.inf, np.exp(num[:, None] - src), 0.0)
 
 
 def suff_stats(f: FaceIndexSet) -> np.ndarray:
@@ -190,6 +220,7 @@ class GibbsFaceDistribution:
     w: np.ndarray
     log_z: float = field(init=False)
     expected_phi: np.ndarray = field(init=False)
+    take_probs: np.ndarray = field(init=False)  # sampling table, see _take_probs
 
     def __init__(self, w):
         w = _as_w(np.atleast_1d(w))
@@ -197,11 +228,16 @@ class GibbsFaceDistribution:
             raise ValueError("w must be a vector")
         w = w.copy()
         w.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "log_z", log_normalizer(w))
-        phi = expected_suff_stats(w)
+        dag = _dag(w.size)
+        alpha, beta = dag.forward(w), dag.backward(w)
+        phi = _expected_phi(dag, alpha, beta)
+        take = _take_probs(w, beta)
         phi.flags.writeable = False
+        take.flags.writeable = False
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "log_z", float(alpha[dag.sink]))
         object.__setattr__(self, "expected_phi", phi)
+        object.__setattr__(self, "take_probs", take)
 
     @property
     def K(self) -> int:
@@ -215,37 +251,30 @@ def face_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> float:
     return float(d.w @ suff_stats(f)) - d.log_z
 
 
-def sample_faces(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> list[FaceIndexSet]:
-    """Draw ``n`` faces by ancestral sampling through the DAG.
+def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` face bitmasks by ancestral sampling through the DAG.
 
     Each sample consumes exactly K uniforms (one per level), so results are
-    reproducible under a seeded stream regardless of the outcomes.  A
-    transition's probability is proportional to its arc weight times the
-    backward value of the state it enters; the dead-end "still empty at the
+    reproducible under a seeded stream regardless of the outcomes.  The
+    transition table is ``d.take_probs``; the dead-end "still empty at the
     last level" state has backward value -inf, so the empty face is never
     produced.
     """
-    K = d.K
-    dag = _dag(K)
-    beta = dag.backward(d.w)
-    u = rng.random((n, K))
-    # Per level, every live state is one of (b,s) in {(0,0),(0,1),(1,1)},
-    # encoded 0/1/2.  Precompute P(take vertex k | state) for each code.
-    take_prob = np.zeros((K, 3))
-    for k in range(1, K + 1):
-        for code, (b, s) in enumerate(((0, 0), (0, 1), (1, 1))):
-            src = (k - 1, b, s)
-            if src not in beta or beta[src] == -np.inf:
-                continue
-            num = d.w[k - 1] + beta[(k, 1, 1)]
-            take_prob[k - 1, code] = np.exp(num - beta[src])
+    u = rng.random((n, d.K))
     codes = np.zeros(n, dtype=np.int64)
     masks = np.zeros(n, dtype=np.int64)
-    for k in range(K):
-        take = u[:, k] < take_prob[k, codes]
+    for k in range(d.K):
+        take = u[:, k] < d.take_probs[k, codes]
         masks |= take.astype(np.int64) << k
         codes = np.where(take, 2, np.minimum(codes, 1))
-    return [FaceIndexSet(int(m), K) for m in masks]
+    return masks
+
+
+def sample_faces(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> list[FaceIndexSet]:
+    """``sample_face_masks`` as a list of faces (one object per distinct face)."""
+    masks = sample_face_masks(d, n, rng).tolist()
+    faces = {m: FaceIndexSet(m, d.K) for m in set(masks)}
+    return [faces[m] for m in masks]
 
 
 def sample_face(d: GibbsFaceDistribution, rng: np.random.Generator) -> FaceIndexSet:

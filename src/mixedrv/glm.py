@@ -22,7 +22,7 @@ from scipy.special import digamma, expit, gammaln
 
 from . import face_gibbs
 from .mixed_dirichlet import MixedDirichlet, sample_many
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, mask_members
 
 __all__ = [
     "SCORE_CLAMP",
@@ -114,8 +114,9 @@ class FitResult(NamedTuple):
 
 
 def _targets_arrays(targets) -> tuple[np.ndarray, np.ndarray]:
-    member = np.stack([y.support.member_array() for y in targets])
+    """(n, K) face membership and coordinates of a list of target points."""
     coords = np.stack([y.coords for y in targets])
+    member = mask_members(np.array([y.support.mask for y in targets], dtype=np.int64), coords.shape[1])
     return member, coords
 
 
@@ -135,7 +136,13 @@ def glm_log_likelihood(model: GlmModel, X, targets) -> tuple[float, dict[str, np
     member, coords = _targets_arrays(targets)
     if member.shape[1] != model.K:
         raise ValueError(f"targets must have K={model.K}")
+    return _log_likelihood_arrays(model, X, member, coords)
 
+
+def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, member: np.ndarray,
+                           coords: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """``glm_log_likelihood`` on validated arrays: X (n, d), target face
+    membership and coordinates (n, K)."""
     pre_f = X @ model.w_face.T + model.b_face
     scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
     gate_f = (np.abs(pre_f) < SCORE_CLAMP).astype(float)
@@ -185,7 +192,10 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("X must be a nonempty (n, d) array")
     n, d = X.shape
-    K = targets[0].K
+    if len(targets) != n:
+        raise ValueError("one target per row required")
+    member, coords = _targets_arrays(targets)
+    K = member.shape[1]
     rng = np.random.default_rng(seed)
     params = {
         "w_face": rng.normal(0.0, 0.01, (K, d)),
@@ -199,7 +209,7 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
     losses = np.empty(steps)
     for t in range(1, steps + 1):
         model = GlmModel(**params)
-        ll, grads = glm_log_likelihood(model, X, targets)
+        ll, grads = _log_likelihood_arrays(model, X, member, coords)
         losses[t - 1] = -ll / n
         for k in params:
             g = -grads[k] / n
@@ -228,8 +238,7 @@ def glm_predict(model: GlmModel, x, rule: str = "most-probable-mean",
     if rule == "sample-mean":
         if rng is None:
             raise ValueError("sample-mean needs an rng")
-        pts = np.stack([p.coords for _, p in sample_many(md, n, rng)])
-        return SimplexPoint(pts.mean(axis=0))
+        return SimplexPoint(sample_many(md, n, rng).coords.mean(axis=0))
     raise ValueError(f"unknown prediction rule {rule!r}")
 
 

@@ -3,7 +3,8 @@
 The direct-sum entropy of a mixed variable is the Shannon entropy of its
 face plus the expected differential entropy within the face; the analogous
 KL decomposes the same way.  Both are estimated here by Monte Carlo for any
-distribution exposing mutually consistent ``sample`` and ``log_density``.
+distribution exposing mutually consistent ``sample_many`` and
+``log_density_many``.
 
 ``coding_entropy`` converts a direct-sum entropy into the average optimal
 code length when continuous coordinates are kept at N-bit precision, and
@@ -22,8 +23,8 @@ from typing import NamedTuple, Protocol, runtime_checkable
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .mixed_dirichlet import _dirichlet_draws
-from .simplex import FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces
+from .mixed_dirichlet import fill_faces
+from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces
 
 __all__ = [
     "MixedDistribution",
@@ -48,13 +49,13 @@ _LN2 = math.log(2.0)
 class MixedDistribution(Protocol):
     """What a distribution must expose for the MC estimators below.
 
-    ``sample`` and ``log_density`` must agree: minus the mean log-density of
-    its own samples estimates the direct-sum entropy.
+    ``sample_many`` and ``log_density_many`` must agree: minus the mean
+    log-density of its own samples estimates the direct-sum entropy.
     """
 
-    def sample(self, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]: ...
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch: ...
 
-    def log_density(self, y: SimplexPoint) -> float: ...
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray: ...
 
 
 class McEstimate(NamedTuple):
@@ -72,17 +73,11 @@ class KlMcEstimate(NamedTuple):
         return self.support_violations > 0
 
 
-def _draw(dist, n: int, rng: np.random.Generator):
-    if hasattr(dist, "sample_many"):
-        return dist.sample_many(n, rng)
-    return [dist.sample(rng) for _ in range(n)]
-
-
 def direct_sum_entropy_mc(dist: MixedDistribution, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo direct-sum entropy: minus the mean log-density of draws."""
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    logs = np.array([dist.log_density(y) for _, y in _draw(dist, n, rng)])
+    logs = dist.log_density_many(dist.sample_many(n, rng))
     return McEstimate(float(-logs.mean()), float(logs.std(ddof=1) / np.sqrt(n)))
 
 
@@ -96,17 +91,12 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    diffs = np.empty(n)
-    violations = 0
-    for i, (_, y) in enumerate(_draw(p, n, rng)):
-        lq = q.log_density(y)
-        if lq == -np.inf:
-            violations += 1
-            diffs[i] = np.inf
-        else:
-            diffs[i] = p.log_density(y) - lq
+    batch = p.sample_many(n, rng)
+    log_q = q.log_density_many(batch)
+    violations = int(np.count_nonzero(log_q == -np.inf))
     if violations:
         return KlMcEstimate(np.inf, np.nan, violations)
+    diffs = p.log_density_many(batch) - log_q
     return KlMcEstimate(float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n)), 0)
 
 
@@ -187,34 +177,25 @@ class MaxEntMixed:
         return float(np.log(self.g[k - 1])) - log_binom
 
     def log_density(self, y: SimplexPoint) -> float:
-        if y.K != self.K:
-            raise ValueError(f"point has K={y.K}, distribution has K={self.K}")
-        # flat conditional on a face with k vertices has density (k-1)!
-        return self.face_log_prob(y.support) + float(gammaln(y.support.size))
+        return float(self.log_density_many(FaceBatch.from_point(y))[0])
+
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray:
+        """Face log-probability plus the flat conditional's log-density,
+        ``log (k-1)!`` on a face with k vertices."""
+        if batch.K != self.K:
+            raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
+        k = np.arange(1, self.K + 1)
+        log_binom = gammaln(self.K + 1) - gammaln(k + 1) - gammaln(self.K - k + 1)
+        with np.errstate(divide="ignore"):
+            by_size = np.log(self.g) - log_binom + gammaln(k)
+        return by_size[batch.members().sum(axis=1) - 1]
 
     def sample(self, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
         return maxent_sample(self, rng)
 
-    def sample_many(self, n: int, rng: np.random.Generator):
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         masks = maxent_sample_face_masks(self, n, rng)
-        out: list = [None] * n
-        by_mask: dict[int, list[int]] = {}
-        for i, m in enumerate(masks):
-            by_mask.setdefault(int(m), []).append(i)
-        for m in sorted(by_mask):
-            rows = by_mask[m]
-            f = FaceIndexSet(m, self.K)
-            if f.size == 1:
-                p = SimplexPoint.vertex(f.indices[0], self.K)
-                for i in rows:
-                    out[i] = (f, p)
-                continue
-            draws = _dirichlet_draws(np.ones(f.size), len(rows), rng)
-            for i, r in zip(rows, draws):
-                coords = np.zeros(self.K)
-                coords[list(f.indices)] = r
-                out[i] = (f, SimplexPoint(coords))
-        return out
+        return FaceBatch.from_coords(fill_faces(masks, self.K, np.ones(self.K), rng))
 
     def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
         if self.K > 14:
@@ -246,10 +227,4 @@ def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -
 
 
 def maxent_sample(d: MaxEntMixed, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    mask = int(maxent_sample_face_masks(d, 1, rng)[0])
-    f = FaceIndexSet(mask, d.K)
-    if f.size == 1:
-        return f, SimplexPoint.vertex(f.indices[0], d.K)
-    coords = np.zeros(d.K)
-    coords[list(f.indices)] = _dirichlet_draws(np.ones(f.size), 1, rng)[0]
-    return f, SimplexPoint(coords)
+    return d.sample_many(1, rng)[0]

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from . import face_gibbs
-from .simplex import FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces
+from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, face_groups
 
 __all__ = [
     "MixedDirichlet",
@@ -27,6 +27,7 @@ __all__ = [
     "sample",
     "sample_many",
     "log_density",
+    "log_density_many",
     "entropy",
     "kl_mixed",
 ]
@@ -120,11 +121,14 @@ class MixedDirichlet:
     def sample(self, rng: np.random.Generator):
         return sample(self, rng)
 
-    def sample_many(self, n: int, rng: np.random.Generator):
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         return sample_many(self, n, rng)
 
     def log_density(self, y: SimplexPoint) -> float:
         return log_density(self, y)
+
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray:
+        return log_density_many(self, batch)
 
     def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
         if self.K > EXACT_ENUM_MAX_K:
@@ -144,62 +148,72 @@ def _dirichlet_draws(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.
     are always strictly positive.
     """
     g = rng.gamma(alpha, size=(n, alpha.size))
-    bad = np.nonzero(np.any(g == 0.0, axis=1))[0]
+    bad = np.nonzero((g == 0.0).any(axis=1))[0]
     if bad.size:
         g[bad] = rng.gamma(alpha, size=(bad.size, alpha.size))
         g = np.maximum(g, UNDERFLOW_FLOOR)
     return g / g.sum(axis=1, keepdims=True)
 
 
-def _embed(face: FaceIndexSet, restricted: np.ndarray, K: int) -> SimplexPoint:
-    coords = np.zeros(K)
-    coords[list(face.indices)] = restricted
-    return SimplexPoint(coords)
+def fill_faces(masks: np.ndarray, K: int, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(n, K) points on the given faces, Dirichlet(alpha restricted) on each.
+
+    Faces are visited in ``face_groups`` order (ascending mask, then
+    ascending row), drawing all of a face's rows at once, so the stream is
+    consumed in a fixed order.  Vertices consume no randomness.  A tiny
+    (subnormal) Gamma draw can still round to zero when its row is
+    normalized, which leaves that point on a smaller face; callers take the
+    faces of the result from its positive coordinates.
+    """
+    coords = np.zeros((masks.shape[0], K))
+    for mask, rows in face_groups(masks):
+        idx = [i for i in range(K) if mask >> i & 1]
+        if len(idx) == 1:
+            coords[rows, idx[0]] = 1.0
+        else:
+            coords[rows[:, None], idx] = _dirichlet_draws(alpha[idx], rows.size, rng)
+    return coords
 
 
 def sample(md: MixedDirichlet, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
     """One draw: a face, then a Dirichlet point embedded in it."""
-    f = face_gibbs.sample_face(md.faces, rng)
-    if f.size == 1:
-        return f, SimplexPoint.vertex(f.indices[0], md.K)
-    r = _dirichlet_draws(md.alpha_on(f), 1, rng)[0]
-    return f, _embed(f, r, md.K)
+    return sample_many(md, 1, rng)[0]
 
 
-def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> list[tuple[FaceIndexSet, SimplexPoint]]:
+def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBatch:
     """n draws, with Dirichlet sampling vectorized per distinct face.
 
     Deterministic under a seeded stream, but consumes draws in a different
-    order than repeated calls to ``sample``.
+    order than repeated calls to ``sample``.  Each row's face is the support
+    of its point (see ``fill_faces``).
     """
-    faces = face_gibbs.sample_faces(md.faces, n, rng)
-    out: list = [None] * n
-    by_face: dict[FaceIndexSet, list[int]] = {}
-    for i, f in enumerate(faces):
-        by_face.setdefault(f, []).append(i)
-    for f in sorted(by_face, key=lambda f: f.mask):
-        rows = by_face[f]
-        if f.size == 1:
-            p = SimplexPoint.vertex(f.indices[0], md.K)
-            for i in rows:
-                out[i] = (f, p)
-            continue
-        draws = _dirichlet_draws(md.alpha_on(f), len(rows), rng)
-        for i, r in zip(rows, draws):
-            out[i] = (f, _embed(f, r, md.K))
-    return out
+    masks = face_gibbs.sample_face_masks(md.faces, n, rng)
+    return FaceBatch.from_coords(fill_faces(masks, md.K, md.alpha, rng))
+
+
+def _dirichlet_log_pdf_rows(member: np.ndarray, coords: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Dirichlet log-density of each row on its face (``member`` rows), 0 at vertices."""
+    alpha_m = np.where(member, alpha, 0.0)
+    log_beta = np.where(member, gammaln(alpha), 0.0).sum(axis=1) - gammaln(alpha_m.sum(axis=1))
+    with np.errstate(divide="ignore"):
+        log_y = np.where(member, np.log(coords), 0.0)
+    out = np.sum((alpha_m - member) * log_y, axis=1) - log_beta
+    return np.where(member.sum(axis=1) > 1, out, 0.0)
+
+
+def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
+    """Log-density of every row w.r.t. the direct-sum measure: face log-prob
+    plus the Dirichlet log-density on the face (0 for vertices)."""
+    if batch.K != md.K:
+        raise ValueError(f"point has K={batch.K}, distribution has K={md.K}")
+    member = batch.members()
+    face = np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z
+    return face + _dirichlet_log_pdf_rows(member, batch.coords, md.alpha)
 
 
 def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
-    """Log-density w.r.t. the direct-sum measure: face log-prob plus the
-    Dirichlet log-density on the face (0 for vertices)."""
-    if y.K != md.K:
-        raise ValueError(f"point has K={y.K}, distribution has K={md.K}")
-    f = y.support
-    out = face_gibbs.face_log_prob(md.faces, f)
-    if f.size > 1:
-        out += dirichlet_log_pdf(y.restricted(), md.alpha_on(f))
-    return out
+    """``log_density_many`` at a single point."""
+    return float(log_density_many(md, FaceBatch.from_point(y))[0])
 
 
 def entropy(md: MixedDirichlet, mode: str = "exact", n: int = 10000,
@@ -268,15 +282,18 @@ class FullFaceDirichlet:
         return self.alpha.size
 
     def sample(self, rng: np.random.Generator):
-        full = FaceIndexSet((1 << self.K) - 1, self.K)
-        r = _dirichlet_draws(self.alpha, 1, rng)[0]
-        return full, SimplexPoint(r)
+        return self.sample_many(1, rng)[0]
 
-    def sample_many(self, n: int, rng: np.random.Generator):
-        full = FaceIndexSet((1 << self.K) - 1, self.K)
-        return [(full, SimplexPoint(r)) for r in _dirichlet_draws(self.alpha, n, rng)]
+    def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
+        return FaceBatch.from_coords(_dirichlet_draws(self.alpha, n, rng))
 
     def log_density(self, y: SimplexPoint) -> float:
-        if y.support.size < self.K:
-            return -np.inf
-        return dirichlet_log_pdf(y.coords, self.alpha)
+        return float(self.log_density_many(FaceBatch.from_point(y))[0])
+
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray:
+        """Dirichlet log-density on the maximal face, -inf on every other face."""
+        if batch.K != self.K:
+            raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
+        full = batch.masks == (1 << self.K) - 1
+        member = np.broadcast_to(full[:, None], batch.coords.shape)
+        return np.where(full, _dirichlet_log_pdf_rows(member, batch.coords, self.alpha), -np.inf)

@@ -20,6 +20,9 @@ __all__ = [
     "ResourceLimitError",
     "FaceIndexSet",
     "SimplexPoint",
+    "FaceBatch",
+    "mask_members",
+    "face_groups",
     "Trit",
     "HypercubeFace",
     "sparsemax",
@@ -137,12 +140,146 @@ class SimplexPoint:
         coords[i] = 1.0
         return cls(coords)
 
+    @classmethod
+    def _trusted(cls, coords: np.ndarray, support: FaceIndexSet) -> "SimplexPoint":
+        """A point from a read-only row whose support was already validated."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        object.__setattr__(p, "support", support)
+        return p
+
     def restricted(self) -> np.ndarray:
         """The strictly positive coordinates, in index order."""
         return self.coords[list(self.support.indices)]
 
     def __repr__(self):
         return f"SimplexPoint({np.array2string(self.coords, separator=', ')})"
+
+
+def mask_members(masks: np.ndarray, K: int) -> np.ndarray:
+    """(n, K) boolean membership matrix of n face bitmasks."""
+    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(K)) & 1).astype(bool)
+
+
+def face_groups(masks: np.ndarray):
+    """Rows of each distinct face bitmask: ``(mask, rows)`` pairs with masks
+    ascending and each face's row indices ascending."""
+    if masks.shape[0] == 1:  # the common single-draw case needs no sort
+        return [(int(masks[0]), np.zeros(1, dtype=np.intp))]
+    faces, inverse = np.unique(masks, return_inverse=True)
+    rows = np.argsort(inverse, kind="stable")
+    bounds = np.cumsum(np.bincount(inverse, minlength=faces.size))[:-1]
+    return list(zip(faces.tolist(), np.split(rows, bounds)))
+
+
+_BITS = np.left_shift(1, np.arange(MAX_BITMASK_K), dtype=np.int64)
+
+
+def _support_masks(coords: np.ndarray) -> np.ndarray:
+    """Bitmask of the strictly positive coordinates of each row of ``coords``."""
+    return (coords > 0.0) @ _BITS[:coords.shape[1]]
+
+
+def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray) -> ValueError:
+    """The first ``SimplexPoint`` rule that a batch breaks, as an error."""
+    if not np.isfinite(coords).all():
+        return ValueError("coords must be finite")
+    if (coords < 0.0).any():
+        return ValueError("coords must be nonnegative")
+    bad = np.nonzero(np.abs(sums - 1.0) > SUM_TOL)[0]
+    if bad.size:
+        return ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {SUM_TOL}")
+    K = coords.shape[1]
+    bad = np.nonzero((masks <= 0) | (masks >> K != 0))[0]
+    if bad.size:
+        return ValueError(f"mask {int(masks[bad[0]]):#x} is not a nonempty subset of [{K}]")
+    bad = np.nonzero(_support_masks(coords) != masks)[0]
+    return ValueError(f"row {bad[0]}: positive coordinates are not the vertices of mask {int(masks[bad[0]]):#x}")
+
+
+@dataclass(frozen=True, eq=False)
+class FaceBatch:
+    """n simplex points as arrays: face bitmasks ``masks`` (n,) and
+    coordinates ``coords`` (n, K).
+
+    This is the array form of a sequence of ``(FaceIndexSet, SimplexPoint)``
+    draws, validated once under the same rules as ``SimplexPoint``: finite,
+    nonnegative coordinates, rows summing to one within ``SUM_TOL``, and
+    positive coordinates exactly on the vertices of the row's face.
+    Indexing and iteration yield the pairs, sharing one ``FaceIndexSet``
+    per distinct mask.
+    """
+
+    masks: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        coords = np.array(self.coords, dtype=float)
+        masks = np.asarray(self.masks)
+        if coords.ndim != 2:
+            raise ValueError("coords must be an (n, K) array")
+        n, K = coords.shape
+        if not (2 <= K <= MAX_BITMASK_K):
+            raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {K}")
+        if masks.shape != (n,) or (n and masks.dtype.kind not in "iu"):
+            raise ValueError(f"masks must be {n} integers, got shape {masks.shape} dtype {masks.dtype}")
+        masks = masks.astype(np.int64)  # a copy, so freezing it below is safe
+        # These three tests imply every rule (NaN fails ">= 0", an infinite
+        # row fails its sum, a matching support mask lies in (0, 2^K)); a
+        # failing batch is diagnosed rule by rule for the error message.
+        sums = coords.sum(axis=1)
+        if not ((coords >= 0.0).all() and (np.abs(sums - 1.0) <= SUM_TOL).all()
+                and (_support_masks(coords) == masks).all()):
+            raise _invalid_batch(coords, masks, sums)
+        coords.flags.writeable = False
+        masks.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_faces", {})
+
+    @classmethod
+    def from_coords(cls, coords) -> "FaceBatch":
+        """Batch whose faces are the supports of the rows of ``coords``."""
+        coords = np.asarray(coords, dtype=float)
+        return cls(_support_masks(coords), coords)
+
+    @classmethod
+    def from_point(cls, y: SimplexPoint) -> "FaceBatch":
+        """Batch of one already validated point (no re-validation)."""
+        batch = object.__new__(cls)
+        masks = np.array([y.support.mask], dtype=np.int64)
+        masks.flags.writeable = False
+        object.__setattr__(batch, "masks", masks)
+        object.__setattr__(batch, "coords", y.coords[None, :])
+        object.__setattr__(batch, "_faces", {y.support.mask: y.support})
+        return batch
+
+    @property
+    def K(self) -> int:
+        return self.coords.shape[1]
+
+    def members(self) -> np.ndarray:
+        """(n, K) boolean membership matrix of the rows' faces."""
+        return mask_members(self.masks, self.K)
+
+    def face(self, mask: int) -> FaceIndexSet:
+        """The shared ``FaceIndexSet`` of one of the batch's masks."""
+        f = self._faces.get(mask)
+        if f is None:
+            f = self._faces[mask] = FaceIndexSet(mask, self.K)
+        return f
+
+    def __len__(self) -> int:
+        return self.masks.shape[0]
+
+    def __getitem__(self, i: int) -> tuple[FaceIndexSet, SimplexPoint]:
+        f = self.face(int(self.masks[i]))
+        return f, SimplexPoint._trusted(self.coords[i], f)
+
+    def __iter__(self):
+        for i, m in enumerate(self.masks.tolist()):
+            f = self.face(m)
+            yield f, SimplexPoint._trusted(self.coords[i], f)
 
 
 class Trit(enum.IntEnum):

@@ -55,6 +55,19 @@ class TestLogNormalizer:
                 a, b = fg.log_normalizer(w), fg.log_normalizer_closed_form(w)
                 assert a == pytest.approx(b, rel=1e-12)
 
+    def test_closed_form_at_extreme_potentials(self):
+        # very negative potentials once cancelled to -inf in the closed form
+        assert fg.log_normalizer_closed_form([-20.0, -20.0]) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert fg.log_normalizer_closed_form([-30.0, -30.0, -30.0]) == pytest.approx(
+            60.0 - 30.0 + np.log(3.0), rel=1e-12)
+        for w in ([400.0, 400.0, 400.0], [-400.0, -400.0], [30.0, -30.0, 30.0, -30.0], [-745.0] * 4):
+            w = np.array(w)
+            expected = oracles.enum_log_normalizer(w)
+            assert fg.log_normalizer_closed_form(w) == pytest.approx(expected, rel=1e-12)
+            assert fg.log_normalizer(w) == pytest.approx(expected, rel=1e-12)
+        batched = fg.log_normalizer_closed_form(np.array([[-20.0, -20.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(batched, [np.log(2.0), np.log(3.0)], rtol=1e-12)
+
     def test_not_shift_invariant(self):
         w = np.array([0.3, -0.2, 0.5])
         assert abs(fg.log_normalizer(w + 1.0) - fg.log_normalizer(w)) > 0.1

@@ -7,7 +7,7 @@ from scipy.stats import chisquare
 
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
-from mixedrv.simplex import FaceIndexSet, SimplexPoint, enumerate_faces
+from mixedrv.simplex import FaceBatch, FaceIndexSet, enumerate_faces
 
 
 class _VertexPointMass:
@@ -16,12 +16,13 @@ class _VertexPointMass:
     def __init__(self, i: int, K: int):
         self.i, self.K = i, K
 
-    def sample(self, rng):
-        p = SimplexPoint.vertex(self.i, self.K)
-        return p.support, p
+    def sample_many(self, n: int, rng) -> FaceBatch:
+        coords = np.zeros((n, self.K))
+        coords[:, self.i] = 1.0
+        return FaceBatch.from_coords(coords)
 
-    def log_density(self, y: SimplexPoint) -> float:
-        return 0.0 if y.support.indices == (self.i,) else -np.inf
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray:
+        return np.where(batch.masks == 1 << self.i, 0.0, -np.inf)
 
 
 class TestLaguerre:

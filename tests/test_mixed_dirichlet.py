@@ -203,3 +203,28 @@ class TestFullFaceDirichlet:
         for f, p in d.sample_many(200, np.random.default_rng(49)):
             assert f.size == 3
             assert np.all(p.coords > 0)
+
+
+class _SubnormalGamma:
+    """Real uniforms, but every Gamma row is (5e-324, 3.0, 3.0, ...): the
+    subnormal first draw rounds to zero when the row is normalized."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, shape):
+        return self.rng.random(shape)
+
+    def gamma(self, alpha, size):
+        g = np.full(size, 3.0)
+        g[:, 0] = 5e-324
+        return g
+
+
+def test_underflowed_coordinate_moves_the_point_to_its_support():
+    dist = md.MixedDirichlet(np.full(3, 10.0), np.array([0.006, 2.0, 2.0]))
+    batch = md.sample_many(dist, 4, _SubnormalGamma(0))
+    assert batch.masks.tolist() == [0b110] * 4  # sampled on the full face, landed on {1, 2}
+    for f, p in batch:
+        assert p.support == f and p.coords[0] == 0.0
+    assert np.all(np.isfinite(md.log_density_many(dist, batch)))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mixedrv import oracles
 from mixedrv.simplex import (
+    FaceBatch,
     FaceIndexSet,
     HypercubeFace,
     ResourceLimitError,
@@ -218,3 +219,77 @@ class TestFaceHistogram:
         coords = gs_sample_coords(d, 10**5, np.random.default_rng(4))
         sizes = (coords > 0).sum(axis=1)
         assert {1, 2, 3} <= set(np.unique(sizes).tolist())
+
+
+class TestFaceBatch:
+    def test_pairs_equal_rows(self):
+        coords = np.array([[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5], [0.25, 0.0, 0.75]])
+        batch = FaceBatch([5, 2, 7, 5], coords)
+        assert len(batch) == 4 and batch.K == 3
+        pairs = list(batch)
+        assert len(pairs) == 4
+        for i, (f, p) in enumerate(pairs):
+            assert f == FaceIndexSet(int(batch.masks[i]), 3)
+            assert p.support == f
+            assert p.coords.tolist() == coords[i].tolist()
+            assert batch[i][0] == f and batch[i][1].coords.tolist() == coords[i].tolist()
+        assert pairs[0][0] is pairs[3][0]  # one face object per distinct mask
+
+    def test_from_coords_and_from_point(self):
+        batch = FaceBatch.from_coords([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+        assert batch.masks.tolist() == [3, 4]
+        p = SimplexPoint([0.1, 0.0, 0.9])
+        one = FaceBatch.from_point(p)
+        assert one.masks.tolist() == [5] and one[0][0] == p.support
+        assert one.members().tolist() == [[True, False, True]]
+
+    def test_arrays_are_read_only(self):
+        batch = FaceBatch([3], [[0.5, 0.5]])
+        with pytest.raises(ValueError):
+            batch.coords[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            batch[0][1].coords[0] = 1.0
+
+    def test_rejects_off_face_positive(self):
+        with pytest.raises(ValueError, match="vertices of mask"):
+            FaceBatch([1, 3], [[1.0, 0.0, 0.0], [0.5, 0.25, 0.25]])
+
+    def test_rejects_zero_on_face(self):
+        with pytest.raises(ValueError, match="vertices of mask"):
+            FaceBatch([7], [[0.5, 0.5, 0.0]])
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            FaceBatch([3], [[1.1, -0.1]])
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="finite"):
+            FaceBatch([3], [[np.nan, 1.0]])
+
+    def test_rejects_bad_row_sum(self):
+        with pytest.raises(ValueError, match="sums to"):
+            FaceBatch([3, 3], [[0.5, 0.5], [0.5, 0.6]])
+
+    @pytest.mark.parametrize("mask", [0, -1, 4, 1 << 40])
+    def test_rejects_mask_out_of_range(self, mask):
+        with pytest.raises(ValueError, match="nonempty subset"):
+            FaceBatch([mask], [[0.5, 0.5]])
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            FaceBatch([1], [1.0, 0.0])
+        with pytest.raises(ValueError):
+            FaceBatch([1, 1], [[1.0, 0.0]])
+        with pytest.raises(ValueError):
+            FaceBatch([1], [[1.0]])
+        with pytest.raises(ValueError):
+            FaceBatch([1.0], [[1.0, 0.0]])
+
+    def test_k63_masks(self):
+        K = 63
+        coords = np.zeros((2, K))
+        coords[0, K - 1] = 1.0
+        coords[1] = 1.0 / K
+        batch = FaceBatch.from_coords(coords)
+        assert batch.masks.tolist() == [1 << (K - 1), (1 << K) - 1]
+        assert batch[1][0].size == K
