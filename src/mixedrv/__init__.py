@@ -25,10 +25,10 @@ from .simplex import (
     sparsemax_jacobian,
 )
 from .face_gibbs import (
-    FaceLatticeDag,
     GibbsFaceDistribution,
     most_probable_face,
 )
+from .oracles import FaceLatticeDag
 from .mixed_dirichlet import (
     FullFaceDirichlet,
     MixedDirichlet,

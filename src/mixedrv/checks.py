@@ -98,34 +98,62 @@ def _check_log_normalizer_vs_enum():
     return f"worst relative error {worst:.2e}"
 
 
-def _check_log_normalizer_vs_closed_form():
+def _check_log_normalizer_vs_dag():
     rng = np.random.default_rng(111)
     worst = 0.0
     for K in range(2, 16):
         for _ in range(20):
             w = rng.normal(0.0, 3.0, K)
             a = face_gibbs.log_normalizer(w)
-            b = face_gibbs.log_normalizer_closed_form(w)
+            b = oracles.dag_log_normalizer(w)
             worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     _require(worst < 1e-12, f"worst relative error {worst:.2e} >= 1e-12")
     return f"worst relative error {worst:.2e}"
 
 
+def _edge_potentials(K: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Saturated, mixed-sign and very negative potentials, far outside the
+    N(0, 3) draws above, where naive closed forms cancel or underflow."""
+    return [np.full(K, 400.0), np.full(K, -400.0), np.full(K, -20.0), np.full(K, -745.0),
+            np.where(np.arange(K) % 2 == 0, 30.0, -30.0), rng.choice([-30.0, 30.0], K)]
+
+
 def _check_log_normalizer_extreme_potentials():
-    # far outside the N(0, 3) draws above: saturated, mixed-sign and very
-    # negative potentials, where naive closed forms cancel to -inf
     rng = np.random.default_rng(118)
     worst = 0.0
     for K in range(2, 11):
-        cases = [np.full(K, 400.0), np.full(K, -400.0), np.full(K, -20.0),
-                 np.where(np.arange(K) % 2 == 0, 30.0, -30.0), rng.choice([-30.0, 30.0], K)]
-        for w in cases:
+        for w in _edge_potentials(K, rng):
             b = oracles.enum_log_normalizer(w)
-            for a in (face_gibbs.log_normalizer_closed_form(w), face_gibbs.log_normalizer(w)):
+            for a in (face_gibbs.log_normalizer(w), oracles.dag_log_normalizer(w)):
                 _require(bool(np.isfinite(a)), f"non-finite log-normalizer {a} at w={w}")
                 worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     _require(worst < 1e-12, f"worst relative error {worst:.2e} >= 1e-12")
     return f"worst relative error {worst:.2e}"
+
+
+def _check_gibbs_vs_dag_at_edges():
+    # The DAG's log-space values grow like |log Z|, and so does its rounding
+    # error, so log Z and the log of each positive sampling-table entry are
+    # compared relative to max(1, |log Z|); E[phi] is compared absolutely.
+    rng = np.random.default_rng(119)
+    worst = 0.0
+    for K in [*range(2, 14), 32, 63]:
+        for w in _edge_potentials(K, rng) + [rng.normal(0.0, 3.0, K)]:
+            d = face_gibbs.GibbsFaceDistribution(w)
+            b = oracles.dag_log_normalizer(w)
+            take = oracles.dag_take_probs(w)
+            _require(np.array_equal(d.take_probs > 0.0, take > 0.0), f"sampling table support differs at w={w}")
+            _require(d.take_probs[-1, 0] == 1.0, f"a face still empty may skip the last vertex at w={w}")
+            pos = take > 0.0
+            scale = max(1.0, abs(b))
+            worst = max(worst, abs(d.log_z - b) / scale,
+                        float(np.max(np.abs(d.expected_phi - oracles.dag_expected_suff_stats(w)))),
+                        float(np.max(np.abs(np.log(d.take_probs[pos]) - np.log(take[pos])))) / scale)
+    _require(worst < 1e-12, f"worst error {worst:.2e} >= 1e-12")
+    d = face_gibbs.GibbsFaceDistribution(np.full(63, -400.0))
+    masks = face_gibbs.sample_face_masks(d, 10**4, rng)
+    _require(bool(np.all(masks > 0)), "sampled the empty face at K=63, w=-400")
+    return f"worst error {worst:.2e}; no empty face at K=63"
 
 
 def _check_gibbs_moments_vs_enum():
@@ -698,8 +726,9 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("simplex.sparsemax_invariances", _FAST, _check_sparsemax_invariances),
     ("simplex.face_partition_property", _FAST, _check_face_partition),
     ("face_gibbs.log_normalizer_vs_enumeration", _FAST, _check_log_normalizer_vs_enum),
-    ("face_gibbs.log_normalizer_vs_closed_form", _FAST, _check_log_normalizer_vs_closed_form),
+    ("face_gibbs.log_normalizer_vs_dag_oracle", _FAST, _check_log_normalizer_vs_dag),
     ("face_gibbs.log_normalizer_extreme_potentials", _FAST, _check_log_normalizer_extreme_potentials),
+    ("face_gibbs.closed_form_vs_dag_oracle_at_edges", _FAST, _check_gibbs_vs_dag_at_edges),
     ("face_gibbs.moments_entropy_kl_vs_enumeration", _FAST, _check_gibbs_moments_vs_enum),
     ("face_gibbs.face_probs_sum_to_one", _FAST, _check_face_probs_sum),
     ("face_gibbs.grad_log_prob_vs_finite_differences", _FAST, _check_grad_log_prob),

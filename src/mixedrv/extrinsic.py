@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr, logsumexp, ndtr, ndtri, xlogy
 
-from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax
+from .simplex import (FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax,
+                      sparsemax_rows)
 
 __all__ = [
     "QuadratureConfig",
@@ -170,17 +171,11 @@ class GaussianSparsemax:
 def gs_sample_coords(d: GaussianSparsemax, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, K) array of projected draws, exact zeros included."""
     z = d.mu + d.sigma * rng.standard_normal((n, d.K))
-    return _sparsemax_batch(z)
+    return sparsemax_rows(z)
 
 
-def _sparsemax_batch(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    u = np.sort(z, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, z.shape[1] + 1)
-    rho = np.sum(u * k > css - 1.0, axis=1)
-    tau = (css[np.arange(len(z)), rho - 1] - 1.0) / rho
-    return np.maximum(z - tau[:, None], 0.0)
+# benchmarks/tracer.py looks the batch projection up under this name
+_sparsemax_batch = sparsemax_rows
 
 
 def gs_sample(d: GaussianSparsemax, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
@@ -502,7 +497,7 @@ def khc_sample(d: KDHardConcrete, rng: np.random.Generator) -> tuple[FaceIndexSe
 
 def khc_sample_coords(d: KDHardConcrete, n: int, rng: np.random.Generator) -> np.ndarray:
     y_soft = concrete_from_gumbels(d.z, d.beta, _gumbel(rng, (n, d.K)))
-    return _sparsemax_batch(d.lam * y_soft)
+    return sparsemax_rows(d.lam * y_soft)
 
 
 @dataclass(frozen=True)

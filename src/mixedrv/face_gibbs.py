@@ -5,10 +5,12 @@ log-potential per vertex and sufficient statistic ``phi_k = +1`` if vertex k
 is in the face, ``-1`` otherwise, so the unnormalized log-weight of face I is
 ``sum_{k in I} w_k - sum_{k not in I} w_k``.
 
-All quantities that naively require a sum over 2^K - 1 faces (the
-log-normalizer, vertex-membership marginals, sampling) are computed in O(K)
-by dynamic programming on a small DAG whose source-to-sink paths are in
-bijection with the nonempty subsets.  Everything runs in log space.
+The law is exactly independent Bernoulli(p_k = sigma(2 w_k)) vertices
+conditioned on a nonempty face, so every quantity that naively requires a
+sum over 2^K - 1 faces (the log-normalizer, vertex-membership marginals,
+sampling) has an O(K) closed form, evaluated in log space.  The paper's
+O(K) face-lattice DAG computes the same quantities and is kept in
+``oracles`` as the independent reference.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
+# not used here; benchmarks/tracer.py looks up face_gibbs.FaceLatticeDag by name
+from .oracles import FaceLatticeDag  # noqa: F401
 from .simplex import FaceIndexSet
 
 __all__ = [
-    "FaceLatticeDag",
     "GibbsFaceDistribution",
     "log_normalizer",
-    "log_normalizer_closed_form",
     "expected_suff_stats",
     "face_log_prob",
     "sample_face",
@@ -37,89 +38,6 @@ __all__ = [
     "suff_stats",
 ]
 
-# A DAG state is (k, b, s): level k in 0..K+1, b = 1 iff vertex k is taken,
-# s = 1 iff some vertex has been taken so far.  A source-to-sink path picks
-# b for each vertex in turn; s forces the final subset to be nonempty.
-_SOURCE = (0, 0, 0)
-
-
-class FaceLatticeDag:
-    """DAG whose complete paths encode the nonempty subsets of [K].
-
-    States and arcs are O(K).  Arc weights depend on the log-potentials
-    ``w``: an arc entering state ``(k, b, s)`` carries ``+w_k`` if ``b=1``,
-    ``-w_k`` if ``b=0``, and arcs into the sink carry 0.  The forward and
-    backward passes below accept ``w`` of shape (K,) or batched (B, K); the
-    value tables then hold scalars or (B,) arrays.
-    """
-
-    def __init__(self, K: int):
-        if K < 2:
-            raise ValueError(f"K must be >= 2, got {K}")
-        self.K = K
-        self.sink = (K + 1, 0, 1)
-        states = [_SOURCE]
-        arcs = []  # (src, dst) pairs, topologically ordered by level
-        frontier = [_SOURCE]
-        for k in range(1, K + 1):
-            nxt = set()
-            for (kk, b, s) in frontier:
-                for dst in ((k, 1, 1), (k, 0, s)):
-                    arcs.append(((kk, b, s), dst))
-                    nxt.add(dst)
-            frontier = sorted(nxt)
-            states.extend(frontier)
-        for (k, b, s) in frontier:
-            if s == 1:
-                arcs.append(((k, b, s), self.sink))
-        states.append(self.sink)
-        self.states = states
-        self.arcs = arcs
-        self._in = {u: [] for u in states}
-        self._out = {u: [] for u in states}
-        for u, v in arcs:
-            self._in[v].append(u)
-            self._out[u].append(v)
-
-    def arc_weight(self, w: np.ndarray, dst) -> np.ndarray:
-        """Weight of an arc, determined by its destination state."""
-        k, b, _ = dst
-        if dst == self.sink:
-            return np.zeros(w.shape[:-1])
-        return w[..., k - 1] if b == 1 else -w[..., k - 1]
-
-    def forward(self, w: np.ndarray) -> dict:
-        """Log-sum of path weights from the source, per state."""
-        neg_inf = np.full(w.shape[:-1], -np.inf)
-        alpha = {_SOURCE: np.zeros(w.shape[:-1])}
-        for v in self.states[1:]:
-            total = neg_inf
-            for u in self._in[v]:
-                total = np.logaddexp(total, alpha[u] + self.arc_weight(w, v))
-            alpha[v] = total
-        return alpha
-
-    def backward(self, w: np.ndarray) -> dict:
-        """Log-sum of path weights to the sink, per state."""
-        neg_inf = np.full(w.shape[:-1], -np.inf)
-        beta = {self.sink: np.zeros(w.shape[:-1])}
-        for u in reversed(self.states[:-1]):
-            total = neg_inf
-            for v in self._out[u]:
-                total = np.logaddexp(total, self.arc_weight(w, v) + beta[v])
-            beta[u] = total
-        return beta
-
-
-_DAG_CACHE: dict[int, FaceLatticeDag] = {}
-
-
-def _dag(K: int) -> FaceLatticeDag:
-    if K not in _DAG_CACHE:
-        _DAG_CACHE[K] = FaceLatticeDag(K)
-    return _DAG_CACHE[K]
-
-
 def _as_w(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape[-1] < 2:
@@ -129,79 +47,48 @@ def _as_w(w) -> np.ndarray:
     return w
 
 
+def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The face law in closed form, over the last axis of ``w``.
+
+    With independent Bernoulli(p_j) vertices and ``S_k = sum_{j>=k}
+    softplus(2 w_j)``, returns ``log p_k = log sigma(2 w_k)``, ``log P(some
+    j >= k is taken) = log(1 - exp(-S_k))`` and the log-normalizer ``log Z
+    = log(prod_k 2cosh(w_k) * P(nonempty)) = -sum w + S_0 + log(1 - exp(-S_0))``.
+    """
+    x = 2.0 * w
+    log1p_exp = np.log1p(np.exp(-np.abs(x)))
+    rev = (..., slice(None, None, -1))
+    s = np.cumsum((np.maximum(x, 0.0) + log1p_exp)[rev], axis=-1)[rev]
+    with np.errstate(divide="ignore"):
+        log_nonempty = np.log(-np.expm1(-s))
+    tiny = s < 1e-280
+    if tiny.any():
+        # the softplus terms of very negative potentials underflow; there
+        # log(1 - e^-S) = log S and log softplus(x) = x to double precision
+        log_nonempty = np.where(tiny, np.logaddexp.accumulate(x[rev], axis=-1)[rev], log_nonempty)
+    log_z = -np.sum(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
+    return np.minimum(x, 0.0) - log1p_exp, log_nonempty, log_z
+
+
 def log_normalizer(w) -> float | np.ndarray:
-    """Log-normalizer of the face distribution, by the forward pass.
+    """Log-normalizer of the face distribution (see ``_closed_form``).
 
     Accepts ``w`` of shape (K,) or (B, K); returns a scalar or (B,).
     """
     w = _as_w(w)
-    alpha = _dag(w.shape[-1]).forward(w)
-    out = alpha[_dag(w.shape[-1]).sink]
-    return float(out) if w.ndim == 1 else out
-
-
-def log_normalizer_closed_form(w) -> float | np.ndarray:
-    """Independent closed form: log(prod_k 2cosh(w_k) - exp(-sum_k w_k)).
-
-    The product over 2cosh counts every subset including the empty one;
-    subtracting the empty subset's weight leaves the nonempty faces.  Kept
-    free of the DAG code path so the two can validate each other.
-
-    Factoring out the empty face gives ``-sum w + log(expm1(S))`` with
-    ``S = sum_k softplus(2 w_k)``.  When every potential is very negative
-    the softplus terms underflow, so ``log S`` is accumulated in log space
-    and ``log(expm1(S))`` is evaluated from it.
-    """
-    w = _as_w(w)
-    two_w = 2.0 * w
-    softplus = np.logaddexp(0.0, two_w)
-    s = softplus.sum(axis=-1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # log softplus(x) is x - e^x / 2 to double precision below x = -30
-        log_s = logsumexp(np.where(two_w < -30.0, two_w - 0.5 * np.exp(two_w), np.log(softplus)), axis=-1)
-        # log(expm1(S)) = S + log(1 - e^-S) for S > 1, else log S + log(expm1(S) / S)
-        large = s + np.log(-np.expm1(-s))
-        small = log_s + np.log(np.where(s > 0.0, np.expm1(s) / s, 1.0))
-    out = -np.sum(w, axis=-1) + np.where(s > 1.0, large, small)
-    return float(out) if w.ndim == 1 else out
+    log_z = _closed_form(w)[2]
+    return float(log_z) if w.ndim == 1 else log_z
 
 
 def expected_suff_stats(w) -> np.ndarray:
     """Gradient of the log-normalizer: expectation of the +/-1 statistics.
 
-    Forward-backward on the DAG gives the vertex-membership marginals
-    ``P(k in F)``; the expected statistic is ``2 P(k in F) - 1``.
-    Accepts (K,) or (B, K).
+    The vertex-membership marginal is ``P(k in F) = p_k / P(nonempty)``; the
+    expected statistic is ``2 P(k in F) - 1``.  Accepts (K,) or (B, K).
     """
     w = _as_w(w)
-    dag = _dag(w.shape[-1])
-    return _expected_phi(dag, dag.forward(w), dag.backward(w))
-
-
-def _expected_phi(dag: FaceLatticeDag, alpha: dict, beta: dict) -> np.ndarray:
-    log_z = alpha[dag.sink]
-    probs = []
-    for k in range(1, dag.K + 1):
-        state = (k, 1, 1)
-        probs.append(np.exp(alpha[state] + beta[state] - log_z))
-    prob_in = np.stack(probs, axis=-1)
-    return 2.0 * prob_in - 1.0
-
-
-def _take_probs(w: np.ndarray, beta: dict) -> np.ndarray:
-    """(K, 3) table of P(take vertex k | state) for ancestral sampling.
-
-    Per level, every live state is one of (b,s) in {(0,0),(0,1),(1,1)},
-    encoded 0/1/2.  A transition's probability is its arc weight times the
-    backward value of the state it enters, over the backward value of the
-    state it leaves; a source state that does not exist or is a dead end
-    gets probability 0.
-    """
-    K = w.size
-    src = np.array([[beta.get((k - 1, b, s), -np.inf) for b, s in ((0, 0), (0, 1), (1, 1))]
-                    for k in range(1, K + 1)], dtype=float)
-    num = w + np.array([beta[(k, 1, 1)] for k in range(1, K + 1)], dtype=float)
-    return np.where(src > -np.inf, np.exp(num[:, None] - src), 0.0)
+    log_p, log_nonempty, _ = _closed_form(w)
+    return 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
 
 
 def suff_stats(f: FaceIndexSet) -> np.ndarray:
@@ -220,7 +107,7 @@ class GibbsFaceDistribution:
     w: np.ndarray
     log_z: float = field(init=False)
     expected_phi: np.ndarray = field(init=False)
-    take_probs: np.ndarray = field(init=False)  # sampling table, see _take_probs
+    take_probs: np.ndarray = field(init=False)  # sampling table, see sample_face_masks
 
     def __init__(self, w):
         w = _as_w(np.atleast_1d(w))
@@ -228,14 +115,18 @@ class GibbsFaceDistribution:
             raise ValueError("w must be a vector")
         w = w.copy()
         w.flags.writeable = False
-        dag = _dag(w.size)
-        alpha, beta = dag.forward(w), dag.backward(w)
-        phi = _expected_phi(dag, alpha, beta)
-        take = _take_probs(w, beta)
+        log_p, log_nonempty, log_z = _closed_form(w)
+        phi = 2.0 * np.exp(log_p - log_nonempty[0]) - 1.0
+        p = np.exp(log_p)
+        take = np.stack([np.exp(log_p - log_nonempty), p, p], axis=1)
+        # states that cannot occur yet: nothing is taken before vertex 0, and
+        # "nonempty, previous not taken" needs two earlier vertices
+        take[0, 1:] = take[1, 1] = 0.0
+        take[-1, 0] = 1.0  # a face still empty at the last vertex must take it
         phi.flags.writeable = False
         take.flags.writeable = False
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "log_z", float(alpha[dag.sink]))
+        object.__setattr__(self, "log_z", float(log_z))
         object.__setattr__(self, "expected_phi", phi)
         object.__setattr__(self, "take_probs", take)
 
@@ -252,12 +143,15 @@ def face_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> float:
 
 
 def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` face bitmasks by ancestral sampling through the DAG.
+    """Draw ``n`` face bitmasks by ancestral sampling over the vertices.
 
-    Each sample consumes exactly K uniforms (one per level), so results are
-    reproducible under a seeded stream regardless of the outcomes.  The
-    transition table is ``d.take_probs``; the dead-end "still empty at the
-    last level" state has backward value -inf, so the empty face is never
+    Vertex k is taken with probability ``p_k / P(some j >= k is taken)``
+    while the face is still empty and with ``p_k`` afterwards; row k of
+    ``d.take_probs`` holds these for the states "still empty", "nonempty,
+    k-1 not taken" and "k-1 taken" (codes 0/1/2).  Each sample consumes
+    exactly K uniforms (one per vertex), so results are reproducible under a
+    seeded stream regardless of the outcomes.  A face still empty at the
+    last vertex takes it with probability 1, so the empty face is never
     produced.
     """
     u = rng.random((n, d.K))

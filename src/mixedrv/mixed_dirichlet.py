@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from . import face_gibbs
-from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, face_groups
+from .simplex import (FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, face_groups,
+                      mask_members)
 
 __all__ = [
     "MixedDirichlet",
@@ -191,14 +192,36 @@ def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBat
     return FaceBatch.from_coords(fill_faces(masks, md.K, md.alpha, rng))
 
 
+def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concentrations restricted to each row's face (0 off it) and their
+    log multivariate Beta function."""
+    alpha_m = np.where(member, alpha, 0.0)
+    return alpha_m, np.where(member, gammaln(alpha), 0.0).sum(axis=1) - gammaln(alpha_m.sum(axis=1))
+
+
 def _dirichlet_log_pdf_rows(member: np.ndarray, coords: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Dirichlet log-density of each row on its face (``member`` rows), 0 at vertices."""
-    alpha_m = np.where(member, alpha, 0.0)
-    log_beta = np.where(member, gammaln(alpha), 0.0).sum(axis=1) - gammaln(alpha_m.sum(axis=1))
+    alpha_m, log_beta = _log_beta_rows(member, alpha)
     with np.errstate(divide="ignore"):
         log_y = np.where(member, np.log(coords), 0.0)
     out = np.sum((alpha_m - member) * log_y, axis=1) - log_beta
     return np.where(member.sum(axis=1) > 1, out, 0.0)
+
+
+def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``dirichlet_entropy`` of alpha restricted to each row's face (0 at vertices)."""
+    alpha_m, log_beta = _log_beta_rows(member, alpha)
+    a0 = alpha_m.sum(axis=1)
+    psi_terms = np.where(member, (alpha - 1.0) * digamma(alpha), 0.0).sum(axis=1)
+    return log_beta + (a0 - member.sum(axis=1)) * digamma(a0) - psi_terms
+
+
+def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
+    """``dirichlet_kl`` of the two concentrations restricted to each row's face."""
+    ap, log_beta_p = _log_beta_rows(member, alpha_p)
+    aq, log_beta_q = _log_beta_rows(member, alpha_q)
+    psi = digamma(alpha_p) - digamma(ap.sum(axis=1))[:, None]
+    return log_beta_q - log_beta_p + np.sum((ap - aq) * psi, axis=1)
 
 
 def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
@@ -216,24 +239,30 @@ def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
     return float(log_density_many(md, FaceBatch.from_point(y))[0])
 
 
+def _face_weights(md: MixedDirichlet, mode: str, n: int,
+                  rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Membership matrix of the faces an expectation over faces runs over,
+    and their weights: every face with its exact probability, or the
+    distinct faces of n draws with their frequencies."""
+    if mode == "exact":
+        if md.K > EXACT_ENUM_MAX_K:
+            raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
+        member = mask_members(np.arange(1, 1 << md.K), md.K)
+        return member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
+    if mode == "mc":
+        if rng is None:
+            raise ValueError("mc mode needs an rng")
+        masks, counts = np.unique(face_gibbs.sample_face_masks(md.faces, n, rng), return_counts=True)
+        return mask_members(masks, md.K), counts / n
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def entropy(md: MixedDirichlet, mode: str = "exact", n: int = 10000,
             rng: np.random.Generator | None = None) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
     entropy over faces (enumerated exactly, or MC over sampled faces)."""
-    h_face = face_gibbs.entropy(md.faces)
-    if mode == "exact":
-        if md.K > EXACT_ENUM_MAX_K:
-            raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
-        return h_face + sum(
-            p * dirichlet_entropy(md.alpha_on(f))
-            for f, p in md.exact_face_distribution().items()
-        )
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode needs an rng")
-        faces = face_gibbs.sample_faces(md.faces, n, rng)
-        return h_face + float(np.mean([dirichlet_entropy(md.alpha_on(f)) for f in faces]))
-    raise ValueError(f"unknown mode {mode!r}")
+    member, weights = _face_weights(md, mode, n, rng)
+    return face_gibbs.entropy(md.faces) + float(weights @ _dirichlet_entropy_rows(member, md.alpha))
 
 
 def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet, mode: str = "exact",
@@ -243,22 +272,9 @@ def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet, mode: str = "exact",
     positive probability under both distributions."""
     if md_p.K != md_q.K:
         raise ValueError(f"dimension mismatch: {md_p.K} vs {md_q.K}")
-    kl_face = face_gibbs.kl(md_p.faces, md_q.faces)
-    if mode == "exact":
-        if md_p.K > EXACT_ENUM_MAX_K:
-            raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
-        return kl_face + sum(
-            p * dirichlet_kl(md_p.alpha_on(f), md_q.alpha_on(f))
-            for f, p in md_p.exact_face_distribution().items()
-        )
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode needs an rng")
-        faces = face_gibbs.sample_faces(md_p.faces, n, rng)
-        return kl_face + float(np.mean([
-            dirichlet_kl(md_p.alpha_on(f), md_q.alpha_on(f)) for f in faces
-        ]))
-    raise ValueError(f"unknown mode {mode!r}")
+    member, weights = _face_weights(md_p, mode, n, rng)
+    dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
+    return face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ __all__ = [
     "Trit",
     "HypercubeFace",
     "sparsemax",
+    "sparsemax_rows",
     "sparsemax_jacobian",
     "face_of",
     "enumerate_faces",
@@ -306,31 +307,33 @@ class HypercubeFace:
 
 
 def sparsemax(z) -> SimplexPoint:
-    """Euclidean projection of ``z`` onto the simplex.
-
-    Computed by the sort-based threshold rule: find tau such that
-    ``sum_k max(0, z_k - tau) = 1`` and return ``max(z - tau, 0)``.
-    Coordinates at or below the threshold come out as exact zeros, so the
-    support of the result is well defined.  Runs in O(K log K).
-    """
+    """Euclidean projection of ``z`` onto the simplex (``sparsemax_rows``
+    of a single row).  Coordinates at or below the threshold come out as
+    exact zeros, so the support of the result is well defined."""
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or z.size < 2:
         raise ValueError("z must be a vector of length >= 2")
     if not np.all(np.isfinite(z)):
         raise ValueError(f"z must be finite, got {z}")
+    return SimplexPoint(sparsemax_rows(z[None, :])[0])
+
+
+def sparsemax_rows(z: np.ndarray) -> np.ndarray:
+    """Euclidean projection of each row of an (n, K) array onto the simplex.
+
+    Computed by the sort-based threshold rule: find tau such that
+    ``sum_k max(0, z_k - tau) = 1`` and return ``max(z - tau, 0)``, with
+    exact zeros at or below the threshold.  Runs in O(K log K) per row.
+    """
     # projection is shift invariant; centering at the max keeps the
     # threshold subtraction well conditioned for large-magnitude inputs
-    z = z - z.max()
-    tau = _threshold(z)
-    return SimplexPoint(np.maximum(z - tau, 0.0))
-
-
-def _threshold(z: np.ndarray) -> float:
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, z.size + 1)
-    rho = int(np.nonzero(u * k > css - 1.0)[0][-1]) + 1
-    return (css[rho - 1] - 1.0) / rho
+    z = z - z.max(axis=1, keepdims=True)
+    u = np.sort(z, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    k = np.arange(1, z.shape[1] + 1)
+    rho = np.sum(u * k > css - 1.0, axis=1)
+    tau = (css[np.arange(len(z)), rho - 1] - 1.0) / rho
+    return np.maximum(z - tau[:, None], 0.0)
 
 
 def sparsemax_jacobian(z) -> np.ndarray:

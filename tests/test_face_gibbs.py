@@ -17,7 +17,7 @@ small_w = st.lists(
 
 class TestDag:
     def test_structure(self):
-        dag = fg.FaceLatticeDag(4)
+        dag = oracles.FaceLatticeDag(4)
         assert dag.states[0] == (0, 0, 0)
         assert dag.states[-1] == (5, 0, 1)
         # O(K): at most 3 live states per level plus source and sink
@@ -28,7 +28,7 @@ class TestDag:
     def test_path_count_equals_face_count(self):
         # unit weights: forward value at the sink counts the paths
         for K in (2, 3, 5, 8):
-            count = np.exp(fg.log_normalizer(np.zeros(K)))
+            count = np.exp(oracles.dag_log_normalizer(np.zeros(K)))
             assert count == pytest.approx(2**K - 1, rel=1e-12)
 
 
@@ -47,25 +47,24 @@ class TestLogNormalizer:
             a, b = fg.log_normalizer(w), oracles.enum_log_normalizer(w)
             assert a == pytest.approx(b, rel=1e-10)
 
-    def test_matches_closed_form(self):
+    def test_matches_dag_oracle(self):
         rng = np.random.default_rng(11)
         for K in (2, 5, 10, 20, 40):
             for _ in range(10):
                 w = rng.normal(0, 4, K)
-                a, b = fg.log_normalizer(w), fg.log_normalizer_closed_form(w)
+                a, b = fg.log_normalizer(w), oracles.dag_log_normalizer(w)
                 assert a == pytest.approx(b, rel=1e-12)
 
     def test_closed_form_at_extreme_potentials(self):
         # very negative potentials once cancelled to -inf in the closed form
-        assert fg.log_normalizer_closed_form([-20.0, -20.0]) == pytest.approx(np.log(2.0), rel=1e-12)
-        assert fg.log_normalizer_closed_form([-30.0, -30.0, -30.0]) == pytest.approx(
-            60.0 - 30.0 + np.log(3.0), rel=1e-12)
+        assert fg.log_normalizer([-20.0, -20.0]) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert fg.log_normalizer([-30.0, -30.0, -30.0]) == pytest.approx(60.0 - 30.0 + np.log(3.0), rel=1e-12)
         for w in ([400.0, 400.0, 400.0], [-400.0, -400.0], [30.0, -30.0, 30.0, -30.0], [-745.0] * 4):
             w = np.array(w)
             expected = oracles.enum_log_normalizer(w)
-            assert fg.log_normalizer_closed_form(w) == pytest.approx(expected, rel=1e-12)
             assert fg.log_normalizer(w) == pytest.approx(expected, rel=1e-12)
-        batched = fg.log_normalizer_closed_form(np.array([[-20.0, -20.0], [0.0, 0.0]]))
+            assert oracles.dag_log_normalizer(w) == pytest.approx(expected, rel=1e-12)
+        batched = fg.log_normalizer(np.array([[-20.0, -20.0], [0.0, 0.0]]))
         np.testing.assert_allclose(batched, [np.log(2.0), np.log(3.0)], rtol=1e-12)
 
     def test_not_shift_invariant(self):
@@ -82,6 +81,56 @@ class TestLogNormalizer:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             fg.log_normalizer([np.inf, 0.0])
+
+
+EDGE_POTENTIALS = [400.0, -400.0, -20.0, -745.0, "alternating", "random", "normal"]
+
+
+def _edge_w(K, kind):
+    rng = np.random.default_rng(K)
+    if kind == "alternating":
+        return np.where(np.arange(K) % 2 == 0, 30.0, -30.0)
+    if kind == "random":
+        return rng.choice([-30.0, 30.0], K)
+    if kind == "normal":
+        return rng.normal(0.0, 3.0, K)
+    return np.full(K, kind)
+
+
+class TestDagOracleAtEdges:
+    """The closed form against the face-lattice DAG over the K the API accepts."""
+
+    @pytest.mark.parametrize("K", [*range(2, 14), 32, 63])
+    def test_log_z_phi_and_sampling_table(self, K):
+        for kind in EDGE_POTENTIALS:
+            w = _edge_w(K, kind)
+            d = fg.GibbsFaceDistribution(w)
+            log_z = oracles.dag_log_normalizer(w)
+            # the DAG's rounding grows with |log Z|, which sets the scale
+            scale = max(1.0, abs(log_z))
+            assert abs(d.log_z - log_z) <= 1e-12 * scale
+            np.testing.assert_allclose(d.expected_phi, oracles.dag_expected_suff_stats(w), rtol=0, atol=1e-12)
+            take = oracles.dag_take_probs(w)
+            np.testing.assert_array_equal(d.take_probs > 0.0, take > 0.0)
+            pos = take > 0.0
+            assert np.max(np.abs(np.log(d.take_probs[pos]) - np.log(take[pos]))) <= 1e-12 * scale
+
+    def test_batched_matches_dag_oracle(self):
+        W = np.stack([_edge_w(12, kind) for kind in EDGE_POTENTIALS])
+        np.testing.assert_allclose(fg.log_normalizer(W), oracles.dag_log_normalizer(W), rtol=1e-12)
+        np.testing.assert_allclose(fg.expected_suff_stats(W), oracles.dag_expected_suff_stats(W), atol=1e-12)
+
+    def test_never_samples_the_empty_face(self):
+        # a face still empty at the last vertex takes it with probability
+        # exactly 1, however the closed form rounds
+        rng = np.random.default_rng(27)
+        for w in rng.normal(0.0, 5.0, (50, 2)):
+            assert fg.GibbsFaceDistribution(w).take_probs[-1, 0] == 1.0
+        d = fg.GibbsFaceDistribution(np.full(63, -400.0))
+        masks = fg.sample_face_masks(d, 10**5, rng)
+        assert masks.min() > 0
+        # every vertex is all but ruled out once one is taken: single vertices only
+        assert np.all((masks & (masks - 1)) == 0)
 
 
 class TestExpectedSuffStats:

@@ -176,6 +176,25 @@ class TestEntropyKl:
         mc = md.kl_mixed(p, q, mode="mc", n=10**5, rng=np.random.default_rng(47))
         assert mc == pytest.approx(exact, abs=0.05)
 
+    def test_face_sums_match_per_face_loop(self):
+        # the vectorized sums over faces against the scalar closed forms,
+        # summed per face (exact mode) or averaged over sampled faces (mc)
+        rng = np.random.default_rng(49)
+        for K in (2, 3, 5, 7):
+            p = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
+            q = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
+            h_face, kl_face = fg.entropy(p.faces), fg.kl(p.faces, q.faces)
+            probs = p.exact_face_distribution()
+            h = h_face + sum(pr * md.dirichlet_entropy(p.alpha_on(f)) for f, pr in probs.items())
+            kl = kl_face + sum(pr * md.dirichlet_kl(p.alpha_on(f), q.alpha_on(f)) for f, pr in probs.items())
+            assert md.entropy(p) == pytest.approx(h, rel=1e-12)
+            assert md.kl_mixed(p, q) == pytest.approx(kl, rel=1e-12)
+            faces = fg.sample_faces(p.faces, 2000, np.random.default_rng(K))
+            h = h_face + np.mean([md.dirichlet_entropy(p.alpha_on(f)) for f in faces])
+            kl = kl_face + np.mean([md.dirichlet_kl(p.alpha_on(f), q.alpha_on(f)) for f in faces])
+            assert md.entropy(p, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(h, rel=1e-12)
+            assert md.kl_mixed(p, q, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(kl, rel=1e-12)
+
     def test_kl_nonnegative_and_finite(self):
         rng = np.random.default_rng(48)
         for _ in range(50):
