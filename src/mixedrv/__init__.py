@@ -28,7 +28,6 @@ from .face_gibbs import (
     GibbsFaceDistribution,
     most_probable_face,
 )
-from .oracles import FaceLatticeDag
 from .mixed_dirichlet import (
     FullFaceDirichlet,
     MixedDirichlet,

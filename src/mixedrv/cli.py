@@ -30,7 +30,7 @@ from collections import Counter
 
 import numpy as np
 
-from . import checks, glm, info_theory
+from . import glm, info_theory
 from .distspec import SpecError, load_spec_file
 from .simplex import ResourceLimitError, SimplexPoint
 
@@ -315,6 +315,10 @@ def cmd_gen_glm_data(args) -> int:
 # ------------------------------------------------------------------- check ---
 
 def cmd_check(args) -> int:
+    # imported here: the oracle registry pulls in scipy.stats, which no other
+    # command needs and which would otherwise dominate every command's start-up
+    from . import checks
+
     results = checks.run_checks(args.level)
     for r in results:
         if r.ok:

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# not used here; benchmarks/tracer.py looks up face_gibbs.FaceLatticeDag by name
-from .oracles import FaceLatticeDag  # noqa: F401
 from .simplex import FaceIndexSet
 
 __all__ = [
     "GibbsFaceDistribution",
     "log_normalizer",
     "expected_suff_stats",
+    "log_normalizer_and_grad",
     "face_log_prob",
     "sample_face",
     "sample_face_masks",
@@ -37,6 +36,16 @@ __all__ = [
     "most_probable_face",
     "suff_stats",
 ]
+
+
+def __getattr__(name):
+    # benchmarks/tracer.py looks up face_gibbs.FaceLatticeDag by name; the
+    # oracle module is loaded only when something asks for it
+    if name == "FaceLatticeDag":
+        from .oracles import FaceLatticeDag
+        return FaceLatticeDag
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _as_w(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
@@ -70,6 +79,18 @@ def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.minimum(x, 0.0) - log1p_exp, log_nonempty, log_z
 
 
+def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:
+    """Log-normalizer and its gradient, the expected +/-1 statistics, from
+    one closed-form pass.
+
+    The vertex-membership marginal is ``P(k in F) = p_k / P(nonempty)``; the
+    expected statistic is ``2 P(k in F) - 1``.  Accepts ``w`` of shape (K,)
+    or (B, K); returns arrays of shape () and (K,), or (B,) and (B, K).
+    """
+    log_p, log_nonempty, log_z = _closed_form(_as_w(w))
+    return log_z, 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
+
+
 def log_normalizer(w) -> float | np.ndarray:
     """Log-normalizer of the face distribution (see ``_closed_form``).
 
@@ -81,14 +102,8 @@ def log_normalizer(w) -> float | np.ndarray:
 
 
 def expected_suff_stats(w) -> np.ndarray:
-    """Gradient of the log-normalizer: expectation of the +/-1 statistics.
-
-    The vertex-membership marginal is ``P(k in F) = p_k / P(nonempty)``; the
-    expected statistic is ``2 P(k in F) - 1``.  Accepts (K,) or (B, K).
-    """
-    w = _as_w(w)
-    log_p, log_nonempty, _ = _closed_form(w)
-    return 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
+    """Gradient of the log-normalizer (see ``log_normalizer_and_grad``)."""
+    return log_normalizer_and_grad(w)[1]
 
 
 def suff_stats(f: FaceIndexSet) -> np.ndarray:

@@ -154,8 +154,9 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, member: np.ndarray,
     gate_c = ((np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)).astype(float)
 
     phi = 2.0 * member - 1.0
-    ll_face = np.sum(scores * phi, axis=1) - face_gibbs.log_normalizer(scores)
-    g_scores = (phi - face_gibbs.expected_suff_stats(scores)) * gate_f
+    log_z, expected_phi = face_gibbs.log_normalizer_and_grad(scores)
+    ll_face = np.sum(scores * phi, axis=1) - log_z
+    g_scores = (phi - expected_phi) * gate_f
 
     log_y = np.where(member, np.log(np.where(member, coords, 1.0)), 0.0)
     alpha_m = np.where(member, conc, 0.0)

@@ -132,12 +132,10 @@ class MixedDirichlet:
         return log_density_many(self, batch)
 
     def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
-        if self.K > EXACT_ENUM_MAX_K:
-            raise ResourceLimitError(f"face enumeration needs K <= {EXACT_ENUM_MAX_K}")
-        return {
-            f: float(np.exp(face_gibbs.face_log_prob(self.faces, f)))
-            for f in enumerate_faces(self.K)
-        }
+        """Every face with its probability, masks ascending (the exact-mode
+        weights of ``entropy`` and ``kl_mixed``)."""
+        _, probs = _face_weights(self, "exact", 0, None)
+        return dict(zip(enumerate_faces(self.K), probs.tolist()))
 
 
 def _dirichlet_draws(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +233,37 @@ class TestCheckCommand:
     def test_spec_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert cli.main(["entropy", "--dist", str(missing), "--mode", "exact"]) == 2
+
+
+class TestColdStart:
+    # run in a fresh interpreter: the test session itself has imported scipy.stats
+    SCRIPT = (
+        "import json, sys\n"
+        "from mixedrv import cli, distspec\n"
+        "distspec.load_spec_file(sys.argv[1])\n"
+        "code = cli.main(['sample', '--dist', sys.argv[1], '--num', '50', '--seed', '3', '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('scipy.', 'mixedrv.')))]))\n"
+    )
+
+    def test_sample_loads_neither_the_oracles_nor_scipy_stats(self, tmp_path):
+        spec = write(tmp_path / "md.json", {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, spec, str(tmp_path / "s.jsonl")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0
+        assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 50
+        assert "scipy.special" in modules and "mixedrv.cli" in modules
+        for name in ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.ndimage",
+                     "mixedrv.checks", "mixedrv.oracles"):
+            assert name not in modules
+
+    def test_check_imports_its_registry_on_demand(self, monkeypatch, capsys):
+        # raises NameError unless cmd_check imports the registry itself; the
+        # real suite runs in a fresh interpreter in test_acceptance (criterion 11)
+        from mixedrv import checks
+        monkeypatch.setattr(checks, "run_checks", lambda level: [checks.CheckResult(f"stub.{level}", True, "", 0.0)])
+        assert cli.main(["check", "--level", "fast"]) == 0
+        assert capsys.readouterr().out == "PASS stub.fast\n1/1 checks passed (level=fast)\n"

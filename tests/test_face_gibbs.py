@@ -31,6 +31,12 @@ class TestDag:
             count = np.exp(oracles.dag_log_normalizer(np.zeros(K)))
             assert count == pytest.approx(2**K - 1, rel=1e-12)
 
+    def test_face_gibbs_resolves_the_dag_on_demand(self):
+        # the benchmark tracer patches face_gibbs.FaceLatticeDag by name
+        assert fg.FaceLatticeDag is oracles.FaceLatticeDag
+        with pytest.raises(AttributeError):
+            fg.no_such_name
+
 
 class TestLogNormalizer:
     def test_uniform_case(self):
@@ -131,6 +137,63 @@ class TestDagOracleAtEdges:
         assert masks.min() > 0
         # every vertex is all but ruled out once one is taken: single vertices only
         assert np.all((masks & (masks - 1)) == 0)
+
+
+def _mp_face_law(w):
+    """log Z, E[phi] and the sampling table at 50 digits.
+
+    Splits the faces by their smallest vertex, so every sum has positive
+    terms only and nothing cancels, however extreme the potentials; the
+    sampling table is returned as logs (-inf where a state cannot occur).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        w = [mp.mpf(float(v)) for v in w]
+        K = len(w)
+        c = [mp.exp(v) + mp.exp(-v) for v in w]
+        tail = [mp.mpf(1)] * (K + 1)  # tail[i] = prod_{j >= i} c_j
+        prefix = [mp.mpf(0)] * (K + 1)  # prefix[i] = sum_{j < i} w_j
+        for i in range(K - 1, -1, -1):
+            tail[i] = tail[i + 1] * c[i]
+        for i in range(K):
+            prefix[i + 1] = prefix[i] + w[i]
+
+        def first(k, i):
+            # faces with no vertex before k whose smallest vertex is i
+            return mp.exp(w[i] - (prefix[i] - prefix[k])) * tail[i + 1]
+
+        z = [mp.fsum(first(k, i) for i in range(k, K)) for k in range(K)]
+        phi = [2 * mp.exp(w[k]) * tail[0] / c[k] / z[0] - 1 for k in range(K)]
+        log_take = np.full((K, 3), -np.inf)
+        for k in range(K):
+            log_take[k, 0] = float(mp.log(first(k, k) / z[k]))
+            log_take[k, 1:] = float(w[k] - mp.log(c[k]))
+        log_take[0, 1:] = log_take[1, 1] = -np.inf
+        return float(mp.log(z[0])), np.array([float(v) for v in phi]), log_take
+
+
+class TestMpmathOracleAtEdges:
+    """The closed form against a 50-digit evaluation where the DAG oracle
+    itself loses digits (|log Z| up to ~47,000), at the DAG test's bounds."""
+
+    @pytest.mark.parametrize("K", [13, 32, 63])
+    @pytest.mark.parametrize("kind", [-745.0, -400.0, 400.0, "alternating"])
+    def test_log_z_phi_and_sampling_table(self, K, kind):
+        w = _edge_w(K, kind)
+        log_z, phi, log_take = _mp_face_law(w)
+        d = fg.GibbsFaceDistribution(w)
+        scale = max(1.0, abs(log_z))
+        assert abs(d.log_z - log_z) <= 1e-12 * scale
+        assert abs(fg.log_normalizer(w) - log_z) <= 1e-12 * scale
+        np.testing.assert_allclose(d.expected_phi, phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fg.expected_suff_stats(w), phi, rtol=0, atol=1e-12)
+        # a zero entry must be one whose true value underflows a double
+        pos = d.take_probs > 0.0
+        assert np.all(log_take[~pos] < np.log(np.nextafter(0.0, 1.0)))
+        err = np.max(np.abs(np.log(d.take_probs[pos]) - log_take[pos]))
+        assert err <= 1e-12 * scale
+        # unscaled, which the DAG misses by 10x at K = 63, w = -745
+        assert err <= 1e-12
 
 
 class TestExpectedSuffStats:

@@ -103,6 +103,25 @@ class TestMixedDirichlet:
         exact = np.array([dist.exact_face_distribution()[f] for f in enumerate_faces(4)])
         assert 0.5 * np.abs(counts / n - exact).sum() < 0.02
 
+    def test_exact_face_distribution_matches_per_face_loop(self):
+        # reference: one face_log_prob per face.  The two differ only in how
+        # a length-K dot product rounds, so the bound is a few ulps of the
+        # exponent's scale sum|w| + |log Z| (about 1e-15 relative at
+        # unit-scale potentials)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(50)
+        for K in (2, 3, 4, 7, 10, md.EXACT_ENUM_MAX_K):
+            for scale in (0.3, 3.0, 30.0):
+                dist = md.MixedDirichlet(rng.normal(0, scale, K), np.ones(K))
+                probs = dist.exact_face_distribution()
+                assert [f.mask for f in probs] == list(range(1, 1 << K))
+                loop = np.array([np.exp(fg.face_log_prob(dist.faces, f)) for f in probs])
+                got = np.array(list(probs.values()))
+                tol = 4.0 * eps * (np.abs(dist.faces.w).sum() + abs(dist.faces.log_z))
+                pos = loop > 0.0
+                np.testing.assert_array_equal(got > 0.0, pos)
+                assert np.max(np.abs(got[pos] / loop[pos] - 1.0)) <= tol
+
 
 class TestLogDensity:
     def test_edge_hand_value(self):
