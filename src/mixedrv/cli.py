@@ -32,7 +32,7 @@ import numpy as np
 
 from . import glm, info_theory
 from .distspec import SpecError, load_spec_file
-from .simplex import ResourceLimitError, SimplexPoint
+from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -246,17 +246,21 @@ def _read_glm_csv(path: str):
                 if gap > 0.0:
                     y = y / y.sum()
                 xs.append(x)
-                ys.append(SimplexPoint(y))
+                ys.append(y)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
     if not xs:
         raise CliError(EXIT_DATA, f"{path} has no data rows")
-    return np.array(xs), ys
+    return np.array(xs), [y for _, y in FaceBatch.from_coords(np.array(ys))]
 
 
 def cmd_fit_glm(args) -> int:
     if not (0.0 < args.train_frac < 1.0):
         raise CliError(EXIT_USAGE, "--train-frac must be in (0, 1)")
+    if args.steps < 1:
+        raise CliError(EXIT_USAGE, "--steps must be >= 1")
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise CliError(EXIT_USAGE, "--lr must be finite and > 0")
     X, targets = _read_glm_csv(args.data)
     n = len(targets)
     rng = np.random.default_rng(args.seed)
@@ -267,15 +271,8 @@ def cmd_fit_glm(args) -> int:
     tr, te = perm[:n_train], perm[n_train:]
     fit = glm.glm_fit(X[tr], [targets[i] for i in tr], steps=args.steps, lr=args.lr, seed=args.seed)
     y_true = np.stack([targets[i].coords for i in te])
-    preds = []
-    for j, i in enumerate(te):
-        if args.predict == "sample-mean":
-            p = glm.glm_predict(fit.model, X[i], "sample-mean", n=100,
-                                rng=np.random.default_rng([args.seed, int(j)]))
-        else:
-            p = glm.glm_predict(fit.model, X[i], "most-probable-mean")
-        preds.append(p.coords)
-    y_pred = np.stack(preds)
+    rngs = (np.random.default_rng([args.seed, j]) for j in range(te.size))
+    y_pred = glm.predict_rows(fit.model, X[te], args.predict, n=100, rngs=rngs).coords
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(fit.model.to_json_dict(), fh)
@@ -297,6 +294,8 @@ def cmd_fit_glm(args) -> int:
 def cmd_gen_glm_data(args) -> int:
     if args.rows < 2 or args.k < 2 or args.d < 1:
         raise CliError(EXIT_USAGE, "--rows >= 2, --k >= 2 and --d >= 1 required")
+    if args.k > MAX_BITMASK_K:
+        raise CliError(EXIT_USAGE, f"--k must be <= {MAX_BITMASK_K}")
     X, targets, _ = glm.make_planted_dataset(n=args.rows, K=args.k, d=args.d, seed=args.seed)
     buf = io.StringIO()
     header = [f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]

@@ -29,11 +29,14 @@ __all__ = [
     "face_log_prob",
     "sample_face",
     "sample_face_masks",
+    "sampling_tables",
+    "masks_from_uniforms",
     "sample_faces",
     "entropy",
     "kl",
     "grad_log_prob",
     "most_probable_face",
+    "most_probable_vertices",
     "suff_stats",
 ]
 
@@ -101,6 +104,27 @@ def log_normalizer(w) -> float | np.ndarray:
     return float(log_z) if w.ndim == 1 else log_z
 
 
+def _take_table(log_p: np.ndarray, log_nonempty: np.ndarray) -> np.ndarray:
+    """The sampling table (see ``masks_from_uniforms``) from the closed-form
+    terms over the last axis: shape (K, 3), or (B, K, 3) for B face laws."""
+    p = np.exp(log_p)
+    take = np.stack([np.exp(log_p - log_nonempty), p, p], axis=-1)
+    # states that cannot occur yet: nothing is taken before vertex 0, and
+    # "nonempty, previous not taken" needs two earlier vertices
+    take[..., 0, 1:] = 0.0
+    take[..., 1, 1] = 0.0
+    take[..., -1, 0] = 1.0  # a face still empty at the last vertex must take it
+    return take
+
+
+def sampling_tables(w) -> np.ndarray:
+    """Sampling tables of the face laws with potentials ``w`` (K,) or
+    (B, K): shape (K, 3) or (B, K, 3), each row equal to
+    ``GibbsFaceDistribution(w[i]).take_probs``."""
+    log_p, log_nonempty, _ = _closed_form(_as_w(w))
+    return _take_table(log_p, log_nonempty)
+
+
 def expected_suff_stats(w) -> np.ndarray:
     """Gradient of the log-normalizer (see ``log_normalizer_and_grad``)."""
     return log_normalizer_and_grad(w)[1]
@@ -122,7 +146,7 @@ class GibbsFaceDistribution:
     w: np.ndarray
     log_z: float = field(init=False)
     expected_phi: np.ndarray = field(init=False)
-    take_probs: np.ndarray = field(init=False)  # sampling table, see sample_face_masks
+    take_probs: np.ndarray = field(init=False)  # sampling table, see masks_from_uniforms
 
     def __init__(self, w):
         w = _as_w(np.atleast_1d(w))
@@ -132,12 +156,7 @@ class GibbsFaceDistribution:
         w.flags.writeable = False
         log_p, log_nonempty, log_z = _closed_form(w)
         phi = 2.0 * np.exp(log_p - log_nonempty[0]) - 1.0
-        p = np.exp(log_p)
-        take = np.stack([np.exp(log_p - log_nonempty), p, p], axis=1)
-        # states that cannot occur yet: nothing is taken before vertex 0, and
-        # "nonempty, previous not taken" needs two earlier vertices
-        take[0, 1:] = take[1, 1] = 0.0
-        take[-1, 0] = 1.0  # a face still empty at the last vertex must take it
+        take = _take_table(log_p, log_nonempty)
         phi.flags.writeable = False
         take.flags.writeable = False
         object.__setattr__(self, "w", w)
@@ -157,26 +176,31 @@ def face_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> float:
     return float(d.w @ suff_stats(f)) - d.log_z
 
 
-def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` face bitmasks by ancestral sampling over the vertices.
+def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Face bitmasks from (n, K) uniforms under one face law's (K, 3)
+    sampling table ``take`` (its ``take_probs``, or one row of
+    ``sampling_tables``), by ancestral sampling over the vertices.
 
-    Vertex k is taken with probability ``p_k / P(some j >= k is taken)``
-    while the face is still empty and with ``p_k`` afterwards; row k of
-    ``d.take_probs`` holds these for the states "still empty", "nonempty,
-    k-1 not taken" and "k-1 taken" (codes 0/1/2).  Each sample consumes
-    exactly K uniforms (one per vertex), so results are reproducible under a
-    seeded stream regardless of the outcomes.  A face still empty at the
-    last vertex takes it with probability 1, so the empty face is never
-    produced.
+    Row k of ``take`` holds vertex k's probability of being taken in the
+    states "still empty" (``p_k / P(some j >= k is taken)``), "nonempty,
+    k-1 not taken" and "k-1 taken" (both ``p_k`` wherever they can occur).
+    So the first vertex taken is the first k with ``u[:, k] < take[k, 0]``,
+    and each later k is taken when ``u[:, k] < take[k, 2]``: the comparisons
+    of a pass over the vertices, made for all vertices at once.
+    ``take[-1, 0]`` is 1, so the empty face is never produced.
     """
-    u = rng.random((n, d.K))
-    codes = np.zeros(n, dtype=np.int64)
-    masks = np.zeros(n, dtype=np.int64)
-    for k in range(d.K):
-        take = u[:, k] < d.take_probs[k, codes]
-        masks |= take.astype(np.int64) << k
-        codes = np.where(take, 2, np.minimum(codes, 1))
-    return masks
+    K = u.shape[1]
+    first = np.argmax(u < take[:, 0], axis=1)[:, None]
+    vertex = np.arange(K)
+    taken = (vertex == first) | ((vertex > first) & (u < take[:, 2]))
+    return taken @ np.left_shift(1, vertex, dtype=np.int64)
+
+
+def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``n`` face bitmasks (see ``masks_from_uniforms``).  Each sample
+    consumes exactly K uniforms (one per vertex), so results are
+    reproducible under a seeded stream regardless of the outcomes."""
+    return masks_from_uniforms(rng.random((n, d.K)), d.take_probs)
 
 
 def sample_faces(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> list[FaceIndexSet]:
@@ -210,11 +234,15 @@ def grad_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> np.ndarray:
     return suff_stats(f) - d.expected_phi
 
 
+def most_probable_vertices(w) -> np.ndarray:
+    """Vertex indices of the argmax face of the law with potentials ``w``,
+    in O(K): all vertices with positive potential, else the best single
+    vertex (lowest index on ties).  Zero potentials count as "exclude"."""
+    w = np.asarray(w, dtype=float)
+    positive = np.nonzero(w > 0.0)[0]
+    return positive if positive.size > 0 else np.argmax(w, keepdims=True)
+
+
 def most_probable_face(d: GibbsFaceDistribution) -> FaceIndexSet:
-    """Argmax face in O(K): all vertices with positive potential, else the
-    best single vertex (lowest index on ties).  Zero potentials count as
-    "exclude"."""
-    positive = np.nonzero(d.w > 0.0)[0]
-    if positive.size > 0:
-        return FaceIndexSet.from_indices(positive.tolist(), d.K)
-    return FaceIndexSet.from_indices([int(np.argmax(d.w))], d.K)
+    """Argmax face (see ``most_probable_vertices``)."""
+    return FaceIndexSet.from_indices(most_probable_vertices(d.w).tolist(), d.K)

@@ -14,6 +14,7 @@ maps carry a bias term; predictors are used as-is (no standardization).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,8 +22,8 @@ import numpy as np
 from scipy.special import digamma, expit, gammaln
 
 from . import face_gibbs
-from .mixed_dirichlet import MixedDirichlet, sample_many
-from .simplex import SimplexPoint, mask_members
+from .mixed_dirichlet import MixedDirichlet, draw_coords
+from .simplex import FaceBatch, SimplexPoint, mask_members
 
 __all__ = [
     "SCORE_CLAMP",
@@ -34,6 +35,8 @@ __all__ = [
     "glm_log_likelihood",
     "glm_fit",
     "glm_predict",
+    "predict_rows",
+    "sample_rows",
     "make_planted_dataset",
     "rmse",
     "mae",
@@ -79,16 +82,24 @@ class GlmModel:
     def d(self) -> int:
         return self.w_face.shape[1]
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        return np.clip(X @ self.w_face.T + self.b_face, -SCORE_CLAMP, SCORE_CLAMP)
+    def row_params(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Face scores and concentrations (n, K) at the rows of X (n, d).
 
-    def concentrations(self, X: np.ndarray) -> np.ndarray:
-        pre = np.clip(X @ self.w_conc.T + self.b_conc, -PRE_CLAMP, PRE_CLAMP)
-        return np.clip(np.logaddexp(0.0, pre), CONC_MIN, CONC_MAX)
+        Each row is its own (1, d) @ (d, K) product (a stacked matmul), so
+        its parameters are bitwise those of the row alone: a plain
+        ``X @ W.T`` rounds the last bit differently for most rows.
+        """
+        rows = np.asarray(X, dtype=float)[:, None, :]
+        scores = np.clip((rows @ self.w_face.T)[:, 0] + self.b_face, -SCORE_CLAMP, SCORE_CLAMP)
+        pre = np.clip((rows @ self.w_conc.T)[:, 0] + self.b_conc, -PRE_CLAMP, PRE_CLAMP)
+        conc = np.clip(np.logaddexp(0.0, pre), CONC_MIN, CONC_MAX)
+        if np.isnan(scores).any() or np.isnan(conc).any():  # clipped, so NaN is the only non-finite value
+            raise ValueError("predictors give non-finite scores or concentrations")
+        return scores, conc
 
     def mixed_at(self, x) -> MixedDirichlet:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return MixedDirichlet(self.scores(x)[0], self.concentrations(x)[0])
+        scores, conc = self.row_params(np.atleast_2d(np.asarray(x, dtype=float)))
+        return MixedDirichlet(scores[0], conc[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,11 +124,22 @@ class FitResult(NamedTuple):
     losses: np.ndarray  # mean negative log-likelihood per step
 
 
-def _targets_arrays(targets) -> tuple[np.ndarray, np.ndarray]:
-    """(n, K) face membership and coordinates of a list of target points."""
+class _TargetTerms(NamedTuple):
+    """Terms of the likelihood that depend on the targets only (n rows)."""
+
+    member: np.ndarray  # (n, K) face membership
+    phi: np.ndarray  # (n, K) +/-1 statistics of the faces
+    log_y: np.ndarray  # (n, K) log coordinates on the face, 0 off it
+    on_dim: np.ndarray  # (n,) face of dimension >= 1 (not a vertex)
+    conc_grad_on: np.ndarray  # (n, K) member and on_dim: where the concentrations get a gradient
+
+
+def _target_terms(targets) -> _TargetTerms:
     coords = np.stack([y.coords for y in targets])
     member = mask_members(np.array([y.support.mask for y in targets], dtype=np.int64), coords.shape[1])
-    return member, coords
+    on_dim = member.sum(axis=1) > 1
+    return _TargetTerms(member, 2.0 * member - 1.0, np.where(member, np.log(np.where(member, coords, 1.0)), 0.0),
+                        on_dim, member & on_dim[:, None])
 
 
 def glm_log_likelihood(model: GlmModel, X, targets) -> tuple[float, dict[str, np.ndarray]]:
@@ -133,16 +155,15 @@ def glm_log_likelihood(model: GlmModel, X, targets) -> tuple[float, dict[str, np
         raise ValueError(f"X must be (n, {model.d})")
     if len(targets) != X.shape[0]:
         raise ValueError("one target per row required")
-    member, coords = _targets_arrays(targets)
-    if member.shape[1] != model.K:
+    terms = _target_terms(targets)
+    if terms.member.shape[1] != model.K:
         raise ValueError(f"targets must have K={model.K}")
-    return _log_likelihood_arrays(model, X, member, coords)
+    return _log_likelihood_arrays(model, X, terms)
 
 
-def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, member: np.ndarray,
-                           coords: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """``glm_log_likelihood`` on validated arrays: X (n, d), target face
-    membership and coordinates (n, K)."""
+def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> tuple[float, dict[str, np.ndarray]]:
+    """``glm_log_likelihood`` on validated arrays: X (n, d) and the targets'
+    terms."""
     pre_f = X @ model.w_face.T + model.b_face
     scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
     gate_f = (np.abs(pre_f) < SCORE_CLAMP).astype(float)
@@ -153,24 +174,21 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, member: np.ndarray,
     conc = np.clip(soft, CONC_MIN, CONC_MAX)
     gate_c = ((np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)).astype(float)
 
-    phi = 2.0 * member - 1.0
     log_z, expected_phi = face_gibbs.log_normalizer_and_grad(scores)
-    ll_face = np.sum(scores * phi, axis=1) - log_z
-    g_scores = (phi - expected_phi) * gate_f
+    ll_face = np.sum(scores * t.phi, axis=1) - log_z
+    g_scores = (t.phi - expected_phi) * gate_f
 
-    log_y = np.where(member, np.log(np.where(member, coords, 1.0)), 0.0)
-    alpha_m = np.where(member, conc, 0.0)
+    alpha_m = np.where(t.member, conc, 0.0)
     alpha0 = alpha_m.sum(axis=1)
-    on_dim = member.sum(axis=1) > 1
     ll_dir = np.where(
-        on_dim,
-        np.sum(np.where(member, (conc - 1.0) * log_y - gammaln(np.where(member, conc, 1.0)), 0.0), axis=1)
+        t.on_dim,
+        np.sum(np.where(t.member, (conc - 1.0) * t.log_y - gammaln(np.where(t.member, conc, 1.0)), 0.0), axis=1)
         + gammaln(alpha0),
         0.0,
     )
     g_conc = np.where(
-        member & on_dim[:, None],
-        log_y - digamma(conc) + digamma(alpha0)[:, None],
+        t.conc_grad_on,
+        t.log_y - digamma(conc) + digamma(alpha0)[:, None],
         0.0,
     ) * expit(pre_cc) * gate_c
 
@@ -195,8 +213,8 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
     n, d = X.shape
     if len(targets) != n:
         raise ValueError("one target per row required")
-    member, coords = _targets_arrays(targets)
-    K = member.shape[1]
+    terms = _target_terms(targets)
+    K = terms.member.shape[1]
     rng = np.random.default_rng(seed)
     params = {
         "w_face": rng.normal(0.0, 0.01, (K, d)),
@@ -210,7 +228,7 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
     losses = np.empty(steps)
     for t in range(1, steps + 1):
         model = GlmModel(**params)
-        ll, grads = _log_likelihood_arrays(model, X, member, coords)
+        ll, grads = _log_likelihood_arrays(model, X, terms)
         losses[t - 1] = -ll / n
         for k in params:
             g = -grads[k] / n
@@ -222,25 +240,51 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
     return FitResult(GlmModel(**params), losses)
 
 
+def sample_rows(scores: np.ndarray, conc: np.ndarray, n: int, rngs):
+    """Yield n draws (n, K) of the mixed law at each row's face scores and
+    concentrations (B, K), row after row; row i consumes the i-th generator
+    of ``rngs`` (the same generator may repeat) in ``draw_coords`` order.
+
+    The face laws' sampling tables are built for all rows in one pass; only
+    the draws, which must consume each row's stream in order, run per row.
+    """
+    if not (np.isfinite(conc).all() and (conc > 0.0).all()):
+        raise ValueError("concentrations must be finite and > 0")
+    for take, alpha, rng in zip(face_gibbs.sampling_tables(scores), conc, rngs):
+        yield draw_coords(take, alpha, n, rng)
+
+
+def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 100,
+                 rngs=None) -> FaceBatch:
+    """Point predictions at the rows of X (B, d), validated as one batch.
+
+    ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
+    face; ``sample-mean`` averages ``n`` draws from each row's predicted
+    distribution, drawn from the row's generator in ``rngs`` (see
+    ``sample_rows``) and reduced to their mean before the next row is drawn.
+    """
+    scores, conc = model.row_params(X)
+    preds = np.zeros_like(conc)
+    if rule == "most-probable-mean":
+        for i, (s, c) in enumerate(zip(scores, conc)):
+            idx = face_gibbs.most_probable_vertices(s)
+            a = c[idx]
+            preds[i, idx] = a / a.sum()
+    elif rule == "sample-mean":
+        if rngs is None:
+            raise ValueError("sample-mean needs an rng")
+        for i, draws in enumerate(sample_rows(scores, conc, n, rngs)):
+            preds[i] = draws.mean(axis=0)
+    else:
+        raise ValueError(f"unknown prediction rule {rule!r}")
+    return FaceBatch.from_coords(preds)
+
+
 def glm_predict(model: GlmModel, x, rule: str = "most-probable-mean",
                 n: int = 100, rng: np.random.Generator | None = None) -> SimplexPoint:
-    """Point prediction at one predictor vector.
-
-    ``most-probable-mean`` puts the Dirichlet mean on the argmax face;
-    ``sample-mean`` averages ``n`` draws from the predicted distribution.
-    """
-    md = model.mixed_at(x)
-    if rule == "most-probable-mean":
-        f = face_gibbs.most_probable_face(md.faces)
-        coords = np.zeros(model.K)
-        a = md.alpha_on(f)
-        coords[list(f.indices)] = a / a.sum()
-        return SimplexPoint(coords)
-    if rule == "sample-mean":
-        if rng is None:
-            raise ValueError("sample-mean needs an rng")
-        return SimplexPoint(sample_many(md, n, rng).coords.mean(axis=0))
-    raise ValueError(f"unknown prediction rule {rule!r}")
+    """Point prediction at one predictor vector (``predict_rows`` on one row)."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    return predict_rows(model, X, rule, n, None if rng is None else [rng])[0][1]
 
 
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -282,5 +326,6 @@ def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4, seed: int = 0):
         b_conc=rng.normal(2.0, 0.5, K),
     )
     X = rng.normal(0.0, 1.0, (n, d))
-    targets = [sample_many(true_model.mixed_at(x), 1, rng)[0][1] for x in X]
+    draws = sample_rows(*true_model.row_params(X), 1, itertools.repeat(rng))
+    targets = [y for _, y in FaceBatch.from_coords(np.concatenate(list(draws)))]
     return X, targets, true_model

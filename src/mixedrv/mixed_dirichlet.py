@@ -27,6 +27,7 @@ __all__ = [
     "dirichlet_log_pdf",
     "sample",
     "sample_many",
+    "draw_coords",
     "log_density",
     "log_density_many",
     "entropy",
@@ -174,20 +175,32 @@ def fill_faces(masks: np.ndarray, K: int, alpha: np.ndarray, rng: np.random.Gene
     return coords
 
 
+def draw_coords(take: np.ndarray, alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, K) draws of the mixed law with face sampling table ``take`` (see
+    ``face_gibbs.masks_from_uniforms``) and concentrations ``alpha``.
+
+    The stream is consumed in a fixed order: n x K uniforms for the faces,
+    then the Gammas of ``fill_faces`` (faces in ascending mask order, each
+    followed by its underflow re-draw, if any).
+    """
+    masks = face_gibbs.masks_from_uniforms(rng.random((n, alpha.size)), take)
+    return fill_faces(masks, alpha.size, alpha, rng)
+
+
 def sample(md: MixedDirichlet, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
     """One draw: a face, then a Dirichlet point embedded in it."""
     return sample_many(md, 1, rng)[0]
 
 
 def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBatch:
-    """n draws, with Dirichlet sampling vectorized per distinct face.
+    """n draws (``draw_coords``), with Dirichlet sampling vectorized per
+    distinct face.
 
     Deterministic under a seeded stream, but consumes draws in a different
     order than repeated calls to ``sample``.  Each row's face is the support
     of its point (see ``fill_faces``).
     """
-    masks = face_gibbs.sample_face_masks(md.faces, n, rng)
-    return FaceBatch.from_coords(fill_faces(masks, md.K, md.alpha, rng))
+    return FaceBatch.from_coords(draw_coords(md.faces.take_probs, md.alpha, n, rng))
 
 
 def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -221,6 +221,23 @@ class TestGlmCommands:
         assert "renormalizing" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--steps", "-1"), ("--lr", "nan"),
+                                            ("--lr", "inf"), ("--lr", "0"), ("--lr", "-0.1")])
+    def test_fit_argument_errors_exit_2(self, capsys, tmp_path, flag, value):
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "20", "--seed", "2"]) == 0
+        model = tmp_path / "m.json"
+        assert cli.main(["fit-glm", "--data", str(data), "--out", str(model), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_gen_k_beyond_the_mask_cap_exit_2(self, capsys, tmp_path):
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-glm-data", "--out", str(data), "--k", "64"]) == 2
+        assert "--k" in capsys.readouterr().err
+        assert not data.exists()
+        assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "3", "--k", "63", "--seed", "1"]) == 0
+
 class TestCheckCommand:
     def test_injected_bug_fails_enumeration_oracle(self, capsys, monkeypatch):
         good = face_gibbs.log_normalizer

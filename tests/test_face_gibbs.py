@@ -291,6 +291,43 @@ class TestSampling:
         assert [f.mask for f in a] == [f.mask for f in b]
 
 
+def _masks_by_vertex_pass(u, take):
+    """Reference: one pass over the vertices, tracking each draw's state
+    (0 still empty, 1 nonempty and k-1 not taken, 2 k-1 taken)."""
+    n, K = u.shape
+    codes = np.zeros(n, dtype=np.int64)
+    masks = np.zeros(n, dtype=np.int64)
+    for k in range(K):
+        taken = u[:, k] < take[k, codes]
+        masks |= taken.astype(np.int64) << k
+        codes = np.where(taken, 2, np.minimum(codes, 1))
+    return masks
+
+
+class TestBatchedSampling:
+    @pytest.mark.parametrize("K", [2, 3, 6, 13, 32, 63])
+    def test_tables_match_one_law_at_a_time(self, K):
+        W = np.stack([_edge_w(K, kind) for kind in EDGE_POTENTIALS]
+                     + [np.where(np.arange(K) < K // 2, 400.0, -745.0)])
+        tables = fg.sampling_tables(W)
+        assert tables.shape == (W.shape[0], K, 3)
+        for w, table in zip(W, tables):
+            assert np.array_equal(table, fg.GibbsFaceDistribution(w).take_probs)
+        assert np.array_equal(fg.sampling_tables(W[0]), fg.GibbsFaceDistribution(W[0]).take_probs)
+
+    @pytest.mark.parametrize("K", [2, 3, 6, 13, 63])
+    def test_masks_match_a_pass_over_the_vertices(self, K):
+        rng = np.random.default_rng(28)
+        for kind in EDGE_POTENTIALS:
+            take = fg.GibbsFaceDistribution(_edge_w(K, kind)).take_probs
+            for n in (1, 7, 500):
+                u = rng.random((n, K))
+                u[0, -1] = np.nextafter(1.0, 0.0)  # the largest uniform still takes a forced last vertex
+                got = fg.masks_from_uniforms(u, take)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, _masks_by_vertex_pass(u, take))
+
+
 class TestEntropyKl:
     def test_uniform_entropy(self):
         assert fg.entropy(fg.GibbsFaceDistribution(np.zeros(3))) == pytest.approx(np.log(7), abs=1e-12)

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from mixedrv import face_gibbs as fg
 from mixedrv import glm
-from mixedrv.mixed_dirichlet import sample_many
+from mixedrv.mixed_dirichlet import MixedDirichlet, sample_many
 from mixedrv.oracles import central_difference_gradient
 from mixedrv.simplex import SimplexPoint
 
@@ -126,6 +128,127 @@ class TestPredict:
         model = glm.GlmModel(np.zeros((2, 1)), np.zeros(2), np.zeros((2, 1)), np.zeros(2))
         with pytest.raises(ValueError):
             glm.glm_predict(model, [0.0], "sample-mean")
+
+
+def _random_model(rng, K, d, scale=1.0):
+    return glm.GlmModel(rng.normal(0, scale, (K, d)), rng.normal(0, scale, K),
+                        rng.normal(0, scale, (K, d)), rng.normal(1, scale, K))
+
+
+def _per_row_draws(scores, conc, n, rngs):
+    """Reference: one MixedDirichlet per row, sampled by ``sample_many``."""
+    return [sample_many(MixedDirichlet(s, c), n, rng).coords for s, c, rng in zip(scores, conc, rngs)]
+
+
+def _row_case(K, case, rows=30, seed=0):
+    rng = np.random.default_rng([K, seed])
+    scores = np.clip(rng.normal(0.0, 3.0, (rows, K)), -glm.SCORE_CLAMP, glm.SCORE_CLAMP)
+    conc = np.exp(rng.uniform(np.log(glm.CONC_MIN), np.log(glm.CONC_MAX), (rows, K)))
+    if case != "random":
+        scores = rng.choice([-glm.SCORE_CLAMP, glm.SCORE_CLAMP], (rows, K))
+        scores[:, 0] = glm.SCORE_CLAMP  # some faces with more than one vertex
+    if case == "conc-min":
+        conc = np.full((rows, K), glm.CONC_MIN)
+    elif case == "conc-max":
+        conc = np.full((rows, K), glm.CONC_MAX)
+    return scores, conc
+
+
+class TestRowBatchedSampling:
+    """``sample_rows`` and everything on it, bitwise against one
+    ``MixedDirichlet`` per row."""
+
+    CASES = ["random", "clamped", "conc-min", "conc-max"]
+
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    @pytest.mark.parametrize("case", CASES)
+    def test_shared_generator(self, K, case):
+        scores, conc = _row_case(K, case)
+        a, b = np.random.default_rng(1), np.random.default_rng(1)
+        got = list(glm.sample_rows(scores, conc, 1, itertools.repeat(a)))
+        ref = _per_row_draws(scores, conc, 1, itertools.repeat(b))
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and len(got) == len(ref)
+        assert a.random() == b.random()  # the same stream consumed
+
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    @pytest.mark.parametrize("case", CASES)
+    def test_per_row_generators(self, K, case):
+        scores, conc = _row_case(K, case, rows=8)
+        got = list(glm.sample_rows(scores, conc, 100, (np.random.default_rng([2, i]) for i in range(8))))
+        ref = _per_row_draws(scores, conc, 100, (np.random.default_rng([2, i]) for i in range(8)))
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and len(got) == len(ref)
+
+    def test_small_concentrations_hit_the_underflow_guard(self):
+        # at CONC_MIN Gammas underflow to 0, so the cases above run the
+        # re-draw and clamp branch of the Dirichlet sampler; only the clamp
+        # gives a draw whose positive coordinates are all equal
+        scores, conc = _row_case(6, "conc-min")
+        draws = np.concatenate(list(glm.sample_rows(scores, conc, 100, itertools.repeat(np.random.default_rng(3)))))
+        on_edge = draws[(draws > 0.0).sum(axis=1) > 1]
+        ties = [row for row in on_edge if np.ptp(row[row > 0.0]) == 0.0]
+        assert len(ties) > 0
+
+    def test_row_params_match_each_row_alone(self):
+        rng = np.random.default_rng(104)
+        for _ in range(20):
+            K, d = int(rng.integers(2, 14)), int(rng.integers(1, 9))
+            model = _random_model(rng, K, d, scale=float(rng.choice([0.5, 3.0, 30.0])))
+            X = rng.normal(0.0, 2.0, (50, d))
+            scores, conc = model.row_params(X)
+            for x, s, c in zip(X, scores, conc):
+                md = model.mixed_at(x)
+                assert np.array_equal(md.faces.w, s) and np.array_equal(md.alpha, c)
+                # the row alone, as a (1, d) product
+                pre_f = x[None, :] @ model.w_face.T + model.b_face
+                pre_c = np.clip(x[None, :] @ model.w_conc.T + model.b_conc, -glm.PRE_CLAMP, glm.PRE_CLAMP)
+                assert np.array_equal(np.clip(pre_f[0], -glm.SCORE_CLAMP, glm.SCORE_CLAMP), s)
+                assert np.array_equal(np.clip(np.logaddexp(0.0, pre_c[0]), glm.CONC_MIN, glm.CONC_MAX), c)
+
+    def test_planted_dataset_matches_per_row_sampling(self):
+        X, Y, true_model = glm.make_planted_dataset(n=200, K=6, d=4, seed=11)
+        rng = np.random.default_rng(11)
+        for shape in [(6, 4), 6, (6, 4), 6]:  # the planted weights
+            rng.normal(size=shape)
+        assert np.array_equal(rng.normal(0.0, 1.0, X.shape), X)
+        for x, y in zip(X, Y):
+            assert np.array_equal(sample_many(true_model.mixed_at(x), 1, rng).coords[0], y.coords)
+
+    @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
+    def test_predictions_match_per_row_reference(self, rule):
+        rng = np.random.default_rng(105)
+        model = _random_model(rng, 7, 3, scale=2.0)
+        X = rng.normal(0.0, 1.0, (25, 3))
+        batch = glm.predict_rows(model, X, rule, n=50, rngs=(np.random.default_rng([4, i]) for i in range(25)))
+        for i, x in enumerate(X):
+            md = model.mixed_at(x)
+            if rule == "sample-mean":
+                ref = sample_many(md, 50, np.random.default_rng([4, i])).coords.mean(axis=0)
+            else:
+                f = fg.most_probable_face(md.faces)
+                ref = np.zeros(7)
+                a = md.alpha_on(f)
+                ref[list(f.indices)] = a / a.sum()
+            assert np.array_equal(batch.coords[i], ref)
+            one = glm.glm_predict(model, x, rule, n=50, rng=np.random.default_rng([4, i]))
+            assert np.array_equal(one.coords, ref)
+
+    @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
+    def test_rejects_nan_predictors(self, rule):
+        model = glm.GlmModel(np.ones((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
+        X = np.array([[0.5, 0.1], [np.inf, 0.0]])  # inf * 0 = NaN in the concentrations only
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+            glm.predict_rows(model, X, rule, rngs=itertools.repeat(np.random.default_rng(0)))
+
+    def test_rejects_bad_concentrations(self):
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="concentrations"):
+                next(glm.sample_rows(np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]), 1,
+                                     [np.random.default_rng(0)]))
+
+    def test_rejects_unknown_rule(self):
+        model = _random_model(np.random.default_rng(106), 3, 2)
+        with pytest.raises(ValueError, match="unknown prediction rule"):
+            glm.predict_rows(model, np.zeros((2, 2)), "median")
 
 
 class TestMetrics:
