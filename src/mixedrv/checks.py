@@ -346,6 +346,62 @@ def _check_mixed_dirichlet_flat_conditional():
     return "per-face flat conditionals pass KS"
 
 
+def _beta_lower_tail(t: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Beta(a, b) CDF at x = exp(t), in log space below x = 1e-300, where
+    ``I_x(a, b) = x^a / (a B(a, b)) (1 + O(x))``."""
+    from scipy.special import betainc, betaln
+    tiny = t < np.log(1e-300)
+    return np.where(tiny, np.exp(a * t - np.log(a) - betaln(a, b)), betainc(a, b, np.exp(np.where(tiny, 0.0, t))))
+
+
+def _beta_cdf_from_logs(t1: np.ndarray, t2: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Beta(a, b) CDF at y_1 from both log-coordinates of a 2-vertex point:
+    the lower tail at log y_1 where y_1 <= y_2, else one minus the
+    Beta(b, a) lower tail at log y_2 (log y_1 rounds to 0 near y_1 = 1)."""
+    low = t1 <= t2
+    return np.where(low, _beta_lower_tail(np.where(low, t1, 0.0), a, b),
+                    1.0 - _beta_lower_tail(np.where(low, 0.0, t2), b, a))
+
+
+def _check_small_alpha_sampler(n: int = 30000):
+    """The intrinsic samplers' Dirichlet step at concentrations down to the GLM's
+    ``CONC_MIN``, per face of 2-4 vertices, from its log-coordinates:
+    E[log y_k] = psi(a_k) - psi(a_0) within 5 SE, a KS test of the first
+    coordinate of the most frequent 2-vertex face against the Beta CDF
+    (``_beta_cdf_from_logs``, so no coordinate is rounded to 0 or 1), and
+    (at 1e-3) the MC Dirichlet entropy against ``dirichlet_entropy``."""
+    from scipy.special import digamma, gammaln
+    scale = np.array([1.0, 1.5, 0.7, 2.0])
+    worst, ks_min = 0.0, 1.0
+    for i, a in enumerate((1e-3, 1e-2, 0.1)):
+        alpha = a * scale
+        md = mixed_dirichlet.MixedDirichlet(np.zeros(4), alpha)
+        batch = md.sample_many(n, np.random.default_rng(129 + i))
+        pairs = []
+        for mask in np.unique(batch.masks):
+            idx = [k for k in range(4) if mask >> k & 1]
+            if len(idx) < 2:
+                continue
+            log_y = batch.log_coords[batch.masks == mask][:, idx]
+            _require(np.isfinite(log_y).all(), f"non-finite log-coordinate on face {idx} at alpha {a}")
+            m, af = log_y.shape[0], alpha[idx]
+            se = log_y.std(axis=0, ddof=1) / np.sqrt(m)
+            z = np.abs(log_y.mean(axis=0) - (digamma(af) - digamma(af.sum()))) / se
+            worst = max(worst, float(z.max()))
+            _require(z.max() < 5.0, f"E[log y] off by {z.max():.2f} SE on face {idx} at alpha {a}")
+            if len(idx) == 2:
+                pairs.append((m, log_y, af))
+            if a == 1e-3:
+                logs = log_y @ (af - 1.0) - (gammaln(af).sum() - gammaln(af.sum()))
+                h, est, se_h = mixed_dirichlet.dirichlet_entropy(af), -logs.mean(), logs.std(ddof=1) / np.sqrt(m)
+                _require(abs(h - est) < 5.0 * se_h, f"entropy {h:.4f} vs MC {est:.4f} +- {se_h:.4f} on face {idx}")
+        _, t, af = max(pairs, key=lambda p: p[0])
+        p = kstest(_beta_cdf_from_logs(t[:, 0], t[:, 1], af[0], af[1]), "uniform").pvalue
+        ks_min = min(ks_min, p)
+        _require(p > 0.001, f"KS p={p:.5f} for log y_1 at alpha {a}")
+    return f"worst |E[log y]| error {worst:.2f} SE, smallest KS p {ks_min:.3f}"
+
+
 # --------------------------------------------------------------- extrinsic ---
 
 def _gs2_mc_logpdf(y: np.ndarray, z: float, s: float) -> np.ndarray:
@@ -744,6 +800,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("mixed_dirichlet.face_frequencies_tv", _FAST, lambda: _check_mixed_dirichlet_face_tv(10**5, 0.02)),
     ("mixed_dirichlet.face_frequencies_tv_1e6", _FULL, lambda: _check_mixed_dirichlet_face_tv(10**6, 0.005)),
     ("mixed_dirichlet.flat_conditionals_ks", _FAST, _check_mixed_dirichlet_flat_conditional),
+    ("mixed_dirichlet.small_alpha_sampler_vs_digamma_beta_entropy", _FAST, _check_small_alpha_sampler),
     ("extrinsic.gs2_entropy_vs_mc", _FAST, lambda: _check_gs2_entropy_mc(2 * 10**5)),
     ("extrinsic.gs2_entropy_vs_mc_1e6", _FULL, lambda: _check_gs2_entropy_mc(10**6)),
     ("extrinsic.gs2_kl_vs_mc", _FAST, lambda: _check_gs2_kl_mc(2 * 10**5)),

@@ -235,6 +235,8 @@ def _read_glm_csv(path: str):
                     raise CliError(EXIT_DATA, f"{path}:{lineno}: expected {len(header)} columns")
                 x = [vals[i] for i in x_cols]
                 y = np.array([vals[i] for i in y_cols])
+                if not np.isfinite(y).all():
+                    raise CliError(EXIT_DATA, f"{path}:{lineno}: non-finite target value")
                 if np.any(y < 0.0):
                     raise CliError(EXIT_DATA, f"{path}:{lineno}: negative target value")
                 gap = abs(float(y.sum()) - 1.0)

@@ -14,7 +14,6 @@ maps carry a bias term; predictors are used as-is (no standardization).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +21,7 @@ import numpy as np
 from scipy.special import digamma, expit, gammaln
 
 from . import face_gibbs
-from .mixed_dirichlet import MixedDirichlet, draw_coords
+from .mixed_dirichlet import MixedDirichlet, draw_log_coords
 from .simplex import FaceBatch, SimplexPoint, mask_members
 
 __all__ = [
@@ -242,16 +241,16 @@ def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> Fit
 
 def sample_rows(scores: np.ndarray, conc: np.ndarray, n: int, rngs):
     """Yield n draws (n, K) of the mixed law at each row's face scores and
-    concentrations (B, K), row after row; row i consumes the i-th generator
-    of ``rngs`` (the same generator may repeat) in ``draw_coords`` order.
+    concentrations (B, K), row after row; row i consumes its own generator,
+    the i-th of ``rngs``, in ``draw_log_coords`` order.
 
     The face laws' sampling tables are built for all rows in one pass; only
-    the draws, which must consume each row's stream in order, run per row.
+    the draws, each from its row's generator, run per row.
     """
     if not (np.isfinite(conc).all() and (conc > 0.0).all()):
         raise ValueError("concentrations must be finite and > 0")
     for take, alpha, rng in zip(face_gibbs.sampling_tables(scores), conc, rngs):
-        yield draw_coords(take, alpha, n, rng)
+        yield np.exp(draw_log_coords(take, alpha, n, rng)[1])
 
 
 def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 100,
@@ -326,6 +325,7 @@ def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4, seed: int = 0):
         b_conc=rng.normal(2.0, 0.5, K),
     )
     X = rng.normal(0.0, 1.0, (n, d))
-    draws = sample_rows(*true_model.row_params(X), 1, itertools.repeat(rng))
-    targets = [y for _, y in FaceBatch.from_coords(np.concatenate(list(draws)))]
-    return X, targets, true_model
+    scores, conc = true_model.row_params(X)
+    # one draw per row from one generator: a single block over all rows
+    batch = FaceBatch.from_log_coords(*draw_log_coords(face_gibbs.sampling_tables(scores), conc, n, rng))
+    return X, [y for _, y in batch], true_model

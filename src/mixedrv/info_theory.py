@@ -23,7 +23,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .mixed_dirichlet import fill_faces
+from .mixed_dirichlet import dirichlet_log_fill
 from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces
 
 __all__ = [
@@ -195,7 +195,7 @@ class MaxEntMixed:
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         masks = maxent_sample_face_masks(self, n, rng)
-        return FaceBatch.from_coords(fill_faces(masks, self.K, np.ones(self.K), rng))
+        return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, np.ones(self.K), rng))
 
     def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
         if self.K > 14:

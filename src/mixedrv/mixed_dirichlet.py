@@ -16,8 +16,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from . import face_gibbs
-from .simplex import (FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, face_groups,
-                      mask_members)
+from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
 
 __all__ = [
     "MixedDirichlet",
@@ -27,7 +26,8 @@ __all__ = [
     "dirichlet_log_pdf",
     "sample",
     "sample_many",
-    "draw_coords",
+    "dirichlet_log_fill",
+    "draw_log_coords",
     "log_density",
     "log_density_many",
     "entropy",
@@ -36,10 +36,6 @@ __all__ = [
 
 #: Faces are enumerated exactly only up to this K; beyond it use MC modes.
 EXACT_ENUM_MAX_K = 14
-
-#: Smallest value a Dirichlet coordinate is allowed to keep after the
-#: underflow guard; draws are renormalized after clamping.
-UNDERFLOW_FLOOR = 1e-300
 
 
 def _check_alpha(alpha) -> np.ndarray:
@@ -139,52 +135,43 @@ class MixedDirichlet:
         return dict(zip(enumerate_faces(self.K), probs.tolist()))
 
 
-def _dirichlet_draws(alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Dirichlet rows via normalized Gammas, with an exact-zero guard.
+def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Log-coordinates (n, K) of Dirichlet points on the faces ``masks``
+    (n,), with concentrations ``alpha`` (K,) or one row per point (n, K)
+    restricted to each face: finite on the face, -inf off it, 0 at vertices.
 
-    Gamma draws with small shape can underflow to exact 0.0; such rows are
-    resampled once, then any remaining zeros are clamped to a tiny floor and
-    the row renormalized, so the restricted coordinates of a sampled point
-    are always strictly positive.
+    Gammas are drawn in log space, ``log G(a) = log G(a + 1) + log(U) / a``
+    (Marsaglia & Tsang 2000), so no coordinate underflows however small
+    ``a`` is, and each row is normalized by a max-shifted logsumexp over
+    its face.  The stream is consumed in one block: one ``standard_gamma``
+    call over ``a + 1`` at every on-face entry of every row whose face has
+    two or more vertices, in row-major order, then one ``random`` call of
+    the same length, used as ``log(1 - U) / a``.  Vertices consume nothing.
     """
-    g = rng.gamma(alpha, size=(n, alpha.size))
-    bad = np.nonzero((g == 0.0).any(axis=1))[0]
-    if bad.size:
-        g[bad] = rng.gamma(alpha, size=(bad.size, alpha.size))
-        g = np.maximum(g, UNDERFLOW_FLOOR)
-    return g / g.sum(axis=1, keepdims=True)
+    K = alpha.shape[-1]
+    member = mask_members(masks, K)
+    on = member & (member.sum(axis=1) > 1)[:, None]
+    a = np.broadcast_to(alpha, member.shape)[on]
+    log_g = np.full(member.shape, -np.inf)
+    log_g[member] = 0.0
+    g = rng.standard_gamma(a + 1.0)
+    log_u = np.log1p(-rng.random(a.size))  # log(1 - U) with U in [0, 1): never -inf
+    log_g[on] = np.log(g) + log_u / a
+    log_g -= log_g.max(axis=1, keepdims=True)
+    return log_g - np.log(np.exp(log_g).sum(axis=1, keepdims=True))
 
 
-def fill_faces(masks: np.ndarray, K: int, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(n, K) points on the given faces, Dirichlet(alpha restricted) on each.
+def draw_log_coords(take: np.ndarray, alpha: np.ndarray, n: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Face bitmasks (n,) and log-coordinates (n, K) of n draws of the mixed
+    law: faces by ``face_gibbs.masks_from_uniforms`` from n x K uniforms
+    under ``take``, then points by ``dirichlet_log_fill``.
 
-    Faces are visited in ``face_groups`` order (ascending mask, then
-    ascending row), drawing all of a face's rows at once, so the stream is
-    consumed in a fixed order.  Vertices consume no randomness.  A tiny
-    (subnormal) Gamma draw can still round to zero when its row is
-    normalized, which leaves that point on a smaller face; callers take the
-    faces of the result from its positive coordinates.
+    ``take`` and ``alpha`` are one law's (K, 3) table and (K,)
+    concentrations, or one law per draw: (n, K, 3) and (n, K).
     """
-    coords = np.zeros((masks.shape[0], K))
-    for mask, rows in face_groups(masks):
-        idx = [i for i in range(K) if mask >> i & 1]
-        if len(idx) == 1:
-            coords[rows, idx[0]] = 1.0
-        else:
-            coords[rows[:, None], idx] = _dirichlet_draws(alpha[idx], rows.size, rng)
-    return coords
-
-
-def draw_coords(take: np.ndarray, alpha: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, K) draws of the mixed law with face sampling table ``take`` (see
-    ``face_gibbs.masks_from_uniforms``) and concentrations ``alpha``.
-
-    The stream is consumed in a fixed order: n x K uniforms for the faces,
-    then the Gammas of ``fill_faces`` (faces in ascending mask order, each
-    followed by its underflow re-draw, if any).
-    """
-    masks = face_gibbs.masks_from_uniforms(rng.random((n, alpha.size)), take)
-    return fill_faces(masks, alpha.size, alpha, rng)
+    masks = face_gibbs.masks_from_uniforms(rng.random((n, alpha.shape[-1])), take)
+    return masks, dirichlet_log_fill(masks, alpha, rng)
 
 
 def sample(md: MixedDirichlet, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
@@ -193,14 +180,12 @@ def sample(md: MixedDirichlet, rng: np.random.Generator) -> tuple[FaceIndexSet, 
 
 
 def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBatch:
-    """n draws (``draw_coords``), with Dirichlet sampling vectorized per
-    distinct face.
+    """n draws (``draw_log_coords``), carrying their log-coordinates.
 
     Deterministic under a seeded stream, but consumes draws in a different
-    order than repeated calls to ``sample``.  Each row's face is the support
-    of its point (see ``fill_faces``).
+    order than repeated calls to ``sample``.
     """
-    return FaceBatch.from_coords(draw_coords(md.faces.take_probs, md.alpha, n, rng))
+    return FaceBatch.from_log_coords(*draw_log_coords(md.faces.take_probs, md.alpha, n, rng))
 
 
 def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,11 +195,13 @@ def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, n
     return alpha_m, np.where(member, gammaln(alpha), 0.0).sum(axis=1) - gammaln(alpha_m.sum(axis=1))
 
 
-def _dirichlet_log_pdf_rows(member: np.ndarray, coords: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Dirichlet log-density of each row on its face (``member`` rows), 0 at vertices."""
+def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndarray) -> np.ndarray:
+    """Dirichlet log-density of each row of ``batch`` on the face ``member``,
+    0 at vertices; from the batch's log-coordinates when it carries them."""
     alpha_m, log_beta = _log_beta_rows(member, alpha)
     with np.errstate(divide="ignore"):
-        log_y = np.where(member, np.log(coords), 0.0)
+        log_y = np.log(batch.coords) if batch.log_coords is None else batch.log_coords
+    log_y = np.where(member, log_y, 0.0)
     out = np.sum((alpha_m - member) * log_y, axis=1) - log_beta
     return np.where(member.sum(axis=1) > 1, out, 0.0)
 
@@ -242,7 +229,7 @@ def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
         raise ValueError(f"point has K={batch.K}, distribution has K={md.K}")
     member = batch.members()
     face = np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z
-    return face + _dirichlet_log_pdf_rows(member, batch.coords, md.alpha)
+    return face + _dirichlet_log_pdf_rows(member, batch, md.alpha)
 
 
 def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
@@ -312,7 +299,8 @@ class FullFaceDirichlet:
         return self.sample_many(1, rng)[0]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
-        return FaceBatch.from_coords(_dirichlet_draws(self.alpha, n, rng))
+        masks = np.full(n, (1 << self.K) - 1, dtype=np.int64)
+        return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, self.alpha, rng))
 
     def log_density(self, y: SimplexPoint) -> float:
         return float(self.log_density_many(FaceBatch.from_point(y))[0])
@@ -323,4 +311,4 @@ class FullFaceDirichlet:
             raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
         full = batch.masks == (1 << self.K) - 1
         member = np.broadcast_to(full[:, None], batch.coords.shape)
-        return np.where(full, _dirichlet_log_pdf_rows(member, batch.coords, self.alpha), -np.inf)
+        return np.where(full, _dirichlet_log_pdf_rows(member, batch, self.alpha), -np.inf)

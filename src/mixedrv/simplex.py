@@ -181,7 +181,8 @@ def _support_masks(coords: np.ndarray) -> np.ndarray:
     return (coords > 0.0) @ _BITS[:coords.shape[1]]
 
 
-def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray) -> ValueError:
+def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray,
+                   log_coords: np.ndarray | None) -> ValueError:
     """The first ``SimplexPoint`` rule that a batch breaks, as an error."""
     if not np.isfinite(coords).all():
         return ValueError("coords must be finite")
@@ -194,25 +195,51 @@ def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray) -> V
     bad = np.nonzero((masks <= 0) | (masks >> K != 0))[0]
     if bad.size:
         return ValueError(f"mask {int(masks[bad[0]]):#x} is not a nonempty subset of [{K}]")
-    bad = np.nonzero(_support_masks(coords) != masks)[0]
-    return ValueError(f"row {bad[0]}: positive coordinates are not the vertices of mask {int(masks[bad[0]]):#x}")
+    if log_coords is None:
+        bad = np.nonzero(_support_masks(coords) != masks)[0]
+        return ValueError(f"row {bad[0]}: positive coordinates are not the vertices of mask {int(masks[bad[0]]):#x}")
+    bad = np.nonzero(_log_support_masks(log_coords) != masks)[0]
+    if bad.size:
+        return ValueError(f"row {bad[0]}: log_coords must be finite exactly on the vertices of mask "
+                          f"{int(masks[bad[0]]):#x} and -inf off them")
+    bad = np.nonzero(_support_masks(coords) & ~masks)[0]
+    return ValueError(f"row {bad[0]}: positive coordinates off the vertices of mask {int(masks[bad[0]]):#x}")
+
+
+def _log_support_masks(log_coords: np.ndarray) -> np.ndarray:
+    """Bitmask of the finite entries of each row of ``log_coords``, or -1
+    for a row holding an entry that is neither finite nor -inf."""
+    finite = np.isfinite(log_coords)
+    masks = finite @ _BITS[:log_coords.shape[1]]
+    return np.where((finite | (log_coords == -np.inf)).all(axis=1), masks, -1)
 
 
 @dataclass(frozen=True, eq=False)
 class FaceBatch:
-    """n simplex points as arrays: face bitmasks ``masks`` (n,) and
-    coordinates ``coords`` (n, K).
+    """n simplex points as arrays: face bitmasks ``masks`` (n,), coordinates
+    ``coords`` (n, K) and optionally their logarithms ``log_coords`` (n, K).
 
     This is the array form of a sequence of ``(FaceIndexSet, SimplexPoint)``
     draws, validated once under the same rules as ``SimplexPoint``: finite,
     nonnegative coordinates, rows summing to one within ``SUM_TOL``, and
     positive coordinates exactly on the vertices of the row's face.
+
+    A sampler that draws in log space passes ``log_coords`` (with ``coords
+    = exp(log_coords)``), the faithful representation: a coordinate of the
+    sampled face can be too small for a positive double.  The face rule is
+    then stated on the logarithms: finite exactly on the vertices of the
+    row's face and -inf off them; ``coords`` may hold 0.0 on the face but
+    nothing positive off it.
+
     Indexing and iteration yield the pairs, sharing one ``FaceIndexSet``
-    per distinct mask.
+    per distinct mask: the row's face, and a ``SimplexPoint`` of its
+    coordinates, whose support is the face less any coordinate that
+    underflowed to 0.0.
     """
 
     masks: np.ndarray
     coords: np.ndarray
+    log_coords: np.ndarray | None = None
 
     def __post_init__(self):
         coords = np.array(self.coords, dtype=float)
@@ -225,17 +252,30 @@ class FaceBatch:
         if masks.shape != (n,) or (n and masks.dtype.kind not in "iu"):
             raise ValueError(f"masks must be {n} integers, got shape {masks.shape} dtype {masks.dtype}")
         masks = masks.astype(np.int64)  # a copy, so freezing it below is safe
-        # These three tests imply every rule (NaN fails ">= 0", an infinite
-        # row fails its sum, a matching support mask lies in (0, 2^K)); a
-        # failing batch is diagnosed rule by rule for the error message.
+        log_coords = self.log_coords
+        supports = _support_masks(coords)
+        # These tests imply every rule (NaN fails ">= 0", an infinite row
+        # fails its sum, a matching face mask lies in (0, 2^K)); a failing
+        # batch is diagnosed rule by rule for the error message.
         sums = coords.sum(axis=1)
-        if not ((coords >= 0.0).all() and (np.abs(sums - 1.0) <= SUM_TOL).all()
-                and (_support_masks(coords) == masks).all()):
-            raise _invalid_batch(coords, masks, sums)
+        valid = (coords >= 0.0).all() and (np.abs(sums - 1.0) <= SUM_TOL).all()
+        if log_coords is None:
+            valid = valid and (supports == masks).all()
+        else:
+            log_coords = np.array(log_coords, dtype=float)
+            if log_coords.shape != coords.shape:
+                raise ValueError(f"log_coords must have shape {coords.shape}, got {log_coords.shape}")
+            # a row summing to one has a positive coordinate, so its mask is nonempty
+            valid = valid and (_log_support_masks(log_coords) == masks).all() and not (supports & ~masks).any()
+            log_coords.flags.writeable = False
+        if not valid:
+            raise _invalid_batch(coords, masks, sums, log_coords)
         coords.flags.writeable = False
         masks.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "log_coords", log_coords)
+        object.__setattr__(self, "_supports", supports)
         object.__setattr__(self, "_faces", {})
 
     @classmethod
@@ -245,6 +285,11 @@ class FaceBatch:
         return cls(_support_masks(coords), coords)
 
     @classmethod
+    def from_log_coords(cls, masks, log_coords) -> "FaceBatch":
+        """Batch of points drawn in log space on the faces ``masks``."""
+        return cls(masks, np.exp(log_coords), log_coords)
+
+    @classmethod
     def from_point(cls, y: SimplexPoint) -> "FaceBatch":
         """Batch of one already validated point (no re-validation)."""
         batch = object.__new__(cls)
@@ -252,6 +297,8 @@ class FaceBatch:
         masks.flags.writeable = False
         object.__setattr__(batch, "masks", masks)
         object.__setattr__(batch, "coords", y.coords[None, :])
+        object.__setattr__(batch, "log_coords", None)
+        object.__setattr__(batch, "_supports", masks)
         object.__setattr__(batch, "_faces", {y.support.mask: y.support})
         return batch
 
@@ -274,13 +321,12 @@ class FaceBatch:
         return self.masks.shape[0]
 
     def __getitem__(self, i: int) -> tuple[FaceIndexSet, SimplexPoint]:
-        f = self.face(int(self.masks[i]))
-        return f, SimplexPoint._trusted(self.coords[i], f)
+        return self.face(int(self.masks[i])), SimplexPoint._trusted(self.coords[i], self.face(int(self._supports[i])))
 
     def __iter__(self):
-        for i, m in enumerate(self.masks.tolist()):
+        for i, (m, s) in enumerate(zip(self.masks.tolist(), self._supports.tolist())):
             f = self.face(m)
-            yield f, SimplexPoint._trusted(self.coords[i], f)
+            yield f, SimplexPoint._trusted(self.coords[i], f if s == m else self.face(s))
 
 
 class Trit(enum.IntEnum):

@@ -208,6 +208,13 @@ class TestGlmCommands:
         bad.write_text("x1,y1,y2\n0.5,0.7,0.6\n")
         assert cli.main(["fit-glm", "--data", str(bad), "--out", str(tmp_path / "m.json")]) == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_target_exit_4(self, capsys, tmp_path, value):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(f"x1,y1,y2\n0.5,0.5,0.5\n0.1,{value},0.5\n0.2,1.0,0.0\n")
+        assert cli.main(["fit-glm", "--data", str(bad), "--out", str(tmp_path / "m.json")]) == 4
+        assert f"{bad}:3:" in capsys.readouterr().err
+
     def test_renormalization_warning(self, capsys, tmp_path):
         data = tmp_path / "w.csv"
         rows = ["x1,y1,y2"]

@@ -328,6 +328,17 @@ class TestBatchedSampling:
                 np.testing.assert_array_equal(got, _masks_by_vertex_pass(u, take))
 
 
+    @pytest.mark.parametrize("K", [2, 6, 13, 63])
+    def test_per_row_tables_match_one_table_at_a_time(self, K):
+        rng = np.random.default_rng(29)
+        W = np.stack([_edge_w(K, kind) for kind in EDGE_POTENTIALS] + [rng.normal(0.0, 3.0, K) for _ in range(20)])
+        W = W[rng.integers(0, len(W), 300)]
+        u = rng.random((300, K))
+        got = fg.masks_from_uniforms(u, fg.sampling_tables(W))
+        ref = [fg.masks_from_uniforms(u[i:i + 1], fg.sampling_tables(w))[0] for i, w in enumerate(W)]
+        np.testing.assert_array_equal(got, ref)
+
+
 class TestEntropyKl:
     def test_uniform_entropy(self):
         assert fg.entropy(fg.GibbsFaceDistribution(np.zeros(3))) == pytest.approx(np.log(7), abs=1e-12)

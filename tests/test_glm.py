@@ -5,7 +5,7 @@ import pytest
 
 from mixedrv import face_gibbs as fg
 from mixedrv import glm
-from mixedrv.mixed_dirichlet import MixedDirichlet, sample_many
+from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords, sample_many
 from mixedrv.oracles import central_difference_gradient
 from mixedrv.simplex import SimplexPoint
 
@@ -135,9 +135,14 @@ def _random_model(rng, K, d, scale=1.0):
                         rng.normal(0, scale, (K, d)), rng.normal(1, scale, K))
 
 
-def _per_row_draws(scores, conc, n, rngs):
-    """Reference: one MixedDirichlet per row, sampled by ``sample_many``."""
-    return [sample_many(MixedDirichlet(s, c), n, rng).coords for s, c, rng in zip(scores, conc, rngs)]
+def _reference_draws(scores, conc, rng, fill):
+    """Reference: one draw per row of (B, K) parameters from one generator,
+    by the stream contract: B x K uniforms give the faces (row i under its
+    own law's table), then ``fill`` (the Dirichlet step in raw numpy)."""
+    u = rng.random(scores.shape)
+    masks = np.concatenate([fg.masks_from_uniforms(u[i:i + 1], fg.GibbsFaceDistribution(s).take_probs)
+                            for i, s in enumerate(scores)])
+    return masks, fill(masks, conc, rng)
 
 
 def _row_case(K, case, rows=30, seed=0):
@@ -155,38 +160,43 @@ def _row_case(K, case, rows=30, seed=0):
 
 
 class TestRowBatchedSampling:
-    """``sample_rows`` and everything on it, bitwise against one
-    ``MixedDirichlet`` per row."""
+    """One block of draws over all rows, and ``sample_rows`` with one
+    generator per row, bitwise against the stream contract in raw numpy."""
 
     CASES = ["random", "clamped", "conc-min", "conc-max"]
 
     @pytest.mark.parametrize("K", [2, 6, 13])
     @pytest.mark.parametrize("case", CASES)
-    def test_shared_generator(self, K, case):
+    def test_shared_generator(self, K, case, log_space_fill):
         scores, conc = _row_case(K, case)
         a, b = np.random.default_rng(1), np.random.default_rng(1)
-        got = list(glm.sample_rows(scores, conc, 1, itertools.repeat(a)))
-        ref = _per_row_draws(scores, conc, 1, itertools.repeat(b))
-        assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and len(got) == len(ref)
+        masks, log_y = draw_log_coords(fg.sampling_tables(scores), conc, len(scores), a)
+        ref_masks, ref_log_y = _reference_draws(scores, conc, b, log_space_fill)
+        assert np.array_equal(masks, ref_masks) and np.array_equal(log_y, ref_log_y)
         assert a.random() == b.random()  # the same stream consumed
 
     @pytest.mark.parametrize("K", [2, 6, 13])
     @pytest.mark.parametrize("case", CASES)
-    def test_per_row_generators(self, K, case):
+    def test_per_row_generators(self, K, case, log_space_fill):
         scores, conc = _row_case(K, case, rows=8)
         got = list(glm.sample_rows(scores, conc, 100, (np.random.default_rng([2, i]) for i in range(8))))
-        ref = _per_row_draws(scores, conc, 100, (np.random.default_rng([2, i]) for i in range(8)))
-        assert all(np.array_equal(g, r) for g, r in zip(got, ref)) and len(got) == len(ref)
+        assert len(got) == 8
+        for i, (s, c) in enumerate(zip(scores, conc)):
+            _, ref_log_y = _reference_draws(np.tile(s, (100, 1)), c, np.random.default_rng([2, i]), log_space_fill)
+            assert np.array_equal(got[i], np.exp(ref_log_y))
 
-    def test_small_concentrations_hit_the_underflow_guard(self):
-        # at CONC_MIN Gammas underflow to 0, so the cases above run the
-        # re-draw and clamp branch of the Dirichlet sampler; only the clamp
-        # gives a draw whose positive coordinates are all equal
-        scores, conc = _row_case(6, "conc-min")
-        draws = np.concatenate(list(glm.sample_rows(scores, conc, 100, itertools.repeat(np.random.default_rng(3)))))
-        on_edge = draws[(draws > 0.0).sum(axis=1) > 1]
-        ties = [row for row in on_edge if np.ptp(row[row > 0.0]) == 0.0]
-        assert len(ties) > 0
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    def test_no_ties_at_conc_min(self, K):
+        # log-space Gammas do not underflow: at the smallest concentration
+        # the on-face log-coordinates of a draw are still all distinct, while
+        # many of its linear coordinates round to 0.0
+        scores, conc = _row_case(K, "conc-min", rows=400)
+        masks, log_y = draw_log_coords(fg.sampling_tables(scores), conc, 400, np.random.default_rng(3))
+        on_face = [row[np.isfinite(row)] for row in log_y]
+        assert sum(v.size > 1 for v in on_face) > 100
+        assert all(np.unique(v).size == v.size for v in on_face)
+        if K > 2:
+            assert (np.exp(log_y) == 0.0)[np.isfinite(log_y)].any()
 
     def test_row_params_match_each_row_alone(self):
         rng = np.random.default_rng(104)
@@ -204,14 +214,14 @@ class TestRowBatchedSampling:
                 assert np.array_equal(np.clip(pre_f[0], -glm.SCORE_CLAMP, glm.SCORE_CLAMP), s)
                 assert np.array_equal(np.clip(np.logaddexp(0.0, pre_c[0]), glm.CONC_MIN, glm.CONC_MAX), c)
 
-    def test_planted_dataset_matches_per_row_sampling(self):
+    def test_planted_dataset_is_one_block(self, log_space_fill):
         X, Y, true_model = glm.make_planted_dataset(n=200, K=6, d=4, seed=11)
         rng = np.random.default_rng(11)
         for shape in [(6, 4), 6, (6, 4), 6]:  # the planted weights
             rng.normal(size=shape)
         assert np.array_equal(rng.normal(0.0, 1.0, X.shape), X)
-        for x, y in zip(X, Y):
-            assert np.array_equal(sample_many(true_model.mixed_at(x), 1, rng).coords[0], y.coords)
+        _, ref_log_y = _reference_draws(*true_model.row_params(X), rng, log_space_fill)
+        assert np.array_equal(np.stack([y.coords for y in Y]), np.exp(ref_log_y))
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
     def test_predictions_match_per_row_reference(self, rule):

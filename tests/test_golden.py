@@ -15,6 +15,15 @@ now round differently in the last bits: the Mixed Dirichlet exact entropy
 (1.7077711907683772 -> 1.7077711907683777, 2.6e-16 relative) and the
 ``fit-glm`` model file (weights within 1.5e-15 relative; its stdout is
 unchanged).  Every other pin kept its value.
+
+The Dirichlet step of the intrinsic samplers then moved to log-space
+Gammas drawn in one block per generator (``dirichlet_log_fill``), a
+deliberate change of the random stream.  Faces still come from the same
+uniforms, so every ``face-hist`` digest kept its value; the pins that
+depend on the within-face draws were re-recorded: the ``mixed-dirichlet``
+and ``maxent`` sample files, the ``mixed-dirichlet`` MC entropy and KL, the
+``gen-glm-data`` file, and the ``fit-glm`` model and both stdouts (fitted
+on that file).
 """
 
 import hashlib
@@ -40,11 +49,11 @@ Q_SPECS = {
 
 # sample --num 300 --seed 11, then face-hist of that file
 SAMPLE_SHA256 = {
-    "mixed-dirichlet": "38ededba8856bf7780cb7b096105ff3d07915b3d7a65c60b17eda9386ab70988",
+    "mixed-dirichlet": "609c54e5864836c424d88518bd49bbfe2aa3145bb0b56abce26623c5133e945e",
     "gaussian-sparsemax": "bd601e0366f27319f3309038cc2a23c98b84cb43dfe5c8f9b61be0c98b6d30e4",
     "kd-hard-concrete": "044e457d37d4c2757906dce08d591494c52d891537c3520b72447aa694b68e98",
     "binary-hard-concrete": "a4def5dc7c6b8e4d83a7708dfab0c712810570f5f4301353754f8b492c77872a",
-    "maxent": "23338fb65275c3b3211891f7605d9ad67118ede563b4bdd80060e99804e65784",
+    "maxent": "d06adab6bb7c6d2b4e3a29b5a22912c6720c0b4c0e9c3c9c30665b03de12b297",
     "concrete": "4ca50e976172b0d08103cbb77658a51f5fb27f491e3b276186790813bf3ae8f8",
 }
 FACE_HIST_SHA256 = {
@@ -55,11 +64,11 @@ FACE_HIST_SHA256 = {
     "maxent": "18f996bce7d03c9d5b7574efe5bdf924b1990ae969fcb0b319d74953fb46253f",
     "concrete": "0363106650f92eb2d5dcb836d40f94650b3b99958863ef18e9d66dd74c2274f3",
 }
-GEN_GLM_DATA_SHA256 = "c89fa7993bc1e8e8b240ff487aad3d63cf6da116fcf1fb0cd1efafa20d55db81"
-FIT_GLM_MODEL_SHA256 = "6b8e3b3497c0cf347e8e2f2d4b2944bfe885ee8ee9d7dc5c5ee386a25348c1e0"
+GEN_GLM_DATA_SHA256 = "34471a1f00f3d0c74ce3d1aea0b0c9f084a8f6c706a834793cbe41ba3bc31910"
+FIT_GLM_MODEL_SHA256 = "db58890b03c5986c1b3b456f055b8a7decaaa96cce450532f2db57946dbb56bb"
 FIT_GLM_STDOUT_SHA256 = {
-    "sample-mean": "27307f818c580af128013b1040822c89a9376911bbe3ae9bcdb7589db5e68d19",
-    "most-probable-mean": "1a573529d6c0fe527b892282639df1e05e5d105ab679d30c354213ddfbb32b08",
+    "sample-mean": "b995ade922ff075bc4d7c96f2afaf92593f26630ced6cd2384fa51e63e676d68",
+    "most-probable-mean": "dd72259c5a920f0ed14ae70be3ba20ef22cc92c54c793532d7f757b6af42898e",
 }
 EXACT_STDOUT = {
     ("entropy", "mixed-dirichlet"): '{"value": 1.7077711907683777, "mode": "exact", "unit": "nats"}\n',
@@ -68,10 +77,10 @@ EXACT_STDOUT = {
 }
 # (command, kind, samples): value at --seed 5 (entropy) or --seed 6 (kl)
 MC_VALUES = {
-    ("entropy", "mixed-dirichlet", 2000): 1.7314334861681646,
+    ("entropy", "mixed-dirichlet", 2000): 1.7071653494839039,
     ("entropy", "gaussian-sparsemax", 300): 2.207490319453081,
     ("entropy", "maxent", 2000): 2.371232253362769,
-    ("kl", "mixed-dirichlet", 2000): 2.175175108895447,
+    ("kl", "mixed-dirichlet", 2000): 2.2062346384821456,
     ("kl", "gaussian-sparsemax", 200): 0.42002991674593526,
 }
 

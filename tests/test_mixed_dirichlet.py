@@ -3,6 +3,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import kstest
 
+from mixedrv import checks
 from mixedrv import face_gibbs as fg
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
@@ -243,26 +244,70 @@ class TestFullFaceDirichlet:
             assert np.all(p.coords > 0)
 
 
-class _SubnormalGamma:
-    """Real uniforms, but every Gamma row is (5e-324, 3.0, 3.0, ...): the
-    subnormal first draw rounds to zero when the row is normalized."""
+class TestLogSpaceDraws:
+    """Every intrinsic sampler draws its Dirichlet points through the one
+    log-space fill, in the stream order written out in ``conftest.py``."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    def test_sample_many_follows_the_stream_contract(self, K, log_space_fill):
+        rng = np.random.default_rng([50, K])
+        dist = md.MixedDirichlet(rng.normal(0.0, 2.0, K), np.exp(rng.uniform(np.log(1e-3), np.log(1e3), K)))
+        a, b = np.random.default_rng(51), np.random.default_rng(51)
+        batch = dist.sample_many(300, a)
+        masks = fg.masks_from_uniforms(b.random((300, K)), dist.faces.take_probs)
+        log_y = log_space_fill(masks, dist.alpha, b)
+        assert np.array_equal(batch.masks, masks) and np.array_equal(batch.log_coords, log_y)
+        assert np.array_equal(batch.coords, np.exp(log_y))
+        assert a.random() == b.random()
 
-    def random(self, shape):
-        return self.rng.random(shape)
+    def test_full_face_and_maxent_follow_the_stream_contract(self, log_space_fill):
+        full = md.FullFaceDirichlet(np.array([0.001, 0.5, 3.0, 1.0]))
+        batch = full.sample_many(200, np.random.default_rng(52))
+        masks = np.full(200, 15)
+        assert np.array_equal(batch.log_coords, log_space_fill(masks, full.alpha, np.random.default_rng(52)))
+        me = it.maxent_distribution(5, 2)
+        batch = me.sample_many(200, np.random.default_rng(53))
+        ref = np.random.default_rng(53)
+        masks = it.maxent_sample_face_masks(me, 200, ref)
+        assert np.array_equal(batch.masks, masks)
+        assert np.array_equal(batch.log_coords, log_space_fill(masks, np.ones(5), ref))
 
-    def gamma(self, alpha, size):
-        g = np.full(size, 3.0)
-        g[:, 0] = 5e-324
-        return g
+    @pytest.mark.parametrize("K", [2, 3, 6])
+    def test_log_density_finite_at_own_samples_at_conc_min(self, K):
+        dist = md.MixedDirichlet(np.full(K, 2.0), np.full(K, 1e-3))
+        batch = dist.sample_many(2000, np.random.default_rng(54))
+        assert (batch.members().sum(axis=1) > 1).mean() > 0.5
+        assert np.isfinite(md.log_density_many(dist, batch)).all()
+        full = md.FullFaceDirichlet(np.full(K, 1e-3))
+        assert np.isfinite(full.log_density_many(full.sample_many(500, np.random.default_rng(55)))).all()
 
+    def test_underflowed_coordinate_keeps_the_sampled_face(self):
+        # at tiny concentrations most of a face's mass sits near one vertex:
+        # the other coordinates underflow to 0.0, but the batch keeps the
+        # sampled face and the finite log-coordinates on it
+        dist = md.MixedDirichlet(np.full(3, 10.0), np.array([1e-3, 1e-3, 1e-3]))
+        batch = md.sample_many(dist, 200, np.random.default_rng(56))
+        assert batch.masks.tolist() == [7] * 200
+        underflowed = 0
+        for i, (f, p) in enumerate(batch):
+            assert f.mask == 7 and np.isfinite(batch.log_coords[i]).all()
+            assert p.support.mask == int((p.coords > 0.0) @ [1, 2, 4])  # a valid SimplexPoint
+            assert SimplexPoint(p.coords).support == p.support
+            underflowed += p.support != f
+        assert underflowed > 100
 
-def test_underflowed_coordinate_moves_the_point_to_its_support():
-    dist = md.MixedDirichlet(np.full(3, 10.0), np.array([0.006, 2.0, 2.0]))
-    batch = md.sample_many(dist, 4, _SubnormalGamma(0))
-    assert batch.masks.tolist() == [0b110] * 4  # sampled on the full face, landed on {1, 2}
-    for f, p in batch:
-        assert p.support == f and p.coords[0] == 0.0
-    assert np.all(np.isfinite(md.log_density_many(dist, batch)))
+    def test_small_concentration_oracle_check(self):
+        # E[log y] against digamma, the Beta CDF in log space and the closed
+        # form entropy, at concentrations 1e-3, 1e-2 and 0.1
+        assert "SE" in checks._check_small_alpha_sampler()
+        assert "mixed_dirichlet.small_alpha_sampler_vs_digamma_beta_entropy" in checks.check_names("fast")
+
+    def test_beta_cdf_from_logs_matches_scipy(self):
+        from scipy.stats import beta
+        y = np.array([1e-12, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9])
+        got = checks._beta_cdf_from_logs(np.log(y), np.log1p(-y), 0.3, 0.8)
+        np.testing.assert_allclose(got, beta.cdf(y, 0.3, 0.8), rtol=1e-6)
+        # below 1e-300 the tail is x^a / (a B(a, b)): continuous across the switch
+        t = np.log(1e-300)
+        lo, hi = checks._beta_lower_tail(np.array([t - 1e-9, t + 1e-9]), 1e-3, 2e-3)
+        assert lo == pytest.approx(hi, rel=1e-8)

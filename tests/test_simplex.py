@@ -285,6 +285,36 @@ class TestFaceBatch:
         with pytest.raises(ValueError):
             FaceBatch([1.0], [[1.0, 0.0]])
 
+    def test_log_coords_rule_replaces_the_positive_coordinate_rule(self):
+        log_y = np.array([[np.log(0.5), np.log(0.5), -np.inf], [0.0, -np.inf, -np.inf], [-1e4, 0.0, -np.inf]])
+        coords = np.exp(log_y)  # the last row holds 0.0 on its face
+        batch = FaceBatch([3, 1, 3], coords, log_y)
+        assert batch.log_coords.tolist() == log_y.tolist()
+        with pytest.raises(ValueError):
+            batch.log_coords[0, 0] = 0.0
+        f, p = batch[2]
+        assert f.mask == 3 and p.support.mask == 2 and p.coords.tolist() == [0.0, 1.0, 0.0]
+        pairs = list(batch)
+        assert [f.mask for f, _ in pairs] == [3, 1, 3] and [p.support.mask for _, p in pairs] == [3, 1, 2]
+        assert FaceBatch.from_log_coords([3, 1, 3], log_y).coords.tolist() == coords.tolist()
+
+    @pytest.mark.parametrize("bad", [
+        [[-0.7, -0.7, -5.0]],  # finite off the face
+        [[-0.7, -np.inf, -np.inf]],  # -inf on the face
+        [[-0.7, np.nan, -np.inf]],
+        [[-0.7, np.inf, -np.inf]],
+        [[-0.7, -0.7, np.inf]],  # +inf off the face
+    ])
+    def test_rejects_log_coords_off_the_face_rule(self, bad):
+        with pytest.raises(ValueError, match="log_coords must be finite exactly"):
+            FaceBatch([3], [[0.5, 0.5, 0.0]], bad)
+
+    def test_rejects_log_coords_with_positive_coordinates_off_the_face(self):
+        with pytest.raises(ValueError, match="positive coordinates off"):
+            FaceBatch([3], [[0.5, 0.25, 0.25]], [[-0.7, -0.7, -np.inf]])
+        with pytest.raises(ValueError, match="shape"):
+            FaceBatch([3], [[0.5, 0.5, 0.0]], [[-0.7, -0.7]])
+
     def test_k63_masks(self):
         K = 63
         coords = np.zeros((2, K))
