@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import chisquare, kstest
 
 from . import extrinsic, face_gibbs, glm, info_theory, mixed_dirichlet, oracles
-from .simplex import SimplexPoint, enumerate_faces, face_histogram, sparsemax
+from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, face_histogram, sparsemax
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -246,9 +246,7 @@ def _gibbs_chi_square(n: int):
     rng = np.random.default_rng(117)
     for K, w in ((3, np.zeros(3)), (4, rng.uniform(-1.0, 1.0, 4))):
         d = face_gibbs.GibbsFaceDistribution(w)
-        counts = np.zeros(2**K - 1)
-        for f in face_gibbs.sample_faces(d, n, np.random.default_rng(118)):
-            counts[f.mask - 1] += 1
+        counts = np.bincount(face_gibbs.sample_face_masks(d, n, np.random.default_rng(118)), minlength=2**K)[1:]
         expected = np.array([np.exp(face_gibbs.face_log_prob(d, f)) for f in enumerate_faces(K)]) * n
         p = chisquare(counts, expected).pvalue
         _require(p > 0.001, f"chi-square p={p:.5f} <= 0.001 (K={K})")
@@ -321,9 +319,7 @@ def _check_mixed_dirichlet_entropy_consistency(n: int):
 def _check_mixed_dirichlet_face_tv(n: int, bound: float):
     rng = np.random.default_rng(126)
     md = mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 1.0, 4), rng.uniform(0.5, 3.0, 4))
-    counts = np.zeros(15)
-    for f, _ in mixed_dirichlet.sample_many(md, n, np.random.default_rng(127)):
-        counts[f.mask - 1] += 1
+    counts = np.bincount(mixed_dirichlet.sample_many(md, n, np.random.default_rng(127)).masks, minlength=16)[1:]
     exact = np.array([md.exact_face_distribution()[f] for f in enumerate_faces(4)])
     tv = 0.5 * float(np.abs(counts / n - exact).sum())
     _require(tv < bound, f"TV {tv:.5f} >= {bound}")
@@ -334,14 +330,12 @@ def _check_mixed_dirichlet_flat_conditional():
     # under alpha = 1 the first coordinate of a sampled face is Beta(1, m-1)
     rng = np.random.default_rng(128)
     md = mixed_dirichlet.MixedDirichlet(np.array([0.5, 0.5, 0.5]), np.ones(3))
-    by_face: dict = {}
-    for f, p in mixed_dirichlet.sample_many(md, 20000, rng):
-        if f.size >= 2:
-            by_face.setdefault(f, []).append(p.restricted()[0])
-    for f, vals in by_face.items():
-        if len(vals) < 500:
+    batch = mixed_dirichlet.sample_many(md, 20000, rng)
+    for mask, rows in face_groups(batch.masks):
+        f = batch.face(mask)
+        if f.size < 2 or rows.size < 500:
             continue
-        res = kstest(vals, "beta", args=(1.0, f.size - 1))
+        res = kstest(batch.coords[rows, f.indices[0]], "beta", args=(1.0, f.size - 1))
         _require(res.pvalue > 0.001, f"KS p={res.pvalue:.5f} on face {f}")
     return "per-face flat conditionals pass KS"
 
@@ -441,16 +435,11 @@ def _check_gs2_kl_mc(n: int):
 def _check_gs2_density_paths():
     d = extrinsic.GaussianSparsemax([0.35, 0.45], [0.9, 0.5])
     z, s = extrinsic.gs2_params(d)
-    worst = 0.0
-    grid = [0.0, 1.0] + list(np.linspace(0.02, 0.98, 18))
-    for y1 in grid:
-        p = SimplexPoint([y1, 1.0 - y1])
-        vals = [
-            extrinsic.gs_log_density(d, p),
-            extrinsic.gs2_log_density_extrinsic(y1, z, s),
-            extrinsic.gs2_log_density_intrinsic(y1, z, s),
-        ]
-        worst = max(worst, max(vals) - min(vals))
+    y1 = np.concatenate([[0.0, 1.0], np.linspace(0.02, 0.98, 18)])
+    vals = np.stack([extrinsic.gs_log_density_many(d, FaceBatch.from_coords(np.stack([y1, 1.0 - y1], axis=1))),
+                     [extrinsic.gs2_log_density_extrinsic(v, z, s) for v in y1],
+                     [extrinsic.gs2_log_density_intrinsic(v, z, s) for v in y1]])
+    worst = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
     _require(worst < 1e-8, f"paths disagree by {worst:.2e}")
     return f"three density paths agree to {worst:.2e}"
 
@@ -462,29 +451,35 @@ def _check_gs_density_pivot_invariance():
         K = int(rng.integers(3, 6))
         d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
         y = sparsemax(rng.normal(0.3, 0.8, K))
-        vals = [extrinsic.gs_log_density(d, y, pivot=i) for i in y.support.indices]
-        worst = max(worst, max(vals) - min(vals))
-    _require(worst < 1e-8, f"pivot changes density by {worst:.2e}")
-    return f"pivot spread {worst:.2e}"
+        got = extrinsic.gs_log_density(d, y)
+        for i in y.support.indices:
+            worst = max(worst, abs(got - oracles.gs_log_density_reference(d, y, pivot=i)))
+    _require(worst < 1e-8, f"density off the oracle at some pivot by {worst:.2e}")
+    return f"max deviation over pivots {worst:.2e}"
+
+
+def _same_face_rows(y: SimplexPoint) -> np.ndarray:
+    """``y``, two more points of its face and twice its lowest vertex,
+    interleaved: every face of the batch holds two or more rows."""
+    face = y.support
+    vertex = SimplexPoint.vertex(face.indices[0], y.K).coords
+    bary = face.member_array() / face.size
+    return np.stack([y.coords, vertex, 0.5 * (y.coords + bary), vertex, bary])
 
 
 def _check_gs_density_constant_sigma():
     rng = np.random.default_rng(134)
-    quad = extrinsic.QuadratureConfig()
     worst = 0.0
     for _ in range(10):
         mu = rng.normal(0.2, 0.6, 3)
         sigma = np.full(3, float(rng.uniform(0.3, 1.2)))
         y = sparsemax(rng.normal(0.3, 0.8, 3))
-        support = list(y.support.indices)
-        off = [j for j in range(3) if j not in support]
-        if not off:
-            continue
-        a = extrinsic._orthant_log_general(mu, sigma, y.coords, support, off, quad)
-        b = extrinsic._orthant_log_constant(mu, sigma, support, off, quad)
-        worst = max(worst, abs(a - b))
-    _require(worst < 1e-8, f"constant-sigma path off by {worst:.2e}")
-    return f"paths agree to {worst:.2e}"
+        d = extrinsic.GaussianSparsemax(mu, sigma)
+        batch = FaceBatch.from_coords(_same_face_rows(y))
+        ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
+        worst = max(worst, float(np.max(np.abs(extrinsic.gs_log_density_many(d, batch) - ref))))
+    _require(worst < 1e-8, f"equal-sigma density off the oracle by {worst:.2e}")
+    return f"equal-sigma batches match the oracle to {worst:.2e}"
 
 
 def _check_gs_quadrature_refinement():
@@ -516,40 +511,40 @@ def _check_gs2_face_frequencies(n: int):
 
 def _check_gs_k3_normalization():
     d = extrinsic.GaussianSparsemax([0.5, 0.1, 0.3], [0.6, 0.9, 0.5])
-    n = 10**6
-    coords = extrinsic.gs_sample_coords(d, n, np.random.default_rng(137))
-    masks = ((coords > 0).astype(np.int64) * (1 << np.arange(3))).sum(axis=1)
-    vert_mc = float(np.mean((masks == 1) | (masks == 2) | (masks == 4)))
     x32, w32 = np.polynomial.legendre.leggauss(32)
 
     def gl(a, b, panels):
-        edges = np.linspace(a, b, panels + 1)
-        half = np.diff(edges) / 2.0
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        return (mid[:, None] + half[:, None] * x32).ravel(), (half[:, None] * w32).ravel()
+        """Composite 32-node rule on (a, b), per row for array endpoints."""
+        edges = np.linspace(a, b, panels + 1, axis=-1)
+        half = np.diff(edges, axis=-1) / 2.0
+        mid = (edges[..., :-1] + edges[..., 1:]) / 2.0
+        shape = np.shape(a) + (-1,)
+        return (mid[..., None] + half[..., None] * x32).reshape(shape), (half[..., None] * w32).reshape(shape)
 
+    def mass(coords, weights):
+        return float(weights @ np.exp(extrinsic.gs_log_density_many(d, FaceBatch.from_coords(coords))))
+
+    # on vertices the counting measure makes the density the face mass
+    vertex_dens = np.exp(extrinsic.gs_log_density_many(d, FaceBatch.from_coords(np.eye(3))))
     edge_mass = 0.0
+    ts, ws = gl(1e-9, 1.0 - 1e-9, 24)
     for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        ts, ws = gl(1e-9, 1.0 - 1e-9, 24)
-        for t, wt in zip(ts, ws):
-            c = np.zeros(3)
-            c[i], c[j] = t, 1.0 - t
-            edge_mass += wt * np.exp(extrinsic.gs_log_density(d, SimplexPoint(c)))
-    interior = 0.0
-    ts, ws = gl(1e-9, 1.0 - 1e-9, 16)
-    for t1, w1 in zip(ts, ws):
-        inner_ts, inner_ws = gl(1e-9 * (1 - t1), (1 - t1) * (1 - 1e-9), 8)
-        for t2, w2 in zip(inner_ts, inner_ws):
-            third = 1.0 - t1 - t2
-            if third <= 0.0:
-                continue
-            interior += w1 * w2 * np.exp(extrinsic.gs_log_density(d, SimplexPoint([t1, t2, third])))
-    total = vert_mc + edge_mass + interior
+        c = np.zeros((ts.size, 3))
+        c[:, i], c[:, j] = ts, 1.0 - ts
+        edge_mass += mass(c, ws)
+    t1, w1 = gl(1e-9, 1.0 - 1e-9, 16)
+    t2, w2 = gl(1e-9 * (1 - t1), (1 - t1) * (1 - 1e-9), 8)
+    t1 = np.broadcast_to(t1[:, None], t2.shape)
+    third = 1.0 - t1 - t2
+    keep = third > 0.0
+    interior = mass(np.stack([t1[keep], t2[keep], third[keep]], axis=1), (w1[:, None] * w2)[keep])
+    total = float(vertex_dens.sum()) + edge_mass + interior
     _require(abs(total - 1.0) < 1e-2, f"direct-sum mass {total:.5f} not within 1e-2 of 1")
     # vertex densities should also reproduce the MC vertex masses
-    for i, mask in enumerate((1, 2, 4)):
-        dens = float(np.exp(extrinsic.gs_log_density(d, SimplexPoint.vertex(i, 3))))
-        freq = float(np.mean(masks == mask))
+    n = 10**6
+    coords = extrinsic.gs_sample_coords(d, n, np.random.default_rng(137))
+    freqs = np.bincount((coords > 0) @ (1 << np.arange(3)), minlength=8)[[1, 2, 4]] / n
+    for i, (dens, freq) in enumerate(zip(vertex_dens, freqs)):
         se = np.sqrt(dens * (1 - dens) / n)
         _require(abs(dens - freq) < 5.0 * se, f"vertex {i}: density {dens:.5f} vs freq {freq:.5f}")
     return f"total direct-sum mass {total:.6f}"

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr, logsumexp, ndtr, ndtri, xlogy
 
-from .simplex import (FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax,
-                      sparsemax_rows)
+from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -133,6 +132,9 @@ class GaussianSparsemax:
             raise ValueError("parameters must be finite")
         if np.any(sigma <= 0.0):
             raise ValueError(f"sigma must be > 0, got {sigma}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.sum(sigma ** -2.0)):
+                raise ValueError(f"sigma too small: the sum of sigma^-2 overflows, got {sigma}")
         mu, sigma = mu.copy(), sigma.copy()
         mu.flags.writeable = False
         sigma.flags.writeable = False
@@ -179,8 +181,7 @@ _sparsemax_batch = sparsemax_rows
 
 
 def gs_sample(d: GaussianSparsemax, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    p = sparsemax(d.mu + d.sigma * rng.standard_normal(d.K))
-    return p.support, p
+    return gs_sample_many(d, 1, rng)[0]
 
 
 def gs_sample_many(d: GaussianSparsemax, n: int, rng: np.random.Generator) -> FaceBatch:
@@ -295,106 +296,70 @@ def gs2_log_density_intrinsic(y: float, z: float, sigma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# General-K density: marginal Gaussian factor (pivoted differences of the
-# support coordinates) times the negative-orthant probability of the
-# off-support conditional, itself a 1-D integral over (0, 1).
+# General-K density: marginal Gaussian factor of the support coordinates
+# times the negative-orthant probability of the off-support conditional,
+# itself a 1-D integral over (0, 1).
 # ---------------------------------------------------------------------------
-
-def _mvn_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Normal log-density of each row of ``x``."""
-    diff = x - mean
-    sign, logdet = np.linalg.slogdet(cov)
-    if sign <= 0:
-        raise np.linalg.LinAlgError("covariance is not positive definite")
-    maha = np.sum(diff * np.linalg.solve(cov, diff.T).T, axis=1)
-    return -0.5 * (maha + logdet + x.shape[1] * _LOG_2PI)
-
 
 #: Elements of the (rows, nodes, |off|) quadrature array evaluated at once.
 _ORTHANT_CHUNK = 1 << 16
 
 
-def _orthant_log_general(mu, sigma, y, support, off, quad: QuadratureConfig):
-    """Log orthant probability at a point ``y`` (K,) or at each row of
-    ``y`` (rows, K) of one face."""
-    ys = np.atleast_2d(y)
-    t_sum = float(np.sum(sigma[support] ** -2.0))
-    c = np.sum((ys[:, support] - mu[support]) / sigma[support] ** 2, axis=1)
+def _orthant_log(mu_off, sigma_off, t: float, c: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+    """Log orthant probability of the off-face coordinates (``mu_off``,
+    ``sigma_off``) of one face with precision sum ``t``, at each ``c``."""
     _, _, z, log_w = _quadrature_rule(quad)
-    shift = (c[:, None] + mu[off] * t_sum) / (sigma[off] * t_sum)
-    scaled = z[:, None] / (sigma[off] * np.sqrt(t_sum))[None, :]
-    out = np.empty(len(ys))
+    shift = (c[:, None] + mu_off * t) / (sigma_off * t)
+    scaled = z[:, None] / (sigma_off * np.sqrt(t))[None, :]
+    out = np.empty(c.size)
     step = max(1, _ORTHANT_CHUNK // scaled.size)
-    for i in range(0, len(ys), step):
+    for i in range(0, c.size, step):
         args = scaled[None, :, :] - shift[i:i + step, None, :]
         out[i:i + step] = logsumexp(log_ndtr(args).sum(axis=2) + log_w, axis=1)
-    return float(out[0]) if np.ndim(y) == 1 else out
-
-
-def _orthant_log_constant(mu, sigma, support, off, quad: QuadratureConfig) -> float:
-    # Same integral after the simplification valid for equal sigmas, where
-    # the support coordinates enter only through sum(y[support]) = 1.
-    s = len(support)
-    sig = float(sigma[0])
-    _, _, z, log_w = _quadrature_rule(quad)
-    shift = (mu[off] + (1.0 - float(np.sum(mu[support]))) / s) / sig
-    args = z[:, None] / np.sqrt(s) - shift[None, :]
-    return float(logsumexp(log_ndtr(args).sum(axis=1) + log_w))
+    return out
 
 
 def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
-                        quad: QuadratureConfig | None = None,
-                        pivot: int | None = None) -> np.ndarray:
+                        quad: QuadratureConfig | None = None) -> np.ndarray:
     """Log-density of each row of a batch w.r.t. the direct-sum measure.
 
-    The support coordinates contribute ``log s`` plus a multivariate normal
-    factor in the differences ``y_i - y_pivot`` (empty for vertices); the
-    off-support coordinates contribute the log orthant probability, computed
-    by quadrature.  Rows are evaluated per distinct face.  The pivot
-    defaults to the lowest support index of each face; any support index
-    gives the same value and the parameter exists so tests can verify that.
+    With a_k = sigma_k^-2 and r = y - mu on a face S of s vertices, let
+    ``t = sum_S a_k``, ``c = sum_S a_k r_k`` and ``q = sum_S a_k (r_k -
+    c/t)^2``.  The support coordinates contribute ``log s - (q + sum_S log
+    sigma_k^2 + log t + (s - 1) log 2 pi) / 2`` (0 at vertices), the density
+    of their differences; the off-support coordinates the log orthant
+    probability, by quadrature per distinct face.  With all sigmas equal, c
+    is the same on every row of a face (rows sum to 1), so the orthant term
+    is evaluated at the face's first row only.
     """
-    if quad is None:
-        quad = QuadratureConfig()
+    quad = QuadratureConfig() if quad is None else quad
     if quad.panels * quad.nodes < _MIN_DENSITY_NODES:
-        raise ValueError(
-            f"density evaluation needs panels*nodes >= {_MIN_DENSITY_NODES}, got {quad}"
-        )
+        raise ValueError(f"density evaluation needs panels*nodes >= {_MIN_DENSITY_NODES}, got {quad}")
     if batch.K != d.K:
         raise ValueError(f"point has K={batch.K}, distribution has K={d.K}")
-    constant_sigma = bool(np.all(d.sigma == d.sigma[0]))
-    out = np.empty(len(batch))
-    for mask, rows in face_groups(batch.masks):
-        support = [i for i in range(d.K) if mask >> i & 1]
-        if pivot is None:
-            p = support[0]
-        elif pivot in support:
-            p = pivot
-        else:
-            raise ValueError(f"pivot {pivot} is not in the support {support}")
-        rest = [i for i in support if i != p]
-        off = [j for j in range(d.K) if not mask >> j & 1]
-        ys = batch.coords[rows]
-        val = np.full(rows.size, float(np.log(len(support))))
-        if rest:
-            x = ys[:, rest] - ys[:, [p]]
-            mean = d.mu[rest] - d.mu[p]
-            cov = np.diag(d.sigma[rest] ** 2) + d.sigma[p] ** 2
-            val += _mvn_logpdf(x, mean, cov)
-        if off:
-            if constant_sigma:
-                val += _orthant_log_constant(d.mu, d.sigma, support, off, quad)
-            else:
-                val += _orthant_log_general(d.mu, d.sigma, ys, support, off, quad)
-        out[rows] = val
+    member = batch.members()
+    a = d.sigma ** -2.0
+    a_on = np.where(member, a, 0.0)
+    t = a_on.sum(axis=1)
+    r = batch.coords - d.mu
+    c = np.sum(a_on * r, axis=1)
+    q = np.sum(a_on * (r - (c / t)[:, None]) ** 2, axis=1)
+    s = member.sum(axis=1)
+    log_det = np.where(member, -np.log(a), 0.0).sum(axis=1) + np.log(t)
+    out = np.log(s) + np.where(s > 1, -0.5 * (q + log_det + (s - 1) * _LOG_2PI), 0.0)
+    equal_sigma = bool(np.all(d.sigma == d.sigma[0]))
+    for _, rows in face_groups(batch.masks):
+        off = ~member[rows[0]]
+        if off.any():
+            at = rows[:1] if equal_sigma else rows
+            out[rows] += _orthant_log(d.mu[off], d.sigma[off], t[rows[0]], c[at], quad)
     return out
 
 
 def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
-                   quad: QuadratureConfig | None = None,
-                   pivot: int | None = None) -> float:
+                   quad: QuadratureConfig | None = None) -> float:
     """``gs_log_density_many`` at a single point."""
-    return float(gs_log_density_many(d, FaceBatch.from_point(y), quad, pivot)[0])
+    return float(gs_log_density_many(d, FaceBatch.from_point(y), quad)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +455,7 @@ class KDHardConcrete:
 
 
 def khc_sample(d: KDHardConcrete, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    y_soft = concrete_from_gumbels(d.z, d.beta, _gumbel(rng, d.K))
-    p = sparsemax(d.lam * y_soft)
-    return p.support, p
+    return d.sample_many(1, rng)[0]
 
 
 def khc_sample_coords(d: KDHardConcrete, n: int, rng: np.random.Generator) -> np.ndarray:

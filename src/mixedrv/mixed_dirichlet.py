@@ -37,6 +37,10 @@ __all__ = [
 #: Faces are enumerated exactly only up to this K; beyond it use MC modes.
 EXACT_ENUM_MAX_K = 14
 
+#: Smallest concentration that can be sampled, about 2.04e-307: below it
+#: ``log(1 - U) / a`` overflows to -inf at the largest uniform below 1.
+SAMPLE_ALPHA_MIN = float(-np.log1p(-(1.0 - 2.0**-53)) / np.finfo(float).max)
+
 
 def _check_alpha(alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
@@ -147,7 +151,12 @@ def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Gene
     call over ``a + 1`` at every on-face entry of every row whose face has
     two or more vertices, in row-major order, then one ``random`` call of
     the same length, used as ``log(1 - U) / a``.  Vertices consume nothing.
+    Any concentration below ``SAMPLE_ALPHA_MIN`` raises ValueError before
+    anything is drawn.
     """
+    if np.any(alpha < SAMPLE_ALPHA_MIN):
+        raise ValueError(f"concentrations must be >= {SAMPLE_ALPHA_MIN!r} to be sampled, "
+                         f"got {np.min(alpha):.4g}")
     K = alpha.shape[-1]
     member = mask_members(masks, K)
     on = member & (member.sum(axis=1) > 1)[:, None]

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: exhaustive enumeration over all
 2^K - 1 faces, the O(K) face-lattice DAG of the paper's construction,
-explicit active-set search for the simplex projection, and central finite
+explicit active-set search for the simplex projection, the pivoted dense
+Gaussian-Sparsemax density one point at a time, and central finite
 differences.  None of it shares code with the production paths it
 validates.
 """
@@ -10,9 +11,10 @@ validates.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import log_ndtr, logsumexp, ndtri
 
-from .simplex import FaceIndexSet, enumerate_faces
+from .extrinsic import GaussianSparsemax, QuadratureConfig
+from .simplex import FaceIndexSet, SimplexPoint, enumerate_faces
 
 __all__ = [
     "FaceLatticeDag",
@@ -27,6 +29,7 @@ __all__ = [
     "enum_entropy",
     "enum_kl",
     "enum_most_probable_face",
+    "gs_log_density_reference",
     "central_difference_gradient",
     "central_difference_jacobian",
 ]
@@ -68,34 +71,29 @@ def enum_log_normalizer(w) -> float:
     return float(logsumexp(face_score_table(w.size) @ w))
 
 
-def enum_face_probs(w) -> dict[FaceIndexSet, float]:
+def _enum_log_probs(w) -> np.ndarray:
+    """Log-probability of every face, rows in bitmask order."""
     w = np.asarray(w, dtype=float)
     scores = face_score_table(w.size) @ w
-    probs = np.exp(scores - logsumexp(scores))
-    return {f: float(p) for f, p in zip(enumerate_faces(w.size), probs)}
+    return scores - logsumexp(scores)
+
+
+def enum_face_probs(w) -> dict[FaceIndexSet, float]:
+    probs = np.exp(_enum_log_probs(w))
+    return {f: float(p) for f, p in zip(enumerate_faces(len(w)), probs)}
 
 
 def enum_expected_suff_stats(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    phi = face_score_table(w.size)
-    scores = phi @ w
-    probs = np.exp(scores - logsumexp(scores))
-    return probs @ phi
+    return np.exp(_enum_log_probs(w)) @ face_score_table(len(w))
 
 
 def enum_entropy(w) -> float:
-    w = np.asarray(w, dtype=float)
-    scores = face_score_table(w.size) @ w
-    logp = scores - logsumexp(scores)
+    logp = _enum_log_probs(w)
     return float(-np.sum(np.exp(logp) * logp))
 
 
 def enum_kl(w, v) -> float:
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    phi = face_score_table(w.size)
-    logp = phi @ w - logsumexp(phi @ w)
-    logq = phi @ v - logsumexp(phi @ v)
+    logp, logq = _enum_log_probs(w), _enum_log_probs(v)
     return float(np.sum(np.exp(logp) * (logp - logq)))
 
 
@@ -103,6 +101,37 @@ def enum_most_probable_face(w) -> FaceIndexSet:
     w = np.asarray(w, dtype=float)
     scores = face_score_table(w.size) @ w
     return enumerate_faces(w.size)[int(np.argmax(scores))]
+
+
+def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, quad: QuadratureConfig | None = None,
+                             pivot: int | None = None) -> float:
+    """Gaussian-Sparsemax log-density at one point, by the dense formula:
+    on the support S, ``log |S|`` plus the normal log-density of the
+    differences ``y_i - y_pivot`` (covariance ``diag(sigma_i^2) +
+    sigma_pivot^2`` times all-ones, by ``slogdet`` and ``solve``; any pivot
+    in S, default the lowest); off S, the log orthant probability as a 1-D
+    integral on the nodes of ``quad``."""
+    quad = QuadratureConfig() if quad is None else quad
+    support = list(y.support.indices)
+    p = support[0] if pivot is None else pivot
+    if p not in support:
+        raise ValueError(f"pivot {p} is not in the support {support}")
+    rest = [i for i in support if i != p]
+    off = [j for j in range(d.K) if j not in support]
+    mu, sigma, x = d.mu, d.sigma, y.coords
+    val = float(np.log(len(support)))
+    if rest:
+        diff = (x[rest] - x[p]) - (mu[rest] - mu[p])
+        cov = np.diag(sigma[rest] ** 2) + sigma[p] ** 2
+        val -= 0.5 * (diff @ np.linalg.solve(cov, diff) + np.linalg.slogdet(cov)[1] + len(rest) * np.log(2 * np.pi))
+    if off:
+        t = np.sum(sigma[support] ** -2.0)
+        c = np.sum((x[support] - mu[support]) / sigma[support] ** 2)
+        nodes, weights = quad.points_weights()
+        args = ndtri(nodes)[:, None] / (sigma[off] * np.sqrt(t)) - (c + mu[off] * t) / (sigma[off] * t)
+        log_f = log_ndtr(args).sum(axis=1)
+        val += log_f.max() + np.log(weights @ np.exp(log_f - log_f.max()))
+    return float(val)
 
 
 # A DAG state is (k, b, s): level k in 0..K+1, b = 1 iff vertex k is taken,

@@ -97,6 +97,18 @@ class TestSampleCommand:
         bad.write_text('{"kind": "mixed-dirichlet", "w": [0.0, 0.0], "alpha": [1.0, -1.0]}')
         assert cli.main(["sample", "--dist", str(bad), "--num", "1", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "mixed-dirichlet", "w": [0.0, 0.0, 0.0], "alpha": [5e-308, 5e-308, 5e-308]},
+        {"kind": "mixed-dirichlet", "w": [0.0, 0.0, 0.0], "alpha": [1.0, 1e-310, 1.0]},
+        {"kind": "gaussian-sparsemax", "mu": [0.3, 0.2, 0.1], "sigma": [1e-160, 2e-160, 1e-160]},
+    ])
+    def test_unsampleable_parameters_exit_2(self, capsys, tmp_path, spec):
+        path = write(tmp_path / "tiny.json", spec)
+        out = tmp_path / "x.jsonl"
+        assert cli.main(["sample", "--dist", path, "--num", "1000", "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ("concentrations" in err or "sigma" in err)
+
     def test_unwritable_exit_3(self, specs):
         assert cli.main(["sample", "--dist", specs["me2"], "--num", "1", "--out", "/no/such/dir/x.jsonl"]) == 3
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import expit, ndtr
 
+from mixedrv import checks, oracles
 from mixedrv import extrinsic as ex
-from mixedrv.simplex import SimplexPoint, Trit, face_of, sparsemax
+from mixedrv.simplex import FaceBatch, SimplexPoint, Trit, face_of, sparsemax, sparsemax_rows
 
 
 def mc_logpdf(y, z, s):
@@ -46,6 +47,16 @@ class TestGaussianSparsemaxSampling:
             ex.GaussianSparsemax([0.5, 0.5], [1.0, 0.0])
         with pytest.raises(ValueError):
             ex.GaussianSparsemax([0.5], [1.0])
+
+    @pytest.mark.parametrize("s", [1e-154, 1e-160, 1e-200, 1e-310])
+    def test_rejects_sigma_whose_precision_overflows(self, s):
+        with pytest.raises(ValueError, match="sigma"):
+            ex.GaussianSparsemax([0.3, 0.2, 0.1], [s, 2 * s, s])
+
+    def test_tiny_sigma_density_is_finite(self):
+        d = ex.GaussianSparsemax([0.3, 0.2, 0.1], [1e-150, 2e-150, 1e-150])
+        batch = d.sample_many(20, np.random.default_rng(66))
+        assert np.isfinite(ex.gs_log_density_many(d, batch)).all()
 
 
 class TestGs2ClosedForms:
@@ -122,19 +133,19 @@ class TestGsLogDensity:
             assert max(vals) - min(vals) < 1e-8
 
     def test_constant_sigma_simplification_agrees(self):
+        # with equal sigmas the orthant term is evaluated once per face and
+        # broadcast: batches hold two or more rows on each face
         rng = np.random.default_rng(58)
-        quad = ex.QuadratureConfig()
         for _ in range(20):
             mu = rng.normal(0.2, 0.6, 3)
             sigma = np.full(3, float(rng.uniform(0.3, 1.2)))
             y = sparsemax(rng.normal(0.3, 0.8, 3))
-            support = list(y.support.indices)
-            off = [j for j in range(3) if j not in support]
-            if not off:
-                continue
-            a = ex._orthant_log_general(mu, sigma, y.coords, support, off, quad)
-            b = ex._orthant_log_constant(mu, sigma, support, off, quad)
-            assert a == pytest.approx(b, abs=1e-8)
+            d = ex.GaussianSparsemax(mu, sigma)
+            batch = FaceBatch.from_coords(checks._same_face_rows(y))
+            counts = np.bincount(batch.masks)
+            assert counts[counts > 0].min() >= 2
+            ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
+            np.testing.assert_allclose(ex.gs_log_density_many(d, batch), ref, rtol=0, atol=1e-8)
 
     def test_pivot_invariance(self):
         rng = np.random.default_rng(59)
@@ -142,8 +153,25 @@ class TestGsLogDensity:
             K = int(rng.integers(3, 6))
             d = ex.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
             y = sparsemax(rng.normal(0.3, 0.8, K))
-            vals = [ex.gs_log_density(d, y, pivot=i) for i in y.support.indices]
-            assert max(vals) - min(vals) < 1e-8
+            got = ex.gs_log_density(d, y)
+            for i in y.support.indices:
+                assert abs(got - oracles.gs_log_density_reference(d, y, pivot=i)) < 1e-8
+
+    def test_matches_dense_oracle_at_every_pivot(self):
+        # 300 laws: K = 2..8, mu ~ N(0, 3) or N(0, 30), sigma in [0.05, 3],
+        # equal and unequal; rows sampled from the law and on random faces
+        rng = np.random.default_rng(65)
+        for i in range(300):
+            K = int(rng.integers(2, 9))
+            mu = rng.normal(0.0, 3.0 if i % 2 else 30.0, K)
+            sigma = np.full(K, rng.uniform(0.05, 3.0)) if i % 3 == 0 else rng.uniform(0.05, 3.0, K)
+            d = ex.GaussianSparsemax(mu, sigma)
+            coords = np.concatenate([d.sample_many(2, rng).coords, sparsemax_rows(rng.normal(0.0, 1.0, (2, K)))])
+            batch = FaceBatch.from_coords(coords)
+            for got, (_, y) in zip(ex.gs_log_density_many(d, batch), batch):
+                for pivot in y.support.indices:
+                    ref = oracles.gs_log_density_reference(d, y, pivot=pivot)
+                    assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_quadrature_refinement(self):
         rng = np.random.default_rng(60)

@@ -311,3 +311,53 @@ class TestLogSpaceDraws:
         t = np.log(1e-300)
         lo, hi = checks._beta_lower_tail(np.array([t - 1e-9, t + 1e-9]), 1e-3, 2e-3)
         assert lo == pytest.approx(hi, rel=1e-8)
+
+
+class TestTinyConcentrations:
+    """Below ``SAMPLE_ALPHA_MIN`` the log-space Gamma step would divide
+    log(1 - U) into -inf for some uniforms; sampling refuses such
+    concentrations up front instead of failing on whichever rows drew them."""
+
+    def test_threshold_is_the_smallest_finite_quotient(self):
+        log_u_min = np.log1p(-np.nextafter(1.0, 0.0))  # the most negative log(1 - U)
+        assert np.isfinite(log_u_min / md.SAMPLE_ALPHA_MIN)
+        with np.errstate(over="ignore"):
+            assert np.isinf(log_u_min / np.nextafter(md.SAMPLE_ALPHA_MIN, 0.0))
+
+    @pytest.mark.parametrize("a", [2.0e-307, 5e-308, 2.3e-308, 1e-310])
+    @pytest.mark.parametrize("make", [
+        lambda a: md.MixedDirichlet(np.zeros(3), np.full(3, a)),
+        lambda a: md.FullFaceDirichlet(np.full(3, a)),
+        lambda a: md.MixedDirichlet(np.zeros(3), np.array([1.0, a, 1.0])),
+    ])
+    def test_rejected_before_drawing(self, make, a):
+        dist = make(a)
+        rng = np.random.default_rng(57)
+        for seed in range(3):
+            with pytest.raises(ValueError, match="concentrations must be >="):
+                dist.sample_many(1000, np.random.default_rng(seed))
+        with pytest.raises(ValueError, match="concentrations"):
+            md.dirichlet_log_fill(np.full(4, 7), dist.alpha, rng)
+        assert rng.random() == np.random.default_rng(57).random()  # nothing was drawn
+
+    @pytest.mark.parametrize("a", [1e-306, "min"])
+    def test_smallest_concentrations_still_sample(self, a):
+        a = md.SAMPLE_ALPHA_MIN if a == "min" else a
+
+        class LargestUniform:
+            """A generator whose uniforms are all the largest double below 1."""
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_gamma(self, shape):
+                return self.rng.standard_gamma(shape)
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        masks = np.full(50, 7)
+        log_y = md.dirichlet_log_fill(masks, np.array([a, 1.0, a]), LargestUniform(np.random.default_rng(58)))
+        assert np.isfinite(log_y).all()
+        for dist in (md.MixedDirichlet(np.zeros(3), np.full(3, a)), md.FullFaceDirichlet(np.full(3, a))):
+            batch = dist.sample_many(1000, np.random.default_rng(59))
+            assert np.isfinite(batch.log_coords[batch.members()]).all()
