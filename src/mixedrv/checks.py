@@ -467,6 +467,14 @@ def _same_face_rows(y: SimplexPoint) -> np.ndarray:
     return np.stack([y.coords, vertex, 0.5 * (y.coords + bary), vertex, bary])
 
 
+def _same_face_batch_error(d, y: SimplexPoint) -> float:
+    """Largest deviation of the batch density of ``_same_face_rows(y)`` from
+    the oracle's point-by-point values."""
+    batch = FaceBatch.from_coords(_same_face_rows(y))
+    ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
+    return float(np.max(np.abs(extrinsic.gs_log_density_many(d, batch) - ref)))
+
+
 def _check_gs_density_constant_sigma():
     rng = np.random.default_rng(134)
     worst = 0.0
@@ -474,12 +482,20 @@ def _check_gs_density_constant_sigma():
         mu = rng.normal(0.2, 0.6, 3)
         sigma = np.full(3, float(rng.uniform(0.3, 1.2)))
         y = sparsemax(rng.normal(0.3, 0.8, 3))
-        d = extrinsic.GaussianSparsemax(mu, sigma)
-        batch = FaceBatch.from_coords(_same_face_rows(y))
-        ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
-        worst = max(worst, float(np.max(np.abs(extrinsic.gs_log_density_many(d, batch) - ref))))
+        worst = max(worst, _same_face_batch_error(extrinsic.GaussianSparsemax(mu, sigma), y))
     _require(worst < 1e-8, f"equal-sigma density off the oracle by {worst:.2e}")
     return f"equal-sigma batches match the oracle to {worst:.2e}"
+
+
+def _check_gs_density_unequal_sigma():
+    rng = np.random.default_rng(136)
+    worst = 0.0
+    for _ in range(10):
+        K = int(rng.integers(3, 6))
+        d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
+        worst = max(worst, _same_face_batch_error(d, sparsemax(rng.normal(0.3, 0.8, K))))
+    _require(worst < 1e-8, f"unequal-sigma density off the oracle by {worst:.2e}")
+    return f"unequal-sigma batches match the oracle to {worst:.2e}"
 
 
 def _check_gs_quadrature_refinement():
@@ -803,6 +819,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs2_density_three_paths", _FAST, _check_gs2_density_paths),
     ("extrinsic.gs_density_pivot_invariance", _FAST, _check_gs_density_pivot_invariance),
     ("extrinsic.gs_density_constant_sigma_path", _FAST, _check_gs_density_constant_sigma),
+    ("extrinsic.gs_density_unequal_sigma_batches", _FAST, _check_gs_density_unequal_sigma),
     ("extrinsic.gs_quadrature_refinement", _FAST, _check_gs_quadrature_refinement),
     ("extrinsic.gs2_face_probs_vs_frequencies", _FAST, lambda: _check_gs2_face_frequencies(10**5)),
     ("extrinsic.gs2_face_probs_vs_frequencies_1e6", _FULL, lambda: _check_gs2_face_frequencies(10**6)),

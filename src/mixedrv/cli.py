@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -95,16 +94,21 @@ def _resolve_seed(args_seed, spec_seed) -> int:
     return 0
 
 
-def _sample_lines(spec, num: int, seed: int):
-    """JSON lines ``{"face": ..., "dim": ..., "y": ...}``, one per draw."""
-    batch = spec.dist.sample_many(num, np.random.default_rng(seed))
-    heads: dict[int, str] = {}
-    for mask, row in zip(batch.masks.tolist(), batch.coords.tolist()):
-        head = heads.get(mask)
-        if head is None:
-            face = [i + 1 for i in range(batch.K) if mask >> i & 1]
-            head = heads[mask] = f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": '
-        yield f"{head}{json.dumps(row)}}}"
+def _sample_lines(masks: np.ndarray, coords: np.ndarray):
+    """JSON lines ``{"face": ..., "dim": ..., "y": ...}``, one per row of
+    ``coords`` (n, K) on the face bitmask ``masks`` (n,).
+
+    Each distinct face gets one %-format; ``%r`` of a float is
+    ``float.__repr__``, which is what ``json.dumps`` writes for a finite
+    float.
+    """
+    K = coords.shape[1]
+    fields = ", ".join(["%r"] * K)
+    fmts = {}
+    for mask in np.unique(masks).tolist():
+        face = [i + 1 for i in range(K) if mask >> i & 1]
+        fmts[mask] = f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": [{fields}]}}\n'
+    return (fmts[mask] % tuple(row) for mask, row in zip(masks.tolist(), coords.tolist()))
 
 
 def cmd_sample(args) -> int:
@@ -112,9 +116,11 @@ def cmd_sample(args) -> int:
         raise CliError(EXIT_USAGE, "--num must be >= 1")
     spec = load_spec_file(args.dist)
     seed = _resolve_seed(args.seed, spec.default_seed)
+    # drawn before --out is opened, so a draw that fails leaves the file as it was
+    batch = spec.dist.sample_many(args.num, np.random.default_rng(seed))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in _sample_lines(spec, args.num, seed))
+            fh.writelines(_sample_lines(batch.masks, batch.coords))
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
     return EXIT_OK
@@ -178,6 +184,28 @@ def cmd_kl(args) -> int:
 
 # --------------------------------------------------------------- face-hist ---
 
+def _decode_line(line: str, raw_decode):
+    """``json.loads(line)``: one ``raw_decode`` when the line is exactly one
+    JSON value, else ``json.loads`` itself, with its result or its error."""
+    try:
+        obj, end = raw_decode(line)
+        if end == len(line):
+            return obj
+    except ValueError:
+        pass
+    return json.loads(line)
+
+
+def _face_and_dim(obj) -> tuple[tuple[int, ...], int]:
+    """Sorted face and dim of a decoded sample line; ValueError, KeyError or
+    TypeError when they are malformed."""
+    face = tuple(sorted(int(i) for i in obj["face"]))
+    dim = int(obj["dim"])
+    if not face or dim != len(face) - 1:
+        raise ValueError("face/dim mismatch")
+    return face, dim
+
+
 def cmd_face_hist(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8") as fh:
@@ -186,19 +214,32 @@ def cmd_face_hist(args) -> int:
         raise CliError(EXIT_IO, f"cannot read {args.infile}: {e}") from e
     if not lines:
         raise CliError(EXIT_DATA, f"{args.infile} is empty")
-    dim_counts: Counter = Counter()
-    face_counts: Counter = Counter()
+    raw_decode = json.JSONDecoder().raw_decode
+    # Lines are counted by their (face, dim) as decoded; each distinct pair is
+    # validated once, at the first line that holds it, so the first bad line
+    # is the one reported.  Values that compare equal validate alike.
+    faces: dict = {}
+    counts: Counter = Counter()
     for lineno, line in enumerate(lines, start=1):
         try:
-            obj = json.loads(line)
-            face = tuple(sorted(int(i) for i in obj["face"]))
-            dim = int(obj["dim"])
-            if not face or dim != len(face) - 1:
-                raise ValueError("face/dim mismatch")
+            obj = _decode_line(line, raw_decode)
+            try:
+                key = (tuple(obj["face"]), obj["dim"])
+                new = key not in faces
+            except (KeyError, TypeError):  # not an object, a key missing or an unhashable value
+                _face_and_dim(obj)  # raises the error of the line's face or dim
+                raise
+            if new:
+                faces[key] = _face_and_dim(obj)
         except (ValueError, KeyError, TypeError) as e:
             raise CliError(EXIT_DATA, f"{args.infile}:{lineno}: malformed sample line ({e})") from e
-        dim_counts[dim] += 1
-        face_counts[face] += 1
+        counts[key] += 1
+    dim_counts: Counter = Counter()
+    face_counts: Counter = Counter()
+    for key, cnt in counts.items():
+        face, dim = faces[key]
+        dim_counts[dim] += cnt
+        face_counts[face] += cnt
     total = len(lines)
     print("kind,label,count,fraction")
     for dim in sorted(dim_counts):
@@ -211,7 +252,38 @@ def cmd_face_hist(args) -> int:
 
 # ----------------------------------------------------------------- fit-glm ---
 
-def _read_glm_csv(path: str):
+def _glm_rows(path: str, rows: list[list[float]], linenos: list[int], x_cols: list[int], y_cols: list[int]):
+    """Predictors (n, d) and target batch of parsed CSV rows, validated as
+    arrays; the first bad row is reported, after the renormalization
+    warnings of the rows before it, as if the rows were checked one by one."""
+    table = np.array(rows)
+    X = np.ascontiguousarray(table[:, x_cols])
+    # C order, so each row's sum is bitwise the one-row sum the messages print
+    Y = np.ascontiguousarray(table[:, y_cols])
+    finite = np.isfinite(Y).all(axis=1)
+    sums = Y.sum(axis=1)
+    gap = np.abs(sums - 1.0)
+    bad = ~finite | (Y < 0.0).any(axis=1) | (gap > 1e-4)
+    first = int(np.argmax(bad)) if bad.any() else len(rows)
+    for i in np.nonzero(gap[:first] > 1e-9)[0].tolist():
+        print(f"warning: {path}:{linenos[i]}: target row sums to {Y[i].sum()!r}; renormalizing", file=sys.stderr)
+    if first < len(rows):
+        y = Y[first]
+        if not finite[first]:
+            problem = "non-finite target value"
+        elif np.any(y < 0.0):
+            problem = "negative target value"
+        else:
+            problem = f"target row sums to {y.sum()!r}"
+        raise CliError(EXIT_DATA, f"{path}:{linenos[first]}: {problem}")
+    off = gap > 0.0
+    Y[off] = Y[off] / sums[off, None]
+    return X, FaceBatch.from_coords(Y)
+
+
+def _read_glm_csv(path: str) -> tuple[np.ndarray, FaceBatch]:
+    """Predictors (n, d) and targets of a GLM data CSV; each target's face is
+    the support of its coordinates."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -223,37 +295,32 @@ def _read_glm_csv(path: str):
             y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
             if not x_cols or len(y_cols) < 2:
                 raise CliError(EXIT_DATA, f"{path}: header must name x* predictor and y* target columns")
-            xs, ys = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    vals = [float(v) for v in row]
-                except ValueError as e:
-                    raise CliError(EXIT_DATA, f"{path}:{lineno}: non-numeric value ({e})") from e
-                if len(vals) != len(header):
-                    raise CliError(EXIT_DATA, f"{path}:{lineno}: expected {len(header)} columns")
-                x = [vals[i] for i in x_cols]
-                y = np.array([vals[i] for i in y_cols])
-                if not np.isfinite(y).all():
-                    raise CliError(EXIT_DATA, f"{path}:{lineno}: non-finite target value")
-                if np.any(y < 0.0):
-                    raise CliError(EXIT_DATA, f"{path}:{lineno}: negative target value")
-                gap = abs(float(y.sum()) - 1.0)
-                if gap > 1e-4:
-                    raise CliError(EXIT_DATA, f"{path}:{lineno}: target row sums to {y.sum()!r}")
-                if gap > 1e-9:
-                    print(f"warning: {path}:{lineno}: target row sums to {y.sum()!r}; renormalizing",
-                          file=sys.stderr)
-                if gap > 0.0:
-                    y = y / y.sum()
-                xs.append(x)
-                ys.append(y)
+            rows, linenos = [], []
+            stop = None  # what ended the parse early: raised once the rows before it are validated
+            try:
+                for lineno, row in enumerate(reader, start=2):
+                    if not row:
+                        continue
+                    try:
+                        vals = [float(v) for v in row]
+                    except ValueError as e:
+                        stop = CliError(EXIT_DATA, f"{path}:{lineno}: non-numeric value ({e})")
+                        break
+                    if len(vals) != len(header):
+                        stop = CliError(EXIT_DATA, f"{path}:{lineno}: expected {len(header)} columns")
+                        break
+                    rows.append(vals)
+                    linenos.append(lineno)
+            except (ValueError, csv.Error, OSError) as e:  # undecodable text or a failed read
+                stop = e
+            data = _glm_rows(path, rows, linenos, x_cols, y_cols) if rows else None
+            if stop is not None:
+                raise stop
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
-    if not xs:
+    if data is None:
         raise CliError(EXIT_DATA, f"{path} has no data rows")
-    return np.array(xs), [y for _, y in FaceBatch.from_coords(np.array(ys))]
+    return data
 
 
 def cmd_fit_glm(args) -> int:
@@ -271,8 +338,9 @@ def cmd_fit_glm(args) -> int:
     if n_train >= n:
         raise CliError(EXIT_USAGE, "train fraction leaves no held-out rows")
     tr, te = perm[:n_train], perm[n_train:]
-    fit = glm.glm_fit(X[tr], [targets[i] for i in tr], steps=args.steps, lr=args.lr, seed=args.seed)
-    y_true = np.stack([targets[i].coords for i in te])
+    fit = glm.glm_fit(X[tr], FaceBatch.from_coords(targets.coords[tr]), steps=args.steps, lr=args.lr,
+                      seed=args.seed)
+    y_true = targets.coords[te]
     rngs = (np.random.default_rng([args.seed, j]) for j in range(te.size))
     y_pred = glm.predict_rows(fit.model, X[te], args.predict, n=100, rngs=rngs).coords
     try:
@@ -293,21 +361,24 @@ def cmd_fit_glm(args) -> int:
     return EXIT_OK
 
 
+def _csv_lines(table: np.ndarray):
+    """One comma-separated line per row of a float array, each value written
+    as ``repr(float(v))``."""
+    fmt = ",".join(["%r"] * table.shape[1]) + "\n"
+    return (fmt % tuple(row) for row in table.tolist())
+
+
 def cmd_gen_glm_data(args) -> int:
     if args.rows < 2 or args.k < 2 or args.d < 1:
         raise CliError(EXIT_USAGE, "--rows >= 2, --k >= 2 and --d >= 1 required")
     if args.k > MAX_BITMASK_K:
         raise CliError(EXIT_USAGE, f"--k must be <= {MAX_BITMASK_K}")
-    X, targets, _ = glm.make_planted_dataset(n=args.rows, K=args.k, d=args.d, seed=args.seed)
-    buf = io.StringIO()
+    X, targets, _ = glm._planted_arrays(n=args.rows, K=args.k, d=args.d, seed=args.seed)
     header = [f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]
-    buf.write(",".join(header) + "\n")
-    for x, y in zip(X, targets):
-        buf.write(",".join(repr(float(v)) for v in x) + ",")
-        buf.write(",".join(repr(float(v)) for v in y.coords) + "\n")
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+            fh.write(",".join(header) + "\n")
+            fh.writelines(_csv_lines(np.hstack([X, targets.coords])))
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
     return EXIT_OK

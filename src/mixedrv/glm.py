@@ -22,7 +22,7 @@ from scipy.special import digamma, expit, gammaln
 
 from . import face_gibbs
 from .mixed_dirichlet import MixedDirichlet, draw_log_coords
-from .simplex import FaceBatch, SimplexPoint, mask_members
+from .simplex import FaceBatch, SimplexPoint
 
 __all__ = [
     "SCORE_CLAMP",
@@ -134,15 +134,18 @@ class _TargetTerms(NamedTuple):
 
 
 def _target_terms(targets) -> _TargetTerms:
-    coords = np.stack([y.coords for y in targets])
-    member = mask_members(np.array([y.support.mask for y in targets], dtype=np.int64), coords.shape[1])
+    """Terms of a ``FaceBatch`` of targets, or of a sequence of points stacked
+    once here.  A target's face is the support of its coordinates."""
+    coords = targets.coords if isinstance(targets, FaceBatch) else np.stack([y.coords for y in targets])
+    member = coords > 0.0
     on_dim = member.sum(axis=1) > 1
     return _TargetTerms(member, 2.0 * member - 1.0, np.where(member, np.log(np.where(member, coords, 1.0)), 0.0),
                         on_dim, member & on_dim[:, None])
 
 
 def glm_log_likelihood(model: GlmModel, X, targets) -> tuple[float, dict[str, np.ndarray]]:
-    """Total log-likelihood of the targets and its analytic gradient.
+    """Total log-likelihood of the targets (a ``FaceBatch`` or a sequence of
+    ``SimplexPoint``s, one per row of X) and its analytic gradient.
 
     The gradient treats the clamps as pass-through inside their range and
     zero outside (their almost-everywhere derivative).  Vertex targets
@@ -201,7 +204,8 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> t
 
 
 def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> FitResult:
-    """Fit by full-batch Adam on the mean negative log-likelihood.
+    """Fit by full-batch Adam on the mean negative log-likelihood of the
+    targets (a ``FaceBatch`` or a sequence of ``SimplexPoint``s).
 
     Deterministic given the seed, which only controls the small random
     initialization of the weights.
@@ -313,10 +317,16 @@ def zero_nonzero_macro_f1(y_true: np.ndarray, y_pred: np.ndarray, tol: float = 0
 def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4, seed: int = 0):
     """Synthetic regression data from a randomly planted model.
 
-    Returns (X, targets, true_model).  Scales are chosen so the face scores
-    vary decisively in sign across inputs, making the zero/nonzero pattern
-    learnable.
+    Returns (X, targets, true_model), the targets a list of ``SimplexPoint``s.
+    Scales are chosen so the face scores vary decisively in sign across
+    inputs, making the zero/nonzero pattern learnable.
     """
+    X, batch, true_model = _planted_arrays(n, K, d, seed)
+    return X, [y for _, y in batch], true_model
+
+
+def _planted_arrays(n: int, K: int, d: int, seed: int) -> tuple[np.ndarray, FaceBatch, GlmModel]:
+    """``make_planted_dataset`` with the targets as one ``FaceBatch``."""
     rng = np.random.default_rng(seed)
     true_model = GlmModel(
         w_face=rng.normal(0.0, 4.0, (K, d)),
@@ -328,4 +338,4 @@ def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4, seed: int = 0):
     scores, conc = true_model.row_params(X)
     # one draw per row from one generator: a single block over all rows
     batch = FaceBatch.from_log_coords(*draw_log_coords(face_gibbs.sampling_tables(scores), conc, n, rng))
-    return X, [y for _, y in batch], true_model
+    return X, batch, true_model

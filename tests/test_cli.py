@@ -109,6 +109,16 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and ("concentrations" in err or "sigma" in err)
 
+    def test_failed_draw_leaves_existing_out_untouched(self, capsys, tmp_path):
+        path = write(tmp_path / "tiny.json", {"kind": "mixed-dirichlet", "w": [0.0, 0.0, 0.0],
+                                              "alpha": [1.0, 1e-310, 1.0]})
+        out = tmp_path / "o.jsonl"
+        out.write_text('{"face": [1], "dim": 0, "y": [1.0, 0.0, 0.0]}\n')
+        before = out.read_bytes()
+        assert cli.main(["sample", "--dist", path, "--num", "1000", "--seed", "3", "--out", str(out)]) == 2
+        assert "concentrations" in capsys.readouterr().err
+        assert out.read_bytes() == before
+
     def test_unwritable_exit_3(self, specs):
         assert cli.main(["sample", "--dist", specs["me2"], "--num", "1", "--out", "/no/such/dir/x.jsonl"]) == 3
 

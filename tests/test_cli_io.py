@@ -1,0 +1,150 @@
+"""Byte contracts of the CLI's file formats.
+
+The writers format whole arrays (one %-format per face or per table), and
+the readers decode and validate in bulk; these tests hold them to the
+per-row ``json.dumps`` / ``repr`` / ``json.loads`` rules the formats are
+defined by, including which line a malformed file is reported at.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mixedrv import cli
+
+SPECIAL_FLOATS = [
+    5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0 - 2.0**-53, 0.1 + 0.2, 0.12345678901234568,
+    1.0 / 3.0, 2.0 / 3.0, 0.0, -0.0, 1.0, 1e16, 1e22, 123456789.01234567,
+]
+finite_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sample_rows(draw):
+    """Face masks (n,) and coordinates (n, K): any finite values on the
+    face, exact 0.0 off it."""
+    K = draw(st.one_of(st.integers(2, 8), st.just(63)))
+    n = draw(st.integers(1, 10))
+    masks = draw(st.lists(st.integers(1, 2**K - 1), min_size=n, max_size=n))
+    coords = [[draw(finite_floats) if m >> k & 1 else 0.0 for k in range(K)] for m in masks]
+    return np.array(masks, dtype=np.int64), np.array(coords, dtype=float).reshape(n, K)
+
+
+def _json_dumps_line(mask: int, row: list, K: int) -> str:
+    face = [i + 1 for i in range(K) if mask >> i & 1]
+    return f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": {json.dumps(row)}}}\n'
+
+
+@settings(deadline=None, max_examples=200)
+@given(sample_rows())
+def test_sample_lines_match_json_dumps(rows):
+    masks, coords = rows
+    expected = "".join(_json_dumps_line(m, r, coords.shape[1]) for m, r in zip(masks.tolist(), coords.tolist()))
+    assert "".join(cli._sample_lines(masks, coords)) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12).flatmap(
+    lambda width: st.lists(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                                    min_size=width, max_size=width), min_size=1, max_size=8)))
+def test_csv_lines_match_repr(table):
+    expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
+    assert "".join(cli._csv_lines(np.array(table, dtype=float))) == expected
+
+
+# ---------------------------------------------------------------- face-hist ---
+
+def _reference_error(path: str, lines: list[str]) -> str:
+    """stderr for the first malformed line, found line by line with
+    ``json.loads`` (the definition of the format)."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            obj = json.loads(line)
+            face = tuple(sorted(int(i) for i in obj["face"]))
+            dim = int(obj["dim"])
+            if not face or dim != len(face) - 1:
+                raise ValueError("face/dim mismatch")
+        except (ValueError, KeyError, TypeError) as e:
+            return f"error: {path}:{lineno}: malformed sample line ({e})\n"
+    raise AssertionError("no malformed line")
+
+
+EDGE = '{"face": [1, 2], "dim": 1, "y": [0.5, 0.5, 0.0]}'
+VERTEX = '{"face": [3], "dim": 0, "y": [0.0, 0.0, 1.0]}'
+MALFORMED = {
+    # name: (lines, the line reported)
+    "trailing_garbage": ([EDGE, VERTEX + " x", EDGE], 2),
+    "two_objects_on_a_line": ([EDGE, EDGE + VERTEX], 2),
+    "blank_line_mid_file": ([EDGE, VERTEX, "", EDGE], 3),
+    "array_line": ([EDGE, "[1, 2]"], 2),
+    "unhashable_face_entry": ([VERTEX, EDGE, '{"face": [[1]], "dim": 0}'], 3),
+    "non_integer_face_entry": ([EDGE, '{"face": ["a"], "dim": 0}'], 2),
+    "null_face_entry": ([EDGE, VERTEX, '{"face": [null, 2], "dim": 1}'], 3),
+    "unhashable_dim": ([EDGE, '{"face": [1], "dim": [0]}'], 2),
+    "missing_dim": ([EDGE, '{"face": [1]}'], 2),
+    "dim_mismatch": ([EDGE, VERTEX, '{"face": [1, 2], "dim": 2, "y": [0.5, 0.5, 0.0]}'], 3),
+    "bom_first_line": (["﻿" + EDGE, VERTEX], 1),
+    "bom_mid_file": ([EDGE, "﻿" + VERTEX], 2),
+    # the two lines would join into one valid JSON value; each alone is invalid
+    "two_line_join": ([EDGE, '{"face": [1], "dim": 0, "y": [{}', "{}]}"], 2),
+    # a bad (face, dim) is reported at its first line, before a later undecodable line
+    "bad_pair_before_bad_json": ([EDGE, '{"face": [2], "dim": 1}', "not json", '{"face": [2], "dim": 1}'], 2),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_face_hist_names_the_first_malformed_line(name, tmp_path, capsys):
+    lines, lineno = MALFORMED[name]
+    path = tmp_path / f"{name}.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["face-hist", "--in", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err == _reference_error(str(path), lines)
+    assert err.startswith(f"error: {path}:{lineno}: ")
+
+
+def test_face_hist_reads_any_spacing_and_key_order(tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    path.write_text("\n".join([EDGE, '{"dim":1,"face":[2,1]}', f"  {VERTEX}\t", '{"face": [1.0, 2], "dim": 1}']) + "\n",
+                    encoding="utf-8")
+    assert cli.main(["face-hist", "--in", str(path)]) == 0
+    assert capsys.readouterr().out == "kind,label,count,fraction\ndim,0,1,0.25\ndim,1,3,0.75\nface,1+2,3,0.75\nface,3,1,0.25\n"
+
+
+# ------------------------------------------------------------------ fit-glm ---
+
+def _sum_repr(*y: float) -> str:
+    return repr(np.array(y).sum())
+
+
+@pytest.mark.parametrize("bad_row,problem", [
+    ("nan,0.5", "non-finite target value"),
+    ("-0.25,1.25", "negative target value"),
+    ("0.5,0.501", f"target row sums to {_sum_repr(0.5, 0.501)}"),
+    ("abc,0.5", "non-numeric value (could not convert string to float: 'abc')"),
+    ("0.5,0.5,0.1", "expected 3 columns"),
+])
+def test_fit_glm_names_the_first_bad_line(bad_row, problem, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    # line 3 is renormalized with a warning; line 5 is the first bad one;
+    # lines 6 and 7 are bad in other ways and must not be reported
+    data.write_text("x1,y1,y2\n0.1,0.5,0.5\n0.2,0.5000001,0.5\n0.3,0.25,0.75\n"
+                    f"0.4,{bad_row}\n0.5,-1.0,2.0\n0.6,x,0.5\n0.7,0.5,0.5\n")
+    assert cli.main(["fit-glm", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 4
+    assert capsys.readouterr().err == (
+        f"warning: {data}:3: target row sums to {_sum_repr(0.5000001, 0.5)}; renormalizing\n"
+        f"error: {data}:5: {problem}\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_glm_csv_targets_are_renormalized_batches(tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("x1,z,y1,x2,y2,y3\n\n0.1,7,0.5,1.0,0.5000001,0.0\n0.2,7,0.0,2.0,1.0,0.0\n")
+    X, targets = cli._read_glm_csv(str(data))
+    assert X.tolist() == [[0.1, 1.0], [0.2, 2.0]]
+    y = np.array([0.5, 0.5000001, 0.0])
+    assert targets.coords.tolist() == [(y / y.sum()).tolist(), [0.0, 1.0, 0.0]]
+    assert targets.masks.tolist() == [0b011, 0b010]

@@ -7,7 +7,7 @@ from mixedrv import face_gibbs as fg
 from mixedrv import glm
 from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords, sample_many
 from mixedrv.oracles import central_difference_gradient
-from mixedrv.simplex import SimplexPoint
+from mixedrv.simplex import FaceBatch, SimplexPoint
 
 
 def _pack(model):
@@ -89,6 +89,27 @@ class TestFit:
         for x in list(X[:10]) + [rng.normal(0, 1, 3) for _ in range(5)]:
             f = fg.most_probable_face(fit.model.mixed_at(x).faces)
             assert f.indices == (1,)
+
+    def test_batch_targets_match_point_targets(self):
+        X, Y, _ = glm.make_planted_dataset(n=60, K=4, d=3, seed=4)
+        _, batch, _ = glm._planted_arrays(60, 4, 3, 4)
+        assert np.array_equal(batch.coords, np.stack([y.coords for y in Y]))
+        a, b = glm.glm_fit(X, batch, steps=30, seed=2), glm.glm_fit(X, Y, steps=30, seed=2)
+        np.testing.assert_array_equal(a.losses, b.losses)
+        np.testing.assert_array_equal(a.model.w_conc, b.model.w_conc)
+
+    def test_target_face_is_the_support_of_its_coordinates(self):
+        # the first row was drawn on face {1, 2, 3}, but its first coordinate underflowed to 0.0
+        batch = FaceBatch.from_log_coords(np.array([0b111, 0b011]),
+                                          np.array([[-800.0, np.log(0.25), np.log(0.75)],
+                                                    [np.log(0.5), np.log(0.5), -np.inf]]))
+        model = glm.GlmModel(np.ones((3, 2)), np.zeros(3), np.ones((3, 2)), np.zeros(3))
+        X = np.array([[0.3, -0.2], [0.1, 0.4]])
+        ll, grads = glm.glm_log_likelihood(model, X, batch)
+        ll_points, grads_points = glm.glm_log_likelihood(model, X, [y for _, y in batch])
+        assert ll == ll_points and np.isfinite(ll)
+        for key in grads:
+            np.testing.assert_array_equal(grads[key], grads_points[key])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
