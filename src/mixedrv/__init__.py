@@ -19,7 +19,6 @@ from .simplex import (
     Trit,
     enumerate_faces,
     face_histogram,
-    face_of,
     hypercube_face_of,
     sparsemax,
     sparsemax_jacobian,
@@ -40,7 +39,6 @@ from .extrinsic import (
     GaussianSparsemax,
     KDHardConcrete,
     QuadratureConfig,
-    concrete_sample,
     gs2_entropy,
     gs2_face_probs,
     gs2_kl,

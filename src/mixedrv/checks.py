@@ -188,7 +188,7 @@ def _check_grad_log_prob():
         K = int(rng.integers(2, 7))
         w = rng.normal(0.0, 1.5, K)
         d = face_gibbs.GibbsFaceDistribution(w)
-        f = face_gibbs.sample_face(d, rng)
+        f = face_gibbs.sample_faces(d, 1, rng)[0]
         grad = face_gibbs.grad_log_prob(d, f)
         fd = oracles.central_difference_gradient(
             lambda v: face_gibbs.face_log_prob(face_gibbs.GibbsFaceDistribution(v), f), w
@@ -516,7 +516,7 @@ def _check_gs2_face_frequencies(n: int):
     d = extrinsic.GaussianSparsemax([0.55, 0.45], [0.8, 0.6])
     z, s = extrinsic.gs2_params(d)
     p0, p1, pc = extrinsic.gs2_face_probs(z, s)
-    coords = extrinsic.gs_sample_coords(d, n, np.random.default_rng(136))
+    coords = d.sample_many(n, np.random.default_rng(136)).coords
     f1 = float(np.mean(coords[:, 1] == 0.0))  # vertex (1,0), scalar y = 1
     f0 = float(np.mean(coords[:, 0] == 0.0))
     for freq, prob, name in ((f0, p0, "P0"), (f1, p1, "P1"), (1 - f0 - f1, pc, "Pc")):
@@ -558,7 +558,7 @@ def _check_gs_k3_normalization():
     _require(abs(total - 1.0) < 1e-2, f"direct-sum mass {total:.5f} not within 1e-2 of 1")
     # vertex densities should also reproduce the MC vertex masses
     n = 10**6
-    coords = extrinsic.gs_sample_coords(d, n, np.random.default_rng(137))
+    coords = d.sample_many(n, np.random.default_rng(137)).coords
     freqs = np.bincount((coords > 0) @ (1 << np.arange(3)), minlength=8)[[1, 2, 4]] / n
     for i, (dens, freq) in enumerate(zip(vertex_dens, freqs)):
         se = np.sqrt(dens * (1 - dens) / n)
@@ -569,13 +569,13 @@ def _check_gs_k3_normalization():
 def _check_concrete_gumbel_max(n: int):
     z = np.array([0.2, -0.5, 1.0])
     probs = np.exp(z) / np.exp(z).sum()
-    coords = extrinsic.concrete_sample_coords(z, 0.7, n, np.random.default_rng(138))
+    coords = extrinsic.Concrete(z, 0.7).sample_many(n, np.random.default_rng(138)).coords
     _require(bool(np.all(coords > 0.0)), "a Concrete sample left the relative interior")
     freqs = np.bincount(np.argmax(coords, axis=1), minlength=3) / n
     for k in range(3):
         se = np.sqrt(probs[k] * (1 - probs[k]) / n)
         _require(abs(freqs[k] - probs[k]) < 4.0 * se, f"argmax freq {freqs[k]:.5f} vs {probs[k]:.5f}")
-    hot = extrinsic.concrete_sample_coords(np.zeros(10), 1e3, 2000, np.random.default_rng(139))
+    hot = extrinsic.Concrete(np.zeros(10), 1e3).sample_many(2000, np.random.default_rng(139)).coords
     _require(float(np.quantile(hot.max(axis=1), 0.99)) < 0.12, "high-temperature samples not near uniform")
     return "argmax frequencies are Categorical(softmax(z))"
 
@@ -597,10 +597,14 @@ def _check_khc_coupling():
         worst = max(worst, abs(y_khc - y_bin))
     _require(worst < 1e-12, f"coupled paths differ by {worst:.2e}")
     # lam = 1 always yields the full face; larger lam hits vertices more
-    full = extrinsic.khc_sample_coords(extrinsic.KDHardConcrete(z, beta, 1.0), 2000, np.random.default_rng(141))
+    full = extrinsic.KDHardConcrete(z, beta, 1.0).sample_many(2000, np.random.default_rng(141)).coords
     _require(bool(np.all(full > 0.0)), "lam=1 left the maximal face")
-    v_small = float(np.mean(np.sum(extrinsic.khc_sample_coords(extrinsic.KDHardConcrete(z, beta, 1.1), 5000, np.random.default_rng(142)) > 0, axis=1) == 1))
-    v_big = float(np.mean(np.sum(extrinsic.khc_sample_coords(extrinsic.KDHardConcrete(z, beta, 10.0), 5000, np.random.default_rng(143)) > 0, axis=1) == 1))
+
+    def vertex_rate(stretch: float, seed: int) -> float:
+        masks = extrinsic.KDHardConcrete(z, beta, stretch).sample_many(5000, np.random.default_rng(seed)).masks
+        return float(np.mean((masks & (masks - 1)) == 0))
+
+    v_small, v_big = vertex_rate(1.1, 142), vertex_rate(10.0, 143)
     _require(v_big > v_small, f"vertex rate not increasing in lam ({v_small} vs {v_big})")
     return f"binary coupling exact; vertex rate {v_small:.3f} -> {v_big:.3f}"
 
@@ -768,13 +772,11 @@ def _check_glm_planted_recovery():
         rs = np.random.default_rng(seed)
         idx = rs.permutation(500)
         tr, te = idx[:100], idx[100:]
-        fit = glm.glm_fit(X[tr], [Y[i] for i in tr], seed=seed)
-        y_true = np.stack([Y[i].coords for i in te])
-        mpm = np.stack([glm.glm_predict(fit.model, X[i], "most-probable-mean").coords for i in te])
-        sm = np.stack([
-            glm.glm_predict(fit.model, X[i], "sample-mean", n=100, rng=np.random.default_rng(seed * 1000 + int(i))).coords
-            for i in te
-        ])
+        fit = glm.glm_fit(X[tr], FaceBatch.from_coords(Y.coords[tr]), seed=seed)
+        y_true = Y.coords[te]
+        mpm = glm.predict_rows(fit.model, X[te], "most-probable-mean").coords
+        rngs = (np.random.default_rng(seed * 1000 + int(i)) for i in te)
+        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rngs=rngs).coords
         f1s.append(glm.zero_nonzero_macro_f1(y_true, mpm))
         gaps.append(glm.rmse(y_true, mpm) - glm.rmse(y_true, sm))
     _require(min(f1s) > 0.9, f"macro F1 {min(f1s):.4f} <= 0.9")

@@ -197,13 +197,18 @@ def _decode_line(line: str, raw_decode):
 
 
 def _face_and_dim(obj) -> tuple[tuple[int, ...], int]:
-    """Sorted face and dim of a decoded sample line; ValueError, KeyError or
-    TypeError when they are malformed."""
-    face = tuple(sorted(int(i) for i in obj["face"]))
-    dim = int(obj["dim"])
-    if not face or dim != len(face) - 1:
+    """Sorted face and dim of a decoded sample line: the face a nonempty JSON
+    array of distinct integers (not booleans) in 1..63, the dim the integer
+    ``len(face) - 1``.  ValueError, KeyError or TypeError when they are
+    malformed."""
+    face = obj["face"]
+    if not (type(face) is list and face and all(type(i) is int and 1 <= i <= MAX_BITMASK_K for i in face)
+            and len(set(face)) == len(face)):
+        raise ValueError(f"face must be a nonempty array of distinct integers in 1..{MAX_BITMASK_K}")
+    dim = obj["dim"]
+    if type(dim) is not int or dim != len(face) - 1:
         raise ValueError("face/dim mismatch")
-    return face, dim
+    return tuple(sorted(face)), dim
 
 
 def cmd_face_hist(args) -> int:
@@ -217,14 +222,16 @@ def cmd_face_hist(args) -> int:
     raw_decode = json.JSONDecoder().raw_decode
     # Lines are counted by their (face, dim) as decoded; each distinct pair is
     # validated once, at the first line that holds it, so the first bad line
-    # is the one reported.  Values that compare equal validate alike.
+    # is the one reported.  The key holds the values' types as well: 1, 1.0
+    # and true compare equal but do not validate alike.
     faces: dict = {}
     counts: Counter = Counter()
     for lineno, line in enumerate(lines, start=1):
         try:
             obj = _decode_line(line, raw_decode)
             try:
-                key = (tuple(obj["face"]), obj["dim"])
+                face, dim = obj["face"], obj["dim"]
+                key = (tuple(face), dim, type(dim), *map(type, face))
                 new = key not in faces
             except (KeyError, TypeError):  # not an object, a key missing or an unhashable value
                 _face_and_dim(obj)  # raises the error of the line's face or dim
@@ -373,7 +380,7 @@ def cmd_gen_glm_data(args) -> int:
         raise CliError(EXIT_USAGE, "--rows >= 2, --k >= 2 and --d >= 1 required")
     if args.k > MAX_BITMASK_K:
         raise CliError(EXIT_USAGE, f"--k must be <= {MAX_BITMASK_K}")
-    X, targets, _ = glm._planted_arrays(n=args.rows, K=args.k, d=args.d, seed=args.seed)
+    X, targets, _ = glm.make_planted_dataset(n=args.rows, K=args.k, d=args.d, seed=args.seed)
     header = [f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

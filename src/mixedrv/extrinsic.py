@@ -33,9 +33,7 @@ __all__ = [
     "Concrete",
     "KDHardConcrete",
     "BinaryHardConcrete",
-    "gs_sample",
     "gs_sample_many",
-    "gs_sample_coords",
     "gs2_params",
     "gs2_face_probs",
     "gs2_entropy",
@@ -44,11 +42,7 @@ __all__ = [
     "gs2_log_density_intrinsic",
     "gs_log_density",
     "gs_log_density_many",
-    "concrete_sample",
-    "concrete_sample_coords",
     "concrete_from_gumbels",
-    "khc_sample",
-    "khc_sample_coords",
     "binary_hard_concrete_sample",
     "binary_hard_concrete_from_logistic",
     "binary_hard_concrete_sample_values",
@@ -146,14 +140,8 @@ class GaussianSparsemax:
         return self.mu.size
 
     # MixedDistribution capability
-    def sample(self, rng: np.random.Generator):
-        return gs_sample(self, rng)
-
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         return gs_sample_many(self, n, rng)
-
-    def log_density(self, y: SimplexPoint, quad: QuadratureConfig | None = None) -> float:
-        return gs_log_density(self, y, quad)
 
     def log_density_many(self, batch: FaceBatch, quad: QuadratureConfig | None = None) -> np.ndarray:
         return gs_log_density_many(self, batch, quad)
@@ -170,22 +158,14 @@ class GaussianSparsemax:
         }
 
 
-def gs_sample_coords(d: GaussianSparsemax, n: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, K) array of projected draws, exact zeros included."""
-    z = d.mu + d.sigma * rng.standard_normal((n, d.K))
-    return sparsemax_rows(z)
-
-
 # benchmarks/tracer.py looks the batch projection up under this name
 _sparsemax_batch = sparsemax_rows
 
 
-def gs_sample(d: GaussianSparsemax, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    return gs_sample_many(d, 1, rng)[0]
-
-
 def gs_sample_many(d: GaussianSparsemax, n: int, rng: np.random.Generator) -> FaceBatch:
-    return FaceBatch.from_coords(gs_sample_coords(d, n, rng))
+    """n projected draws, each on the face of its exact zeros."""
+    z = d.mu + d.sigma * rng.standard_normal((n, d.K))
+    return FaceBatch.from_coords(sparsemax_rows(z))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +339,7 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
 def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
                    quad: QuadratureConfig | None = None) -> float:
     """``gs_log_density_many`` at a single point."""
-    return float(gs_log_density_many(d, FaceBatch.from_point(y), quad)[0])
+    return float(gs_log_density_many(d, FaceBatch.from_coords(y.coords[None]), quad)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -392,17 +372,6 @@ def _check_concrete_args(z, beta: float) -> np.ndarray:
     return z
 
 
-def concrete_sample(z, beta: float, rng: np.random.Generator) -> SimplexPoint:
-    """One Concrete draw: always in the relative interior of the simplex."""
-    z = _check_concrete_args(z, beta)
-    return SimplexPoint(concrete_from_gumbels(z, beta, _gumbel(rng, z.size)))
-
-
-def concrete_sample_coords(z, beta: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    z = _check_concrete_args(z, beta)
-    return concrete_from_gumbels(z, beta, _gumbel(rng, (n, z.size)))
-
-
 @dataclass(frozen=True, eq=False)
 class Concrete:
     """Concrete (Gumbel-softmax) law with logits ``z`` at temperature ``beta``;
@@ -422,7 +391,7 @@ class Concrete:
         return self.z.size
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
-        return FaceBatch.from_coords(concrete_sample_coords(self.z, self.beta, n, rng))
+        return FaceBatch.from_coords(concrete_from_gumbels(self.z, self.beta, _gumbel(rng, (n, self.K))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,20 +416,9 @@ class KDHardConcrete:
     def K(self) -> int:
         return self.z.size
 
-    def sample(self, rng: np.random.Generator):
-        return khc_sample(self, rng)
-
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
-        return FaceBatch.from_coords(khc_sample_coords(self, n, rng))
-
-
-def khc_sample(d: KDHardConcrete, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    return d.sample_many(1, rng)[0]
-
-
-def khc_sample_coords(d: KDHardConcrete, n: int, rng: np.random.Generator) -> np.ndarray:
-    y_soft = concrete_from_gumbels(d.z, d.beta, _gumbel(rng, (n, d.K)))
-    return sparsemax_rows(d.lam * y_soft)
+        y_soft = concrete_from_gumbels(self.z, self.beta, _gumbel(rng, (n, self.K)))
+        return FaceBatch.from_coords(sparsemax_rows(self.lam * y_soft))
 
 
 @dataclass(frozen=True)

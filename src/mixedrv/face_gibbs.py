@@ -27,7 +27,6 @@ __all__ = [
     "expected_suff_stats",
     "log_normalizer_and_grad",
     "face_log_prob",
-    "sample_face",
     "sample_face_masks",
     "sampling_tables",
     "masks_from_uniforms",
@@ -209,11 +208,6 @@ def sample_faces(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> 
     masks = sample_face_masks(d, n, rng).tolist()
     faces = {m: FaceIndexSet(m, d.K) for m in set(masks)}
     return [faces[m] for m in masks]
-
-
-def sample_face(d: GibbsFaceDistribution, rng: np.random.Generator) -> FaceIndexSet:
-    """Draw one face (K uniforms consumed)."""
-    return sample_faces(d, 1, rng)[0]
 
 
 def entropy(d: GibbsFaceDistribution) -> float:

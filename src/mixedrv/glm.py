@@ -133,19 +133,19 @@ class _TargetTerms(NamedTuple):
     conc_grad_on: np.ndarray  # (n, K) member and on_dim: where the concentrations get a gradient
 
 
-def _target_terms(targets) -> _TargetTerms:
-    """Terms of a ``FaceBatch`` of targets, or of a sequence of points stacked
-    once here.  A target's face is the support of its coordinates."""
-    coords = targets.coords if isinstance(targets, FaceBatch) else np.stack([y.coords for y in targets])
+def _target_terms(targets: FaceBatch) -> _TargetTerms:
+    """Terms of a batch of targets.  A target's face is the support of its
+    coordinates."""
+    coords = targets.coords
     member = coords > 0.0
     on_dim = member.sum(axis=1) > 1
     return _TargetTerms(member, 2.0 * member - 1.0, np.where(member, np.log(np.where(member, coords, 1.0)), 0.0),
                         on_dim, member & on_dim[:, None])
 
 
-def glm_log_likelihood(model: GlmModel, X, targets) -> tuple[float, dict[str, np.ndarray]]:
-    """Total log-likelihood of the targets (a ``FaceBatch`` or a sequence of
-    ``SimplexPoint``s, one per row of X) and its analytic gradient.
+def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, dict[str, np.ndarray]]:
+    """Total log-likelihood of the targets (one row per row of X) and its
+    analytic gradient.
 
     The gradient treats the clamps as pass-through inside their range and
     zero outside (their almost-everywhere derivative).  Vertex targets
@@ -203,9 +203,9 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> t
     return float(ll_face.sum() + ll_dir.sum()), grads
 
 
-def glm_fit(X, targets, steps: int = 400, lr: float = 0.1, seed: int = 0) -> FitResult:
+def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int = 0) -> FitResult:
     """Fit by full-batch Adam on the mean negative log-likelihood of the
-    targets (a ``FaceBatch`` or a sequence of ``SimplexPoint``s).
+    targets (one row per row of X).
 
     Deterministic given the seed, which only controls the small random
     initialization of the weights.
@@ -287,7 +287,7 @@ def glm_predict(model: GlmModel, x, rule: str = "most-probable-mean",
                 n: int = 100, rng: np.random.Generator | None = None) -> SimplexPoint:
     """Point prediction at one predictor vector (``predict_rows`` on one row)."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    return predict_rows(model, X, rule, n, None if rng is None else [rng])[0][1]
+    return SimplexPoint(predict_rows(model, X, rule, n, None if rng is None else [rng]).coords[0])
 
 
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -314,19 +314,14 @@ def zero_nonzero_macro_f1(y_true: np.ndarray, y_pred: np.ndarray, tol: float = 0
     return float(np.mean(scores))
 
 
-def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4, seed: int = 0):
+def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4,
+                         seed: int = 0) -> tuple[np.ndarray, FaceBatch, GlmModel]:
     """Synthetic regression data from a randomly planted model.
 
-    Returns (X, targets, true_model), the targets a list of ``SimplexPoint``s.
-    Scales are chosen so the face scores vary decisively in sign across
-    inputs, making the zero/nonzero pattern learnable.
+    Returns (X, targets, true_model), the targets one ``FaceBatch`` drawn in
+    log space.  Scales are chosen so the face scores vary decisively in sign
+    across inputs, making the zero/nonzero pattern learnable.
     """
-    X, batch, true_model = _planted_arrays(n, K, d, seed)
-    return X, [y for _, y in batch], true_model
-
-
-def _planted_arrays(n: int, K: int, d: int, seed: int) -> tuple[np.ndarray, FaceBatch, GlmModel]:
-    """``make_planted_dataset`` with the targets as one ``FaceBatch``."""
     rng = np.random.default_rng(seed)
     true_model = GlmModel(
         w_face=rng.normal(0.0, 4.0, (K, d)),

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .mixed_dirichlet import dirichlet_log_fill
-from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces
+from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, enumerate_faces
 
 __all__ = [
     "MixedDistribution",
@@ -38,7 +38,6 @@ __all__ = [
     "maxent_entropy",
     "maxent_entropy_series",
     "maxent_log_weights",
-    "maxent_sample",
     "laguerre_generalized",
 ]
 
@@ -144,11 +143,37 @@ def maxent_entropy_series(K: int, N: int) -> float:
     return float(logsumexp(maxent_log_weights(K, N)))
 
 
+def _log_laguerre_at_minus_pow2(n: int, alpha: float, N: int) -> float:
+    """``log L_n^(alpha)(-2^N)`` by the three-term recurrence, run on
+    ``M_k = L_k / 2^(kN)`` and kept near 1 by powers of two.
+
+    With ``y = 2^-N`` the recurrence reads ``M_(k+1) = ((1 + (2k+1+alpha) y)
+    M_k - (k+alpha) y^2 M_(k-1)) / (k+1)``.  Scaling by a power of two is
+    exact, so wherever neither recurrence leaves the normal doubles each step
+    rounds alike and the result is bitwise the plain recurrence's; where
+    ``L_n`` is no double the logarithm is taken of mantissa and exponent apart.
+    """
+    if n == 0:
+        return 0.0
+    y = math.ldexp(1.0, -N)  # 0.0 far beyond 2^-1074, where the y terms no longer round into M
+    prev, cur, exp2 = 1.0, (1.0 + alpha) * y + 1.0, n * N
+    for k in range(1, n):
+        prev, cur = cur, ((1.0 + (2 * k + 1 + alpha) * y) * cur - (k + alpha) * prev * y * y) / (k + 1)
+        if not 2.0**-500 < cur < 2.0**500:
+            e = math.frexp(cur)[1]
+            prev, cur, exp2 = math.ldexp(prev, -e), math.ldexp(cur, -e), exp2 + e
+    m, e = math.frexp(cur)
+    if -1021 <= e + exp2 <= 1024:  # L_n is a normal double
+        return float(np.log(math.ldexp(cur, exp2)))
+    return float(np.log(m)) + (e + exp2) * _LN2
+
+
 def maxent_entropy(K: int, N: int) -> float:
     """Maximal coding entropy at bit precision N: log of the generalized
-    Laguerre polynomial of degree K-1 with parameter 1 at ``-2^N``."""
+    Laguerre polynomial of degree K-1 with parameter 1 at ``-2^N``, finite
+    for every K and N (see ``_log_laguerre_at_minus_pow2``)."""
     maxent_log_weights(K, N)  # validate arguments identically to the series path
-    return float(np.log(laguerre_generalized(K - 1, 1.0, -float(2.0**N))))
+    return _log_laguerre_at_minus_pow2(int(K) - 1, 1.0, int(N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +201,6 @@ class MaxEntMixed:
         log_binom = float(gammaln(self.K + 1) - gammaln(k + 1) - gammaln(self.K - k + 1))
         return float(np.log(self.g[k - 1])) - log_binom
 
-    def log_density(self, y: SimplexPoint) -> float:
-        return float(self.log_density_many(FaceBatch.from_point(y))[0])
-
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Face log-probability plus the flat conditional's log-density,
         ``log (k-1)!`` on a face with k vertices."""
@@ -189,9 +211,6 @@ class MaxEntMixed:
         with np.errstate(divide="ignore"):
             by_size = np.log(self.g) - log_binom + gammaln(k)
         return by_size[batch.members().sum(axis=1) - 1]
-
-    def sample(self, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-        return maxent_sample(self, rng)
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         masks = maxent_sample_face_masks(self, n, rng)
@@ -224,7 +243,3 @@ def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -
     order = np.argsort(rng.random((n, d.K)), axis=1)
     chosen = np.arange(d.K)[None, :] < ks[:, None]
     return np.where(chosen, np.int64(1) << order, 0).sum(axis=1)
-
-
-def maxent_sample(d: MaxEntMixed, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    return d.sample_many(1, rng)[0]

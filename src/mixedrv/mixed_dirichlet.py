@@ -24,7 +24,6 @@ __all__ = [
     "dirichlet_entropy",
     "dirichlet_kl",
     "dirichlet_log_pdf",
-    "sample",
     "sample_many",
     "dirichlet_log_fill",
     "draw_log_coords",
@@ -116,18 +115,9 @@ class MixedDirichlet:
     def K(self) -> int:
         return self.faces.K
 
-    def alpha_on(self, f: FaceIndexSet) -> np.ndarray:
-        return self.alpha[list(f.indices)]
-
     # MixedDistribution capability
-    def sample(self, rng: np.random.Generator):
-        return sample(self, rng)
-
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         return sample_many(self, n, rng)
-
-    def log_density(self, y: SimplexPoint) -> float:
-        return log_density(self, y)
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         return log_density_many(self, batch)
@@ -183,17 +173,9 @@ def draw_log_coords(take: np.ndarray, alpha: np.ndarray, n: int,
     return masks, dirichlet_log_fill(masks, alpha, rng)
 
 
-def sample(md: MixedDirichlet, rng: np.random.Generator) -> tuple[FaceIndexSet, SimplexPoint]:
-    """One draw: a face, then a Dirichlet point embedded in it."""
-    return sample_many(md, 1, rng)[0]
-
-
 def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBatch:
-    """n draws (``draw_log_coords``), carrying their log-coordinates.
-
-    Deterministic under a seeded stream, but consumes draws in a different
-    order than repeated calls to ``sample``.
-    """
+    """n draws (``draw_log_coords``), carrying their log-coordinates;
+    deterministic under a seeded stream."""
     return FaceBatch.from_log_coords(*draw_log_coords(md.faces.take_probs, md.alpha, n, rng))
 
 
@@ -243,7 +225,7 @@ def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
 
 def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
     """``log_density_many`` at a single point."""
-    return float(log_density_many(md, FaceBatch.from_point(y))[0])
+    return float(log_density_many(md, FaceBatch.from_coords(y.coords[None]))[0])
 
 
 def _face_weights(md: MixedDirichlet, mode: str, n: int,
@@ -304,15 +286,9 @@ class FullFaceDirichlet:
     def K(self) -> int:
         return self.alpha.size
 
-    def sample(self, rng: np.random.Generator):
-        return self.sample_many(1, rng)[0]
-
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         masks = np.full(n, (1 << self.K) - 1, dtype=np.int64)
         return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, self.alpha, rng))
-
-    def log_density(self, y: SimplexPoint) -> float:
-        return float(self.log_density_many(FaceBatch.from_point(y))[0])
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Dirichlet log-density on the maximal face, -inf on every other face."""

@@ -28,7 +28,6 @@ __all__ = [
     "sparsemax",
     "sparsemax_rows",
     "sparsemax_jacobian",
-    "face_of",
     "enumerate_faces",
     "hypercube_face_of",
     "face_histogram",
@@ -231,10 +230,9 @@ class FaceBatch:
     row's face and -inf off them; ``coords`` may hold 0.0 on the face but
     nothing positive off it.
 
-    Indexing and iteration yield the pairs, sharing one ``FaceIndexSet``
-    per distinct mask: the row's face, and a ``SimplexPoint`` of its
-    coordinates, whose support is the face less any coordinate that
-    underflowed to 0.0.
+    Iteration yields the pairs, sharing one ``FaceIndexSet`` per distinct
+    mask: the row's face, and a ``SimplexPoint`` of its coordinates, whose
+    support is the face less any coordinate that underflowed to 0.0.
     """
 
     masks: np.ndarray
@@ -289,19 +287,6 @@ class FaceBatch:
         """Batch of points drawn in log space on the faces ``masks``."""
         return cls(masks, np.exp(log_coords), log_coords)
 
-    @classmethod
-    def from_point(cls, y: SimplexPoint) -> "FaceBatch":
-        """Batch of one already validated point (no re-validation)."""
-        batch = object.__new__(cls)
-        masks = np.array([y.support.mask], dtype=np.int64)
-        masks.flags.writeable = False
-        object.__setattr__(batch, "masks", masks)
-        object.__setattr__(batch, "coords", y.coords[None, :])
-        object.__setattr__(batch, "log_coords", None)
-        object.__setattr__(batch, "_supports", masks)
-        object.__setattr__(batch, "_faces", {y.support.mask: y.support})
-        return batch
-
     @property
     def K(self) -> int:
         return self.coords.shape[1]
@@ -319,9 +304,6 @@ class FaceBatch:
 
     def __len__(self) -> int:
         return self.masks.shape[0]
-
-    def __getitem__(self, i: int) -> tuple[FaceIndexSet, SimplexPoint]:
-        return self.face(int(self.masks[i])), SimplexPoint._trusted(self.coords[i], self.face(int(self._supports[i])))
 
     def __iter__(self):
         for i, (m, s) in enumerate(zip(self.masks.tolist(), self._supports.tolist())):
@@ -393,11 +375,6 @@ def sparsemax_jacobian(z) -> np.ndarray:
     y = sparsemax(z)
     s = y.support.member_array().astype(float)
     return np.diag(s) - np.outer(s, s) / s.sum()
-
-
-def face_of(y: SimplexPoint) -> FaceIndexSet:
-    """Face whose relative interior contains ``y`` (its support)."""
-    return y.support
 
 
 def enumerate_faces(K: int) -> list[FaceIndexSet]:

@@ -21,7 +21,7 @@ from mixedrv import glm
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
 from mixedrv import oracles
-from mixedrv.simplex import SimplexPoint, enumerate_faces, sparsemax, sparsemax_jacobian
+from mixedrv.simplex import FaceBatch, SimplexPoint, enumerate_faces, sparsemax, sparsemax_jacobian
 
 
 def _report(num: int, message: str):
@@ -104,7 +104,7 @@ def test_criterion_04_gaussian_sparsemax_k2_consistency():
     n = 10**6
 
     p0, p1, pc = ex.gs2_face_probs(z, s)
-    coords = ex.gs_sample_coords(d, n, np.random.default_rng(204))
+    coords = d.sample_many(n, np.random.default_rng(204)).coords
     freqs = {
         "P0": float(np.mean(coords[:, 0] == 0.0)),
         "P1": float(np.mean(coords[:, 1] == 0.0)),
@@ -164,7 +164,7 @@ def test_criterion_06_gradient_checks():
         K = int(rng.integers(2, 7))
         w = rng.normal(0.0, 1.5, K)
         dist = fg.GibbsFaceDistribution(w)
-        f = fg.sample_face(dist, rng)
+        f = fg.sample_faces(dist, 1, rng)[0]
         fd = oracles.central_difference_gradient(
             lambda v: fg.face_log_prob(fg.GibbsFaceDistribution(v), f), w
         )
@@ -231,14 +231,11 @@ def test_criterion_09_glm_planted_recovery():
         rs = np.random.default_rng(seed)
         idx = rs.permutation(500)
         tr, te = idx[:100], idx[100:]
-        fit = glm.glm_fit(X[tr], [Y[i] for i in tr], seed=seed)
-        y_true = np.stack([Y[i].coords for i in te])
-        mpm = np.stack([glm.glm_predict(fit.model, X[i], "most-probable-mean").coords for i in te])
-        sm = np.stack([
-            glm.glm_predict(fit.model, X[i], "sample-mean", n=100,
-                            rng=np.random.default_rng([seed, int(i)])).coords
-            for i in te
-        ])
+        fit = glm.glm_fit(X[tr], FaceBatch.from_coords(Y.coords[tr]), seed=seed)
+        y_true = Y.coords[te]
+        mpm = glm.predict_rows(fit.model, X[te], "most-probable-mean").coords
+        rngs = (np.random.default_rng([seed, int(i)]) for i in te)
+        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rngs=rngs).coords
         f1s.append(glm.zero_nonzero_macro_f1(y_true, mpm))
         gaps.append(glm.rmse(y_true, mpm) - glm.rmse(y_true, sm))
     elapsed = time.perf_counter() - t0

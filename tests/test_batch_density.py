@@ -33,8 +33,6 @@ def test_batch_equals_single_rows(kind):
     singles = np.array([dist.log_density_many(FaceBatch(batch.masks[i:i + 1], batch.coords[i:i + 1]))[0]
                         for i in range(40)])
     np.testing.assert_allclose(many, singles, rtol=1e-12, atol=1e-12)
-    scalar = np.array([dist.log_density(p) for _, p in batch])
-    np.testing.assert_allclose(many, scalar, rtol=1e-12, atol=1e-12)
 
 
 def test_full_face_dirichlet_minus_inf_off_the_maximal_face():

@@ -53,6 +53,16 @@ class TestMaxentCommand:
     def test_usage_error(self, capsys):
         assert cli.main(["maxent", "--k", "1", "--n-max", "0"]) == 2
 
+    @pytest.mark.parametrize("n_max", [600, 1100])
+    def test_large_precision_is_valid_json(self, capsys, n_max):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        assert cli.main(["maxent", "--k", "3", "--n-max", str(n_max), "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert len(rows) == 2 * (n_max + 1)
+        assert rows[-1]["N"] == n_max and rows[-1]["H_maxent"] > 0
+
     def test_deterministic_stdout(self, capsys):
         cli.main(["maxent", "--k", "6", "--n-max", "3"])
         first = capsys.readouterr().out

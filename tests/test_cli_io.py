@@ -38,7 +38,7 @@ def _json_dumps_line(mask: int, row: list, K: int) -> str:
     return f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": {json.dumps(row)}}}\n'
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(sample_rows())
 def test_sample_lines_match_json_dumps(rows):
     masks, coords = rows
@@ -46,7 +46,7 @@ def test_sample_lines_match_json_dumps(rows):
     assert "".join(cli._sample_lines(masks, coords)) == expected
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(st.integers(1, 12).flatmap(
     lambda width: st.lists(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
                                     min_size=width, max_size=width), min_size=1, max_size=8)))
@@ -59,13 +59,17 @@ def test_csv_lines_match_repr(table):
 
 def _reference_error(path: str, lines: list[str]) -> str:
     """stderr for the first malformed line, found line by line with
-    ``json.loads`` (the definition of the format)."""
+    ``json.loads`` (the definition of the format): the face a nonempty array
+    of distinct JSON integers in 1..63, the dim the integer len(face) - 1."""
     for lineno, line in enumerate(lines, start=1):
         try:
             obj = json.loads(line)
-            face = tuple(sorted(int(i) for i in obj["face"]))
-            dim = int(obj["dim"])
-            if not face or dim != len(face) - 1:
+            face = obj["face"]
+            if not (isinstance(face, list) and face and all(type(i) is int and 1 <= i <= 63 for i in face)
+                    and len(set(face)) == len(face)):
+                raise ValueError("face must be a nonempty array of distinct integers in 1..63")
+            dim = obj["dim"]
+            if type(dim) is not int or dim != len(face) - 1:
                 raise ValueError("face/dim mismatch")
         except (ValueError, KeyError, TypeError) as e:
             return f"error: {path}:{lineno}: malformed sample line ({e})\n"
@@ -92,6 +96,21 @@ MALFORMED = {
     "two_line_join": ([EDGE, '{"face": [1], "dim": 0, "y": [{}', "{}]}"], 2),
     # a bad (face, dim) is reported at its first line, before a later undecodable line
     "bad_pair_before_bad_json": ([EDGE, '{"face": [2], "dim": 1}', "not json", '{"face": [2], "dim": 1}'], 2),
+    # face entries must be distinct JSON integers in 1..63, and dim a JSON integer
+    "infinite_face_entry": ([EDGE, '{"face": [Infinity], "dim": 0}'], 2),
+    "infinite_dim": ([VERTEX, '{"face": [3], "dim": Infinity}'], 2),
+    "face_entry_out_of_range": ([EDGE, '{"face": [0, 99], "dim": 1}'], 2),
+    "face_entry_above_63": ([EDGE, '{"face": [64], "dim": 0}'], 2),
+    "repeated_face_entry": ([EDGE, '{"face": [1, 1], "dim": 1}'], 2),
+    "fractional_face_entry": ([EDGE, '{"face": [1.7], "dim": 0}'], 2),
+    "string_face_entry": ([EDGE, '{"face": ["2"], "dim": 0}'], 2),
+    "boolean_face_entry": ([EDGE, '{"face": [true], "dim": 0}'], 2),
+    "string_face": ([EDGE, '{"face": "12", "dim": 1}'], 2),
+    # a pair equal in value to one already validated, but of another type
+    "float_face_entry_after_int": ([VERTEX, '{"face": [3.0], "dim": 0}'], 2),
+    "boolean_face_entry_after_int": (['{"face": [1], "dim": 0}', '{"face": [true], "dim": 0}'], 2),
+    "float_dim_after_int": ([EDGE, '{"face": [1, 2], "dim": 1.0}'], 2),
+    "boolean_dim_after_int": ([VERTEX, '{"face": [3], "dim": false}'], 2),
 }
 
 
@@ -108,8 +127,8 @@ def test_face_hist_names_the_first_malformed_line(name, tmp_path, capsys):
 
 def test_face_hist_reads_any_spacing_and_key_order(tmp_path, capsys):
     path = tmp_path / "s.jsonl"
-    path.write_text("\n".join([EDGE, '{"dim":1,"face":[2,1]}', f"  {VERTEX}\t", '{"face": [1.0, 2], "dim": 1}']) + "\n",
-                    encoding="utf-8")
+    path.write_text("\n".join([EDGE, '{"dim":1,"face":[2,1]}', f"  {VERTEX}\t", '{ "face" : [ 1 , 2 ] , "dim" : 1 }'])
+                    + "\n", encoding="utf-8")
     assert cli.main(["face-hist", "--in", str(path)]) == 0
     assert capsys.readouterr().out == "kind,label,count,fraction\ndim,0,1,0.25\ndim,1,3,0.75\nface,1+2,3,0.75\nface,3,1,0.25\n"
 

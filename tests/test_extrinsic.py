@@ -4,7 +4,7 @@ from scipy.special import expit, ndtr
 
 from mixedrv import checks, oracles
 from mixedrv import extrinsic as ex
-from mixedrv.simplex import FaceBatch, SimplexPoint, Trit, face_of, sparsemax, sparsemax_rows
+from mixedrv.simplex import FaceBatch, SimplexPoint, Trit, sparsemax, sparsemax_rows
 
 
 def mc_logpdf(y, z, s):
@@ -17,12 +17,12 @@ def mc_logpdf(y, z, s):
 class TestGaussianSparsemaxSampling:
     def test_degenerate_noise_recovers_mean(self):
         d = ex.GaussianSparsemax([0.5, 0.3, 0.2], [1e-12] * 3)
-        _, p = ex.gs_sample(d, np.random.default_rng(50))
-        np.testing.assert_allclose(p.coords, [0.5, 0.3, 0.2], atol=1e-10)
+        coords = d.sample_many(1, np.random.default_rng(50)).coords
+        np.testing.assert_allclose(coords[0], [0.5, 0.3, 0.2], atol=1e-10)
 
     def test_symmetric_vertex_masses(self):
         d = ex.GaussianSparsemax([0.5, 0.5], [0.7, 0.7])
-        coords = ex.gs_sample_coords(d, 10**5, np.random.default_rng(51))
+        coords = d.sample_many(10**5, np.random.default_rng(51)).coords
         f0 = np.mean(coords[:, 0] == 0.0)
         f1 = np.mean(coords[:, 1] == 0.0)
         assert abs(f0 - f1) < 8 * np.sqrt(f0 * (1 - f0) / 10**5)
@@ -32,7 +32,7 @@ class TestGaussianSparsemaxSampling:
         z, s = ex.gs2_params(d)
         p0, p1, pc = ex.gs2_face_probs(z, s)
         n = 2 * 10**5
-        coords = ex.gs_sample_coords(d, n, np.random.default_rng(52))
+        coords = d.sample_many(n, np.random.default_rng(52)).coords
         freqs = [np.mean(coords[:, 0] == 0.0), np.mean(coords[:, 1] == 0.0)]
         for freq, prob in zip(freqs, (p0, p1)):
             assert abs(freq - prob) < 4 * np.sqrt(prob * (1 - prob) / n)
@@ -40,7 +40,7 @@ class TestGaussianSparsemaxSampling:
     def test_sample_face_matches_support(self):
         d = ex.GaussianSparsemax([0.4, 0.1, 0.5], [1.0, 0.5, 0.8])
         for f, p in ex.gs_sample_many(d, 300, np.random.default_rng(53)):
-            assert face_of(p) == f
+            assert p.support == f
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,7 +191,7 @@ class TestGsLogDensity:
     def test_vertex_mass_matches_frequency(self):
         d = ex.GaussianSparsemax([0.6, 0.2, 0.2], [0.7, 0.7, 0.9])
         n = 2 * 10**5
-        coords = ex.gs_sample_coords(d, n, np.random.default_rng(61))
+        coords = d.sample_many(n, np.random.default_rng(61)).coords
         freq = float(np.mean((coords[:, 1] == 0.0) & (coords[:, 2] == 0.0)))
         dens = float(np.exp(ex.gs_log_density(d, SimplexPoint.vertex(0, 3))))
         assert abs(freq - dens) < 5 * np.sqrt(dens * (1 - dens) / n)
@@ -199,34 +199,32 @@ class TestGsLogDensity:
 
 class TestConcrete:
     def test_interior_output(self):
-        rng = np.random.default_rng(62)
-        for _ in range(100):
-            p = ex.concrete_sample([0.3, -0.5, 1.0], 0.7, rng)
-            assert np.all(p.coords > 0.0)
-            assert p.support.size == 3
+        batch = ex.Concrete([0.3, -0.5, 1.0], 0.7).sample_many(100, np.random.default_rng(62))
+        assert np.all(batch.coords > 0.0)
+        assert batch.masks.tolist() == [0b111] * 100
 
     def test_gumbel_max_property(self):
         z = np.array([0.2, -0.5, 1.0])
         probs = np.exp(z) / np.exp(z).sum()
         n = 2 * 10**5
-        coords = ex.concrete_sample_coords(z, 0.7, n, np.random.default_rng(63))
+        coords = ex.Concrete(z, 0.7).sample_many(n, np.random.default_rng(63)).coords
         freqs = np.bincount(np.argmax(coords, axis=1), minlength=3) / n
         for k in range(3):
             assert abs(freqs[k] - probs[k]) < 4 * np.sqrt(probs[k] * (1 - probs[k]) / n)
 
     def test_high_temperature_near_uniform(self):
-        coords = ex.concrete_sample_coords(np.zeros(10), 1e3, 5000, np.random.default_rng(64))
+        coords = ex.Concrete(np.zeros(10), 1e3).sample_many(5000, np.random.default_rng(64)).coords
         assert np.quantile(coords.max(axis=1), 0.99) < 0.12
 
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
-            ex.concrete_sample([0.0, 0.0], 0.0, np.random.default_rng(0))
+            ex.Concrete([0.0, 0.0], 0.0)
 
 
 class TestKDHardConcrete:
     def test_lambda_one_always_full_face(self):
         d = ex.KDHardConcrete([0.3, -0.2, 0.1], 0.7, 1.0)
-        for f, p in (ex.khc_sample(d, np.random.default_rng(65)) for _ in range(200)):
+        for f, p in d.sample_many(200, np.random.default_rng(65)):
             assert f.size == 3
             assert np.all(p.coords > 0)
 
@@ -250,15 +248,15 @@ class TestKDHardConcrete:
 
     def test_vertex_rate_increases_with_lambda(self):
         z = np.array([0.4, -0.3])
-        small = ex.khc_sample_coords(ex.KDHardConcrete(z, 0.66, 1.1), 5000, np.random.default_rng(67))
-        big = ex.khc_sample_coords(ex.KDHardConcrete(z, 0.66, 10.0), 5000, np.random.default_rng(68))
+        small = ex.KDHardConcrete(z, 0.66, 1.1).sample_many(5000, np.random.default_rng(67)).coords
+        big = ex.KDHardConcrete(z, 0.66, 10.0).sample_many(5000, np.random.default_rng(68)).coords
         rate = lambda c: np.mean((c > 0).sum(axis=1) == 1)
         assert rate(big) > rate(small)
 
     def test_large_lambda_approaches_gumbel_max(self):
         z = np.array([0.2, -0.5, 1.0])
         probs = np.exp(z) / np.exp(z).sum()
-        coords = ex.khc_sample_coords(ex.KDHardConcrete(z, 0.4, 50.0), 10**5, np.random.default_rng(69))
+        coords = ex.KDHardConcrete(z, 0.4, 50.0).sample_many(10**5, np.random.default_rng(69)).coords
         vertex_rows = (coords > 0).sum(axis=1) == 1
         freqs = np.bincount(np.argmax(coords[vertex_rows], axis=1), minlength=3) / vertex_rows.sum()
         np.testing.assert_allclose(freqs, probs, atol=0.02)

@@ -7,7 +7,7 @@ from mixedrv import face_gibbs as fg
 from mixedrv import glm
 from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords, sample_many
 from mixedrv.oracles import central_difference_gradient
-from mixedrv.simplex import FaceBatch, SimplexPoint
+from mixedrv.simplex import FaceBatch
 
 
 def _pack(model):
@@ -43,7 +43,7 @@ class TestLogLikelihood:
 
     def test_vertex_target_ignores_concentrations(self):
         X = np.array([[0.3, -0.2]])
-        Y = [SimplexPoint([1.0, 0.0, 0.0])]
+        Y = FaceBatch.from_coords([[1.0, 0.0, 0.0]])
         m1 = glm.GlmModel(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
         m2 = glm.GlmModel(np.zeros((3, 2)), np.zeros(3), np.ones((3, 2)), np.full(3, 2.0))
         ll1, g1 = glm.glm_log_likelihood(m1, X, Y)
@@ -61,7 +61,7 @@ class TestLogLikelihood:
     def test_shape_validation(self):
         model = glm.GlmModel(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            glm.glm_log_likelihood(model, np.zeros((2, 5)), [SimplexPoint([1, 0, 0])] * 2)
+            glm.glm_log_likelihood(model, np.zeros((2, 5)), FaceBatch.from_coords([[1.0, 0.0, 0.0]] * 2))
 
 
 class TestFit:
@@ -84,19 +84,11 @@ class TestFit:
     def test_constant_vertex_targets(self):
         rng = np.random.default_rng(101)
         X = rng.normal(0, 1, (50, 3))
-        Y = [SimplexPoint([0.0, 1.0, 0.0])] * 50
+        Y = FaceBatch.from_coords([[0.0, 1.0, 0.0]] * 50)
         fit = glm.glm_fit(X, Y, seed=0)
         for x in list(X[:10]) + [rng.normal(0, 1, 3) for _ in range(5)]:
             f = fg.most_probable_face(fit.model.mixed_at(x).faces)
             assert f.indices == (1,)
-
-    def test_batch_targets_match_point_targets(self):
-        X, Y, _ = glm.make_planted_dataset(n=60, K=4, d=3, seed=4)
-        _, batch, _ = glm._planted_arrays(60, 4, 3, 4)
-        assert np.array_equal(batch.coords, np.stack([y.coords for y in Y]))
-        a, b = glm.glm_fit(X, batch, steps=30, seed=2), glm.glm_fit(X, Y, steps=30, seed=2)
-        np.testing.assert_array_equal(a.losses, b.losses)
-        np.testing.assert_array_equal(a.model.w_conc, b.model.w_conc)
 
     def test_target_face_is_the_support_of_its_coordinates(self):
         # the first row was drawn on face {1, 2, 3}, but its first coordinate underflowed to 0.0
@@ -106,14 +98,16 @@ class TestFit:
         model = glm.GlmModel(np.ones((3, 2)), np.zeros(3), np.ones((3, 2)), np.zeros(3))
         X = np.array([[0.3, -0.2], [0.1, 0.4]])
         ll, grads = glm.glm_log_likelihood(model, X, batch)
-        ll_points, grads_points = glm.glm_log_likelihood(model, X, [y for _, y in batch])
-        assert ll == ll_points and np.isfinite(ll)
+        support = FaceBatch.from_coords(batch.coords)
+        assert support.masks.tolist() == [0b110, 0b011]
+        ll_support, grads_support = glm.glm_log_likelihood(model, X, support)
+        assert ll == ll_support and np.isfinite(ll)
         for key in grads:
-            np.testing.assert_array_equal(grads[key], grads_points[key])
+            np.testing.assert_array_equal(grads[key], grads_support[key])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            glm.glm_fit(np.zeros((0, 2)), [])
+            glm.glm_fit(np.zeros((0, 2)), FaceBatch(np.zeros(0, dtype=np.int64), np.zeros((0, 2))))
 
 
 class TestPredict:
@@ -138,7 +132,7 @@ class TestPredict:
         # exact mixture mean by enumerating faces
         mean = np.zeros(4)
         for f, prob in dist.exact_face_distribution().items():
-            a = dist.alpha_on(f)
+            a = dist.alpha[list(f.indices)]
             part = np.zeros(4)
             part[list(f.indices)] = a / a.sum()
             mean += prob * part
@@ -242,7 +236,7 @@ class TestRowBatchedSampling:
             rng.normal(size=shape)
         assert np.array_equal(rng.normal(0.0, 1.0, X.shape), X)
         _, ref_log_y = _reference_draws(*true_model.row_params(X), rng, log_space_fill)
-        assert np.array_equal(np.stack([y.coords for y in Y]), np.exp(ref_log_y))
+        assert np.array_equal(Y.log_coords, ref_log_y) and np.array_equal(Y.coords, np.exp(ref_log_y))
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
     def test_predictions_match_per_row_reference(self, rule):
@@ -257,7 +251,7 @@ class TestRowBatchedSampling:
             else:
                 f = fg.most_probable_face(md.faces)
                 ref = np.zeros(7)
-                a = md.alpha_on(f)
+                a = md.alpha[list(f.indices)]
                 ref[list(f.indices)] = a / a.sum()
             assert np.array_equal(batch.coords[i], ref)
             one = glm.glm_predict(model, x, rule, n=50, rng=np.random.default_rng([4, i]))
@@ -307,9 +301,9 @@ class TestPlantedRecovery:
         rs = np.random.default_rng(0)
         idx = rs.permutation(500)
         tr, te = idx[:100], idx[100:]
-        fit = glm.glm_fit(X[tr], [Y[i] for i in tr], seed=0)
-        y_true = np.stack([Y[i].coords for i in te])
-        mpm = np.stack([glm.glm_predict(fit.model, X[i], "most-probable-mean").coords for i in te])
+        fit = glm.glm_fit(X[tr], FaceBatch.from_coords(Y.coords[tr]), seed=0)
+        y_true = Y.coords[te]
+        mpm = glm.predict_rows(fit.model, X[te], "most-probable-mean").coords
         assert glm.zero_nonzero_macro_f1(y_true, mpm) > 0.9
 
     def test_model_json_roundtrip(self):

@@ -63,6 +63,21 @@ class TestMaxEntEntropy:
                 a, b = it.maxent_entropy(K, N), it.maxent_entropy_series(K, N)
                 assert a == pytest.approx(b, rel=1e-10)
 
+    @pytest.mark.parametrize("K", [2, 3, 10, 30, 100, 400])
+    def test_finite_at_any_precision(self, K):
+        # neither L_(K-1)(-2^N) nor 2^N itself need be a double
+        for N in (0, 8, 60, 200, 600, 1023, 1100):
+            a, b = it.maxent_entropy(K, N), it.maxent_entropy_series(K, N)
+            assert math.isfinite(a) and a == pytest.approx(b, rel=1e-10)
+        assert it.maxent_entropy(3, 600) == pytest.approx(831.08, abs=0.01)
+        assert it.maxent_entropy(10, 200) == pytest.approx(1234.86, abs=0.01)
+
+    def test_bitwise_the_plain_recurrence_where_it_is_finite(self):
+        for K in range(2, 31):
+            for N in range(0, 9):
+                plain = float(np.log(it.laguerre_generalized(K - 1, 1.0, -float(2.0**N))))
+                assert it.maxent_entropy(K, N) == plain
+
     def test_validation(self):
         with pytest.raises(ValueError):
             it.maxent_entropy(1, 0)

@@ -7,7 +7,7 @@ from mixedrv import checks
 from mixedrv import face_gibbs as fg
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
-from mixedrv.simplex import ResourceLimitError, SimplexPoint, enumerate_faces, face_of
+from mixedrv.simplex import FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces
 
 
 def _dirichlet_logpdf_oracle(y, alpha):
@@ -70,16 +70,14 @@ class TestMixedDirichlet:
 
     def test_forced_vertex_sampling(self):
         dist = md.MixedDirichlet(np.array([30.0, -30.0, -30.0]), np.ones(3))
-        rng = np.random.default_rng(33)
-        for _ in range(100):
-            f, p = md.sample(dist, rng)
-            assert f.indices == (0,)
-            assert p.coords.tolist() == [1.0, 0.0, 0.0]
+        batch = dist.sample_many(100, np.random.default_rng(33))
+        assert batch.masks.tolist() == [0b001] * 100
+        assert batch.coords.tolist() == [[1.0, 0.0, 0.0]] * 100
 
     def test_sample_face_matches_point_support(self):
         dist = md.MixedDirichlet(np.array([0.5, -0.5, 0.2, 0.0]), np.full(4, 0.8))
         for f, p in md.sample_many(dist, 500, np.random.default_rng(34)):
-            assert face_of(p) == f
+            assert p.support == f
             assert np.all(p.restricted() > 0.0)
 
     def test_flat_alpha_conditionals_are_uniform(self):
@@ -132,7 +130,7 @@ class TestLogDensity:
     def test_vertex_is_face_log_prob(self):
         dist = md.MixedDirichlet(np.array([0.4, -0.2]), np.array([2.0, 3.0]))
         v = md.log_density(dist, SimplexPoint([1.0, 0.0]))
-        assert v == pytest.approx(fg.face_log_prob(dist.faces, face_of(SimplexPoint([1.0, 0.0]))), abs=1e-14)
+        assert v == pytest.approx(fg.face_log_prob(dist.faces, SimplexPoint([1.0, 0.0]).support), abs=1e-14)
 
     def test_normalization_by_construction(self):
         rng = np.random.default_rng(38)
@@ -146,7 +144,7 @@ class TestLogDensity:
             if f.size < 2:
                 continue
             expected = fg.face_log_prob(dist.faces, f) + _dirichlet_logpdf_oracle(
-                p.restricted(), dist.alpha_on(f)
+                p.restricted(), dist.alpha[list(f.indices)]
             )
             assert md.log_density(dist, p) == pytest.approx(expected, rel=1e-12)
 
@@ -205,13 +203,14 @@ class TestEntropyKl:
             q = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
             h_face, kl_face = fg.entropy(p.faces), fg.kl(p.faces, q.faces)
             probs = p.exact_face_distribution()
-            h = h_face + sum(pr * md.dirichlet_entropy(p.alpha_on(f)) for f, pr in probs.items())
-            kl = kl_face + sum(pr * md.dirichlet_kl(p.alpha_on(f), q.alpha_on(f)) for f, pr in probs.items())
+            on = {f: list(f.indices) for f in probs}
+            h = h_face + sum(pr * md.dirichlet_entropy(p.alpha[on[f]]) for f, pr in probs.items())
+            kl = kl_face + sum(pr * md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f, pr in probs.items())
             assert md.entropy(p) == pytest.approx(h, rel=1e-12)
             assert md.kl_mixed(p, q) == pytest.approx(kl, rel=1e-12)
             faces = fg.sample_faces(p.faces, 2000, np.random.default_rng(K))
-            h = h_face + np.mean([md.dirichlet_entropy(p.alpha_on(f)) for f in faces])
-            kl = kl_face + np.mean([md.dirichlet_kl(p.alpha_on(f), q.alpha_on(f)) for f in faces])
+            h = h_face + np.mean([md.dirichlet_entropy(p.alpha[on[f]]) for f in faces])
+            kl = kl_face + np.mean([md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f in faces])
             assert md.entropy(p, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(h, rel=1e-12)
             assert md.kl_mixed(p, q, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(kl, rel=1e-12)
 
@@ -234,8 +233,8 @@ class TestEntropyKl:
 class TestFullFaceDirichlet:
     def test_density_minus_inf_off_the_maximal_face(self):
         d = md.FullFaceDirichlet(np.ones(3))
-        assert d.log_density(SimplexPoint([1.0, 0.0, 0.0])) == -np.inf
-        assert np.isfinite(d.log_density(SimplexPoint([0.2, 0.3, 0.5])))
+        vals = d.log_density_many(FaceBatch.from_coords([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]]))
+        assert vals[0] == -np.inf and np.isfinite(vals[1])
 
     def test_samples_are_interior(self):
         d = md.FullFaceDirichlet(np.array([0.5, 1.0, 2.0]))
