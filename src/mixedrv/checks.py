@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import chisquare, kstest
 
 from . import extrinsic, face_gibbs, glm, info_theory, mixed_dirichlet, oracles
-from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, face_histogram, sparsemax
+from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, face_histogram, sparsemax, sparsemax_rows
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -498,6 +498,24 @@ def _check_gs_density_unequal_sigma():
     return f"unequal-sigma batches match the oracle to {worst:.2e}"
 
 
+def _check_gs_orthant_wide_sigma():
+    # sigma log-uniform over the four decades the contract properties draw,
+    # mu uniform in [-30, 30]; rows from the law and on random faces, each
+    # face holding two or more of them, in one batch per law
+    rng = np.random.default_rng(137)
+    worst = 0.0
+    for _ in range(8):
+        K = int(rng.integers(3, 7))
+        d = extrinsic.GaussianSparsemax(rng.uniform(-30.0, 30.0, K), np.exp(rng.uniform(np.log(1e-2), np.log(1e2), K)))
+        points = [*d.sample_many(2, rng), *FaceBatch.from_coords(sparsemax_rows(rng.normal(0.0, 1.0, (1, K))))]
+        batch = FaceBatch.from_coords(np.concatenate([_same_face_rows(y) for _, y in points]))
+        ref = np.array([oracles.gs_log_density_reference(d, p) for _, p in batch])
+        err = np.abs(extrinsic.gs_log_density_many(d, batch) - ref) / np.maximum(1.0, np.abs(ref))
+        worst = max(worst, float(err.max()))
+    _require(worst < 1e-9, f"wide-sigma density off the quad oracle by {worst:.2e} relative")
+    return f"wide-sigma batches match the quad oracle to {worst:.2e} relative"
+
+
 def _check_gs_quadrature_refinement():
     rng = np.random.default_rng(135)
     worst = 0.0
@@ -822,6 +840,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs_density_pivot_invariance", _FAST, _check_gs_density_pivot_invariance),
     ("extrinsic.gs_density_constant_sigma_path", _FAST, _check_gs_density_constant_sigma),
     ("extrinsic.gs_density_unequal_sigma_batches", _FAST, _check_gs_density_unequal_sigma),
+    ("extrinsic.gs_orthant_wide_sigma", _FAST, _check_gs_orthant_wide_sigma),
     ("extrinsic.gs_quadrature_refinement", _FAST, _check_gs_quadrature_refinement),
     ("extrinsic.gs2_face_probs_vs_frequencies", _FAST, lambda: _check_gs2_face_frequencies(10**5)),
     ("extrinsic.gs2_face_probs_vs_frequencies_1e6", _FULL, lambda: _check_gs2_face_frequencies(10**6)),

@@ -23,7 +23,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, logsumexp, ndtr, ndtri, xlogy
+from scipy.special import erfcx, expit, log_ndtr, ndtr, xlogy
 
 from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax_rows
 
@@ -50,21 +50,19 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Inset from the endpoints of (0, 1) where the inverse normal CDF blows up.
-_ENDPOINT_INSET = 1e-12
-
 #: Minimum total node count accepted for density evaluations.
 _MIN_DENSITY_NODES = 256
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre rule on (0, 1) with a fixed node count per
-    panel.  Panel widths shrink geometrically toward both endpoints, where
-    the inverse normal CDF in the integrands has fractional-power
-    singularities that equal-width panels resolve poorly."""
+    """Composite Gauss-Legendre rule for the orthant integral: ``nodes``
+    Gauss-Legendre nodes per panel, and ``panels`` equal panels across the
+    window where one row's integrand is within exp(-40.5) of its peak
+    (edges at mu_j +- sigma_j 2^k are added around steps narrower than a
+    panel)."""
 
-    panels: int = 64
+    panels: int = 24
     nodes: int = 16
 
     def __post_init__(self):
@@ -72,28 +70,14 @@ class QuadratureConfig:
             raise ValueError(f"need panels >= 2 and nodes >= 2, got {self}")
 
     def points_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on (0, 1), read-only and built once per config."""
-        pts, wts, _, _ = _quadrature_rule(self)
-        return pts, wts
+        """One panel's nodes and weights on [-1, 1], read-only and built
+        once per node count."""
+        return _legendre(self.nodes)
 
 
 @functools.lru_cache(maxsize=None)
-def _quadrature_rule(quad: QuadratureConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, weights, ``ndtri(nodes)`` and ``log(weights)`` of a rule."""
-    x, w = np.polynomial.legendre.leggauss(quad.nodes)
-    left = quad.panels // 2
-    right = quad.panels - left
-    lo = _ENDPOINT_INSET
-    hi = 1.0 - _ENDPOINT_INSET
-    # edges at 0.5 * q^j, geometric from the inset up to the midpoint
-    edges_left = 0.5 * (2.0 * lo) ** (np.arange(left, -1, -1) / left)
-    edges_right = 1.0 - 0.5 * (2.0 * (1.0 - hi)) ** (np.arange(0, right + 1) / right)
-    edges = np.concatenate([edges_left, edges_right[1:]])
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    rule = (pts, wts, ndtri(pts), np.log(wts))
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    rule = np.polynomial.legendre.leggauss(n)
     for a in rule:
         a.flags.writeable = False
     return rule
@@ -278,25 +262,165 @@ def gs2_log_density_intrinsic(y: float, z: float, sigma: float) -> float:
 # ---------------------------------------------------------------------------
 # General-K density: marginal Gaussian factor of the support coordinates
 # times the negative-orthant probability of the off-support conditional,
-# itself a 1-D integral over (0, 1).
+# itself the 1-D integral over V of N(V; -c/t, 1/t) prod_j Phi((V - mu_j) /
+# sigma_j), the product running over the off-face coordinates.
 # ---------------------------------------------------------------------------
 
-#: Elements of the (rows, nodes, |off|) quadrature array evaluated at once.
+#: Elements of the (rows, nodes) reweighting array evaluated at once.
 _ORTHANT_CHUNK = 1 << 16
 
+#: A row's window is where its log-integrand lies within this drop of its
+#: peak.  The log-integrand is concave, so the mass left outside is below
+#: exp(-drop) relative; its curvature is at least t, so the window is at
+#: most 2 sqrt(2 drop / t) = 18 / sqrt(t) wide.
+_WINDOW_DROP = 40.5
 
-def _orthant_log(mu_off, sigma_off, t: float, c: np.ndarray, quad: QuadratureConfig) -> np.ndarray:
+#: Cap on the Newton steps of each window search; they take a few, and
+#: every iterate is already a valid answer.
+_NEWTON_STEPS = 100
+
+#: One node set serves rows whose windows together span at most this many
+#: times the narrowest of them; rows further apart get node sets of their own.
+_MAX_SPAN = 4.0
+
+#: Windows narrower than this share of their distance from 0 leave too few
+#: distinct doubles for the rule; such rows take the Laplace approximation.
+_MIN_RELATIVE_WIDTH = 1e-9
+
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+
+#: |z| clip of the window search: log_ndtr(z) overflows to -inf below about
+#: -1.9e154, and every z above 40 has Phi(z) = 1 in double precision.
+_Z_MAX = 1e150
+
+
+# The log-integrand of row i, less its constant (log t_i - log 2 pi) / 2, is
+# f_i(V) = sum_j log Phi(z_j) - t_i (V - m_i)^2 / 2 with z_j = (V - mu_j) /
+# sigma_j over the row's off-face coordinates j.  Those come flattened as
+# one entry each: ``row`` names the entry's row, ``mu_e``/``sigma_e`` its
+# coordinate's parameters.
+
+def _log_f(v, m, t, row, mu_e, sigma_e) -> np.ndarray:
+    z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
+    dv = v - m
+    return np.bincount(row, log_ndtr(z), v.size) - 0.5 * t * dv * dv
+
+
+def _log_f_slopes(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of ``_log_f``."""
+    z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
+    # inverse Mills ratio phi(z) / Phi(z), free of cancellation in both tails
+    lam = _SQRT_2_OVER_PI / erfcx(z * -np.sqrt(0.5))
+    # lam (z + lam) = 1 - 1/z^2 + O(z^-4) as z -> -inf, where z + lam cancels
+    bend = np.where(z > -1e4, lam * (z + lam), 1.0 - (1.0 / np.minimum(z, -1e4)) ** 2)
+    return (np.bincount(row, lam / sigma_e, v.size) - t * (v - m),
+            -t - np.bincount(row, bend / sigma_e / sigma_e, v.size))
+
+
+def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, an interval outside which the log-integrand lies more than
+    ``_WINDOW_DROP`` below its peak, and the Laplace approximation of the
+    log orthant probability; ``off`` marks each row's off-face coordinates.
+
+    The mode is found by Newton from the Gaussian mean: the slope is convex
+    and decreasing there, so the iterates rise to the root without
+    overshooting.  From any point v left of the mode, curvature >= t puts
+    both drop points within ``(+-f'(v) + sqrt(f'(v)^2 + 2 drop t)) / t``
+    of v; Newton on the concave log-integrand then walks each edge in from
+    outside, so every iterate is a valid edge.  Where a Newton step is lost
+    below the spacing of doubles, the search stops there."""
+    row, col = np.nonzero(off)
+    entries = (row, mu[col], sigma[col])
+    v = m.copy()
+    f1, f2 = _log_f_slopes(v, m, t, *entries)
+    for _ in range(_NEWTON_STEPS):
+        step = v + f1 / -f2
+        # a step below the spacing of doubles at v: v is the mode
+        f1 = np.where(step == v, 0.0, f1)
+        if np.all(np.abs(f1) <= 0.1 * np.sqrt(-f2)):
+            break
+        v = step
+        f1, f2 = _log_f_slopes(v, m, t, *entries)
+    peak = _log_f(v, m, t, *entries)
+    # distances (hypot(f1, sqrt(2 drop t)) +- f1) / t, the smaller one in a
+    # form free of cancellation
+    big = np.hypot(f1, np.sqrt(2.0 * _WINDOW_DROP * t)) + np.abs(f1)
+    near, far = 2.0 * _WINDOW_DROP / big, big / t
+    edge = np.concatenate([v - np.where(f1 >= 0.0, near, far), v + np.where(f1 >= 0.0, far, near)])
+    level = np.tile(peak - _WINDOW_DROP, 2)
+    m2, t2 = np.tile(m, 2), np.tile(t, 2)
+    entries2 = (np.concatenate([row, row + m.size]), np.tile(entries[1], 2), np.tile(entries[2], 2))
+    for _ in range(_NEWTON_STEPS):
+        g = _log_f(edge, m2, t2, *entries2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = edge - (g - level) / _log_f_slopes(edge, m2, t2, *entries2)[0]
+        step = np.where(np.isfinite(step), step, edge)
+        if np.all((g >= level - 1.0) | (step == edge)):
+            break
+        edge = step
+    return edge[:m.size], edge[m.size:], peak + 0.5 * (np.log(t) - np.log(-f2))
+
+
+def _clusters(lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+    """Rows grouped, in order of ``lo``, so that each group's windows span
+    at most ``_MAX_SPAN`` times its narrowest window."""
+    if hi.max() - lo.min() <= _MAX_SPAN * np.min(hi - lo):
+        return [np.arange(lo.size)]
+    order = np.argsort(lo)
+    groups, start = [], 0
+    a, b = lo[order[0]], hi[order[0]]
+    width = b - a
+    for k, (l, h) in enumerate(zip(lo[order].tolist(), hi[order].tolist())):
+        b, width = max(b, h), min(width, h - l)
+        if b - a > _MAX_SPAN * width:
+            groups.append(order[start:k])
+            start, a, b, width = k, l, h, h - l
+    groups.append(order[start:])
+    return groups
+
+
+def _step_edges(mu, sigma, h: float) -> np.ndarray:
+    """Panel edges ``mu_j +- sigma_j 2^k`` below ``h`` from each step."""
+    reach = sigma[:, None] * 2.0 ** np.arange(int(np.log2(h) - np.log2(sigma.min())) + 1)
+    keep = reach < h
+    centers = np.broadcast_to(mu[:, None], reach.shape)[keep]
+    return np.concatenate([centers - reach[keep], centers + reach[keep]])
+
+
+def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 quad: QuadratureConfig) -> np.ndarray:
     """Log orthant probability of the off-face coordinates (``mu_off``,
-    ``sigma_off``) of one face with precision sum ``t``, at each ``c``."""
-    _, _, z, log_w = _quadrature_rule(quad)
-    shift = (c[:, None] + mu_off * t) / (sigma_off * t)
-    scaled = z[:, None] / (sigma_off * np.sqrt(t))[None, :]
-    out = np.empty(c.size)
-    step = max(1, _ORTHANT_CHUNK // scaled.size)
-    for i in range(0, c.size, step):
-        args = scaled[None, :, :] - shift[i:i + step, None, :]
-        out[i:i + step] = logsumexp(log_ndtr(args).sum(axis=2) + log_w, axis=1)
-    return out
+    ``sigma_off``) of one face with precision sum ``t``, for rows with
+    Gaussian means ``m`` and windows ``[lo, hi]`` (see ``_clusters``).
+
+    One node set serves all the rows: ``quad.panels`` equal panels across
+    the narrowest row window, spanning the union of the windows, plus edges
+    at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel.  The
+    step product is evaluated once; each row only adds its Gaussian
+    log-weight."""
+    x, w = quad.points_weights()
+    h = float(np.min(hi - lo)) / quad.panels
+    a = float(lo.min())
+    edges = a + h * np.arange(int(np.ceil((float(hi.max()) - a) / h)) + 1)
+    narrow = sigma_off < h
+    if narrow.any():
+        steps = _step_edges(mu_off[narrow], sigma_off[narrow], h)
+        edges = np.union1d(edges, steps[(steps > a) & (steps < edges[-1])])
+    half = np.diff(edges)[:, None] / 2.0
+    v = ((edges[:-1, None] + half) + half * x).ravel()
+    base = np.log((half * w).ravel()) + log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
+    out = np.empty(m.size)
+    step = max(1, _ORTHANT_CHUNK // v.size)
+    for i in range(0, m.size, step):
+        arg = v - m[i:i + step, None]
+        arg *= np.sqrt(0.5 * t)
+        arg *= arg
+        np.subtract(base, arg, out=arg)
+        top = arg.max(axis=1, keepdims=True)
+        arg -= top
+        np.exp(arg, out=arg)
+        out[i:i + step] = top[:, 0] + np.log(arg.sum(axis=1))
+    return out + 0.5 * (np.log(t) - _LOG_2PI)
 
 
 def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
@@ -308,9 +432,8 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     c/t)^2``.  The support coordinates contribute ``log s - (q + sum_S log
     sigma_k^2 + log t + (s - 1) log 2 pi) / 2`` (0 at vertices), the density
     of their differences; the off-support coordinates the log orthant
-    probability, by quadrature per distinct face.  With all sigmas equal, c
-    is the same on every row of a face (rows sum to 1), so the orthant term
-    is evaluated at the face's first row only.
+    probability, by quadrature on one node set per distinct face (per
+    cluster of its rows' windows, when those lie far apart).
     """
     quad = QuadratureConfig() if quad is None else quad
     if quad.panels * quad.nodes < _MIN_DENSITY_NODES:
@@ -327,13 +450,24 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     s = member.sum(axis=1)
     log_det = np.where(member, -np.log(a), 0.0).sum(axis=1) + np.log(t)
     out = np.log(s) + np.where(s > 1, -0.5 * (q + log_det + (s - 1) * _LOG_2PI), 0.0)
-    equal_sigma = bool(np.all(d.sigma == d.sigma[0]))
-    for _, rows in face_groups(batch.masks):
-        off = ~member[rows[0]]
-        if off.any():
-            at = rows[:1] if equal_sigma else rows
-            out[rows] += _orthant_log(d.mu[off], d.sigma[off], t[rows[0]], c[at], quad)
-    return out
+    part = s < d.K
+    if not part.any():
+        return out
+    m = -c / t
+    lo, hi, orthant = np.full_like(t, np.nan), np.full_like(t, np.nan), np.zeros_like(t)
+    # overflow to inf is handled where it can occur: at sigma ratios beyond
+    # ~1e150, in steps or windows that the rule then clips or skips
+    with np.errstate(over="ignore"):
+        lo[part], hi[part], orthant[part] = _row_windows(m[part], t[part], d.mu, d.sigma, ~member[part])
+        resolved = hi - lo > _MIN_RELATIVE_WIDTH * (np.abs(lo) + np.abs(hi))
+        for _, rows in face_groups(batch.masks):
+            off = ~member[rows[0]]
+            rows = rows[resolved[rows]]  # none on the full face, whose windows are nan
+            if rows.size:
+                for group in _clusters(lo[rows], hi[rows]):
+                    at = rows[group]
+                    orthant[at] = _orthant_log(d.mu[off], d.sigma[off], t[at[0]], m[at], lo[at], hi[at], quad)
+    return out + orthant
 
 
 def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,

@@ -3,17 +3,21 @@
 Everything here is deliberately naive: exhaustive enumeration over all
 2^K - 1 faces, the O(K) face-lattice DAG of the paper's construction,
 explicit active-set search for the simplex projection, the pivoted dense
-Gaussian-Sparsemax density one point at a time, and central finite
-differences.  None of it shares code with the production paths it
-validates.
+Gaussian-Sparsemax density one point at a time with its orthant term by
+adaptive quadrature, and central finite differences.  None of it shares
+code with the production paths it validates.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import log_ndtr, logsumexp, ndtri
+import math
 
-from .extrinsic import GaussianSparsemax, QuadratureConfig
+import numpy as np
+from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.special import log_ndtr, logsumexp
+
+from .extrinsic import GaussianSparsemax
 from .simplex import FaceIndexSet, SimplexPoint, enumerate_faces
 
 __all__ = [
@@ -25,7 +29,6 @@ __all__ = [
     "face_score_table",
     "enum_log_normalizer",
     "enum_expected_suff_stats",
-    "enum_face_probs",
     "enum_entropy",
     "enum_kl",
     "enum_most_probable_face",
@@ -78,11 +81,6 @@ def _enum_log_probs(w) -> np.ndarray:
     return scores - logsumexp(scores)
 
 
-def enum_face_probs(w) -> dict[FaceIndexSet, float]:
-    probs = np.exp(_enum_log_probs(w))
-    return {f: float(p) for f, p in zip(enumerate_faces(len(w)), probs)}
-
-
 def enum_expected_suff_stats(w) -> np.ndarray:
     return np.exp(_enum_log_probs(w)) @ face_score_table(len(w))
 
@@ -103,17 +101,55 @@ def enum_most_probable_face(w) -> FaceIndexSet:
     return enumerate_faces(w.size)[int(np.argmax(scores))]
 
 
-def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, quad: QuadratureConfig | None = None,
-                             pivot: int | None = None) -> float:
+def _log_orthant_reference(mu, sigma, t: float, m: float) -> float:
+    """``log int N(V; m, 1/t) prod_j Phi((V - mu_j) / sigma_j) dV`` by
+    adaptive quadrature, shifted by the log-integrand at its mode.
+
+    The mode is the root of the log-integrand's slope, which is positive at
+    ``m`` and falls at rate >= t, so the root lies within ``2 slope(m) / t``
+    of ``m`` (with margin for rounding).  The same bound puts the integrand
+    below exp(-72) of its peak beyond ``12 / sqrt(t)`` of the mode.  The
+    integrand has features only at the mode (no narrower than
+    ``(t + sum sigma_j^-2)^-1/2``) and at each step ``mu_j`` (of width
+    sigma_j); breakpoints at ratio-8 distances from each keep every feature
+    within reach of the adaptive rule's nodes."""
+    steps = list(zip(mu.tolist(), sigma.tolist()))
+
+    def log_f(v):
+        return float(sum(log_ndtr((v - a) / b) for a, b in steps)) - 0.5 * t * (v - m) ** 2
+
+    def slope(v):
+        z = (v - mu) / sigma
+        return float(np.sum(np.exp(-0.5 * z * z - 0.5 * np.log(2 * np.pi) - log_ndtr(z)) / sigma) - t * (v - m))
+
+    right = m + 2.0 * slope(m) / t
+    mode = brentq(slope, m, right, xtol=1e-14, rtol=1e-15) if slope(right) < 0.0 else m
+    peak = log_f(mode)
+    half = 12.0 / np.sqrt(t)
+    lo, hi = mode - half, mode + half
+    points = {mode}
+    for center, width in [(mode, 1.0 / np.sqrt(t + np.sum(sigma ** -2.0))), *zip(mu, sigma)]:
+        reach = width * 8.0 ** np.arange(int(np.log(2.0 * half / width) / np.log(8.0)) + 1)
+        points.update(float(x) for x in np.concatenate([[center], center - reach, center + reach]) if lo < x < hi)
+    # full_output: a roundoff notice at this tolerance is no failure; the
+    # error estimate decides
+    val, err, *_ = quad(lambda v: math.exp(log_f(v) - peak), lo, hi, points=sorted(points),
+                        epsabs=0.0, epsrel=1e-13, limit=500, full_output=1)
+    if not err <= 1e-10 * val:
+        raise ArithmeticError(f"quad error estimate {err:.2e} of {val:.6e}")
+    return peak + float(np.log(val)) + 0.5 * (np.log(t) - np.log(2 * np.pi))
+
+
+def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, pivot: int | None = None) -> float:
     """Gaussian-Sparsemax log-density at one point, by the dense formula:
     on the support S, ``log |S|`` plus the normal log-density of the
     differences ``y_i - y_pivot`` (covariance ``diag(sigma_i^2) +
     sigma_pivot^2`` times all-ones, by ``slogdet`` and ``solve``; any pivot
-    in S, default the lowest); off S, the log orthant probability as a 1-D
-    integral on the nodes of ``quad``."""
-    quad = QuadratureConfig() if quad is None else quad
+    in S, default the lowest of smallest sigma, which keeps the covariance
+    well conditioned); off S, the log orthant probability by
+    ``scipy.integrate.quad`` (``_log_orthant_reference``)."""
     support = list(y.support.indices)
-    p = support[0] if pivot is None else pivot
+    p = min(support, key=lambda i: d.sigma[i]) if pivot is None else pivot
     if p not in support:
         raise ValueError(f"pivot {p} is not in the support {support}")
     rest = [i for i in support if i != p]
@@ -125,12 +161,9 @@ def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, quad: Quadra
         cov = np.diag(sigma[rest] ** 2) + sigma[p] ** 2
         val -= 0.5 * (diff @ np.linalg.solve(cov, diff) + np.linalg.slogdet(cov)[1] + len(rest) * np.log(2 * np.pi))
     if off:
-        t = np.sum(sigma[support] ** -2.0)
-        c = np.sum((x[support] - mu[support]) / sigma[support] ** 2)
-        nodes, weights = quad.points_weights()
-        args = ndtri(nodes)[:, None] / (sigma[off] * np.sqrt(t)) - (c + mu[off] * t) / (sigma[off] * t)
-        log_f = log_ndtr(args).sum(axis=1)
-        val += log_f.max() + np.log(weights @ np.exp(log_f - log_f.max()))
+        t = float(np.sum(sigma[support] ** -2.0))
+        c = float(np.sum((x[support] - mu[support]) / sigma[support] ** 2))
+        val += _log_orthant_reference(mu[off], sigma[off], t, -c / t)
     return float(val)
 
 

@@ -297,18 +297,32 @@ class TestColdStart:
         "import json, sys\n"
         "from mixedrv import cli, distspec\n"
         "distspec.load_spec_file(sys.argv[1])\n"
-        "code = cli.main(['sample', '--dist', sys.argv[1], '--num', '50', '--seed', '3', '--out', sys.argv[2]])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('scipy.', 'mixedrv.')))]))\n"
+        "code = cli.main(json.loads(sys.argv[2]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('scipy.', 'mixedrv.', 'mpmath')))]))\n"
     )
+
+    def _run_fresh(self, spec, argv):
+        """Exit code of ``cli.main(argv)`` after loading ``spec``, and the
+        scipy, mpmath and mixedrv modules loaded, in a fresh interpreter."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, spec, json.dumps(argv)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_gs_mc_entropy_loads_no_quadrature_oracle(self, tmp_path):
+        spec = write(tmp_path / "gs.json", {"kind": "gaussian-sparsemax", "mu": [0.3, -0.2, 0.5], "sigma": [0.9, 0.5, 1.2]})
+        code, modules = self._run_fresh(spec, ["entropy", "--dist", spec, "--mode", "mc", "--samples", "50", "--seed", "3"])
+        assert code == 0
+        assert "mixedrv.extrinsic" in modules
+        for name in ("scipy.integrate", "scipy.optimize", "mpmath", "mixedrv.oracles"):
+            assert name not in modules
 
     def test_sample_loads_neither_the_oracles_nor_scipy_stats(self, tmp_path):
         spec = write(tmp_path / "md.json", {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]})
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, spec, str(tmp_path / "s.jsonl")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stdout)
+        code, modules = self._run_fresh(
+            spec, ["sample", "--dist", spec, "--num", "50", "--seed", "3", "--out", str(tmp_path / "s.jsonl")])
         assert code == 0
         assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 50
         assert "scipy.special" in modules and "mixedrv.cli" in modules

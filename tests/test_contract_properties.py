@@ -1,6 +1,7 @@
 """Properties of the one sampling/density contract over the parameter domain
 the API accepts: each kind's own ``sample_many`` batch lies on faces of
-positive probability, and ``log_density_many`` is finite on every row."""
+positive probability, and ``log_density_many`` is finite on every row (and,
+for Gaussian-Sparsemax, agrees with the independent oracle)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mixedrv import extrinsic as ex
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
+from mixedrv import oracles
 from mixedrv.glm import CONC_MIN
 
 ROWS = 40
@@ -64,6 +66,11 @@ def test_maxent(K, N, seed):
                                                      _vectors(K, np.log(1e-2), np.log(1e2)).map(np.exp))), seeds)
 def test_gaussian_sparsemax(params, seed):
     mu, sigma = params
-    # every face of a Gaussian-Sparsemax has positive probability; the
-    # density of a point includes its face's mass, so finiteness covers it
-    _check_own_batch(ex.GaussianSparsemax(mu, sigma), seed)
+    # every face of a Gaussian-Sparsemax has positive probability, and the
+    # density of a point includes its face's mass: each row must match the
+    # oracle's dense Gaussian factor plus adaptive-quadrature orthant term
+    dist = ex.GaussianSparsemax(mu, sigma)
+    batch = _check_own_batch(dist, seed)
+    ref = np.array([oracles.gs_log_density_reference(dist, y) for _, y in batch])
+    err = np.abs(dist.log_density_many(batch) - ref)
+    assert (err <= 1e-9 * np.maximum(1.0, np.abs(ref))).all(), (err.max(), mu, sigma)

@@ -133,8 +133,7 @@ class TestGsLogDensity:
             assert max(vals) - min(vals) < 1e-8
 
     def test_constant_sigma_simplification_agrees(self):
-        # with equal sigmas the orthant term is evaluated once per face and
-        # broadcast: batches hold two or more rows on each face
+        # batches hold two or more rows on each face, all sharing one node set
         rng = np.random.default_rng(58)
         for _ in range(20):
             mu = rng.normal(0.2, 0.6, 3)
@@ -172,6 +171,40 @@ class TestGsLogDensity:
                 for pivot in y.support.indices:
                     ref = oracles.gs_log_density_reference(d, y, pivot=pivot)
                     assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_far_tail_vertex_density(self):
+        # the off-face steps sit 11 and 1 units from the vertex's Gaussian,
+        # 110 and 10 of their widths; the reference is a 50-digit mpmath quad
+        d = ex.GaussianSparsemax([5.0, -5.0, -5.0], [0.1, 0.1, 0.1])
+        got = d.log_density_many(FaceBatch.from_coords(np.eye(3)))
+        assert abs(got[0]) < 1e-12
+        for k in (1, 2):
+            ref = oracles.gs_log_density_reference(d, SimplexPoint.vertex(k, 3))
+            assert abs(got[k] - ref) <= 1e-12 * abs(ref)
+            assert abs(got[k] - -3030.2730105297276) <= 1e-12 * 3030.3
+
+    def test_rows_far_apart_on_one_face(self, monkeypatch):
+        # narrow on-face sigmas: each row's window is ~0.1 wide while the
+        # rows' Gaussian means spread over ~1, so the one face's rows take
+        # several node sets
+        d = ex.GaussianSparsemax([0.4, -0.2, 0.3, 0.1], [0.01, 0.02, 0.5, 2.0])
+        a = np.linspace(0.02, 0.98, 25)
+        batch = FaceBatch.from_coords(np.stack([a, 1.0 - a, 0.0 * a, 0.0 * a], axis=1))
+        node_sets = []
+        orthant_log = ex._orthant_log
+        monkeypatch.setattr(ex, "_orthant_log", lambda *args: node_sets.append(args) or orthant_log(*args))
+        got = ex.gs_log_density_many(d, batch)
+        assert len(node_sets) > 1
+        ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    def test_extreme_sigma_ratios_stay_finite(self):
+        # sigmas 240 decades apart leave steps and windows below the spacing
+        # of doubles; such rows fall back to the Laplace approximation
+        d = ex.GaussianSparsemax([1.339, -1.611, 1.743, 1.094], [1.4e135, 1.8e-107, 3.9e134, 3.5e-57])
+        batch = FaceBatch.from_coords(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+                                                [0.0, 0.64, 0.36, 0.0], [0.0, 0.29, 0.04, 0.67]]))
+        assert np.isfinite(d.log_density_many(batch)).all()
 
     def test_quadrature_refinement(self):
         rng = np.random.default_rng(60)
