@@ -2,7 +2,7 @@
 
 Distributions here may place probability mass on every face of the simplex:
 a discrete law picks a face, a continuous density fills its relative
-interior.  The package provides the simplex/hypercube face machinery, an
+interior.  The package provides the simplex face machinery, an
 O(K) exponential family over faces, intrinsic (Mixed Dirichlet) and
 extrinsic (Gaussian-Sparsemax, Hard Concrete) constructions, direct-sum
 entropy and KL with their coding interpretation, the maximum-entropy mixed
@@ -13,13 +13,10 @@ family, and a regression model for simplex-valued targets, plus a CLI
 from .simplex import (
     FaceBatch,
     FaceIndexSet,
-    HypercubeFace,
     ResourceLimitError,
     SimplexPoint,
-    Trit,
     enumerate_faces,
     face_histogram,
-    hypercube_face_of,
     sparsemax,
     sparsemax_jacobian,
 )

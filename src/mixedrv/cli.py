@@ -28,6 +28,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import scipy
 
 from . import glm, info_theory
 from .distspec import SpecError, load_spec_file
@@ -59,8 +60,6 @@ def _print_json(obj: dict):
 # ------------------------------------------------------------------ maxent ---
 
 def cmd_maxent(args) -> int:
-    from scipy.special import gammaln
-
     if args.k < 2:
         raise CliError(EXIT_USAGE, "--k must be >= 2")
     if args.n_max < 0:
@@ -73,7 +72,7 @@ def cmd_maxent(args) -> int:
                 "N": N,
                 "H_maxent": _to_unit(info_theory.maxent_entropy(K, N), args.bits),
                 "H_discrete": _to_unit(math.log(K), args.bits),
-                "H_continuous": _to_unit(-float(gammaln(K)) + 0.0, args.bits) if K > 2 else 0.0,
+                "H_continuous": _to_unit(-float(scipy.special.gammaln(K)) + 0.0, args.bits) if K > 2 else 0.0,
             })
     if args.format == "json":
         print(json.dumps(rows))

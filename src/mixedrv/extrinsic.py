@@ -23,9 +23,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, expit, log_ndtr, ndtr, xlogy
+import scipy
 
-from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, Trit, face_groups, hypercube_face_of, sparsemax_rows
+from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, face_groups, sparsemax_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "gs_log_density",
     "gs_log_density_many",
     "concrete_from_gumbels",
-    "binary_hard_concrete_sample",
     "binary_hard_concrete_from_logistic",
     "binary_hard_concrete_sample_values",
 ]
@@ -176,8 +175,8 @@ def _check_sigma(sigma: float) -> float:
 def gs2_face_probs(z: float, sigma: float) -> tuple[float, float, float]:
     """(mass at 0, mass at 1, interior mass) of clamp(N(z, sigma^2), 0, 1)."""
     sigma = _check_sigma(sigma)
-    p0 = float(ndtr(-z / sigma))
-    p1 = float(ndtr((z - 1.0) / sigma))
+    p0 = float(scipy.special.ndtr(-z / sigma))
+    p1 = float(scipy.special.ndtr((z - 1.0) / sigma))
     return p0, p1, max(1.0 - p0 - p1, 0.0)
 
 
@@ -189,7 +188,7 @@ def _truncated_moments(z: float, sigma: float) -> tuple[float, float, float]:
     """
     a = -z / sigma
     b = (1.0 - z) / sigma
-    m0 = float(ndtr(b) - ndtr(a))
+    m0 = float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
     m1 = float(_norm_pdf(a) - _norm_pdf(b))
     m2 = m0 - float(b * _norm_pdf(b)) + float(a * _norm_pdf(a))
     return m0, m1, m2
@@ -206,7 +205,7 @@ def gs2_entropy(z: float, sigma: float) -> float:
     p0, p1, _ = gs2_face_probs(z, sigma)
     m0, _, m2 = _truncated_moments(z, sigma)
     cont = m0 * 0.5 * np.log(2.0 * np.pi * sigma**2) + 0.5 * m2
-    return float(-xlogy(p0, p0) - xlogy(p1, p1) + cont)
+    return float(-scipy.special.xlogy(p0, p0) - scipy.special.xlogy(p1, p1) + cont)
 
 
 def _kl_term(p: float, q: float) -> float:
@@ -303,14 +302,14 @@ _Z_MAX = 1e150
 def _log_f(v, m, t, row, mu_e, sigma_e) -> np.ndarray:
     z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     dv = v - m
-    return np.bincount(row, log_ndtr(z), v.size) - 0.5 * t * dv * dv
+    return np.bincount(row, scipy.special.log_ndtr(z), v.size) - 0.5 * t * dv * dv
 
 
 def _log_f_slopes(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of ``_log_f``."""
     z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     # inverse Mills ratio phi(z) / Phi(z), free of cancellation in both tails
-    lam = _SQRT_2_OVER_PI / erfcx(z * -np.sqrt(0.5))
+    lam = _SQRT_2_OVER_PI / scipy.special.erfcx(z * -np.sqrt(0.5))
     # lam (z + lam) = 1 - 1/z^2 + O(z^-4) as z -> -inf, where z + lam cancels
     bend = np.where(z > -1e4, lam * (z + lam), 1.0 - (1.0 / np.minimum(z, -1e4)) ** 2)
     return (np.bincount(row, lam / sigma_e, v.size) - t * (v - m),
@@ -408,7 +407,7 @@ def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi:
         edges = np.union1d(edges, steps[(steps > a) & (steps < edges[-1])])
     half = np.diff(edges)[:, None] / 2.0
     v = ((edges[:-1, None] + half) + half * x).ravel()
-    base = np.log((half * w).ravel()) + log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
+    base = np.log((half * w).ravel()) + scipy.special.log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
     out = np.empty(m.size)
     step = max(1, _ORTHANT_CHUNK // v.size)
     for i in range(0, m.size, step):
@@ -578,14 +577,8 @@ class BinaryHardConcrete:
 
 def binary_hard_concrete_from_logistic(d: BinaryHardConcrete, noise) -> np.ndarray:
     """Map standard-logistic noise through the stretch-and-clamp transform."""
-    s = expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
+    s = scipy.special.expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
     return np.clip(s * (d.r - d.l) + d.l, 0.0, 1.0)
-
-
-def binary_hard_concrete_sample(d: BinaryHardConcrete, rng: np.random.Generator) -> tuple[Trit, float]:
-    u = np.clip(rng.random(), 1e-300, 1.0 - 1e-16)
-    y = float(binary_hard_concrete_from_logistic(d, np.log(u) - np.log1p(-u)))
-    return hypercube_face_of([y]).trits[0], y
 
 
 def binary_hard_concrete_sample_values(d: BinaryHardConcrete, n: int, rng: np.random.Generator) -> np.ndarray:

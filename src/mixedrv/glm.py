@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
+import scipy
 
 from . import face_gibbs
 from .mixed_dirichlet import MixedDirichlet, draw_log_coords
@@ -184,15 +184,18 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> t
     alpha0 = alpha_m.sum(axis=1)
     ll_dir = np.where(
         t.on_dim,
-        np.sum(np.where(t.member, (conc - 1.0) * t.log_y - gammaln(np.where(t.member, conc, 1.0)), 0.0), axis=1)
-        + gammaln(alpha0),
+        np.sum(
+            np.where(t.member, (conc - 1.0) * t.log_y - scipy.special.gammaln(np.where(t.member, conc, 1.0)), 0.0),
+            axis=1,
+        )
+        + scipy.special.gammaln(alpha0),
         0.0,
     )
     g_conc = np.where(
         t.conc_grad_on,
-        t.log_y - digamma(conc) + digamma(alpha0)[:, None],
+        t.log_y - scipy.special.digamma(conc) + scipy.special.digamma(alpha0)[:, None],
         0.0,
-    ) * expit(pre_cc) * gate_c
+    ) * scipy.special.expit(pre_cc) * gate_c
 
     grads = {
         "w_face": g_scores.T @ X,

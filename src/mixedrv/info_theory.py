@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+import scipy
 
 from .mixed_dirichlet import dirichlet_log_fill
 from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, enumerate_faces
@@ -126,6 +126,11 @@ def laguerre_generalized(n: int, alpha: float, x: float) -> float:
     return cur
 
 
+def _log_binom(K, k):
+    """``log C(K, k)``, elementwise in ``k``."""
+    return scipy.special.gammaln(K + 1) - scipy.special.gammaln(k + 1) - scipy.special.gammaln(K - k + 1)
+
+
 def maxent_log_weights(K: int, N: int) -> np.ndarray:
     """Unnormalized log-probabilities of the face-dimension classes k=1..K:
     ``log C(K,k) + N(k-1) log2 - log (k-1)!``, all in log space."""
@@ -134,13 +139,12 @@ def maxent_log_weights(K: int, N: int) -> np.ndarray:
     if N < 0 or N != int(N):
         raise ValueError(f"N must be a nonnegative integer, got {N}")
     k = np.arange(1, K + 1)
-    log_binom = gammaln(K + 1) - gammaln(k + 1) - gammaln(K - k + 1)
-    return log_binom + N * (k - 1) * _LN2 - gammaln(k)
+    return _log_binom(K, k) + N * (k - 1) * _LN2 - scipy.special.gammaln(k)
 
 
 def maxent_entropy_series(K: int, N: int) -> float:
     """Maximal coding entropy by log-sum-exp of the defining series."""
-    return float(logsumexp(maxent_log_weights(K, N)))
+    return float(scipy.special.logsumexp(maxent_log_weights(K, N)))
 
 
 def _log_laguerre_at_minus_pow2(n: int, alpha: float, N: int) -> float:
@@ -190,7 +194,7 @@ class MaxEntMixed:
 
     def __init__(self, K: int, N: int):
         logw = maxent_log_weights(K, N)
-        g = np.exp(logw - logsumexp(logw))
+        g = np.exp(logw - scipy.special.logsumexp(logw))
         g.flags.writeable = False
         object.__setattr__(self, "K", int(K))
         object.__setattr__(self, "N", int(N))
@@ -198,8 +202,7 @@ class MaxEntMixed:
 
     def face_log_prob(self, f: FaceIndexSet) -> float:
         k = f.size
-        log_binom = float(gammaln(self.K + 1) - gammaln(k + 1) - gammaln(self.K - k + 1))
-        return float(np.log(self.g[k - 1])) - log_binom
+        return float(np.log(self.g[k - 1])) - float(_log_binom(self.K, k))
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Face log-probability plus the flat conditional's log-density,
@@ -207,9 +210,8 @@ class MaxEntMixed:
         if batch.K != self.K:
             raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
         k = np.arange(1, self.K + 1)
-        log_binom = gammaln(self.K + 1) - gammaln(k + 1) - gammaln(self.K - k + 1)
         with np.errstate(divide="ignore"):
-            by_size = np.log(self.g) - log_binom + gammaln(k)
+            by_size = np.log(self.g) - _log_binom(self.K, k) + scipy.special.gammaln(k)
         return by_size[batch.members().sum(axis=1) - 1]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
@@ -224,10 +226,9 @@ class MaxEntMixed:
     def direct_sum_entropy(self) -> float:
         """Exact H(F) + E[flat entropy]; equals maxent_entropy at N=0."""
         k = np.arange(1, self.K + 1)
-        log_binom = gammaln(self.K + 1) - gammaln(k + 1) - gammaln(self.K - k + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(self.g > 0, self.g * (np.log(self.g) - log_binom), 0.0)
-        return float(-terms.sum() - self.g @ gammaln(k))
+            terms = np.where(self.g > 0, self.g * (np.log(self.g) - _log_binom(self.K, k)), 0.0)
+        return float(-terms.sum() - self.g @ scipy.special.gammaln(k))
 
 
 def maxent_distribution(K: int, N: int) -> MaxEntMixed:

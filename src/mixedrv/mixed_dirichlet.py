@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+import scipy
 
 from . import face_gibbs
 from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
@@ -66,7 +66,7 @@ def dirichlet_log_pdf(y_restricted, alpha_restricted) -> float:
         return 0.0
     if np.any(y <= 0.0):
         raise ValueError("point has a zero coordinate inside its face")
-    log_beta = gammaln(alpha).sum() - gammaln(alpha.sum())
+    log_beta = scipy.special.gammaln(alpha).sum() - scipy.special.gammaln(alpha.sum())
     return float((alpha - 1.0) @ np.log(y) - log_beta)
 
 
@@ -79,8 +79,10 @@ def dirichlet_entropy(alpha_restricted) -> float:
     """
     alpha = _check_alpha(alpha_restricted)
     a0 = alpha.sum()
-    log_beta = gammaln(alpha).sum() - gammaln(a0)
-    return float(log_beta + (a0 - alpha.size) * digamma(a0) - (alpha - 1.0) @ digamma(alpha))
+    log_beta = scipy.special.gammaln(alpha).sum() - scipy.special.gammaln(a0)
+    return float(
+        log_beta + (a0 - alpha.size) * scipy.special.digamma(a0) - (alpha - 1.0) @ scipy.special.digamma(alpha)
+    )
 
 
 def dirichlet_kl(alpha_p, alpha_q) -> float:
@@ -89,9 +91,9 @@ def dirichlet_kl(alpha_p, alpha_q) -> float:
     aq = _check_alpha(alpha_q)
     if ap.shape != aq.shape:
         raise ValueError(f"dimension mismatch: {ap.shape} vs {aq.shape}")
-    log_beta_p = gammaln(ap).sum() - gammaln(ap.sum())
-    log_beta_q = gammaln(aq).sum() - gammaln(aq.sum())
-    return float(log_beta_q - log_beta_p + (ap - aq) @ (digamma(ap) - digamma(ap.sum())))
+    log_beta_p = scipy.special.gammaln(ap).sum() - scipy.special.gammaln(ap.sum())
+    log_beta_q = scipy.special.gammaln(aq).sum() - scipy.special.gammaln(aq.sum())
+    return float(log_beta_q - log_beta_p + (ap - aq) @ (scipy.special.digamma(ap) - scipy.special.digamma(ap.sum())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +185,8 @@ def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, n
     """Concentrations restricted to each row's face (0 off it) and their
     log multivariate Beta function."""
     alpha_m = np.where(member, alpha, 0.0)
-    return alpha_m, np.where(member, gammaln(alpha), 0.0).sum(axis=1) - gammaln(alpha_m.sum(axis=1))
+    log_gammas = np.where(member, scipy.special.gammaln(alpha), 0.0).sum(axis=1)
+    return alpha_m, log_gammas - scipy.special.gammaln(alpha_m.sum(axis=1))
 
 
 def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndarray) -> np.ndarray:
@@ -201,15 +204,15 @@ def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray
     """``dirichlet_entropy`` of alpha restricted to each row's face (0 at vertices)."""
     alpha_m, log_beta = _log_beta_rows(member, alpha)
     a0 = alpha_m.sum(axis=1)
-    psi_terms = np.where(member, (alpha - 1.0) * digamma(alpha), 0.0).sum(axis=1)
-    return log_beta + (a0 - member.sum(axis=1)) * digamma(a0) - psi_terms
+    psi_terms = np.where(member, (alpha - 1.0) * scipy.special.digamma(alpha), 0.0).sum(axis=1)
+    return log_beta + (a0 - member.sum(axis=1)) * scipy.special.digamma(a0) - psi_terms
 
 
 def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
     """``dirichlet_kl`` of the two concentrations restricted to each row's face."""
     ap, log_beta_p = _log_beta_rows(member, alpha_p)
     aq, log_beta_q = _log_beta_rows(member, alpha_q)
-    psi = digamma(alpha_p) - digamma(ap.sum(axis=1))[:, None]
+    psi = scipy.special.digamma(alpha_p) - scipy.special.digamma(ap.sum(axis=1))[:, None]
     return log_beta_q - log_beta_p + np.sum((ap - aq) * psi, axis=1)
 
 

@@ -1,16 +1,14 @@
-"""Geometry of the probability simplex and the unit hypercube.
+"""Geometry of the probability simplex.
 
 The simplex with K vertices decomposes into the disjoint union of the
 relative interiors of its 2^K - 1 nonempty faces; each face is identified
 with the nonempty subset of vertex indices it spans.  This module provides
 the sparse Euclidean projection onto the simplex (which can land on any
-face), face identification, face enumeration for brute-force oracles, and
-the analogous face classification for points of the hypercube ``[0,1]^K``.
+face), face identification and face enumeration for brute-force oracles.
 """
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,13 +21,10 @@ __all__ = [
     "FaceBatch",
     "mask_members",
     "face_groups",
-    "Trit",
-    "HypercubeFace",
     "sparsemax",
     "sparsemax_rows",
     "sparsemax_jacobian",
     "enumerate_faces",
-    "hypercube_face_of",
     "face_histogram",
 ]
 
@@ -311,29 +306,6 @@ class FaceBatch:
             yield f, SimplexPoint._trusted(self.coords[i], f if s == m else self.face(s))
 
 
-class Trit(enum.IntEnum):
-    """Per-coordinate face class of a hypercube point."""
-
-    ZERO = 0
-    ONE = 1
-    INTERIOR = 2
-
-
-@dataclass(frozen=True)
-class HypercubeFace:
-    """One of the 3^K nonempty faces of ``[0,1]^K``: a trit per coordinate."""
-
-    trits: tuple[Trit, ...]
-
-    @property
-    def K(self) -> int:
-        return len(self.trits)
-
-    @property
-    def dim(self) -> int:
-        return sum(1 for t in self.trits if t is Trit.INTERIOR)
-
-
 def sparsemax(z) -> SimplexPoint:
     """Euclidean projection of ``z`` onto the simplex (``sparsemax_rows``
     of a single row).  Coordinates at or below the threshold come out as
@@ -385,22 +357,6 @@ def enumerate_faces(K: int) -> list[FaceIndexSet]:
     if K > 20:
         raise ResourceLimitError(f"enumerate_faces is limited to K <= 20, got K={K}")
     return [FaceIndexSet(mask, K) for mask in range(1, 1 << K)]
-
-
-def hypercube_face_of(y) -> HypercubeFace:
-    """Face of ``[0,1]^K`` containing ``y``: one trit per coordinate.
-
-    Coordinates within 1e-12 outside the interval are snapped to the
-    nearest endpoint; anything further out is rejected.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y < -SUM_TOL) or np.any(y > 1.0 + SUM_TOL):
-        raise ValueError(f"coordinates must lie in [0, 1] (tolerance {SUM_TOL}), got {y}")
-    y = np.clip(y, 0.0, 1.0)
-    trits = tuple(
-        Trit.ZERO if v == 0.0 else Trit.ONE if v == 1.0 else Trit.INTERIOR for v in y
-    )
-    return HypercubeFace(trits)
 
 
 def face_histogram(points) -> tuple[Counter, Counter]:

@@ -325,10 +325,29 @@ class TestColdStart:
             spec, ["sample", "--dist", spec, "--num", "50", "--seed", "3", "--out", str(tmp_path / "s.jsonl")])
         assert code == 0
         assert len((tmp_path / "s.jsonl").read_text().splitlines()) == 50
-        assert "scipy.special" in modules and "mixedrv.cli" in modules
-        for name in ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.ndimage",
-                     "mixedrv.checks", "mixedrv.oracles"):
+        assert "mixedrv.cli" in modules
+        for name in ("scipy.special", "scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.linalg",
+                     "scipy.ndimage", "mixedrv.checks", "mixedrv.oracles"):
             assert name not in modules
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--dist", "{gs}", "--num", "50", "--seed", "3", "--out", "{tmp}/gs.jsonl"],
+        ["face-hist", "--in", "{tmp}/md.jsonl"],
+        ["gen-glm-data", "--out", "{tmp}/glm.csv", "--rows", "20", "--k", "3", "--d", "2", "--seed", "3"],
+    ], ids=["sample-gaussian-sparsemax", "face-hist", "gen-glm-data"])
+    def test_command_loads_no_special_functions(self, tmp_path, argv):
+        md = write(tmp_path / "md.json", {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]})
+        gs = write(tmp_path / "gs.json", {"kind": "gaussian-sparsemax", "mu": [0.3, -0.2, 0.5], "sigma": [0.9, 0.5, 1.2]})
+        assert cli.main(["sample", "--dist", md, "--num", "50", "--seed", "3", "--out", str(tmp_path / "md.jsonl")]) == 0
+        code, modules = self._run_fresh(md, [a.format(gs=gs, tmp=tmp_path) for a in argv])
+        assert code == 0
+        assert "mixedrv.cli" in modules and "scipy.special" not in modules
+
+    def test_exact_entropy_loads_special_functions_on_demand(self, tmp_path):
+        spec = write(tmp_path / "md.json", {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]})
+        code, modules = self._run_fresh(spec, ["entropy", "--dist", spec, "--mode", "exact"])
+        assert code == 0
+        assert "scipy.special" in modules
 
     def test_check_imports_its_registry_on_demand(self, monkeypatch, capsys):
         # raises NameError unless cmd_check imports the registry itself; the

@@ -7,13 +7,10 @@ from mixedrv import oracles
 from mixedrv.simplex import (
     FaceBatch,
     FaceIndexSet,
-    HypercubeFace,
     ResourceLimitError,
     SimplexPoint,
-    Trit,
     enumerate_faces,
     face_histogram,
-    hypercube_face_of,
     sparsemax,
     sparsemax_jacobian,
 )
@@ -158,29 +155,6 @@ class TestFaces:
     def test_bitmask_ascending_order(self):
         masks = [f.mask for f in enumerate_faces(4)]
         assert masks == sorted(masks) == list(range(1, 16))
-
-
-class TestHypercube:
-    def test_mixed_point(self):
-        f = hypercube_face_of([0.0, 1.0, 0.5])
-        assert f.trits == (Trit.ZERO, Trit.ONE, Trit.INTERIOR)
-        assert f.dim == 1
-
-    def test_vertices_and_interior(self):
-        assert hypercube_face_of([0.0, 0.0]).trits == (Trit.ZERO, Trit.ZERO)
-        assert hypercube_face_of([0.5, 0.5]).dim == 2
-
-    def test_tolerance_snapping(self):
-        assert hypercube_face_of([1.0 + 1e-13]).trits == (Trit.ONE,)
-        with pytest.raises(ValueError):
-            hypercube_face_of([1.001])
-
-    def test_face_count_is_3_to_the_k(self):
-        seen = set()
-        for a in (0.0, 0.5, 1.0):
-            for b in (0.0, 0.5, 1.0):
-                seen.add(hypercube_face_of([a, b]).trits)
-        assert len(seen) == 9
 
 
 class TestFaceHistogram:
