@@ -179,7 +179,8 @@ def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
     """Face bitmasks from (n, K) uniforms under one face law's (K, 3)
     sampling table ``take`` (its ``take_probs``, or one row of
     ``sampling_tables``) or under one table per row (n, K, 3), by ancestral
-    sampling over the vertices.
+    sampling over the vertices.  Leading axes broadcast: (b, n, K) uniforms
+    under (b, 1, K, 3) tables give (b, n) masks.
 
     Row k of ``take`` holds vertex k's probability of being taken in the
     states "still empty" (``p_k / P(some j >= k is taken)``), "nonempty,
@@ -189,8 +190,8 @@ def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
     of a pass over the vertices, made for all vertices at once.
     ``take[-1, 0]`` is 1, so the empty face is never produced.
     """
-    K = u.shape[1]
-    first = np.argmax(u < take[..., 0], axis=1)[:, None]
+    K = u.shape[-1]
+    first = np.argmax(u < take[..., 0], axis=-1)[..., None]
     vertex = np.arange(K)
     taken = (vertex == first) | ((vertex > first) & (u < take[..., 2]))
     return taken @ np.left_shift(1, vertex, dtype=np.int64)

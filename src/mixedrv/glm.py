@@ -14,6 +14,7 @@ maps carry a bias term; predictors are used as-is (no standardization).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import face_gibbs
-from .mixed_dirichlet import MixedDirichlet, draw_log_coords
+from .mixed_dirichlet import MixedDirichlet, dirichlet_log_fill, draw_log_coords
 from .simplex import FaceBatch, SimplexPoint
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "glm_fit",
     "glm_predict",
     "predict_rows",
-    "sample_rows",
     "make_planted_dataset",
     "rmse",
     "mae",
@@ -158,23 +158,44 @@ def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, d
     if len(targets) != X.shape[0]:
         raise ValueError("one target per row required")
     terms = _target_terms(targets)
-    if terms.member.shape[1] != model.K:
-        raise ValueError(f"targets must have K={model.K}")
-    return _log_likelihood_arrays(model, X, terms)
+    K = model.K
+    if terms.member.shape[1] != K:
+        raise ValueError(f"targets must have K={K}")
+    theta = np.concatenate([model.w_face.ravel(), model.w_conc.ravel(), model.b_face, model.b_conc])
+    grad = np.empty_like(theta)
+    ll = _log_likelihood_flat(theta, X, terms, grad)
+    g_w, g_b = _split_flat(grad, K, model.d)
+    return ll, {"w_face": g_w[:K], "b_face": g_b[:K], "w_conc": g_w[K:], "b_conc": g_b[K:]}
 
 
-def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> tuple[float, dict[str, np.ndarray]]:
-    """``glm_log_likelihood`` on validated arrays: X (n, d) and the targets'
-    terms."""
-    pre_f = X @ model.w_face.T + model.b_face
+def _split_flat(theta: np.ndarray, K: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views W (2K, d) and b (2K,) of a flat vector laid out ``[W | b]``:
+    rows 0..K-1 the face map, rows K..2K-1 the concentration map."""
+    return theta[:2 * K * d].reshape(2 * K, d), theta[2 * K * d:]
+
+
+def _log_likelihood_flat(theta: np.ndarray, X: np.ndarray, t: _TargetTerms, grad: np.ndarray) -> float:
+    """``glm_log_likelihood`` on validated arrays and flat weights ``theta``
+    (see ``_split_flat``); the gradient is written into ``grad``, laid out
+    like ``theta``.
+
+    Each map keeps its own matrix products, on views of ``theta`` and
+    ``grad``: one (n, 2K) product rounds differently from the two (n, K)
+    ones for some shapes (d = 1, or one row with d >= 8).
+    """
+    d = X.shape[1]
+    K = t.member.shape[1]
+    W, b = _split_flat(theta, K, d)
+    g_w, g_b = _split_flat(grad, K, d)
+    pre_f = X @ W[:K].T + b[:K]
     scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
-    gate_f = (np.abs(pre_f) < SCORE_CLAMP).astype(float)
+    gate_f = np.abs(pre_f) < SCORE_CLAMP
 
-    pre_c = X @ model.w_conc.T + model.b_conc
+    pre_c = X @ W[K:].T + b[K:]
     pre_cc = np.clip(pre_c, -PRE_CLAMP, PRE_CLAMP)
     soft = np.logaddexp(0.0, pre_cc)
     conc = np.clip(soft, CONC_MIN, CONC_MAX)
-    gate_c = ((np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)).astype(float)
+    gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)
 
     log_z, expected_phi = face_gibbs.log_normalizer_and_grad(scores)
     ll_face = np.sum(scores * t.phi, axis=1) - log_z
@@ -197,21 +218,24 @@ def _log_likelihood_arrays(model: GlmModel, X: np.ndarray, t: _TargetTerms) -> t
         0.0,
     ) * scipy.special.expit(pre_cc) * gate_c
 
-    grads = {
-        "w_face": g_scores.T @ X,
-        "b_face": g_scores.sum(axis=0),
-        "w_conc": g_conc.T @ X,
-        "b_conc": g_conc.sum(axis=0),
-    }
-    return float(ll_face.sum() + ll_dir.sum()), grads
+    np.matmul(g_scores.T, X, out=g_w[:K])
+    np.matmul(g_conc.T, X, out=g_w[K:])
+    np.sum(g_scores, axis=0, out=g_b[:K])
+    np.sum(g_conc, axis=0, out=g_b[K:])
+    return float(ll_face.sum() + ll_dir.sum())
 
 
 def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int = 0) -> FitResult:
     """Fit by full-batch Adam on the mean negative log-likelihood of the
     targets (one row per row of X).
 
-    Deterministic given the seed, which only controls the small random
-    initialization of the weights.
+    All weights live in one flat vector laid out ``[W (2K, d) | b (2K)]``,
+    rows 0..K-1 of W and entries 0..K-1 of b the face map and the rest the
+    concentration map, so each step is one likelihood pass and one
+    elementwise Adam update of that vector.  Deterministic given the seed,
+    which only controls the small random initialization of the weights
+    (drawn face weights, face biases, concentration weights, concentration
+    biases, in that order).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -222,42 +246,57 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     terms = _target_terms(targets)
     K = terms.member.shape[1]
     rng = np.random.default_rng(seed)
-    params = {
-        "w_face": rng.normal(0.0, 0.01, (K, d)),
-        "b_face": rng.normal(0.0, 0.01, K),
-        "w_conc": rng.normal(0.0, 0.01, (K, d)),
-        "b_conc": rng.normal(0.0, 0.01, K),
-    }
-    m = {k: np.zeros_like(v) for k, v in params.items()}
-    v = {k: np.zeros_like(p) for k, p in params.items()}
+    theta = np.empty(2 * K * (d + 1))
+    W, b = _split_flat(theta, K, d)
+    W[:K] = rng.normal(0.0, 0.01, (K, d))
+    b[:K] = rng.normal(0.0, 0.01, K)
+    W[K:] = rng.normal(0.0, 0.01, (K, d))
+    b[K:] = rng.normal(0.0, 0.01, K)
+    grad = np.empty_like(theta)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = np.empty(steps)
     for t in range(1, steps + 1):
-        model = GlmModel(**params)
-        ll, grads = _log_likelihood_arrays(model, X, terms)
-        losses[t - 1] = -ll / n
-        for k in params:
-            g = -grads[k] / n
-            m[k] = beta1 * m[k] + (1.0 - beta1) * g
-            v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
-            m_hat = m[k] / (1.0 - beta1**t)
-            v_hat = v[k] / (1.0 - beta2**t)
-            params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return FitResult(GlmModel(**params), losses)
+        losses[t - 1] = -_log_likelihood_flat(theta, X, terms, grad) / n
+        g = grad / -n
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        theta -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return FitResult(GlmModel(W[:K], b[:K], W[K:], b[K:]), losses)
 
 
-def sample_rows(scores: np.ndarray, conc: np.ndarray, n: int, rngs):
-    """Yield n draws (n, K) of the mixed law at each row's face scores and
-    concentrations (B, K), row after row; row i consumes its own generator,
-    the i-th of ``rngs``, in ``draw_log_coords`` order.
+#: Draws made in one sample-mean block: 8 rows of the CLI's 100 draws.  The
+#: block's temporaries take about 40 bytes per draw and vertex and set the
+#: peak memory of ``fit-glm``.  At K = 6 on a 2-core x86-64 host, blocks of 8
+#: rows ran the predictions in 60% of the per-row time, and blocks of 16 in
+#: 57% at twice the memory.  A row with more draws is a block of its own.
+_BLOCK_DRAWS = 800
 
-    The face laws' sampling tables are built for all rows in one pass; only
-    the draws, each from its row's generator, run per row.
+
+def _sample_blocks(scores: np.ndarray, conc: np.ndarray, n: int, rngs: list):
+    """Yield n draws of the mixed law at each row's face scores and
+    concentrations (B, K), as arrays (b, n, K) over consecutive blocks of
+    ``max(1, _BLOCK_DRAWS // n)`` rows (fewer in the last block).
+
+    Row i consumes its own generator ``rngs[i]`` (a list of B distinct
+    generators) exactly as ``draw_log_coords`` of that row alone would:
+    n x K uniforms for the faces, then the Dirichlet step's two calls over
+    the row's on-face entries.  Everything else runs once per block.
     """
     if not (np.isfinite(conc).all() and (conc > 0.0).all()):
         raise ValueError("concentrations must be finite and > 0")
-    for take, alpha, rng in zip(face_gibbs.sampling_tables(scores), conc, rngs):
-        yield np.exp(draw_log_coords(take, alpha, n, rng)[1])
+    take = face_gibbs.sampling_tables(scores)
+    K = conc.shape[1]
+    size = max(1, _BLOCK_DRAWS // n)
+    for lo in range(0, len(conc), size):
+        block = rngs[lo:lo + size]
+        masks = face_gibbs.masks_from_uniforms(np.stack([rng.random((n, K)) for rng in block]),
+                                               take[lo:lo + len(block), None]).ravel()
+        log_y = dirichlet_log_fill(masks, np.repeat(conc[lo:lo + len(block)], n, axis=0), block)
+        yield np.exp(log_y, out=log_y).reshape(len(block), n, K)
 
 
 def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 100,
@@ -266,8 +305,11 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
 
     ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
     face; ``sample-mean`` averages ``n`` draws from each row's predicted
-    distribution, drawn from the row's generator in ``rngs`` (see
-    ``sample_rows``) and reduced to their mean before the next row is drawn.
+    distribution.  Its ``rngs`` yields one generator per row, the first B
+    of which are taken; each must belong to one row only, and is consumed
+    as ``sample_many`` of that row's distribution alone would (see
+    ``_sample_blocks``), so the predictions do not depend on how rows are
+    grouped into blocks.
     """
     scores, conc = model.row_params(X)
     preds = np.zeros_like(conc)
@@ -279,8 +321,15 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
     elif rule == "sample-mean":
         if rngs is None:
             raise ValueError("sample-mean needs an rng")
-        for i, draws in enumerate(sample_rows(scores, conc, n, rngs)):
-            preds[i] = draws.mean(axis=0)
+        rngs = list(itertools.islice(rngs, len(conc)))
+        if len(rngs) < len(conc):
+            raise ValueError(f"sample-mean needs one generator per row: {len(conc)} rows, {len(rngs)} generators")
+        if len({id(rng) for rng in rngs}) < len(rngs):
+            raise ValueError("sample-mean needs a distinct generator for each row")
+        lo = 0
+        for draws in _sample_blocks(scores, conc, n, rngs):
+            preds[lo:lo + len(draws)] = draws.mean(axis=1)
+            lo += len(draws)
     else:
         raise ValueError(f"unknown prediction rule {rule!r}")
     return FaceBatch.from_coords(preds)

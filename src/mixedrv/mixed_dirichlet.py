@@ -23,7 +23,6 @@ __all__ = [
     "FullFaceDirichlet",
     "dirichlet_entropy",
     "dirichlet_kl",
-    "dirichlet_log_pdf",
     "sample_many",
     "dirichlet_log_fill",
     "draw_log_coords",
@@ -48,26 +47,6 @@ def _check_alpha(alpha) -> np.ndarray:
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
         raise ValueError(f"concentrations must be finite and > 0, got {alpha}")
     return alpha
-
-
-def dirichlet_log_pdf(y_restricted, alpha_restricted) -> float:
-    """Dirichlet log-density at a point of the face's relative interior.
-
-    ``y_restricted`` are the strictly positive coordinates; the density is
-    w.r.t. Lebesgue measure on all but one of them (the value does not
-    depend on which one is dropped).  Length-1 inputs are vertices, where
-    the counting measure makes the contribution 0.
-    """
-    alpha = _check_alpha(alpha_restricted)
-    y = np.asarray(y_restricted, dtype=float)
-    if y.shape != alpha.shape:
-        raise ValueError(f"shape mismatch: y {y.shape} vs alpha {alpha.shape}")
-    if alpha.size == 1:
-        return 0.0
-    if np.any(y <= 0.0):
-        raise ValueError("point has a zero coordinate inside its face")
-    log_beta = scipy.special.gammaln(alpha).sum() - scipy.special.gammaln(alpha.sum())
-    return float((alpha - 1.0) @ np.log(y) - log_beta)
 
 
 def dirichlet_entropy(alpha_restricted) -> float:
@@ -131,7 +110,8 @@ class MixedDirichlet:
         return dict(zip(enumerate_faces(self.K), probs.tolist()))
 
 
-def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray,
+                       rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
     """Log-coordinates (n, K) of Dirichlet points on the faces ``masks``
     (n,), with concentrations ``alpha`` (K,) or one row per point (n, K)
     restricted to each face: finite on the face, -inf off it, 0 at vertices.
@@ -145,21 +125,36 @@ def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Gene
     the same length, used as ``log(1 - U) / a``.  Vertices consume nothing.
     Any concentration below ``SAMPLE_ALPHA_MIN`` raises ValueError before
     anything is drawn.
+
+    ``rng`` is one generator, or a list of R distinct generators that own
+    R equal runs of consecutive rows: each then makes the two calls over
+    its own run's entries, exactly as a fill of that run alone would.
     """
     if np.any(alpha < SAMPLE_ALPHA_MIN):
         raise ValueError(f"concentrations must be >= {SAMPLE_ALPHA_MIN!r} to be sampled, "
                          f"got {np.min(alpha):.4g}")
+    rngs = rng if isinstance(rng, list) else [rng]
     K = alpha.shape[-1]
     member = mask_members(masks, K)
     on = member & (member.sum(axis=1) > 1)[:, None]
     a = np.broadcast_to(alpha, member.shape)[on]
+    g = np.empty(a.size)
+    log_u = np.empty(a.size)
+    ends = np.cumsum(on.reshape(len(rngs), -1).sum(axis=1)).tolist()
+    for r, lo, hi in zip(rngs, [0] + ends, ends):
+        g[lo:hi] = r.standard_gamma(a[lo:hi] + 1.0)
+        log_u[lo:hi] = r.random(hi - lo)
+    np.log1p(np.negative(log_u, out=log_u), out=log_u)  # log(1 - U) with U in [0, 1): never -inf
+    log_u /= a
+    np.log(g, out=g)
+    g += log_u
     log_g = np.full(member.shape, -np.inf)
     log_g[member] = 0.0
-    g = rng.standard_gamma(a + 1.0)
-    log_u = np.log1p(-rng.random(a.size))  # log(1 - U) with U in [0, 1): never -inf
-    log_g[on] = np.log(g) + log_u / a
+    log_g[on] = g
+    del a, g, log_u  # free the draws before the normalization's temporaries
     log_g -= log_g.max(axis=1, keepdims=True)
-    return log_g - np.log(np.exp(log_g).sum(axis=1, keepdims=True))
+    log_g -= np.log(np.exp(log_g).sum(axis=1, keepdims=True))
+    return log_g
 
 
 def draw_log_coords(take: np.ndarray, alpha: np.ndarray, n: int,

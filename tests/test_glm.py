@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import digamma, expit, gammaln
 
 from mixedrv import face_gibbs as fg
 from mixedrv import glm
@@ -22,6 +23,33 @@ def _unpack(v, K, d):
     return glm.GlmModel(w_face, b_face, w_conc, v[i:i + K])
 
 
+def _reference_log_likelihood(model, X, targets):
+    """The likelihood and its gradient with one matrix product per map, each
+    on that map's own (K, d) weights."""
+    coords = targets.coords
+    member = coords > 0.0
+    on_dim = member.sum(axis=1) > 1
+    phi = 2.0 * member - 1.0
+    log_y = np.where(member, np.log(np.where(member, coords, 1.0)), 0.0)
+    pre_f = X @ model.w_face.T + model.b_face
+    scores = np.clip(pre_f, -glm.SCORE_CLAMP, glm.SCORE_CLAMP)
+    pre_c = X @ model.w_conc.T + model.b_conc
+    pre_cc = np.clip(pre_c, -glm.PRE_CLAMP, glm.PRE_CLAMP)
+    soft = np.logaddexp(0.0, pre_cc)
+    conc = np.clip(soft, glm.CONC_MIN, glm.CONC_MAX)
+    log_z, expected_phi = fg.log_normalizer_and_grad(scores)
+    alpha0 = np.where(member, conc, 0.0).sum(axis=1)
+    ll_dir = np.where(on_dim, np.sum(np.where(member, (conc - 1.0) * log_y - gammaln(np.where(member, conc, 1.0)),
+                                              0.0), axis=1) + gammaln(alpha0), 0.0)
+    g_scores = (phi - expected_phi) * (np.abs(pre_f) < glm.SCORE_CLAMP).astype(float)
+    gate_c = (np.abs(pre_c) < glm.PRE_CLAMP) & (soft > glm.CONC_MIN) & (soft < glm.CONC_MAX)
+    g_conc = np.where(member & on_dim[:, None], log_y - digamma(conc) + digamma(alpha0)[:, None], 0.0) \
+        * expit(pre_cc) * gate_c.astype(float)
+    ll = float((np.sum(scores * phi, axis=1) - log_z).sum() + ll_dir.sum())
+    return ll, {"w_face": g_scores.T @ X, "b_face": g_scores.sum(axis=0),
+                "w_conc": g_conc.T @ X, "b_conc": g_conc.sum(axis=0)}
+
+
 class TestLogLikelihood:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(100)
@@ -40,6 +68,18 @@ class TestLogLikelihood:
                 lambda v: glm.glm_log_likelihood(_unpack(v, K, d), X, Y)[0], _pack(model), h=1e-5
             )
             np.testing.assert_allclose(analytic, fd, atol=1e-4)
+
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    @pytest.mark.parametrize("d, n", [(1, 40), (4, 40), (9, 1), (9, 40)])
+    def test_matches_per_map_reference(self, K, d, n):
+        X, Y, _ = glm.make_planted_dataset(n=max(n, 2), K=K, d=d, seed=K * d)
+        X, Y = X[:n], FaceBatch.from_coords(Y.coords[:n])
+        model = _random_model(np.random.default_rng([109, K, d]), K, d, scale=3.0)
+        ll, grads = glm.glm_log_likelihood(model, X, Y)
+        ref_ll, ref_grads = _reference_log_likelihood(model, X, Y)
+        assert ll == ref_ll
+        for k, ref in ref_grads.items():
+            assert np.array_equal(grads[k], ref), k
 
     def test_vertex_target_ignores_concentrations(self):
         X = np.array([[0.3, -0.2]])
@@ -64,7 +104,59 @@ class TestLogLikelihood:
             glm.glm_log_likelihood(model, np.zeros((2, 5)), FaceBatch.from_coords([[1.0, 0.0, 0.0]] * 2))
 
 
+def _reference_fit(X, targets, steps, lr, seed):
+    """The fit as one Adam per weight array, over the public likelihood:
+    the same initial draws, and the same arithmetic per entry."""
+    n, d = X.shape
+    K = targets.K
+    rng = np.random.default_rng(seed)
+    params = {
+        "w_face": rng.normal(0.0, 0.01, (K, d)),
+        "b_face": rng.normal(0.0, 0.01, K),
+        "w_conc": rng.normal(0.0, 0.01, (K, d)),
+        "b_conc": rng.normal(0.0, 0.01, K),
+    }
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    losses = []
+    for t in range(1, steps + 1):
+        ll, grads = glm.glm_log_likelihood(glm.GlmModel(**params), X, targets)
+        losses.append(-ll / n)
+        for k in params:
+            g = -grads[k] / n
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+            m_hat = m[k] / (1.0 - beta1**t)
+            v_hat = v[k] / (1.0 - beta2**t)
+            params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params, np.array(losses)
+
+
 class TestFit:
+    @pytest.mark.parametrize("K", [2, 6, 13])
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("steps", [1, 57])
+    def test_matches_per_array_reference(self, K, d, steps):
+        X, Y, _ = glm.make_planted_dataset(n=40, K=K, d=d, seed=K + d)
+        fit = glm.glm_fit(X, Y, steps=steps, seed=steps)
+        params, losses = _reference_fit(X, Y, steps, 0.1, steps)
+        for k, ref in params.items():
+            assert np.array_equal(getattr(fit.model, k), ref), k
+        assert np.array_equal(fit.losses, losses)
+
+    def test_matches_per_array_reference_when_clamps_saturate(self):
+        X, Y, _ = glm.make_planted_dataset(n=40, K=5, d=3, seed=12)
+        X = 30.0 * X
+        fit = glm.glm_fit(X, Y, steps=40, lr=1.0, seed=4)
+        params, losses = _reference_fit(X, Y, 40, 1.0, 4)
+        for k, ref in params.items():
+            assert np.array_equal(getattr(fit.model, k), ref), k
+        assert np.array_equal(fit.losses, losses)
+        # both gates are closed on some entries at the fitted weights
+        assert (np.abs(X @ params["w_face"].T + params["b_face"]) >= glm.SCORE_CLAMP).any()
+        assert (np.abs(X @ params["w_conc"].T + params["b_conc"]) >= glm.PRE_CLAMP).any()
+
     def test_deterministic_given_seed(self):
         X, Y, _ = glm.make_planted_dataset(n=60, K=3, d=2, seed=9)
         a = glm.glm_fit(X, Y, seed=1)
@@ -175,7 +267,7 @@ def _row_case(K, case, rows=30, seed=0):
 
 
 class TestRowBatchedSampling:
-    """One block of draws over all rows, and ``sample_rows`` with one
+    """One block of draws over all rows, and the sample-mean blocks with one
     generator per row, bitwise against the stream contract in raw numpy."""
 
     CASES = ["random", "clamped", "conc-min", "conc-max"]
@@ -194,8 +286,9 @@ class TestRowBatchedSampling:
     @pytest.mark.parametrize("case", CASES)
     def test_per_row_generators(self, K, case, log_space_fill):
         scores, conc = _row_case(K, case, rows=8)
-        got = list(glm.sample_rows(scores, conc, 100, (np.random.default_rng([2, i]) for i in range(8))))
-        assert len(got) == 8
+        blocks = list(glm._sample_blocks(scores, conc, 100, [np.random.default_rng([2, i]) for i in range(8)]))
+        got = np.concatenate(blocks)
+        assert got.shape == (8, 100, K)
         for i, (s, c) in enumerate(zip(scores, conc)):
             _, ref_log_y = _reference_draws(np.tile(s, (100, 1)), c, np.random.default_rng([2, i]), log_space_fill)
             assert np.array_equal(got[i], np.exp(ref_log_y))
@@ -257,6 +350,48 @@ class TestRowBatchedSampling:
             one = glm.glm_predict(model, x, rule, n=50, rng=np.random.default_rng([4, i]))
             assert np.array_equal(one.coords, ref)
 
+    @pytest.mark.parametrize("K", [2, 13, 20])
+    @pytest.mark.parametrize("B", [1, 16, 37])
+    @pytest.mark.parametrize("n", [100, 1700])
+    def test_sample_mean_blocks_match_per_row_reference(self, K, B, n):
+        # 16 rows of 100 draws make one block, so B = 37 ends on a partial
+        # block; 1700 draws make a block of one row.  Every row's mean is
+        # its own draws' mean, whichever block the row falls in
+        rng = np.random.default_rng([106, K, B])
+        model = _random_model(rng, K, 3, scale=2.0)
+        X = rng.normal(0.0, 1.0, (B, 3))
+        rngs = [np.random.default_rng([5, i]) for i in range(B)]
+        batch = glm.predict_rows(model, X, "sample-mean", n=n, rngs=iter(rngs))
+        for i, x in enumerate(X):
+            ref_rng = np.random.default_rng([5, i])
+            ref = sample_many(model.mixed_at(x), n, ref_rng).coords.mean(axis=0)
+            assert np.array_equal(batch.coords[i], ref)
+            assert rngs[i].random() == ref_rng.random()  # each row's stream consumed alike
+
+    def test_sample_mean_takes_one_generator_per_row(self):
+        model = _random_model(np.random.default_rng(107), 3, 2)
+        X = np.zeros((3, 2))
+        rngs = [np.random.default_rng(i) for i in range(3)]
+        with pytest.raises(ValueError, match="one generator per row"):
+            glm.predict_rows(model, X, "sample-mean", rngs=rngs[:1])
+        with pytest.raises(ValueError, match="one generator per row"):
+            glm.predict_rows(model, X, "sample-mean", rngs=iter(rngs[:2]))
+        # nothing was drawn from the generators that were given
+        assert rngs[0].random() == np.random.default_rng(0).random()
+        assert rngs[1].random() == np.random.default_rng(1).random()
+        # a longer iterable gives the first B generators; the rest are left as they were
+        rest = iter([np.random.default_rng(10 + i) for i in range(5)])
+        glm.predict_rows(model, X, "sample-mean", rngs=rest)
+        assert next(rest).random() == np.random.default_rng(13).random()
+
+    def test_sample_mean_rejects_a_shared_generator(self):
+        model = _random_model(np.random.default_rng(108), 3, 2)
+        shared = np.random.default_rng(0)
+        for rngs in ([shared] * 3, [np.random.default_rng(1), shared, shared]):
+            with pytest.raises(ValueError, match="distinct generator"):
+                glm.predict_rows(model, np.zeros((3, 2)), "sample-mean", rngs=rngs)
+        assert shared.random() == np.random.default_rng(0).random()
+
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
     def test_rejects_nan_predictors(self, rule):
         model = glm.GlmModel(np.ones((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
@@ -267,8 +402,8 @@ class TestRowBatchedSampling:
     def test_rejects_bad_concentrations(self):
         for bad in (0.0, -1.0, np.nan):
             with pytest.raises(ValueError, match="concentrations"):
-                next(glm.sample_rows(np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]), 1,
-                                     [np.random.default_rng(0)]))
+                next(glm._sample_blocks(np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]), 1,
+                                        [np.random.default_rng(0)]))
 
     def test_rejects_unknown_rule(self):
         model = _random_model(np.random.default_rng(106), 3, 2)

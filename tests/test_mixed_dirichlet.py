@@ -148,10 +148,6 @@ class TestLogDensity:
             )
             assert md.log_density(dist, p) == pytest.approx(expected, rel=1e-12)
 
-    def test_zero_coordinate_inside_face_rejected(self):
-        with pytest.raises(ValueError):
-            md.dirichlet_log_pdf(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-
 
 class TestEntropyKl:
     def test_uniform_faces_flat_alpha(self):
