@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -210,14 +211,31 @@ def _face_and_dim(obj) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(face)), dim
 
 
+def _undecodable(text: str) -> bool:
+    """Whether text read with ``errors="surrogateescape"`` holds a byte that
+    is not UTF-8 (each such byte reads as a lone surrogate)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def cmd_face_hist(args) -> int:
     try:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {args.infile}: {e}") from e
+    lines = text.splitlines()
     if not lines:
         raise CliError(EXIT_DATA, f"{args.infile} is empty")
+    # the lines before the first undecodable one are checked first, so the
+    # first bad line is the one reported
+    undecodable = None
+    if _undecodable(text):
+        undecodable = next(i for i, line in enumerate(lines) if _undecodable(line))
+        lines = lines[:undecodable]
     raw_decode = json.JSONDecoder().raw_decode
     # Lines are counted by their (face, dim) as decoded; each distinct pair is
     # validated once, at the first line that holds it, so the first bad line
@@ -240,6 +258,8 @@ def cmd_face_hist(args) -> int:
         except (ValueError, KeyError, TypeError) as e:
             raise CliError(EXIT_DATA, f"{args.infile}:{lineno}: malformed sample line ({e})") from e
         counts[key] += 1
+    if undecodable is not None:
+        raise CliError(EXIT_DATA, f"{args.infile}:{undecodable + 1}: not UTF-8 text")
     dim_counts: Counter = Counter()
     face_counts: Counter = Counter()
     for key, cnt in counts.items():
@@ -266,16 +286,19 @@ def _glm_rows(path: str, rows: list[list[float]], linenos: list[int], x_cols: li
     X = np.ascontiguousarray(table[:, x_cols])
     # C order, so each row's sum is bitwise the one-row sum the messages print
     Y = np.ascontiguousarray(table[:, y_cols])
+    x_finite = np.isfinite(X).all(axis=1)
     finite = np.isfinite(Y).all(axis=1)
     sums = Y.sum(axis=1)
     gap = np.abs(sums - 1.0)
-    bad = ~finite | (Y < 0.0).any(axis=1) | (gap > 1e-4)
+    bad = ~x_finite | ~finite | (Y < 0.0).any(axis=1) | (gap > 1e-4)
     first = int(np.argmax(bad)) if bad.any() else len(rows)
     for i in np.nonzero(gap[:first] > 1e-9)[0].tolist():
         print(f"warning: {path}:{linenos[i]}: target row sums to {Y[i].sum()!r}; renormalizing", file=sys.stderr)
     if first < len(rows):
         y = Y[first]
-        if not finite[first]:
+        if not x_finite[first]:
+            problem = "non-finite predictor value"
+        elif not finite[first]:
             problem = "non-finite target value"
         elif np.any(y < 0.0):
             problem = "negative target value"
@@ -291,18 +314,23 @@ def _read_glm_csv(path: str) -> tuple[np.ndarray, FaceBatch]:
     """Predictors (n, d) and targets of a GLM data CSV; each target's face is
     the support of its coordinates."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
                 raise CliError(EXIT_DATA, f"{path} is empty") from None
+            except csv.Error as e:
+                raise CliError(EXIT_DATA, f"{path}:1: {e}") from None
+            if _undecodable(",".join(header)):
+                raise CliError(EXIT_DATA, f"{path}:1: not UTF-8 text")
             x_cols = [i for i, name in enumerate(header) if name.startswith("x")]
             y_cols = [i for i, name in enumerate(header) if name.startswith("y")]
             if not x_cols or len(y_cols) < 2:
                 raise CliError(EXIT_DATA, f"{path}: header must name x* predictor and y* target columns")
             rows, linenos = [], []
             stop = None  # what ended the parse early: raised once the rows before it are validated
+            lineno = 1
             try:
                 for lineno, row in enumerate(reader, start=2):
                     if not row:
@@ -310,14 +338,18 @@ def _read_glm_csv(path: str) -> tuple[np.ndarray, FaceBatch]:
                     try:
                         vals = [float(v) for v in row]
                     except ValueError as e:
-                        stop = CliError(EXIT_DATA, f"{path}:{lineno}: non-numeric value ({e})")
+                        # a field that parses as a float holds no undecodable byte
+                        problem = "not UTF-8 text" if _undecodable(",".join(row)) else f"non-numeric value ({e})"
+                        stop = CliError(EXIT_DATA, f"{path}:{lineno}: {problem}")
                         break
                     if len(vals) != len(header):
                         stop = CliError(EXIT_DATA, f"{path}:{lineno}: expected {len(header)} columns")
                         break
                     rows.append(vals)
                     linenos.append(lineno)
-            except (ValueError, csv.Error, OSError) as e:  # undecodable text or a failed read
+            except csv.Error as e:
+                stop = CliError(EXIT_DATA, f"{path}:{lineno + 1}: {e}")
+            except OSError as e:  # a failed read
                 stop = e
             data = _glm_rows(path, rows, linenos, x_cols, y_cols) if rows else None
             if stop is not None:
@@ -413,7 +445,11 @@ def cmd_check(args) -> int:
 
 # -------------------------------------------------------------------- main ---
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing keeps
+    its state in the namespace it returns, and building costs more than a
+    small command."""
     p = argparse.ArgumentParser(prog="mixedrv",
                                 description="Mixed distributions on the probability simplex")
     sub = p.add_subparsers(dest="command", required=True)
@@ -480,8 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as e:
@@ -492,6 +527,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ValueError, NotImplementedError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:  # an allocation too large for this host
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

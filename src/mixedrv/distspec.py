@@ -172,4 +172,6 @@ def load_spec_file(path: str) -> ParsedSpec:
         raise SpecError(f"cannot read spec file {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise SpecError(f"spec file {path} is not valid JSON: {e}") from e
+    except UnicodeDecodeError as e:
+        raise SpecError(f"spec file {path} is not UTF-8 text: {e}") from e
     return parse_spec(obj)

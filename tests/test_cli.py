@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixedrv import cli
-from mixedrv import face_gibbs
+from mixedrv import face_gibbs, glm, mixed_dirichlet
 
 
 def write(path, obj):
@@ -131,6 +131,18 @@ class TestSampleCommand:
 
     def test_unwritable_exit_3(self, specs):
         assert cli.main(["sample", "--dist", specs["me2"], "--num", "1", "--out", "/no/such/dir/x.jsonl"]) == 3
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 745. GiB for an array"), MemoryError()])
+    def test_failed_allocation_exit_2(self, capsys, monkeypatch, specs, tmp_path, error):
+        # a stub raises: a real request that large can succeed on a host that
+        # overcommits memory, and then exhaust it
+        def sample_many(self, n, rng):
+            raise error
+        monkeypatch.setattr(mixed_dirichlet.MixedDirichlet, "sample_many", sample_many)
+        out = tmp_path / "x.jsonl"
+        assert cli.main(["sample", "--dist", specs["md4"], "--num", "10", "--seed", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {str(error) or 'out of memory'}\n"
+        assert not out.exists()
 
 
 class TestEntropyKlCommands:
@@ -270,6 +282,30 @@ class TestGlmCommands:
         assert flag in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("value,part", [("inf", "train"), ("nan", "train"), ("inf", "held-out")])
+    def test_nonfinite_predictor_exit_4(self, capsys, tmp_path, value, part):
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "20", "--seed", "2"]) == 0
+        lines = data.read_text().splitlines()
+        # the rows fit-glm trains on at its default --seed 0 and --train-frac 0.2
+        perm = np.random.default_rng(0).permutation(20)
+        row = int(perm[0] if part == "train" else perm[-1])
+        lines[row + 1] = ",".join([value] + lines[row + 1].split(",")[1:])
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        assert cli.main(["fit-glm", "--data", str(data), "--out", str(model), "--steps", "5"]) == 4
+        assert capsys.readouterr().err == f"error: {data}:{row + 2}: non-finite predictor value\n"
+        assert not model.exists()
+
+    def test_failed_allocation_exit_2(self, capsys, monkeypatch, tmp_path):
+        def make_planted_dataset(**kwargs):
+            raise MemoryError("Unable to allocate 2.91 TiB for an array")
+        monkeypatch.setattr(glm, "make_planted_dataset", make_planted_dataset)
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "20", "--seed", "2"]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 2.91 TiB for an array\n"
+        assert not data.exists()
+
     def test_gen_k_beyond_the_mask_cap_exit_2(self, capsys, tmp_path):
         data = tmp_path / "d.csv"
         assert cli.main(["gen-glm-data", "--out", str(data), "--k", "64"]) == 2
@@ -289,6 +325,13 @@ class TestCheckCommand:
     def test_spec_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert cli.main(["entropy", "--dist", str(missing), "--mode", "exact"]) == 2
+
+    def test_undecodable_spec_exit_2(self, capsys, tmp_path):
+        spec = tmp_path / "latin1.json"
+        spec.write_bytes(b'{"kind": "maxent", "k": 3, "n": 0, "note": "\xff"}')
+        assert cli.main(["entropy", "--dist", str(spec), "--mode", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: spec file {spec} is not UTF-8 text: ") and err.count("\n") == 1
 
 
 class TestColdStart:
@@ -356,3 +399,75 @@ class TestColdStart:
         monkeypatch.setattr(checks, "run_checks", lambda level: [checks.CheckResult(f"stub.{level}", True, "", 0.0)])
         assert cli.main(["check", "--level", "fast"]) == 0
         assert capsys.readouterr().out == "PASS stub.fast\n1/1 checks passed (level=fast)\n"
+
+
+class TestParserCache:
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter: this session has long since built the parser
+        script = ("from mixedrv import cli\n"
+                  "print(cli._build_parser.cache_info().currsize)\n"
+                  "cli.main(['maxent', '--k', '2', '--n-max', '0'])\n"
+                  "print(cli._build_parser.cache_info().currsize)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("0", "1")
+
+    def test_main_builds_the_parser_once(self, capsys, specs, tmp_path):
+        cli._build_parser.cache_clear()
+        argvs = [["maxent", "--k", "2", "--n-max", "0"],
+                 ["entropy", "--dist", specs["me3"], "--mode", "exact"],
+                 ["sample", "--dist", specs["md4"], "--num", "3", "--out", str(tmp_path / "s.jsonl")],
+                 ["face-hist", "--in", str(tmp_path / "s.jsonl")],
+                 ["maxent", "--k", "3", "--n-max", "1", "--bits"]]
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+    def test_no_state_carries_across_calls(self, capsys, tmp_path):
+        parser = cli._build_parser()
+        first = parser.parse_args(["entropy", "--dist", "p.json", "--mode", "mc", "--seed", "5", "--bits"])
+        bare = parser.parse_args(["entropy", "--dist", "p.json", "--mode", "mc"])
+        assert (first.seed, first.bits) == (5, True)
+        assert (bare.seed, bare.bits, bare.samples) == (None, False, 10000)
+        spec = write(tmp_path / "seeded.json", {"kind": "mixed-dirichlet", "w": [0.5, -0.5, 0.2],
+                                                "alpha": [1.0, 2.0, 0.5], "seed": 7})
+        outs = {}
+        for name, flags in [("5", ["--seed", "5"]), ("spec", []), ("7", ["--seed", "7"])]:
+            outs[name] = tmp_path / f"{name}.jsonl"
+            assert cli.main(["sample", "--dist", spec, "--num", "20", "--out", str(outs[name]), *flags]) == 0
+        assert outs["spec"].read_bytes() == outs["7"].read_bytes() != outs["5"].read_bytes()
+        assert cli.main(["entropy", "--dist", spec, "--mode", "mc", "--samples", "50", "--bits"]) == 0
+        assert cli.main(["entropy", "--dist", spec, "--mode", "mc", "--samples", "50"]) == 0
+        bits, nats = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+        assert (bits["unit"], nats["unit"]) == ("bits", "nats")
+        assert bits["value"] == pytest.approx(nats["value"] / np.log(2), rel=1e-12)
+
+    def test_usage_error_after_caching(self, capsys):
+        cli._build_parser.cache_clear()
+        errors = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["entropy", "--mode", "exact", "--samples", "many"])
+            errors.append((exc.value.code, capsys.readouterr().err))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == 2 and errors[0][1].startswith("usage: mixedrv entropy ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fit-glm", "--help"]])
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        fresh = cli._build_parser.__wrapped__()
+        with pytest.raises(SystemExit):
+            fresh.parse_args(argv)
+        expected = capsys.readouterr().out
+        assert cli.main(["maxent", "--k", "2", "--n-max", "0"]) == 0
+        capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected
+        assert expected.startswith("usage: mixedrv ")

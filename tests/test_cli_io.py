@@ -133,6 +133,19 @@ def test_face_hist_reads_any_spacing_and_key_order(tmp_path, capsys):
     assert capsys.readouterr().out == "kind,label,count,fraction\ndim,0,1,0.25\ndim,1,3,0.75\nface,1+2,3,0.75\nface,3,1,0.25\n"
 
 
+@pytest.mark.parametrize("lines,expected", [
+    ([EDGE, VERTEX, b'{"face": [3], "dim": 0, "note": "\xff"}', EDGE], ":3: not UTF-8 text"),
+    ([b"\xff" + EDGE.encode()], ":1: not UTF-8 text"),
+    # a malformed line before the undecodable one is reported first
+    ([EDGE, '{"face": [1, 2], "dim": 2}', b"\xfe\xff", VERTEX], ":2: malformed sample line (face/dim mismatch)"),
+], ids=["after_good_lines", "first_line", "after_a_malformed_line"])
+def test_face_hist_names_an_undecodable_line(lines, expected, tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines) + b"\n")
+    assert cli.main(["face-hist", "--in", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"error: {path}{expected}\n")
+
+
 # ------------------------------------------------------------------ fit-glm ---
 
 def _sum_repr(*y: float) -> str:
@@ -167,3 +180,35 @@ def test_fit_glm_csv_targets_are_renormalized_batches(tmp_path):
     y = np.array([0.5, 0.5000001, 0.0])
     assert targets.coords.tolist() == [(y / y.sum()).tolist(), [0.0, 1.0, 0.0]]
     assert targets.masks.tolist() == [0b011, 0b010]
+
+
+@pytest.mark.parametrize("text,expected", [
+    # the first decoded chunk of the file holds the bad row and the undecodable byte
+    (b"x1,y1,y2\n0.1,0.5,0.5\n0.2,x,0.5\n0.3,\xff,0.5\n",
+     ":3: non-numeric value (could not convert string to float: 'x')"),
+    (b"x1,y1,y2\n0.1,0.5,0.5\n0.2,0.5,0.5\n0.3,\xff,0.5\n0.4,x,0.5\n", ":4: not UTF-8 text"),
+    (b"x1,y1,y2\n" + b"0.1,0.5,0.5\n" * 2000 + b"\xe9,0.5,0.5\n", ":2002: not UTF-8 text"),
+    (b"x1,y\xff,y2\n0.1,0.5,0.5\n", ":1: not UTF-8 text"),
+    # a field beyond the csv module's size limit
+    (b"x1,y1,y2\n0.1,0.5,0.5\n0.2,-1.0,2.0\n" + b"1" * 200_000 + b",0.5,0.5\n",
+     ":3: negative target value"),
+    (b"x1,y1,y2\n0.1,0.5,0.5\n" + b"1" * 200_000 + b",0.5,0.5\n", ":3: field larger than field limit (131072)"),
+], ids=["bad_row_first", "undecodable_row_first", "after_many_rows", "header", "bad_row_before_long_field",
+        "long_field"])
+def test_fit_glm_names_an_undecodable_or_unparsable_line(text, expected, tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(text)
+    assert cli.main(["fit-glm", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 4
+    assert capsys.readouterr() == ("", f"error: {data}{expected}\n")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_glm_non_finite_predictor_is_a_bad_row(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    # line 3 is renormalized with a warning; line 4's predictor is the first
+    # bad value; line 5's target must not be reported
+    data.write_text("x1,y1,y2\n0.1,0.5,0.5\n0.2,0.5000001,0.5\n-inf,0.25,0.75\n0.4,-1.0,2.0\n")
+    assert cli.main(["fit-glm", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 4
+    assert capsys.readouterr().err == (
+        f"warning: {data}:3: target row sums to {_sum_repr(0.5000001, 0.5)}; renormalizing\n"
+        f"error: {data}:4: non-finite predictor value\n")
