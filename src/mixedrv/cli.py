@@ -94,21 +94,59 @@ def _resolve_seed(args_seed, spec_seed) -> int:
     return 0
 
 
-def _sample_lines(masks: np.ndarray, coords: np.ndarray):
-    """JSON lines ``{"face": ..., "dim": ..., "y": ...}``, one per row of
-    ``coords`` (n, K) on the face bitmask ``masks`` (n,).
+#: Rows per string that ``_sample_lines`` and ``_csv_lines`` yield, so the
+#: text held at once stays bounded.
+_WRITE_ROWS = 1024
 
-    Each distinct face gets one %-format; ``%r`` of a float is
+
+def _row_blocks(values: np.ndarray, masks: np.ndarray, sep: str, row_format):
+    """The rows of ``values`` (n, m) as text, one string per block of at most
+    ``_WRITE_ROWS`` rows.
+
+    A value that is exactly +0.0 is written as the literal ``0.0`` (its
+    ``repr``); every other value, -0.0 included, goes through ``%r``.  Rows
+    that agree in ``masks`` (n,) and in where their +0.0 values lie share
+    one format, ``row_format(mask, fields)`` with ``fields`` their
+    ``sep``-joined value fields, cached under the bytes of that key; the
+    cache is emptied when it holds more than ``_WRITE_ROWS`` formats, so
+    rows that all differ cannot grow it to the size of the text.  Each
+    block joins its rows' formats in row order and applies them with one
+    ``%`` to the flat tuple of the values they print.
+    """
+    masks = np.ascontiguousarray(masks, dtype=np.int64)
+    fmts = {}
+    for start in range(0, len(values), _WRITE_ROWS):
+        if len(fmts) > _WRITE_ROWS:
+            fmts.clear()
+        block, head = values[start:start + _WRITE_ROWS], masks[start:start + _WRITE_ROWS]
+        zero = (block == 0.0) & ~np.signbit(block)
+        row_keys = np.hstack([head.view(np.uint8).reshape(-1, 8), np.packbits(zero, axis=1)])
+        keys, first, which = np.unique(row_keys.view(np.dtype((np.void, row_keys.shape[1]))).ravel(),
+                                       return_index=True, return_inverse=True)
+        block_fmts = []
+        for k, i in zip(keys.tolist(), first.tolist()):
+            if k not in fmts:
+                fmts[k] = row_format(int(head[i]), sep.join(["0.0" if z else "%r" for z in zero[i].tolist()]))
+            block_fmts.append(fmts[k])
+        yield "".join([block_fmts[j] for j in which.tolist()]) % tuple(block[~zero].tolist())
+
+
+def _sample_lines(masks: np.ndarray, coords: np.ndarray):
+    """JSON lines ``{"face": ..., "dim": ..., "y": ...}`` of the rows of
+    ``coords`` (n, K) on the face bitmasks ``masks`` (n,), one string per
+    block of rows (``_row_blocks``), keyed by face and +0.0 pattern.
+
+    Every line is what ``json.dumps`` writes: ``%r`` of a float is
     ``float.__repr__``, which is what ``json.dumps`` writes for a finite
-    float.
+    float, and ``repr(0.0)`` is ``0.0``.
     """
     K = coords.shape[1]
-    fields = ", ".join(["%r"] * K)
-    fmts = {}
-    for mask in np.unique(masks).tolist():
-        face = [i + 1 for i in range(K) if mask >> i & 1]
-        fmts[mask] = f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": [{fields}]}}\n'
-    return (fmts[mask] % tuple(row) for mask, row in zip(masks.tolist(), coords.tolist()))
+
+    def row_format(mask, fields):
+        face = [k + 1 for k in range(K) if mask >> k & 1]
+        return f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": [{fields}]}}\n'
+
+    return _row_blocks(coords, masks, ", ", row_format)
 
 
 def cmd_sample(args) -> int:
@@ -400,10 +438,10 @@ def cmd_fit_glm(args) -> int:
 
 
 def _csv_lines(table: np.ndarray):
-    """One comma-separated line per row of a float array, each value written
-    as ``repr(float(v))``."""
-    fmt = ",".join(["%r"] * table.shape[1]) + "\n"
-    return (fmt % tuple(row) for row in table.tolist())
+    """Comma-separated lines of the rows of a float array, one string per
+    block of rows (``_row_blocks``, every row under mask 0, so keyed by its
+    +0.0 pattern alone), each value written as ``repr(float(v))``."""
+    return _row_blocks(table, np.zeros(len(table), np.int64), ",", lambda mask, fields: fields + "\n")
 
 
 def cmd_gen_glm_data(args) -> int:

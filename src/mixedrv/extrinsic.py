@@ -305,15 +305,21 @@ def _log_f(v, m, t, row, mu_e, sigma_e) -> np.ndarray:
     return np.bincount(row, scipy.special.log_ndtr(z), v.size) - 0.5 * t * dv * dv
 
 
-def _log_f_slopes(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives of ``_log_f``."""
+def _log_f_slope(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First derivative of ``_log_f``, with each entry's z and inverse Mills
+    ratio."""
     z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     # inverse Mills ratio phi(z) / Phi(z), free of cancellation in both tails
     lam = _SQRT_2_OVER_PI / scipy.special.erfcx(z * -np.sqrt(0.5))
+    return np.bincount(row, lam / sigma_e, v.size) - t * (v - m), z, lam
+
+
+def _log_f_slopes(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives of ``_log_f``."""
+    f1, z, lam = _log_f_slope(v, m, t, row, mu_e, sigma_e)
     # lam (z + lam) = 1 - 1/z^2 + O(z^-4) as z -> -inf, where z + lam cancels
     bend = np.where(z > -1e4, lam * (z + lam), 1.0 - (1.0 / np.minimum(z, -1e4)) ** 2)
-    return (np.bincount(row, lam / sigma_e, v.size) - t * (v - m),
-            -t - np.bincount(row, bend / sigma_e / sigma_e, v.size))
+    return f1, -t - np.bincount(row, bend / sigma_e / sigma_e, v.size)
 
 
 def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -352,7 +358,7 @@ def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for _ in range(_NEWTON_STEPS):
         g = _log_f(edge, m2, t2, *entries2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = edge - (g - level) / _log_f_slopes(edge, m2, t2, *entries2)[0]
+            step = edge - (g - level) / _log_f_slope(edge, m2, t2, *entries2)[0]
         step = np.where(np.isfinite(step), step, edge)
         if np.all((g >= level - 1.0) | (step == edge)):
             break

@@ -1,12 +1,13 @@
 """Byte contracts of the CLI's file formats.
 
-The writers format whole arrays (one %-format per face or per table), and
+The writers format whole arrays (one %-format per block of rows), and
 the readers decode and validate in bulk; these tests hold them to the
 per-row ``json.dumps`` / ``repr`` / ``json.loads`` rules the formats are
 defined by, including which line a malformed file is reported at.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ finite_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=F
 @st.composite
 def sample_rows(draw):
     """Face masks (n,) and coordinates (n, K): any finite values on the
-    face, exact 0.0 off it."""
+    face, +0.0 among them, and +0.0 or -0.0 off it."""
     K = draw(st.one_of(st.integers(2, 8), st.just(63)))
     n = draw(st.integers(1, 10))
     masks = draw(st.lists(st.integers(1, 2**K - 1), min_size=n, max_size=n))
-    coords = [[draw(finite_floats) if m >> k & 1 else 0.0 for k in range(K)] for m in masks]
+    on_face, off_face = st.one_of(st.just(0.0), finite_floats), st.sampled_from([0.0, -0.0])
+    coords = [[draw(on_face if m >> k & 1 else off_face) for k in range(K)] for m in masks]
     return np.array(masks, dtype=np.int64), np.array(coords, dtype=float).reshape(n, K)
 
 
@@ -53,6 +55,58 @@ def test_sample_lines_match_json_dumps(rows):
 def test_csv_lines_match_repr(table):
     expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table)
     assert "".join(cli._csv_lines(np.array(table, dtype=float))) == expected
+
+
+def _block_rows(n: int, K: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` rows on random faces of K vertices (the top bit included at
+    K = 63): on-face values drawn from ``SPECIAL_FLOATS`` and from
+    N(0, 1), +0.0 or -0.0 off the face."""
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(1, 2**K - 1, size=n, endpoint=True, dtype=np.int64)
+    on = (masks[:, None] >> np.arange(K)) & 1 == 1
+    values = np.where(rng.random((n, K)) < 0.5, rng.choice(SPECIAL_FLOATS, (n, K)), rng.normal(size=(n, K)))
+    return masks, np.where(on, values, rng.choice([0.0, -0.0], (n, K)))
+
+
+def _check_blocks(blocks: list[str], n: int):
+    assert len(blocks) == -(-n // cli._WRITE_ROWS)
+    assert [b.count("\n") for b in blocks] == [min(cli._WRITE_ROWS, n - i * cli._WRITE_ROWS)
+                                                for i in range(len(blocks))]
+
+
+@pytest.mark.parametrize("n,K", [(cli._WRITE_ROWS - 1, 5), (cli._WRITE_ROWS, 5), (cli._WRITE_ROWS + 1, 5),
+                                 (2 * cli._WRITE_ROWS + 7, 63)])
+def test_sample_lines_at_block_boundaries(n, K):
+    masks, coords = _block_rows(n, K, seed=n + K)
+    if K == 63:
+        assert len(set(masks.tolist())) == n and (masks >> 62 == 1).any()
+    blocks = list(cli._sample_lines(masks, coords))
+    _check_blocks(blocks, n)
+    assert "".join(blocks) == "".join(_json_dumps_line(m, r, K) for m, r in zip(masks.tolist(), coords.tolist()))
+
+
+@pytest.mark.parametrize("n", [cli._WRITE_ROWS - 1, cli._WRITE_ROWS, cli._WRITE_ROWS + 1])
+def test_csv_lines_at_block_boundaries(n):
+    masks, coords = _block_rows(n, 5, seed=n)
+    table = np.hstack([np.random.default_rng(n).normal(size=(n, 3)), coords])
+    blocks = list(cli._csv_lines(table))
+    _check_blocks(blocks, n)
+    assert "".join(blocks) == "".join(",".join(repr(float(v)) for v in row) + "\n" for row in table.tolist())
+
+
+def test_sample_lines_hold_a_bounded_text():
+    """The writer yields the file block by block: the memory it holds at
+    once stays far below the size of the whole text."""
+    masks, coords = _block_rows(50_000, 8, seed=1)
+    tracemalloc.start()
+    try:
+        size = sum(len(block) for block in cli._sample_lines(masks, coords))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * 2**20
+    assert size > 3 * bound
+    assert peak < bound
 
 
 # ---------------------------------------------------------------- face-hist ---
