@@ -16,7 +16,6 @@ from .simplex import (
     ResourceLimitError,
     SimplexPoint,
     enumerate_faces,
-    face_histogram,
     sparsemax,
     sparsemax_jacobian,
 )
@@ -49,7 +48,6 @@ from .info_theory import (
     coding_entropy,
     direct_sum_entropy_mc,
     direct_sum_kl_mc,
-    laguerre_generalized,
     maxent_distribution,
     maxent_entropy,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import chisquare, kstest
 
 from . import extrinsic, face_gibbs, glm, info_theory, mixed_dirichlet, oracles
-from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, face_histogram, sparsemax, sparsemax_rows
+from .simplex import FaceBatch, enumerate_faces, face_groups, mask_members, sparsemax_rows
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -40,12 +40,17 @@ def _require(cond: bool, msg: str):
 
 # --------------------------------------------------------------- simplex ---
 
+def _project(z: np.ndarray) -> np.ndarray:
+    """Sparsemax of one vector."""
+    return sparsemax_rows(z[None, :])[0]
+
+
 def _check_sparsemax_vs_active_set():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(300):
         z = rng.normal(0.0, 2.0, rng.integers(2, 7))
-        worst = max(worst, float(np.max(np.abs(sparsemax(z).coords - oracles.brute_force_sparsemax(z)))))
+        worst = max(worst, float(np.max(np.abs(_project(z) - oracles.brute_force_sparsemax(z)))))
     _require(worst < 1e-9, f"max deviation {worst:.2e} >= 1e-9")
     return f"max deviation {worst:.2e}"
 
@@ -57,7 +62,7 @@ def _check_sparsemax_jacobian_fd():
     for _ in range(50):
         z = rng.normal(0.0, 1.0, rng.integers(2, 6))
         jac = sparsemax_jacobian(z)
-        fd = oracles.central_difference_jacobian(lambda v: sparsemax(v).coords, z)
+        fd = oracles.central_difference_jacobian(_project, z)
         worst = max(worst, float(np.max(np.abs(jac - fd))))
     _require(worst < 1e-5, f"max deviation {worst:.2e} >= 1e-5")
     return f"max deviation {worst:.2e}"
@@ -67,19 +72,20 @@ def _check_sparsemax_invariances():
     rng = np.random.default_rng(103)
     for _ in range(200):
         z = rng.normal(0.0, 2.0, rng.integers(2, 7))
-        y = sparsemax(z)
+        y = _project(z)
         c = rng.normal()
-        again = sparsemax(y.coords + c)
-        _require(np.max(np.abs(again.coords - y.coords)) < 1e-12, "projection not idempotent under shift")
-        _require(float(y.coords.sum()) == 1.0 or abs(y.coords.sum() - 1.0) < 1e-12, "sum broken")
+        again = _project(y + c)
+        _require(np.max(np.abs(again - y)) < 1e-12, "projection not idempotent under shift")
+        _require(float(y.sum()) == 1.0 or abs(y.sum() - 1.0) < 1e-12, "sum broken")
     return "idempotence and shift invariance hold"
 
 
 def _check_face_partition():
     rng = np.random.default_rng(104)
-    pts = [sparsemax(rng.normal(0.0, 1.5, 4)) for _ in range(500)]
-    faces, dims = face_histogram(pts)
-    _require(sum(faces.values()) == 500 and sum(dims.values()) == 500, "histogram does not partition")
+    masks = FaceBatch.from_coords(sparsemax_rows(rng.normal(0.0, 1.5, (500, 4)))).masks
+    faces = np.unique(masks, return_counts=True)[1]
+    dims = np.bincount(mask_members(masks, 4).sum(axis=1) - 1)
+    _require(faces.sum() == 500 and dims.sum() == 500, "histogram does not partition")
     return "face counts partition the batch"
 
 
@@ -176,7 +182,7 @@ def _check_face_probs_sum():
     rng = np.random.default_rng(113)
     for _ in range(5):
         d = face_gibbs.GibbsFaceDistribution(rng.normal(0.0, 2.0, 8))
-        total = sum(np.exp(face_gibbs.face_log_prob(d, f)) for f in enumerate_faces(8))
+        total = float(np.exp(face_gibbs.face_log_prob(d, enumerate_faces(8))).sum())
         _require(abs(total - 1.0) < 1e-12, f"face probabilities sum to {total!r}")
     return "probabilities sum to 1"
 
@@ -188,7 +194,7 @@ def _check_grad_log_prob():
         K = int(rng.integers(2, 7))
         w = rng.normal(0.0, 1.5, K)
         d = face_gibbs.GibbsFaceDistribution(w)
-        f = face_gibbs.sample_faces(d, 1, rng)[0]
+        f = int(face_gibbs.sample_face_masks(d, 1, rng)[0])
         grad = face_gibbs.grad_log_prob(d, f)
         fd = oracles.central_difference_gradient(
             lambda v: face_gibbs.face_log_prob(face_gibbs.GibbsFaceDistribution(v), f), w
@@ -196,10 +202,8 @@ def _check_grad_log_prob():
         worst = max(worst, float(np.max(np.abs(grad - fd))))
     # expected score under the exact face law is zero
     d = face_gibbs.GibbsFaceDistribution(rng.normal(0.0, 1.0, 8))
-    mean = sum(
-        np.exp(face_gibbs.face_log_prob(d, f)) * face_gibbs.grad_log_prob(d, f)
-        for f in enumerate_faces(8)
-    )
+    masks = enumerate_faces(8)
+    mean = np.exp(face_gibbs.face_log_prob(d, masks)) @ face_gibbs.grad_log_prob(d, masks)
     _require(float(np.max(np.abs(mean))) < 1e-10, "expected score is not zero")
     _require(worst < 1e-5, f"gradient mismatch {worst:.2e} >= 1e-5")
     return f"fd mismatch {worst:.2e}, expected score ~ 0"
@@ -236,7 +240,7 @@ def _check_most_probable_face():
         got = face_gibbs.most_probable_face(d)
         exp = oracles.enum_most_probable_face(w)
         _require(
-            abs(float(d.w @ face_gibbs.suff_stats(got)) - float(d.w @ face_gibbs.suff_stats(exp))) < 1e-12,
+            abs(float(d.w @ face_gibbs.suff_stats(got, K)) - float(d.w @ face_gibbs.suff_stats(exp, K))) < 1e-12,
             f"argmax face mismatch for w={w}",
         )
     return "matches enumeration argmax"
@@ -247,7 +251,7 @@ def _gibbs_chi_square(n: int):
     for K, w in ((3, np.zeros(3)), (4, rng.uniform(-1.0, 1.0, 4))):
         d = face_gibbs.GibbsFaceDistribution(w)
         counts = np.bincount(face_gibbs.sample_face_masks(d, n, np.random.default_rng(118)), minlength=2**K)[1:]
-        expected = np.array([np.exp(face_gibbs.face_log_prob(d, f)) for f in enumerate_faces(K)]) * n
+        expected = np.exp(face_gibbs.face_log_prob(d, enumerate_faces(K))) * n
         p = chisquare(counts, expected).pvalue
         _require(p > 0.001, f"chi-square p={p:.5f} <= 0.001 (K={K})")
     return f"chi-square ok at n={n}"
@@ -292,14 +296,13 @@ def _check_dirichlet_kl_mc(n: int):
 
 def _check_mixed_dirichlet_density_values():
     md = mixed_dirichlet.MixedDirichlet(np.zeros(2), np.ones(2))
-    v = mixed_dirichlet.log_density(md, SimplexPoint([0.5, 0.5]))
-    _require(abs(v + np.log(3.0)) < 1e-12, f"edge density {v}")
-    v = mixed_dirichlet.log_density(md, SimplexPoint([1.0, 0.0]))
-    _require(abs(v - np.log(1.0 / 3.0)) < 1e-12, f"vertex density {v}")
+    edge, vertex = md.log_density_many(FaceBatch.from_coords([[0.5, 0.5], [1.0, 0.0]]))
+    _require(abs(edge + np.log(3.0)) < 1e-12, f"edge density {edge}")
+    _require(abs(vertex - np.log(1.0 / 3.0)) < 1e-12, f"vertex density {vertex}")
     # normalization by construction: exact face probs x unit Dirichlet mass
     rng = np.random.default_rng(122)
     md = mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 1.0, 4), rng.uniform(0.5, 3.0, 4))
-    total = sum(md.exact_face_distribution().values())
+    total = float(md.exact_face_distribution()[1].sum())
     _require(abs(total - 1.0) < 1e-12, f"face mass {total}")
     return "hand values and normalization hold"
 
@@ -320,7 +323,7 @@ def _check_mixed_dirichlet_face_tv(n: int, bound: float):
     rng = np.random.default_rng(126)
     md = mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 1.0, 4), rng.uniform(0.5, 3.0, 4))
     counts = np.bincount(mixed_dirichlet.sample_many(md, n, np.random.default_rng(127)).masks, minlength=16)[1:]
-    exact = np.array([md.exact_face_distribution()[f] for f in enumerate_faces(4)])
+    exact = md.exact_face_distribution()[1]
     tv = 0.5 * float(np.abs(counts / n - exact).sum())
     _require(tv < bound, f"TV {tv:.5f} >= {bound}")
     return f"TV distance {tv:.5f}"
@@ -332,11 +335,11 @@ def _check_mixed_dirichlet_flat_conditional():
     md = mixed_dirichlet.MixedDirichlet(np.array([0.5, 0.5, 0.5]), np.ones(3))
     batch = mixed_dirichlet.sample_many(md, 20000, rng)
     for mask, rows in face_groups(batch.masks):
-        f = batch.face(mask)
-        if f.size < 2 or rows.size < 500:
+        face = [k for k in range(3) if mask >> k & 1]
+        if len(face) < 2 or rows.size < 500:
             continue
-        res = kstest(batch.coords[rows, f.indices[0]], "beta", args=(1.0, f.size - 1))
-        _require(res.pvalue > 0.001, f"KS p={res.pvalue:.5f} on face {f}")
+        res = kstest(batch.coords[rows, face[0]], "beta", args=(1.0, len(face) - 1))
+        _require(res.pvalue > 0.001, f"KS p={res.pvalue:.5f} on face {face}")
     return "per-face flat conditionals pass KS"
 
 
@@ -450,28 +453,28 @@ def _check_gs_density_pivot_invariance():
     for _ in range(10):
         K = int(rng.integers(3, 6))
         d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
-        y = sparsemax(rng.normal(0.3, 0.8, K))
-        got = extrinsic.gs_log_density(d, y)
-        for i in y.support.indices:
+        y = _project(rng.normal(0.3, 0.8, K))
+        got = extrinsic.gs_log_density_many(d, FaceBatch.from_coords(y[None]))[0]
+        for i in np.flatnonzero(y).tolist():
             worst = max(worst, abs(got - oracles.gs_log_density_reference(d, y, pivot=i)))
     _require(worst < 1e-8, f"density off the oracle at some pivot by {worst:.2e}")
     return f"max deviation over pivots {worst:.2e}"
 
 
-def _same_face_rows(y: SimplexPoint) -> np.ndarray:
-    """``y``, two more points of its face and twice its lowest vertex,
-    interleaved: every face of the batch holds two or more rows."""
-    face = y.support
-    vertex = SimplexPoint.vertex(face.indices[0], y.K).coords
-    bary = face.member_array() / face.size
-    return np.stack([y.coords, vertex, 0.5 * (y.coords + bary), vertex, bary])
+def _same_face_rows(y: np.ndarray) -> np.ndarray:
+    """The point ``y``, two more points of its face and twice its lowest
+    vertex, interleaved: every face of the batch holds two or more rows."""
+    on = y > 0.0
+    vertex = np.eye(y.size)[np.argmax(on)]
+    bary = on / on.sum()
+    return np.stack([y, vertex, 0.5 * (y + bary), vertex, bary])
 
 
-def _same_face_batch_error(d, y: SimplexPoint) -> float:
+def _same_face_batch_error(d, y: np.ndarray) -> float:
     """Largest deviation of the batch density of ``_same_face_rows(y)`` from
     the oracle's point-by-point values."""
     batch = FaceBatch.from_coords(_same_face_rows(y))
-    ref = [oracles.gs_log_density_reference(d, p) for _, p in batch]
+    ref = [oracles.gs_log_density_reference(d, row) for row in batch.coords]
     return float(np.max(np.abs(extrinsic.gs_log_density_many(d, batch) - ref)))
 
 
@@ -481,7 +484,7 @@ def _check_gs_density_constant_sigma():
     for _ in range(10):
         mu = rng.normal(0.2, 0.6, 3)
         sigma = np.full(3, float(rng.uniform(0.3, 1.2)))
-        y = sparsemax(rng.normal(0.3, 0.8, 3))
+        y = _project(rng.normal(0.3, 0.8, 3))
         worst = max(worst, _same_face_batch_error(extrinsic.GaussianSparsemax(mu, sigma), y))
     _require(worst < 1e-8, f"equal-sigma density off the oracle by {worst:.2e}")
     return f"equal-sigma batches match the oracle to {worst:.2e}"
@@ -493,7 +496,7 @@ def _check_gs_density_unequal_sigma():
     for _ in range(10):
         K = int(rng.integers(3, 6))
         d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
-        worst = max(worst, _same_face_batch_error(d, sparsemax(rng.normal(0.3, 0.8, K))))
+        worst = max(worst, _same_face_batch_error(d, _project(rng.normal(0.3, 0.8, K))))
     _require(worst < 1e-8, f"unequal-sigma density off the oracle by {worst:.2e}")
     return f"unequal-sigma batches match the oracle to {worst:.2e}"
 
@@ -507,9 +510,9 @@ def _check_gs_orthant_wide_sigma():
     for _ in range(8):
         K = int(rng.integers(3, 7))
         d = extrinsic.GaussianSparsemax(rng.uniform(-30.0, 30.0, K), np.exp(rng.uniform(np.log(1e-2), np.log(1e2), K)))
-        points = [*d.sample_many(2, rng), *FaceBatch.from_coords(sparsemax_rows(rng.normal(0.0, 1.0, (1, K))))]
-        batch = FaceBatch.from_coords(np.concatenate([_same_face_rows(y) for _, y in points]))
-        ref = np.array([oracles.gs_log_density_reference(d, p) for _, p in batch])
+        points = [*d.sample_many(2, rng).coords, _project(rng.normal(0.0, 1.0, K))]
+        batch = FaceBatch.from_coords(np.concatenate([_same_face_rows(y) for y in points]))
+        ref = np.array([oracles.gs_log_density_reference(d, row) for row in batch.coords])
         err = np.abs(extrinsic.gs_log_density_many(d, batch) - ref) / np.maximum(1.0, np.abs(ref))
         worst = max(worst, float(err.max()))
     _require(worst < 1e-9, f"wide-sigma density off the quad oracle by {worst:.2e} relative")
@@ -522,9 +525,9 @@ def _check_gs_quadrature_refinement():
     for _ in range(10):
         K = int(rng.integers(2, 5))
         d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
-        y = sparsemax(rng.normal(0.3, 0.8, K))
-        a = extrinsic.gs_log_density(d, y, extrinsic.QuadratureConfig(64, 16))
-        b = extrinsic.gs_log_density(d, y, extrinsic.QuadratureConfig(128, 16))
+        y = FaceBatch.from_coords(_project(rng.normal(0.3, 0.8, K))[None])
+        a = extrinsic.gs_log_density_many(d, y, extrinsic.QuadratureConfig(64, 16))[0]
+        b = extrinsic.gs_log_density_many(d, y, extrinsic.QuadratureConfig(128, 16))[0]
         worst = max(worst, abs(a - b))
     _require(worst < 1e-6, f"doubling panels moves density by {worst:.2e}")
     return f"refinement change {worst:.2e}"
@@ -610,7 +613,7 @@ def _check_khc_coupling():
     for _ in range(2000):
         g = -np.log(-np.log(rng.random(2)))
         y_soft = extrinsic.concrete_from_gumbels(z, beta, g)
-        y_khc = sparsemax(lam * y_soft).coords[0]
+        y_khc = _project(lam * y_soft)[0]
         y_bin = float(extrinsic.binary_hard_concrete_from_logistic(bhc, g[0] - g[1]))
         worst = max(worst, abs(y_khc - y_bin))
     _require(worst < 1e-12, f"coupled paths differ by {worst:.2e}")
@@ -661,18 +664,18 @@ def _check_maxent_table():
 def _check_coding_entropy():
     for N in range(0, 9):
         me = info_theory.maxent_distribution(2, N)
-        total = info_theory.coding_entropy(me.exact_face_distribution(), me.direct_sum_entropy(), N)
+        total = info_theory.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
         _require(abs(total - np.log(2.0 + 2.0**N)) < 1e-12, f"coding entropy at N={N}: {total}")
     me = info_theory.maxent_distribution(4, 2)
     h = me.direct_sum_entropy()
-    _require(info_theory.coding_entropy(me.exact_face_distribution(), h, 0) == h, "N=0 changes the value")
+    _require(info_theory.coding_entropy(*me.exact_face_distribution(), h, 0) == h, "N=0 changes the value")
     return "ln(2 + 2^N) reproduced for N = 0..8"
 
 
 def _check_maxent_reconstruction():
     for K, N in ((2, 0), (3, 2), (5, 1), (8, 3)):
         me = info_theory.maxent_distribution(K, N)
-        total = info_theory.coding_entropy(me.exact_face_distribution(), me.direct_sum_entropy(), N)
+        total = info_theory.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
         _require(abs(total - info_theory.maxent_entropy(K, N)) < 1e-9,
                  f"component reconstruction off at K={K} N={N}")
     return "H(F) + conditionals + N-term reproduce the Laguerre value"
@@ -688,7 +691,7 @@ def _check_maxent_frequencies(n: int):
         se = np.sqrt(prob * (1 - prob) / n)
         _require(abs(freq - prob) < 4.0 * se, f"dim {k}: freq {freq:.5f} vs g {prob:.5f}")
     counts = np.bincount(masks, minlength=16)[1:]
-    expected = np.array([me.exact_face_distribution()[f] for f in enumerate_faces(4)]) * n
+    expected = me.exact_face_distribution()[1] * n
     p = chisquare(counts, expected).pvalue
     _require(p > 0.001, f"face chi-square p={p:.5f}")
     return f"dimension and face frequencies ok at n={n}"
@@ -746,11 +749,10 @@ def _check_maxent_dominates():
 
 def _check_dimension_symmetry():
     me = info_theory.maxent_distribution(5, 1)
-    probs = me.exact_face_distribution()
-    by_dim: dict = {}
-    for f, p in probs.items():
-        by_dim.setdefault(f.dim, set()).add(round(p, 15))
-    for dim, vals in by_dim.items():
+    masks, probs = me.exact_face_distribution()
+    dims = mask_members(masks, 5).sum(axis=1) - 1
+    for dim in np.unique(dims).tolist():
+        vals = {round(p, 15) for p in probs[dims == dim].tolist()}
         _require(len(vals) == 1, f"faces of dim {dim} have unequal probabilities")
     return "equal-dimension faces are equiprobable"
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .simplex import FaceBatch, FaceIndexSet, SimplexPoint, face_groups, sparsemax_rows
+from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, sparsemax_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -129,16 +129,14 @@ class GaussianSparsemax:
     def log_density_many(self, batch: FaceBatch, quad: QuadratureConfig | None = None) -> np.ndarray:
         return gs_log_density_many(self, batch, quad)
 
-    def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
+    def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face bitmasks 1, 2, 3 (``enumerate_faces`` order: the vertices
+        (1, 0) and (0, 1), then the edge) and their closed-form
+        probabilities; K = 2 only."""
         if self.K != 2:
             raise NotImplementedError("closed-form face probabilities exist only for K=2")
-        z, s = gs2_params(self)
-        p0, p1, pc = gs2_face_probs(z, s)
-        return {
-            FaceIndexSet(0b01, 2): p1,  # vertex (1, 0)
-            FaceIndexSet(0b10, 2): p0,  # vertex (0, 1)
-            FaceIndexSet(0b11, 2): pc,
-        }
+        p0, p1, pc = gs2_face_probs(*gs2_params(self))
+        return enumerate_faces(2), np.array([p1, p0, pc])
 
 
 # benchmarks/tracer.py looks the batch projection up under this name

@@ -1,6 +1,7 @@
 """Exponential-family distribution over the nonempty faces of the simplex.
 
-A face is a nonempty subset I of the K vertices.  The family has one
+A face is a nonempty subset I of the K vertices, passed as an int64
+bitmask (bit k set means vertex k is in I).  The family has one
 log-potential per vertex and sufficient statistic ``phi_k = +1`` if vertex k
 is in the face, ``-1`` otherwise, so the unnormalized log-weight of face I is
 ``sum_{k in I} w_k - sum_{k not in I} w_k``.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import FaceIndexSet
+from .simplex import MAX_BITMASK_K, FaceIndexSet
 
 __all__ = [
     "GibbsFaceDistribution",
@@ -129,9 +130,23 @@ def expected_suff_stats(w) -> np.ndarray:
     return log_normalizer_and_grad(w)[1]
 
 
-def suff_stats(f: FaceIndexSet) -> np.ndarray:
-    """The +/-1 statistic vector of a face."""
-    return np.where(f.member_array(), 1.0, -1.0)
+def _face_masks(masks, K: int) -> np.ndarray:
+    """One face bitmask or an array of them, as int64, after checking that
+    each is a nonempty subset of the K vertices: an integer in (0, 2^K)."""
+    if K > MAX_BITMASK_K:
+        raise ValueError(f"faces are int64 bitmasks, so K must be <= {MAX_BITMASK_K}, got {K}")
+    m = np.asarray(masks)
+    bad = m if m.dtype.kind not in "iu" else m[(m <= 0) | (m >> K != 0)]
+    if bad.size:
+        raise ValueError(f"mask {bad.flat[0]} is not a nonempty subset of [{K}]")
+    return m.astype(np.int64)
+
+
+def suff_stats(masks, K: int) -> np.ndarray:
+    """The +/-1 statistic vectors of faces over K vertices: shape (K,) for
+    one bitmask, (n, K) for an array of n."""
+    bits = (_face_masks(masks, K)[..., None] >> np.arange(K)) & 1
+    return np.where(bits == 1, 1.0, -1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,11 +183,11 @@ class GibbsFaceDistribution:
         return self.w.size
 
 
-def face_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> float:
-    """Log-probability of one face."""
-    if f.K != d.K:
-        raise ValueError(f"face is over K={f.K}, distribution over K={d.K}")
-    return float(d.w @ suff_stats(f)) - d.log_z
+def face_log_prob(d: GibbsFaceDistribution, masks) -> float | np.ndarray:
+    """Log-probability of one face bitmask (a float) or of each of an array
+    of them."""
+    log_p = suff_stats(masks, d.K) @ d.w - d.log_z
+    return float(log_p) if log_p.ndim == 0 else log_p
 
 
 def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
@@ -223,11 +238,10 @@ def kl(d_p: GibbsFaceDistribution, d_q: GibbsFaceDistribution) -> float:
     return d_q.log_z - d_p.log_z - float((d_q.w - d_p.w) @ d_p.expected_phi)
 
 
-def grad_log_prob(d: GibbsFaceDistribution, f: FaceIndexSet) -> np.ndarray:
-    """Gradient of ``face_log_prob`` in the log-potentials: phi(f) - E[phi]."""
-    if f.K != d.K:
-        raise ValueError(f"face is over K={f.K}, distribution over K={d.K}")
-    return suff_stats(f) - d.expected_phi
+def grad_log_prob(d: GibbsFaceDistribution, masks) -> np.ndarray:
+    """Gradient of ``face_log_prob`` in the log-potentials, phi(f) - E[phi]:
+    shape (K,) for one face bitmask, (n, K) for an array of n."""
+    return suff_stats(masks, d.K) - d.expected_phi
 
 
 def most_probable_vertices(w) -> np.ndarray:
@@ -239,6 +253,6 @@ def most_probable_vertices(w) -> np.ndarray:
     return positive if positive.size > 0 else np.argmax(w, keepdims=True)
 
 
-def most_probable_face(d: GibbsFaceDistribution) -> FaceIndexSet:
-    """Argmax face (see ``most_probable_vertices``)."""
-    return FaceIndexSet.from_indices(most_probable_vertices(d.w).tolist(), d.K)
+def most_probable_face(d: GibbsFaceDistribution) -> int:
+    """Bitmask of the argmax face (see ``most_probable_vertices``)."""
+    return sum(1 << k for k in most_probable_vertices(d.w).tolist())

@@ -9,9 +9,10 @@ distribution exposing mutually consistent ``sample_many`` and
 ``coding_entropy`` converts a direct-sum entropy into the average optimal
 code length when continuous coordinates are kept at N-bit precision, and
 the maxent family realizes the largest such value; its entropy equals the
-log of a generalized Laguerre polynomial, which we evaluate both by the
-three-term recurrence and by direct log-sum-exp of the defining series as
-mutually validating code paths.
+log of a generalized Laguerre polynomial, which we evaluate by a scaled
+three-term recurrence (``maxent_entropy``) and by direct log-sum-exp of
+the defining series (``maxent_entropy_series``) as mutually validating
+code paths.  The plain recurrence is ``oracles.laguerre_generalized``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from typing import NamedTuple, Protocol, runtime_checkable
 import numpy as np
 import scipy
 
-from .mixed_dirichlet import dirichlet_log_fill
-from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, enumerate_faces
+from .mixed_dirichlet import EXACT_ENUM_MAX_K, dirichlet_log_fill
+from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, mask_members
 
 __all__ = [
     "MixedDistribution",
@@ -38,7 +39,6 @@ __all__ = [
     "maxent_entropy",
     "maxent_entropy_series",
     "maxent_log_weights",
-    "laguerre_generalized",
 ]
 
 _LN2 = math.log(2.0)
@@ -99,31 +99,23 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     return KlMcEstimate(float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n)), 0)
 
 
-def coding_entropy(face_probs: dict[FaceIndexSet, float], base_entropy: float, N: int) -> float:
-    """Average optimal code length at N-bit precision, in nats.
+def coding_entropy(masks, probs, base_entropy: float, N: int) -> float:
+    """Average optimal code length at N-bit precision, in nats, of a law
+    with face bitmasks ``masks`` and face probabilities ``probs`` (as
+    ``exact_face_distribution`` returns them).
 
     Adds ``N * ln 2`` nats per continuous dimension to the direct-sum
     entropy: ``H + N ln2 * sum_f dim(f) P(f)``.
     """
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
-    probs = np.array(list(face_probs.values()), dtype=float)
+    masks, probs = np.asarray(masks), np.asarray(probs, dtype=float)
+    if masks.shape != probs.shape or masks.ndim != 1 or np.any(masks <= 0):
+        raise ValueError("need one positive face bitmask per probability")
     if np.any(probs < -1e-10) or abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError("face probabilities must be nonnegative and sum to 1")
-    expected_dim = sum(f.dim * p for f, p in face_probs.items())
+    expected_dim = float(probs @ (mask_members(masks, MAX_BITMASK_K).sum(axis=1) - 1))
     return float(base_entropy + N * _LN2 * expected_dim)
-
-
-def laguerre_generalized(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial by the three-term recurrence."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur
 
 
 def _log_binom(K, k):
@@ -200,10 +192,6 @@ class MaxEntMixed:
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "g", g)
 
-    def face_log_prob(self, f: FaceIndexSet) -> float:
-        k = f.size
-        return float(np.log(self.g[k - 1])) - float(_log_binom(self.K, k))
-
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Face log-probability plus the flat conditional's log-density,
         ``log (k-1)!`` on a face with k vertices."""
@@ -218,10 +206,15 @@ class MaxEntMixed:
         masks = maxent_sample_face_masks(self, n, rng)
         return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, np.ones(self.K), rng))
 
-    def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
-        if self.K > 14:
-            raise ResourceLimitError("face enumeration needs K <= 14")
-        return {f: float(np.exp(self.face_log_prob(f))) for f in enumerate_faces(self.K)}
+    def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every face bitmask (``enumerate_faces`` order) and its probability,
+        ``g(k) / C(K, k)`` on a face with k vertices."""
+        if self.K > EXACT_ENUM_MAX_K:
+            raise ResourceLimitError(f"face enumeration needs K <= {EXACT_ENUM_MAX_K}")
+        masks = enumerate_faces(self.K)
+        k = mask_members(masks, self.K).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            return masks, np.exp(np.log(self.g[k - 1]) - _log_binom(self.K, k))
 
     def direct_sum_entropy(self) -> float:
         """Exact H(F) + E[flat entropy]; equals maxent_entropy at N=0."""

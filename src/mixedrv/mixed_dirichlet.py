@@ -16,7 +16,7 @@ import numpy as np
 import scipy
 
 from . import face_gibbs
-from .simplex import FaceBatch, FaceIndexSet, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
+from .simplex import FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
 
 __all__ = [
     "MixedDirichlet",
@@ -103,11 +103,11 @@ class MixedDirichlet:
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         return log_density_many(self, batch)
 
-    def exact_face_distribution(self) -> dict[FaceIndexSet, float]:
-        """Every face with its probability, masks ascending (the exact-mode
-        weights of ``entropy`` and ``kl_mixed``)."""
+    def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every face bitmask (``enumerate_faces`` order) and its probability:
+        the exact-mode weights of ``entropy`` and ``kl_mixed``."""
         _, probs = _face_weights(self, "exact", 0, None)
-        return dict(zip(enumerate_faces(self.K), probs.tolist()))
+        return enumerate_faces(self.K), probs
 
 
 def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray,

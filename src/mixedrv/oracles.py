@@ -4,8 +4,9 @@ Everything here is deliberately naive: exhaustive enumeration over all
 2^K - 1 faces, the O(K) face-lattice DAG of the paper's construction,
 explicit active-set search for the simplex projection, the pivoted dense
 Gaussian-Sparsemax density one point at a time with its orthant term by
-adaptive quadrature, and central finite differences.  None of it shares
-code with the production paths it validates.
+adaptive quadrature, the plain Laguerre recurrence, and central finite
+differences.  None of it shares code with the production paths it
+validates.  Faces are int64 bitmasks, as everywhere outside ``simplex``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, logsumexp
 
 from .extrinsic import GaussianSparsemax
-from .simplex import FaceIndexSet, SimplexPoint, enumerate_faces
+from .simplex import enumerate_faces
 
 __all__ = [
     "FaceLatticeDag",
@@ -33,6 +34,7 @@ __all__ = [
     "enum_kl",
     "enum_most_probable_face",
     "gs_log_density_reference",
+    "laguerre_generalized",
     "central_difference_gradient",
     "central_difference_jacobian",
 ]
@@ -49,8 +51,8 @@ def brute_force_sparsemax(z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     K = z.size
     best, best_dist = None, np.inf
-    for f in enumerate_faces(K):
-        idx = list(f.indices)
+    for mask in enumerate_faces(K).tolist():
+        idx = [i for i in range(K) if mask >> i & 1]
         tau = (z[idx].sum() - 1.0) / len(idx)
         y = np.zeros(K)
         y[idx] = z[idx] - tau
@@ -95,10 +97,10 @@ def enum_kl(w, v) -> float:
     return float(np.sum(np.exp(logp) * (logp - logq)))
 
 
-def enum_most_probable_face(w) -> FaceIndexSet:
+def enum_most_probable_face(w) -> int:
+    """Bitmask of the highest-scoring face (the first of equals)."""
     w = np.asarray(w, dtype=float)
-    scores = face_score_table(w.size) @ w
-    return enumerate_faces(w.size)[int(np.argmax(scores))]
+    return int(np.argmax(face_score_table(w.size) @ w)) + 1  # row i holds mask i + 1
 
 
 def _log_orthant_reference(mu, sigma, t: float, m: float) -> float:
@@ -140,21 +142,23 @@ def _log_orthant_reference(mu, sigma, t: float, m: float) -> float:
     return peak + float(np.log(val)) + 0.5 * (np.log(t) - np.log(2 * np.pi))
 
 
-def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, pivot: int | None = None) -> float:
-    """Gaussian-Sparsemax log-density at one point, by the dense formula:
-    on the support S, ``log |S|`` plus the normal log-density of the
-    differences ``y_i - y_pivot`` (covariance ``diag(sigma_i^2) +
-    sigma_pivot^2`` times all-ones, by ``slogdet`` and ``solve``; any pivot
-    in S, default the lowest of smallest sigma, which keeps the covariance
-    well conditioned); off S, the log orthant probability by
+def gs_log_density_reference(d: GaussianSparsemax, y, pivot: int | None = None) -> float:
+    """Gaussian-Sparsemax log-density at the point with coordinates ``y``
+    (a row of K values), by the dense formula: on the support S = {i :
+    y_i > 0}, ``log |S|`` plus the normal log-density of the differences
+    ``y_i - y_pivot`` (covariance ``diag(sigma_i^2) + sigma_pivot^2``
+    times all-ones, by ``slogdet`` and ``solve``; any pivot in S, default
+    the lowest of smallest sigma, which keeps the covariance well
+    conditioned); off S, the log orthant probability by
     ``scipy.integrate.quad`` (``_log_orthant_reference``)."""
-    support = list(y.support.indices)
+    x = np.asarray(y, dtype=float)
+    support = np.flatnonzero(x > 0.0).tolist()
     p = min(support, key=lambda i: d.sigma[i]) if pivot is None else pivot
     if p not in support:
         raise ValueError(f"pivot {p} is not in the support {support}")
     rest = [i for i in support if i != p]
     off = [j for j in range(d.K) if j not in support]
-    mu, sigma, x = d.mu, d.sigma, y.coords
+    mu, sigma = d.mu, d.sigma
     val = float(np.log(len(support)))
     if rest:
         diff = (x[rest] - x[p]) - (mu[rest] - mu[p])
@@ -165,6 +169,20 @@ def gs_log_density_reference(d: GaussianSparsemax, y: SimplexPoint, pivot: int |
         c = float(np.sum((x[support] - mu[support]) / sigma[support] ** 2))
         val += _log_orthant_reference(mu[off], sigma[off], t, -c / t)
     return float(val)
+
+
+def laguerre_generalized(n: int, alpha: float, x: float) -> float:
+    """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by the plain
+    three-term recurrence: the reference for the scaled recurrence behind
+    ``info_theory.maxent_entropy``."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
 
 
 # A DAG state is (k, b, s): level k in 0..K+1, b = 1 iff vertex k is taken,

@@ -2,14 +2,20 @@
 
 The simplex with K vertices decomposes into the disjoint union of the
 relative interiors of its 2^K - 1 nonempty faces; each face is identified
-with the nonempty subset of vertex indices it spans.  This module provides
+with the nonempty subset of vertex indices it spans, stored as an int64
+bitmask (bit i set means vertex i spans the face).  This module provides
 the sparse Euclidean projection onto the simplex (which can land on any
-face), face identification and face enumeration for brute-force oracles.
+face), batches of points with their faces (``FaceBatch``) and face
+enumeration for brute-force oracles.
+
+``FaceIndexSet``, ``SimplexPoint``, ``sparsemax`` and ``FaceBatch``
+iteration, a per-point object form of the same data, are kept only because
+the benchmark tracer patches them, and the four callables elsewhere that
+use them, by name.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +31,6 @@ __all__ = [
     "sparsemax_rows",
     "sparsemax_jacobian",
     "enumerate_faces",
-    "face_histogram",
 ]
 
 #: Largest alphabet size representable by the single-word face bitmask.
@@ -59,38 +64,9 @@ class FaceIndexSet:
         if self.mask <= 0 or self.mask >= (1 << self.K):
             raise ValueError(f"mask {self.mask:#x} is not a nonempty subset of [{self.K}]")
 
-    @classmethod
-    def from_indices(cls, indices, K: int) -> "FaceIndexSet":
-        mask = 0
-        for i in indices:
-            if not (0 <= i < K):
-                raise ValueError(f"vertex index {i} out of range for K={K}")
-            mask |= 1 << i
-        return cls(mask, K)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """Member vertex indices, ascending, 0-based."""
-        return tuple(i for i in range(self.K) if self.mask >> i & 1)
-
-    @property
-    def size(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the face: one less than the number of vertices."""
-        return self.size - 1
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
-
     def member_array(self) -> np.ndarray:
         """Boolean membership vector of length K."""
         return np.array([bool(self.mask >> i & 1) for i in range(self.K)])
-
-    def __repr__(self):
-        return f"FaceIndexSet({{{', '.join(map(str, self.indices))}}}, K={self.K})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,22 +106,12 @@ class SimplexPoint:
         return self.coords.size
 
     @classmethod
-    def vertex(cls, i: int, K: int) -> "SimplexPoint":
-        coords = np.zeros(K)
-        coords[i] = 1.0
-        return cls(coords)
-
-    @classmethod
     def _trusted(cls, coords: np.ndarray, support: FaceIndexSet) -> "SimplexPoint":
         """A point from a read-only row whose support was already validated."""
         p = object.__new__(cls)
         object.__setattr__(p, "coords", coords)
         object.__setattr__(p, "support", support)
         return p
-
-    def restricted(self) -> np.ndarray:
-        """The strictly positive coordinates, in index order."""
-        return self.coords[list(self.support.indices)]
 
     def __repr__(self):
         return f"SimplexPoint({np.array2string(self.coords, separator=', ')})"
@@ -213,10 +179,9 @@ class FaceBatch:
     """n simplex points as arrays: face bitmasks ``masks`` (n,), coordinates
     ``coords`` (n, K) and optionally their logarithms ``log_coords`` (n, K).
 
-    This is the array form of a sequence of ``(FaceIndexSet, SimplexPoint)``
-    draws, validated once under the same rules as ``SimplexPoint``: finite,
-    nonnegative coordinates, rows summing to one within ``SUM_TOL``, and
-    positive coordinates exactly on the vertices of the row's face.
+    Every batch is validated once: finite, nonnegative coordinates, rows
+    summing to one within ``SUM_TOL``, and positive coordinates exactly on
+    the vertices of the row's face.
 
     A sampler that draws in log space passes ``log_coords`` (with ``coords
     = exp(log_coords)``), the faithful representation: a coordinate of the
@@ -225,9 +190,10 @@ class FaceBatch:
     row's face and -inf off them; ``coords`` may hold 0.0 on the face but
     nothing positive off it.
 
-    Iteration yields the pairs, sharing one ``FaceIndexSet`` per distinct
-    mask: the row's face, and a ``SimplexPoint`` of its coordinates, whose
-    support is the face less any coordinate that underflowed to 0.0.
+    Iteration yields ``(FaceIndexSet, SimplexPoint)`` pairs, sharing one
+    ``FaceIndexSet`` per distinct mask: the row's face, and a point of its
+    coordinates, whose support is the face less any coordinate that
+    underflowed to 0.0.  Only the benchmark tracer iterates a batch.
     """
 
     masks: np.ndarray
@@ -344,33 +310,15 @@ def sparsemax_jacobian(z) -> np.ndarray:
     coordinate exactly at the threshold) this returns the representative
     obtained from the computed support, a valid generalized Jacobian.
     """
-    y = sparsemax(z)
-    s = y.support.member_array().astype(float)
+    s = (sparsemax(z).coords > 0.0).astype(float)
     return np.diag(s) - np.outer(s, s) / s.sum()
 
 
-def enumerate_faces(K: int) -> list[FaceIndexSet]:
-    """All 2^K - 1 nonempty faces in bitmask-ascending order.
+def enumerate_faces(K: int) -> np.ndarray:
+    """The masks of all 2^K - 1 nonempty faces, ascending, as int64.
 
     Only intended for brute-force oracles; refuses K > 20.
     """
     if K > 20:
         raise ResourceLimitError(f"enumerate_faces is limited to K <= 20, got K={K}")
-    return [FaceIndexSet(mask, K) for mask in range(1, 1 << K)]
-
-
-def face_histogram(points) -> tuple[Counter, Counter]:
-    """Counts per face and per face dimension for a batch of simplex points."""
-    points = list(points)
-    if not points:
-        raise ValueError("points must be nonempty")
-    K = points[0].K
-    faces: Counter = Counter()
-    dims: Counter = Counter()
-    for p in points:
-        if p.K != K:
-            raise ValueError(f"inconsistent K: expected {K}, got {p.K}")
-        f = p.support
-        faces[f] += 1
-        dims[f.dim] += 1
-    return faces, dims
+    return np.arange(1, 1 << K, dtype=np.int64)

@@ -1,5 +1,6 @@
 """The public names: every name a module lists in ``__all__`` and every name
-the package re-exports resolves, so a deleted name cannot stay listed."""
+the package re-exports resolves, so a deleted name cannot stay listed; and
+outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``."""
 
 import ast
 import importlib
@@ -36,3 +37,37 @@ def test_package_names_resolve_and_are_public_in_their_module():
     for module_name, name in reexports:
         assert getattr(mixedrv, name) is getattr(importlib.import_module(f"mixedrv.{module_name}"), name)
         assert name in importlib.import_module(f"mixedrv.{module_name}").__all__, (module_name, name)
+
+
+#: The only callables outside ``simplex`` that may still name the per-point
+#: face objects: the benchmark tracer patches them by name.
+OBJECT_LAYER = {"FaceIndexSet", "SimplexPoint"}
+OBJECT_LAYER_CALLERS = {("face_gibbs", "sample_faces"), ("mixed_dirichlet", "log_density"),
+                        ("extrinsic", "gs_log_density"), ("glm", "glm_predict")}
+
+
+def _object_layer_mentions(module: str) -> list[tuple[int, str]]:
+    """(line, name) of each use of ``FaceIndexSet``/``SimplexPoint`` in a
+    module, skipping imports and the bodies of the allowed callables."""
+    tree = ast.parse((Path(mixedrv.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+    found, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (module, node.name) in OBJECT_LAYER_CALLERS:
+            continue
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in OBJECT_LAYER:
+            found.append((node.lineno, name))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in OBJECT_LAYER:
+            found.append((node.lineno, node.value))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ["__init__", *(m for m in MODULES if m != "simplex")])
+def test_faces_are_masks_outside_simplex(name):
+    # outside simplex a face is an int64 bitmask; the object layer is named
+    # only by imports, package re-exports and the callables the tracer pins
+    assert _object_layer_mentions(name) == [], f"mixedrv.{name} uses the per-point face objects"

@@ -58,7 +58,7 @@ def test_gs_batch_pivot_invariance():
     batch = FaceBatch.from_coords(np.full((3, 4), 0.25))
     got = ex.gs_log_density_many(d, batch)
     for pivot in range(4):
-        ref = [oracles.gs_log_density_reference(d, p, pivot=pivot) for _, p in batch]
+        ref = [oracles.gs_log_density_reference(d, row, pivot=pivot) for row in batch.coords]
         np.testing.assert_allclose(got, ref, atol=1e-8)
 
 

@@ -71,6 +71,6 @@ def test_gaussian_sparsemax(params, seed):
     # oracle's dense Gaussian factor plus adaptive-quadrature orthant term
     dist = ex.GaussianSparsemax(mu, sigma)
     batch = _check_own_batch(dist, seed)
-    ref = np.array([oracles.gs_log_density_reference(dist, y) for _, y in batch])
+    ref = np.array([oracles.gs_log_density_reference(dist, y) for y in batch.coords])
     err = np.abs(dist.log_density_many(batch) - ref)
     assert (err <= 1e-9 * np.maximum(1.0, np.abs(ref))).all(), (err.max(), mu, sigma)

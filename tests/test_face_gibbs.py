@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 from mixedrv import face_gibbs as fg
 from mixedrv import oracles
-from mixedrv.simplex import FaceIndexSet, enumerate_faces
+from mixedrv.simplex import enumerate_faces
 
 small_w = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=8
@@ -227,26 +227,26 @@ class TestFaceLogProb:
         d = fg.GibbsFaceDistribution(np.array([10.0, -10.0]))
         # direct three-term normalization over {0}, {1}, {0,1}
         expected = 20.0 - np.logaddexp.reduce([20.0, -20.0, 0.0])
-        got = fg.face_log_prob(d, FaceIndexSet.from_indices([0], 2))
+        got = fg.face_log_prob(d, 0b01)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(-2.061e-9, rel=1e-3)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(14)
         d = fg.GibbsFaceDistribution(rng.normal(0, 2, 8))
-        total = sum(np.exp(fg.face_log_prob(d, f)) for f in enumerate_faces(8))
+        total = np.exp(fg.face_log_prob(d, enumerate_faces(8))).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         d = fg.GibbsFaceDistribution(np.zeros(3))
         with pytest.raises(ValueError):
-            fg.face_log_prob(d, FaceIndexSet(1, 2))
+            fg.face_log_prob(d, 0b1000)  # vertex 3 of a law over 3 vertices
 
     @settings(max_examples=30)
     @given(small_w)
     def test_normalization_property(self, w):
         d = fg.GibbsFaceDistribution(w)
-        total = sum(np.exp(fg.face_log_prob(d, f)) for f in enumerate_faces(w.size))
+        total = np.exp(fg.face_log_prob(d, enumerate_faces(w.size))).sum()
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -262,7 +262,7 @@ class TestSampling:
     def test_forced_membership(self):
         d = fg.GibbsFaceDistribution(np.array([30.0, 0.0, 0.0]))
         for f in fg.sample_faces(d, 500, np.random.default_rng(16)):
-            assert f.contains(0)
+            assert f.mask & 1
 
     def test_tv_distance_to_exact(self):
         rng = np.random.default_rng(17)
@@ -271,7 +271,7 @@ class TestSampling:
         counts = np.zeros(15)
         for f in fg.sample_faces(d, n, np.random.default_rng(18)):
             counts[f.mask - 1] += 1
-        exact = np.array([np.exp(fg.face_log_prob(d, f)) for f in enumerate_faces(4)])
+        exact = np.exp(fg.face_log_prob(d, enumerate_faces(4)))
         assert 0.5 * np.abs(counts / n - exact).sum() < 0.02
 
     def test_chi_square(self):
@@ -280,7 +280,7 @@ class TestSampling:
         counts = np.zeros(7)
         for f in fg.sample_faces(d, n, np.random.default_rng(19)):
             counts[f.mask - 1] += 1
-        expected = np.array([np.exp(fg.face_log_prob(d, f)) for f in enumerate_faces(3)]) * n
+        expected = np.exp(fg.face_log_prob(d, enumerate_faces(3))) * n
         assert chisquare(counts, expected).pvalue > 0.001
 
     def test_consumes_k_uniforms_per_sample(self):
@@ -382,7 +382,7 @@ class TestEntropyKl:
 class TestGradLogProb:
     def test_hand_value(self):
         d = fg.GibbsFaceDistribution(np.zeros(2))
-        g = fg.grad_log_prob(d, FaceIndexSet(0b11, 2))
+        g = fg.grad_log_prob(d, 0b11)
         np.testing.assert_allclose(g, [2/3, 2/3], atol=1e-14)
 
     def test_matches_finite_differences(self):
@@ -391,7 +391,7 @@ class TestGradLogProb:
             K = int(rng.integers(2, 7))
             w = rng.normal(0, 1.5, K)
             d = fg.GibbsFaceDistribution(w)
-            f = fg.sample_faces(d, 1, rng)[0]
+            f = int(fg.sample_face_masks(d, 1, rng)[0])
             fd = oracles.central_difference_gradient(
                 lambda v: fg.face_log_prob(fg.GibbsFaceDistribution(v), f), w
             )
@@ -401,24 +401,23 @@ class TestGradLogProb:
         rng = np.random.default_rng(25)
         w = rng.normal(0, 1, 10)
         d = fg.GibbsFaceDistribution(w)
-        mean = sum(
-            np.exp(fg.face_log_prob(d, f)) * fg.grad_log_prob(d, f) for f in enumerate_faces(10)
-        )
+        masks = enumerate_faces(10)
+        mean = np.exp(fg.face_log_prob(d, masks)) @ fg.grad_log_prob(d, masks)
         np.testing.assert_allclose(mean, np.zeros(10), atol=1e-10)
 
 
 class TestMostProbableFace:
     def test_sign_rule(self):
         d = fg.GibbsFaceDistribution(np.array([1.0, -1.0, 2.0]))
-        assert fg.most_probable_face(d).indices == (0, 2)
+        assert fg.most_probable_face(d) == 0b101
 
     def test_all_negative_falls_back_to_best_singleton(self):
         d = fg.GibbsFaceDistribution(np.array([-1.0, -2.0]))
-        assert fg.most_probable_face(d).indices == (0,)
+        assert fg.most_probable_face(d) == 0b01
 
     def test_zero_potential_excluded(self):
         d = fg.GibbsFaceDistribution(np.array([0.0, 1.0]))
-        assert fg.most_probable_face(d).indices == (1,)
+        assert fg.most_probable_face(d) == 0b10
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(26)
@@ -428,4 +427,62 @@ class TestMostProbableFace:
             d = fg.GibbsFaceDistribution(w)
             got = fg.most_probable_face(d)
             best = oracles.enum_most_probable_face(w)
-            assert float(w @ fg.suff_stats(got)) == pytest.approx(float(w @ fg.suff_stats(best)), abs=1e-12)
+            assert float(w @ fg.suff_stats(got, K)) == pytest.approx(float(w @ fg.suff_stats(best, K)), abs=1e-12)
+
+
+class TestMaskApi:
+    """Face functions take one int64 bitmask or an array of them."""
+
+    K63_MASKS = [1 << 62, (1 << 63) - 1, (1 << 62) | 0b101, 1]
+
+    @pytest.mark.filterwarnings("error")
+    def test_k63_masks_with_the_top_bit_set(self):
+        w = np.random.default_rng(27).normal(0.0, 1.0, 63)
+        d = fg.GibbsFaceDistribution(w)
+        masks = np.array(self.K63_MASKS, dtype=np.int64)
+        stats = fg.suff_stats(masks, 63)
+        assert stats.shape == (4, 63)
+        assert (stats == 1.0).sum(axis=1).tolist() == [m.bit_count() for m in self.K63_MASKS]
+        assert stats[0, 62] == 1.0 and (stats[0, :62] == -1.0).all()
+        assert (stats[1] == 1.0).all()
+        log_p = fg.face_log_prob(d, masks)
+        assert np.isfinite(log_p).all()
+        assert log_p[1] == pytest.approx(w.sum() - d.log_z, rel=1e-12)
+        grad = fg.grad_log_prob(d, masks)
+        np.testing.assert_array_equal(grad, stats - d.expected_phi)
+        for i, m in enumerate(self.K63_MASKS):  # one Python int at a time gives the same rows
+            np.testing.assert_array_equal(fg.suff_stats(m, 63), stats[i])
+            assert fg.face_log_prob(d, m) == pytest.approx(log_p[i], rel=1e-14)
+            np.testing.assert_array_equal(fg.grad_log_prob(d, m), grad[i])
+        np.testing.assert_array_equal(fg.suff_stats(masks.astype(np.uint64), 63), stats)
+
+    def test_scalar_and_array_shapes(self):
+        d = fg.GibbsFaceDistribution(np.array([0.3, -0.2, 0.1]))
+        assert isinstance(fg.face_log_prob(d, 5), float)
+        assert isinstance(fg.face_log_prob(d, np.int64(5)), float)
+        assert fg.face_log_prob(d, [5, 2]).shape == (2,)
+        assert fg.suff_stats(5, 3).tolist() == [1.0, -1.0, 1.0]
+        assert fg.grad_log_prob(d, np.array([[5, 2]])).shape == (1, 2, 3)
+
+    @pytest.mark.parametrize("K,mask", [
+        (3, 0), (3, -1), (3, 8), (3, 1 << 40), (63, -(1 << 62)),
+        (63, 1 << 63), (63, (1 << 64) + 1), (63, 1 << 70),  # Python ints >= 2^63
+        (3, 1.0),
+    ])
+    @pytest.mark.parametrize("fn", ["suff_stats", "face_log_prob", "grad_log_prob"])
+    def test_rejects_masks_outside_the_faces(self, fn, K, mask):
+        d = fg.GibbsFaceDistribution(np.zeros(K))
+        call = (lambda m: fg.suff_stats(m, K)) if fn == "suff_stats" else (lambda m: getattr(fg, fn)(d, m))
+        for masks in (mask, [1, mask]):
+            with pytest.raises(ValueError, match="not a nonempty subset"):
+                call(masks)
+
+    def test_rejects_laws_too_wide_for_a_mask(self):
+        with pytest.raises(ValueError, match="K must be <= 63"):
+            fg.face_log_prob(fg.GibbsFaceDistribution(np.zeros(64)), 1)
+
+    def test_most_probable_face_is_an_int(self):
+        d = fg.GibbsFaceDistribution(np.full(63, 1.0))
+        got = fg.most_probable_face(d)
+        assert type(got) is int and got == (1 << 63) - 1
+        assert fg.face_log_prob(d, got) == max(fg.face_log_prob(d, [got, 1, 1 << 62]))

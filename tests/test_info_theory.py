@@ -7,7 +7,9 @@ from scipy.stats import chisquare
 
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
-from mixedrv.simplex import FaceBatch, FaceIndexSet, enumerate_faces
+from mixedrv import oracles
+from mixedrv.extrinsic import GaussianSparsemax
+from mixedrv.simplex import FaceBatch, ResourceLimitError, enumerate_faces
 
 
 class _VertexPointMass:
@@ -27,11 +29,11 @@ class _VertexPointMass:
 
 class TestLaguerre:
     def test_degree_zero(self):
-        assert it.laguerre_generalized(0, 7.3, -2.0) == 1.0
+        assert oracles.laguerre_generalized(0, 7.3, -2.0) == 1.0
 
     def test_degree_one_closed_form(self):
         for N in range(0, 9):
-            assert it.laguerre_generalized(1, 1.0, -(2.0**N)) == pytest.approx(2 + 2**N, rel=1e-14)
+            assert oracles.laguerre_generalized(1, 1.0, -(2.0**N)) == pytest.approx(2 + 2**N, rel=1e-14)
 
     def test_matches_series(self):
         for K in range(2, 31):
@@ -40,7 +42,7 @@ class TestLaguerre:
                     comb(K, k, exact=True) * 2.0 ** (N * (k - 1)) / math.factorial(k - 1)
                     for k in range(1, K + 1)
                 )
-                got = it.laguerre_generalized(K - 1, 1.0, -(2.0**N))
+                got = oracles.laguerre_generalized(K - 1, 1.0, -(2.0**N))
                 assert got == pytest.approx(series, rel=1e-10)
 
 
@@ -75,7 +77,7 @@ class TestMaxEntEntropy:
     def test_bitwise_the_plain_recurrence_where_it_is_finite(self):
         for K in range(2, 31):
             for N in range(0, 9):
-                plain = float(np.log(it.laguerre_generalized(K - 1, 1.0, -float(2.0**N))))
+                plain = float(np.log(oracles.laguerre_generalized(K - 1, 1.0, -float(2.0**N))))
                 assert it.maxent_entropy(K, N) == plain
 
     def test_validation(self):
@@ -88,9 +90,10 @@ class TestMaxEntEntropy:
 class TestMaxEntDistribution:
     def test_k2_n0_is_uniform_over_faces(self):
         me = it.maxent_distribution(2, 0)
-        probs = me.exact_face_distribution()
-        for f in enumerate_faces(2):
-            assert probs[f] == pytest.approx(1 / 3, abs=1e-15)
+        masks, probs = me.exact_face_distribution()
+        assert masks.tolist() == [1, 2, 3]
+        for p in probs:
+            assert p == pytest.approx(1 / 3, abs=1e-15)
 
     def test_k2_general_n_class_probs(self):
         for N in range(0, 9):
@@ -104,10 +107,10 @@ class TestMaxEntDistribution:
         np.testing.assert_allclose(g, expected, rtol=1e-13)
 
     def test_dimension_class_symmetry(self):
-        probs = it.maxent_distribution(5, 1).exact_face_distribution()
+        masks, probs = it.maxent_distribution(5, 1).exact_face_distribution()
         by_dim = {}
-        for f, p in probs.items():
-            by_dim.setdefault(f.dim, set()).add(round(p, 15))
+        for f, p in zip(masks.tolist(), probs.tolist()):
+            by_dim.setdefault(f.bit_count() - 1, set()).add(round(p, 15))
         assert all(len(v) == 1 for v in by_dim.values())
 
     def test_direct_sum_entropy_equals_laguerre_at_n0(self):
@@ -119,7 +122,7 @@ class TestMaxEntDistribution:
         # H(F) + flat conditionals + coding term reproduces the Laguerre value
         for K, N in ((2, 0), (3, 2), (5, 1), (8, 3)):
             me = it.maxent_distribution(K, N)
-            total = it.coding_entropy(me.exact_face_distribution(), me.direct_sum_entropy(), N)
+            total = it.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
             assert total == pytest.approx(it.maxent_entropy(K, N), abs=1e-9)
 
     def test_dominates_random_mixed_dirichlets(self):
@@ -223,21 +226,47 @@ class TestCodingEntropy:
     def test_maxent_k2_reproduces_log_2_plus_2n(self):
         for N in range(0, 9):
             me = it.maxent_distribution(2, N)
-            total = it.coding_entropy(me.exact_face_distribution(), me.direct_sum_entropy(), N)
+            total = it.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
             assert total == pytest.approx(np.log(2 + 2**N), abs=1e-12)
 
     def test_n_zero_is_identity(self):
         me = it.maxent_distribution(4, 2)
         h = me.direct_sum_entropy()
-        assert it.coding_entropy(me.exact_face_distribution(), h, 0) == h
+        assert it.coding_entropy(*me.exact_face_distribution(), h, 0) == h
 
     def test_degenerate_vertex_distribution(self):
-        probs = {FaceIndexSet(1, 3): 1.0}
-        assert it.coding_entropy(probs, 0.0, 5) == 0.0
+        assert it.coding_entropy([0b001], [1.0], 0.0, 5) == 0.0
+        assert it.coding_entropy(np.array([1 << 62, (1 << 63) - 1]), [0.5, 0.5], 0.0, 1) == pytest.approx(
+            31 * math.log(2.0), rel=1e-15)
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            it.coding_entropy({FaceIndexSet(1, 2): 0.7}, 0.0, 1)
+            it.coding_entropy([0b01], [0.7], 0.0, 1)
+
+    @pytest.mark.parametrize("masks", [[0, 1], [-1, 1], [1], [[1, 2]]])
+    def test_rejects_masks_that_are_not_one_face_per_probability(self, masks):
+        with pytest.raises(ValueError):
+            it.coding_entropy(masks, [0.5, 0.5], 0.0, 1)
+
+
+@pytest.mark.parametrize("dist", [
+    md.MixedDirichlet(np.array([0.4, -0.3, 0.2, 0.0]), np.array([0.5, 1.0, 2.0, 3.0])),
+    it.MaxEntMixed(4, 2),
+    GaussianSparsemax([0.55, 0.45], [0.8, 0.6]),
+], ids=["mixed-dirichlet", "maxent", "gaussian-sparsemax"])
+def test_exact_face_distribution_is_every_face_in_enumeration_order(dist):
+    masks, probs = dist.exact_face_distribution()
+    assert masks.dtype == np.int64
+    np.testing.assert_array_equal(masks, enumerate_faces(dist.K))
+    assert probs.shape == masks.shape and (probs > 0.0).all()
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_exact_face_distributions_share_the_enumeration_limit():
+    K = md.EXACT_ENUM_MAX_K + 1
+    for dist in (md.MixedDirichlet(np.zeros(K), np.ones(K)), it.MaxEntMixed(K, 0)):
+        with pytest.raises(ResourceLimitError, match=f"K <= {md.EXACT_ENUM_MAX_K}"):
+            dist.exact_face_distribution()
 
 
 class TestMixedDistributionProtocol:

@@ -7,7 +7,7 @@ from mixedrv import checks
 from mixedrv import face_gibbs as fg
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
-from mixedrv.simplex import FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces
+from mixedrv.simplex import FaceBatch, ResourceLimitError, SimplexPoint
 
 
 def _dirichlet_logpdf_oracle(y, alpha):
@@ -76,21 +76,22 @@ class TestMixedDirichlet:
 
     def test_sample_face_matches_point_support(self):
         dist = md.MixedDirichlet(np.array([0.5, -0.5, 0.2, 0.0]), np.full(4, 0.8))
-        for f, p in md.sample_many(dist, 500, np.random.default_rng(34)):
+        batch = md.sample_many(dist, 500, np.random.default_rng(34))
+        for f, p in batch:
             assert p.support == f
-            assert np.all(p.restricted() > 0.0)
+        assert np.all(batch.coords[batch.members()] > 0.0)
 
     def test_flat_alpha_conditionals_are_uniform(self):
         # under alpha = 1, any coordinate of a face with m vertices is Beta(1, m-1)
         dist = md.MixedDirichlet(np.array([0.5, 0.5, 0.5]), np.ones(3))
         by_face = {}
         for f, p in md.sample_many(dist, 20000, np.random.default_rng(35)):
-            if f.size >= 2:
-                by_face.setdefault(f, []).append(p.restricted()[0])
+            if f.mask.bit_count() >= 2:
+                by_face.setdefault(f.mask, []).append(p.coords[p.coords > 0.0][0])
         assert by_face
-        for f, vals in by_face.items():
+        for mask, vals in by_face.items():
             if len(vals) >= 500:
-                assert kstest(vals, "beta", args=(1.0, f.size - 1)).pvalue > 0.001
+                assert kstest(vals, "beta", args=(1.0, mask.bit_count() - 1)).pvalue > 0.001
 
     def test_face_frequency_tv(self):
         rng = np.random.default_rng(36)
@@ -99,7 +100,7 @@ class TestMixedDirichlet:
         counts = np.zeros(15)
         for f, _ in md.sample_many(dist, n, np.random.default_rng(37)):
             counts[f.mask - 1] += 1
-        exact = np.array([dist.exact_face_distribution()[f] for f in enumerate_faces(4)])
+        exact = dist.exact_face_distribution()[1]
         assert 0.5 * np.abs(counts / n - exact).sum() < 0.02
 
     def test_exact_face_distribution_matches_per_face_loop(self):
@@ -112,10 +113,9 @@ class TestMixedDirichlet:
         for K in (2, 3, 4, 7, 10, md.EXACT_ENUM_MAX_K):
             for scale in (0.3, 3.0, 30.0):
                 dist = md.MixedDirichlet(rng.normal(0, scale, K), np.ones(K))
-                probs = dist.exact_face_distribution()
-                assert [f.mask for f in probs] == list(range(1, 1 << K))
-                loop = np.array([np.exp(fg.face_log_prob(dist.faces, f)) for f in probs])
-                got = np.array(list(probs.values()))
+                masks, got = dist.exact_face_distribution()
+                assert masks.tolist() == list(range(1, 1 << K))
+                loop = np.array([np.exp(fg.face_log_prob(dist.faces, f)) for f in masks.tolist()])
                 tol = 4.0 * eps * (np.abs(dist.faces.w).sum() + abs(dist.faces.log_z))
                 pos = loop > 0.0
                 np.testing.assert_array_equal(got > 0.0, pos)
@@ -130,22 +130,21 @@ class TestLogDensity:
     def test_vertex_is_face_log_prob(self):
         dist = md.MixedDirichlet(np.array([0.4, -0.2]), np.array([2.0, 3.0]))
         v = md.log_density(dist, SimplexPoint([1.0, 0.0]))
-        assert v == pytest.approx(fg.face_log_prob(dist.faces, SimplexPoint([1.0, 0.0]).support), abs=1e-14)
+        assert v == pytest.approx(fg.face_log_prob(dist.faces, 0b01), abs=1e-14)
 
     def test_normalization_by_construction(self):
         rng = np.random.default_rng(38)
         dist = md.MixedDirichlet(rng.normal(0, 1, 5), rng.uniform(0.5, 2, 5))
-        assert sum(dist.exact_face_distribution().values()) == pytest.approx(1.0, abs=1e-12)
+        assert dist.exact_face_distribution()[1].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_restriction_consistency(self):
         rng = np.random.default_rng(39)
         dist = md.MixedDirichlet(rng.normal(0, 1, 5), rng.uniform(0.5, 3, 5))
         for f, p in md.sample_many(dist, 50, np.random.default_rng(40)):
-            if f.size < 2:
+            if f.mask.bit_count() < 2:
                 continue
-            expected = fg.face_log_prob(dist.faces, f) + _dirichlet_logpdf_oracle(
-                p.restricted(), dist.alpha[list(f.indices)]
-            )
+            on = p.coords > 0.0
+            expected = fg.face_log_prob(dist.faces, f.mask) + _dirichlet_logpdf_oracle(p.coords[on], dist.alpha[on])
             assert md.log_density(dist, p) == pytest.approx(expected, rel=1e-12)
 
 
@@ -198,13 +197,13 @@ class TestEntropyKl:
             p = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
             q = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
             h_face, kl_face = fg.entropy(p.faces), fg.kl(p.faces, q.faces)
-            probs = p.exact_face_distribution()
-            on = {f: list(f.indices) for f in probs}
+            probs = dict(zip(*(a.tolist() for a in p.exact_face_distribution())))
+            on = {f: [k for k in range(K) if f >> k & 1] for f in probs}
             h = h_face + sum(pr * md.dirichlet_entropy(p.alpha[on[f]]) for f, pr in probs.items())
             kl = kl_face + sum(pr * md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f, pr in probs.items())
             assert md.entropy(p) == pytest.approx(h, rel=1e-12)
             assert md.kl_mixed(p, q) == pytest.approx(kl, rel=1e-12)
-            faces = fg.sample_faces(p.faces, 2000, np.random.default_rng(K))
+            faces = fg.sample_face_masks(p.faces, 2000, np.random.default_rng(K)).tolist()
             h = h_face + np.mean([md.dirichlet_entropy(p.alpha[on[f]]) for f in faces])
             kl = kl_face + np.mean([md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f in faces])
             assert md.entropy(p, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(h, rel=1e-12)
@@ -234,9 +233,9 @@ class TestFullFaceDirichlet:
 
     def test_samples_are_interior(self):
         d = md.FullFaceDirichlet(np.array([0.5, 1.0, 2.0]))
-        for f, p in d.sample_many(200, np.random.default_rng(49)):
-            assert f.size == 3
-            assert np.all(p.coords > 0)
+        batch = d.sample_many(200, np.random.default_rng(49))
+        assert batch.masks.tolist() == [0b111] * 200
+        assert np.all(batch.coords > 0)
 
 
 class TestLogSpaceDraws:

@@ -10,7 +10,7 @@ from mixedrv.simplex import (
     ResourceLimitError,
     SimplexPoint,
     enumerate_faces,
-    face_histogram,
+    mask_members,
     sparsemax,
     sparsemax_jacobian,
 )
@@ -24,12 +24,11 @@ class TestSimplexPoint:
     def test_valid_point(self):
         p = SimplexPoint([0.2, 0.3, 0.5])
         assert p.K == 3
-        assert p.support.indices == (0, 1, 2)
+        assert p.support.mask == 0b111
 
     def test_zero_coordinates_define_support(self):
         p = SimplexPoint([0.5, 0.0, 0.5])
-        assert p.support.indices == (0, 2)
-        assert p.restricted().tolist() == [0.5, 0.5]
+        assert p.support.mask == 0b101
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -50,12 +49,6 @@ class TestSimplexPoint:
 
 
 class TestFaceIndexSet:
-    def test_roundtrip(self):
-        f = FaceIndexSet.from_indices([0, 2], 3)
-        assert f.mask == 0b101
-        assert f.indices == (0, 2)
-        assert f.size == 2 and f.dim == 1
-
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FaceIndexSet(0, 3)
@@ -98,7 +91,7 @@ class TestSparsemax:
         assert np.all(y.coords >= 0.0)
         assert abs(y.coords.sum() - 1.0) <= 1e-12
         # zeros are exact, so the support is unambiguous
-        assert set(np.nonzero(y.coords)[0]) == set(y.support.indices)
+        assert y.support.mask == int(np.sum(np.left_shift(1, np.nonzero(y.coords)[0])))
 
     @settings(max_examples=100)
     @given(finite_vectors, st.floats(min_value=-100, max_value=100))
@@ -129,20 +122,19 @@ class TestSparsemaxJacobian:
         for _ in range(50):
             z = rng.normal(0.0, 1.5, 5)
             jac = sparsemax_jacobian(z)
-            support = sparsemax(z).support.indices
-            for i in support:
+            for i in np.flatnonzero(sparsemax(z).coords):
                 assert jac[i].sum() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFaces:
     def test_face_of_examples(self):
-        assert SimplexPoint([1, 0, 0]).support.indices == (0,)
-        assert SimplexPoint([0.5, 0.5, 0]).support.indices == (0, 1)
-        assert SimplexPoint([0.2, 0.3, 0.5]).support.indices == (0, 1, 2)
+        assert FaceBatch.from_coords([[1, 0, 0], [0.5, 0.5, 0], [0.2, 0.3, 0.5]]).masks.tolist() == [1, 3, 7]
+        assert SimplexPoint([0.5, 0.5, 0]).support.mask == 0b011
 
     def test_enumerate_faces_k2(self):
         faces = enumerate_faces(2)
-        assert [f.indices for f in faces] == [(0,), (1,), (0, 1)]
+        assert faces.dtype == np.int64
+        assert mask_members(faces, 2).tolist() == [[True, False], [False, True], [True, True]]
 
     @pytest.mark.parametrize("K,count", [(3, 7), (10, 1023)])
     def test_enumerate_counts(self, K, count):
@@ -153,36 +145,29 @@ class TestFaces:
             enumerate_faces(21)
 
     def test_bitmask_ascending_order(self):
-        masks = [f.mask for f in enumerate_faces(4)]
+        masks = enumerate_faces(4).tolist()
         assert masks == sorted(masks) == list(range(1, 16))
 
 
 class TestFaceHistogram:
+    """Counts per face and per face dimension, from a batch's masks."""
+
     def test_vertex_counts(self):
-        pts = [SimplexPoint([1, 0, 0]), SimplexPoint([1, 0, 0])]
-        faces, dims = face_histogram(pts)
-        assert faces[FaceIndexSet(1, 3)] == 2
-        assert dims == {0: 2}
+        batch = FaceBatch.from_coords([[1, 0, 0], [1, 0, 0]])
+        faces, counts = np.unique(batch.masks, return_counts=True)
+        assert faces.tolist() == [1] and counts.tolist() == [2]
+        assert np.bincount(batch.members().sum(axis=1) - 1).tolist() == [2]
 
     def test_edge(self):
-        faces, dims = face_histogram([SimplexPoint([0.5, 0.5, 0])])
-        assert faces[FaceIndexSet(0b011, 3)] == 1
-        assert dims == {1: 1}
-
-    def test_rejects_inconsistent_k(self):
-        with pytest.raises(ValueError):
-            face_histogram([SimplexPoint([1, 0]), SimplexPoint([1, 0, 0])])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            face_histogram([])
+        batch = FaceBatch.from_coords([[0.5, 0.5, 0]])
+        assert batch.masks.tolist() == [0b011]
+        assert (batch.members().sum(axis=1) - 1).tolist() == [1]
 
     def test_partition_property(self):
         rng = np.random.default_rng(3)
-        pts = [sparsemax(rng.normal(0, 1.5, 3)) for _ in range(400)]
-        faces, dims = face_histogram(pts)
-        assert sum(faces.values()) == 400
-        assert sum(dims.values()) == 400
+        batch = FaceBatch.from_coords(np.stack([sparsemax(rng.normal(0, 1.5, 3)).coords for _ in range(400)]))
+        assert np.unique(batch.masks, return_counts=True)[1].sum() == 400
+        assert np.bincount(batch.members().sum(axis=1) - 1).sum() == 400
 
     def test_gaussian_sparsemax_hits_all_dimensions(self):
         # moderate noise puts mass on vertices, edges and the interior alike
@@ -294,4 +279,4 @@ class TestFaceBatch:
         coords[1] = 1.0 / K
         batch = FaceBatch.from_coords(coords)
         assert batch.masks.tolist() == [1 << (K - 1), (1 << K) - 1]
-        assert list(batch)[1][0].size == K
+        assert batch.members().sum(axis=1).tolist() == [1, K]
