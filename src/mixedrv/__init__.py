@@ -48,7 +48,6 @@ from .info_theory import (
     coding_entropy,
     direct_sum_entropy_mc,
     direct_sum_kl_mc,
-    maxent_distribution,
     maxent_entropy,
 )
 from .glm import GlmModel, glm_fit, glm_log_likelihood, glm_predict, make_planted_dataset

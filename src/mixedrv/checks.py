@@ -310,13 +310,11 @@ def _check_mixed_dirichlet_density_values():
 def _check_mixed_dirichlet_entropy_consistency(n: int):
     rng = np.random.default_rng(123)
     md = mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 1.0, 5), rng.uniform(0.5, 3.0, 5))
-    exact = mixed_dirichlet.entropy(md, mode="exact")
+    exact = mixed_dirichlet.entropy(md)
     est = info_theory.direct_sum_entropy_mc(md, n, np.random.default_rng(124))
     _require(abs(exact - est.estimate) < 3.0 * est.std_error,
              f"exact {exact:.5f} vs MC {est.estimate:.5f} +- {est.std_error:.5f}")
-    mc_faces = mixed_dirichlet.entropy(md, mode="mc", n=n, rng=np.random.default_rng(125))
-    _require(abs(exact - mc_faces) < 0.05, f"face-MC mode off by {abs(exact - mc_faces):.4f}")
-    return "exact, sample-based and face-MC entropies agree"
+    return "exact and sample-based entropies agree"
 
 
 def _check_mixed_dirichlet_face_tv(n: int, bound: float):
@@ -401,17 +399,11 @@ def _check_small_alpha_sampler(n: int = 30000):
 
 # --------------------------------------------------------------- extrinsic ---
 
-def _gs2_mc_logpdf(y: np.ndarray, z: float, s: float) -> np.ndarray:
-    p0, p1, _ = extrinsic.gs2_face_probs(z, s)
-    interior = -0.5 * ((y - z) / s) ** 2 - np.log(s) - 0.5 * np.log(2.0 * np.pi)
-    return np.where(y == 0.0, np.log(p0), np.where(y == 1.0, np.log(p1), interior))
-
-
 def _check_gs2_entropy_mc(n: int):
     for i, (z, s) in enumerate([(0.3, 0.5), (0.7, 1.2), (0.95, 0.25)]):
         rng = np.random.default_rng(130 + i)
         y = np.clip(z + s * rng.standard_normal(n), 0.0, 1.0)
-        logs = _gs2_mc_logpdf(y, z, s)
+        logs = oracles.gs2_log_density(y, z, s)
         est, se = -logs.mean(), logs.std(ddof=1) / np.sqrt(n)
         h = extrinsic.gs2_entropy(z, s)
         _require(abs(h - est) < 3.0 * se, f"H {h:.5f} vs MC {est:.5f} +- {se:.5f} (z={z})")
@@ -426,7 +418,7 @@ def _check_gs2_kl_mc(n: int):
         zp, zq = rng.uniform(-0.2, 1.2, 2)
         sp, sq = rng.uniform(0.3, 1.2, 2)
         y = np.clip(zp + sp * np.random.default_rng(132 + i).standard_normal(n), 0.0, 1.0)
-        diffs = _gs2_mc_logpdf(y, zp, sp) - _gs2_mc_logpdf(y, zq, sq)
+        diffs = oracles.gs2_log_density(y, zp, sp) - oracles.gs2_log_density(y, zq, sq)
         est, se = diffs.mean(), diffs.std(ddof=1) / np.sqrt(n)
         klv = extrinsic.gs2_kl(zp, sp, zq, sq)
         _require(klv >= 0.0, "closed-form KL negative")
@@ -439,9 +431,9 @@ def _check_gs2_density_paths():
     d = extrinsic.GaussianSparsemax([0.35, 0.45], [0.9, 0.5])
     z, s = extrinsic.gs2_params(d)
     y1 = np.concatenate([[0.0, 1.0], np.linspace(0.02, 0.98, 18)])
-    vals = np.stack([extrinsic.gs_log_density_many(d, FaceBatch.from_coords(np.stack([y1, 1.0 - y1], axis=1))),
-                     [extrinsic.gs2_log_density_extrinsic(v, z, s) for v in y1],
-                     [extrinsic.gs2_log_density_intrinsic(v, z, s) for v in y1]])
+    y = np.stack([y1, 1.0 - y1], axis=1)
+    vals = np.stack([extrinsic.gs_log_density_many(d, FaceBatch.from_coords(y)), oracles.gs2_log_density(y1, z, s),
+                     [oracles.gs_log_density_reference(d, row) for row in y]])
     worst = float(np.max(vals.max(axis=0) - vals.min(axis=0)))
     _require(worst < 1e-8, f"paths disagree by {worst:.2e}")
     return f"three density paths agree to {worst:.2e}"
@@ -653,7 +645,7 @@ def _check_maxent_table():
     for K in range(2, 31):
         for N in range(0, 9):
             a = info_theory.maxent_entropy(K, N)
-            b = info_theory.maxent_entropy_series(K, N)
+            b = oracles.maxent_entropy_series(K, N)
             worst = max(worst, abs(a - b) / abs(b))
     _require(worst < 1e-10, f"Laguerre vs series relative error {worst:.2e}")
     _require(abs(info_theory.maxent_entropy(2, 0) - np.log(3.0)) < 1e-12, "K=2 N=0 value")
@@ -663,10 +655,10 @@ def _check_maxent_table():
 
 def _check_coding_entropy():
     for N in range(0, 9):
-        me = info_theory.maxent_distribution(2, N)
+        me = info_theory.MaxEntMixed(2, N)
         total = info_theory.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
         _require(abs(total - np.log(2.0 + 2.0**N)) < 1e-12, f"coding entropy at N={N}: {total}")
-    me = info_theory.maxent_distribution(4, 2)
+    me = info_theory.MaxEntMixed(4, 2)
     h = me.direct_sum_entropy()
     _require(info_theory.coding_entropy(*me.exact_face_distribution(), h, 0) == h, "N=0 changes the value")
     return "ln(2 + 2^N) reproduced for N = 0..8"
@@ -674,7 +666,7 @@ def _check_coding_entropy():
 
 def _check_maxent_reconstruction():
     for K, N in ((2, 0), (3, 2), (5, 1), (8, 3)):
-        me = info_theory.maxent_distribution(K, N)
+        me = info_theory.MaxEntMixed(K, N)
         total = info_theory.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
         _require(abs(total - info_theory.maxent_entropy(K, N)) < 1e-9,
                  f"component reconstruction off at K={K} N={N}")
@@ -682,7 +674,7 @@ def _check_maxent_reconstruction():
 
 
 def _check_maxent_frequencies(n: int):
-    me = info_theory.maxent_distribution(4, 0)
+    me = info_theory.MaxEntMixed(4, 0)
     masks = info_theory.maxent_sample_face_masks(me, n, np.random.default_rng(146))
     dims = np.array([bin(m).count("1") for m in masks])
     for k in range(1, 5):
@@ -701,7 +693,7 @@ def _check_maxent_mc_entropy(n: int):
     # at N=0 the maxent law is uniform w.r.t. the direct-sum measure, so its
     # log-density is constant and the MC estimate is exact up to rounding
     for N in (0, 2):
-        me = info_theory.maxent_distribution(3, N)
+        me = info_theory.MaxEntMixed(3, N)
         est = info_theory.direct_sum_entropy_mc(me, n, np.random.default_rng(147))
         exact = me.direct_sum_entropy()
         _require(abs(est.estimate - exact) < 3.0 * est.std_error + 1e-12,
@@ -712,7 +704,7 @@ def _check_maxent_mc_entropy(n: int):
 def _check_maxent_optimality():
     for K in (2, 3, 4):
         for N in (0, 1):
-            me = info_theory.maxent_distribution(K, N)
+            me = info_theory.MaxEntMixed(K, N)
             logw = info_theory.maxent_log_weights(K, N)
 
             def objective(g):
@@ -742,13 +734,13 @@ def _check_maxent_dominates():
         h_max = info_theory.maxent_entropy(K, 0)
         for _ in range(100):
             md = mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 2.0, K), rng.uniform(0.2, 5.0, K))
-            _require(mixed_dirichlet.entropy(md, mode="exact") <= h_max + 1e-9,
+            _require(mixed_dirichlet.entropy(md) <= h_max + 1e-9,
                      "a Mixed Dirichlet beat the maxent entropy")
     return "maxent entropy dominates 200 random Mixed Dirichlets"
 
 
 def _check_dimension_symmetry():
-    me = info_theory.maxent_distribution(5, 1)
+    me = info_theory.MaxEntMixed(5, 1)
     masks, probs = me.exact_face_distribution()
     dims = mask_members(masks, 5).sum(axis=1) - 1
     for dim in np.unique(dims).tolist():

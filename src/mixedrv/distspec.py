@@ -58,6 +58,14 @@ def _scalar(obj: dict, key: str, default=None) -> float:
     return float(v)
 
 
+def _integer(obj: dict, key: str) -> int:
+    """The value of ``key``: a JSON integer, never a bool or a float."""
+    v = obj[key]
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise SpecError(f"field {key!r} must be an integer")
+    return v
+
+
 def _check_keys(obj: dict, allowed: set):
     extra = set(obj) - allowed - {"kind", "seed", "k"}
     if extra:
@@ -65,7 +73,7 @@ def _check_keys(obj: dict, allowed: set):
 
 
 def _check_k(obj: dict, K: int):
-    if "k" in obj and int(obj["k"]) != K:
+    if "k" in obj and _integer(obj, "k") != K:
         raise SpecError(f"field 'k' is {obj['k']} but parameter vectors have length {K}")
 
 
@@ -83,7 +91,7 @@ class ParsedSpec:
     def exact_entropy(self) -> float:
         """Exact direct-sum entropy, for the kinds that expose one."""
         if self.kind == "mixed-dirichlet":
-            return mixed_dirichlet.entropy(self.dist, mode="exact")
+            return mixed_dirichlet.entropy(self.dist)
         if self.kind == "maxent":
             return self.dist.direct_sum_entropy()
         if self.kind == "gaussian-sparsemax" and self.K == 2:
@@ -95,13 +103,14 @@ class ParsedSpec:
         if self.K != other.K:
             raise SpecError(f"dimension mismatch: {self.K} vs {other.K}")
         if self.kind == other.kind == "mixed-dirichlet":
-            return mixed_dirichlet.kl_mixed(self.dist, other.dist, mode="exact")
+            return mixed_dirichlet.kl_mixed(self.dist, other.dist)
         if self.kind == other.kind == "gaussian-sparsemax" and self.K == 2:
             zp, sp = extrinsic.gs2_params(self.dist)
             zq, sq = extrinsic.gs2_params(other.dist)
             return extrinsic.gs2_kl(zp, sp, zq, sq)
         if self.kind == other.kind == "maxent":
-            gp, gq = self.dist.g, other.dist.g
+            on = self.dist.g > 0.0  # a class whose weight underflows to 0 under p adds 0
+            gp, gq = self.dist.g[on], other.dist.g[on]
             return float(np.sum(gp * (np.log(gp) - np.log(gq))))
         raise SpecError(f"exact KL is not available for kinds {self.kind!r}/{other.kind!r}")
 
@@ -149,7 +158,7 @@ def parse_spec(obj: dict) -> ParsedSpec:
             _check_keys(obj, {"n"})
             if "k" not in obj:
                 raise SpecError("maxent needs field 'k'")
-            dist = info_theory.maxent_distribution(int(obj["k"]), int(obj.get("n", 0)))
+            dist = info_theory.MaxEntMixed(_integer(obj, "k"), _integer(obj, "n") if "n" in obj else 0)
             return ParsedSpec(kind, dist, dist.K, seed)
         if kind == "concrete":
             _check_keys(obj, {"z", "beta"})

@@ -38,8 +38,6 @@ __all__ = [
     "gs2_face_probs",
     "gs2_entropy",
     "gs2_kl",
-    "gs2_log_density_extrinsic",
-    "gs2_log_density_intrinsic",
     "gs_log_density",
     "gs_log_density_many",
     "concrete_from_gumbels",
@@ -80,11 +78,6 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     for a in rule:
         a.flags.writeable = False
     return rule
-
-
-def _norm_logpdf(x, mean, sd):
-    z = (np.asarray(x) - mean) / sd
-    return -0.5 * z * z - np.log(sd) - 0.5 * _LOG_2PI
 
 
 def _norm_pdf(x):
@@ -231,29 +224,6 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
     e_quad = sigma_p**2 * m2 + 2.0 * sigma_p * delta * m1 + delta**2 * m0
     int_p_log_q = -m0 * 0.5 * np.log(2.0 * np.pi * sigma_q**2) - e_quad / (2.0 * sigma_q**2)
     return float(_kl_term(p0, q0) + _kl_term(p1, q1) + int_p_log_p - int_p_log_q)
-
-
-def gs2_log_density_extrinsic(y: float, z: float, sigma: float) -> float:
-    """Scalar-form log-density: normal pdf inside (0,1), tail masses at 0/1."""
-    sigma = _check_sigma(sigma)
-    p0, p1, _ = gs2_face_probs(z, sigma)
-    if y == 0.0:
-        return float(np.log(p0))
-    if y == 1.0:
-        return float(np.log(p1))
-    return float(_norm_logpdf(y, z, sigma))
-
-
-def gs2_log_density_intrinsic(y: float, z: float, sigma: float) -> float:
-    """Same density assembled as face probability times the conditional."""
-    sigma = _check_sigma(sigma)
-    p0, p1, pc = gs2_face_probs(z, sigma)
-    if y == 0.0:
-        return float(np.log(p0))
-    if y == 1.0:
-        return float(np.log(p1))
-    log_cond = float(_norm_logpdf(y, z, sigma)) - np.log(pc)
-    return float(np.log(pc) + log_cond)
 
 
 # ---------------------------------------------------------------------------

@@ -203,9 +203,12 @@ def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
     So the first vertex taken is the first k with ``u[:, k] < take[k, 0]``,
     and each later k is taken when ``u[:, k] < take[k, 2]``: the comparisons
     of a pass over the vertices, made for all vertices at once.
-    ``take[-1, 0]`` is 1, so the empty face is never produced.
+    ``take[-1, 0]`` is 1, so the empty face is never produced.  A K above
+    ``MAX_BITMASK_K`` raises ValueError: its masks do not fit in an int64.
     """
     K = u.shape[-1]
+    if K > MAX_BITMASK_K:
+        raise ValueError(f"faces are int64 bitmasks, so K must be <= {MAX_BITMASK_K}, got {K}")
     first = np.argmax(u < take[..., 0], axis=-1)[..., None]
     vertex = np.arange(K)
     taken = (vertex == first) | ((vertex > first) & (u < take[..., 2]))

@@ -6,13 +6,17 @@ KL decomposes the same way.  Both are estimated here by Monte Carlo for any
 distribution exposing mutually consistent ``sample_many`` and
 ``log_density_many``.
 
+These estimators are the one Monte Carlo route of every kind, Mixed
+Dirichlet included; exact values are closed forms summed over faces
+(``mixed_dirichlet.entropy``/``kl_mixed``, ``extrinsic.gs2_entropy``/``gs2_kl``).
+
 ``coding_entropy`` converts a direct-sum entropy into the average optimal
 code length when continuous coordinates are kept at N-bit precision, and
 the maxent family realizes the largest such value; its entropy equals the
-log of a generalized Laguerre polynomial, which we evaluate by a scaled
-three-term recurrence (``maxent_entropy``) and by direct log-sum-exp of
-the defining series (``maxent_entropy_series``) as mutually validating
-code paths.  The plain recurrence is ``oracles.laguerre_generalized``.
+log of a generalized Laguerre polynomial, which ``maxent_entropy``
+evaluates by a scaled three-term recurrence.  Its references are the plain
+recurrence, ``oracles.laguerre_generalized``, and the log-sum-exp of the
+defining series, ``oracles.maxent_entropy_series``.
 """
 
 from __future__ import annotations
@@ -35,9 +39,7 @@ __all__ = [
     "direct_sum_kl_mc",
     "coding_entropy",
     "MaxEntMixed",
-    "maxent_distribution",
     "maxent_entropy",
-    "maxent_entropy_series",
     "maxent_log_weights",
 ]
 
@@ -134,11 +136,6 @@ def maxent_log_weights(K: int, N: int) -> np.ndarray:
     return _log_binom(K, k) + N * (k - 1) * _LN2 - scipy.special.gammaln(k)
 
 
-def maxent_entropy_series(K: int, N: int) -> float:
-    """Maximal coding entropy by log-sum-exp of the defining series."""
-    return float(scipy.special.logsumexp(maxent_log_weights(K, N)))
-
-
 def _log_laguerre_at_minus_pow2(n: int, alpha: float, N: int) -> float:
     """``log L_n^(alpha)(-2^N)`` by the three-term recurrence, run on
     ``M_k = L_k / 2^(kN)`` and kept near 1 by powers of two.
@@ -168,7 +165,7 @@ def maxent_entropy(K: int, N: int) -> float:
     """Maximal coding entropy at bit precision N: log of the generalized
     Laguerre polynomial of degree K-1 with parameter 1 at ``-2^N``, finite
     for every K and N (see ``_log_laguerre_at_minus_pow2``)."""
-    maxent_log_weights(K, N)  # validate arguments identically to the series path
+    maxent_log_weights(K, N)  # validate arguments as the class weights do
     return _log_laguerre_at_minus_pow2(int(K) - 1, 1.0, int(N))
 
 
@@ -222,10 +219,6 @@ class MaxEntMixed:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(self.g > 0, self.g * (np.log(self.g) - _log_binom(self.K, k)), 0.0)
         return float(-terms.sum() - self.g @ scipy.special.gammaln(k))
-
-
-def maxent_distribution(K: int, N: int) -> MaxEntMixed:
-    return MaxEntMixed(K, N)
 
 
 def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -32,7 +32,8 @@ __all__ = [
     "kl_mixed",
 ]
 
-#: Faces are enumerated exactly only up to this K; beyond it use MC modes.
+#: Faces are enumerated exactly only up to this K; beyond it the direct-sum
+#: measures are estimated by ``info_theory``'s Monte Carlo estimators.
 EXACT_ENUM_MAX_K = 14
 
 #: Smallest concentration that can be sampled, about 2.04e-307: below it
@@ -50,29 +51,20 @@ def _check_alpha(alpha) -> np.ndarray:
 
 
 def dirichlet_entropy(alpha_restricted) -> float:
-    """Differential entropy of a Dirichlet, closed form.
-
-    ``log B(a) + (a0 - m) psi(a0) - sum_k (a_k - 1) psi(a_k)`` with
-    ``a0 = sum a_k`` and ``m`` the number of components.  For a single
-    component (a vertex face) this is exactly 0.
-    """
+    """Differential entropy of a Dirichlet, closed form (one row of
+    ``_dirichlet_entropy_rows``); exactly 0 for a single component."""
     alpha = _check_alpha(alpha_restricted)
-    a0 = alpha.sum()
-    log_beta = scipy.special.gammaln(alpha).sum() - scipy.special.gammaln(a0)
-    return float(
-        log_beta + (a0 - alpha.size) * scipy.special.digamma(a0) - (alpha - 1.0) @ scipy.special.digamma(alpha)
-    )
+    return float(_dirichlet_entropy_rows(np.ones((1, alpha.size), dtype=bool), alpha)[0])
 
 
 def dirichlet_kl(alpha_p, alpha_q) -> float:
-    """KL between Dirichlets on the same face, closed form."""
+    """KL between Dirichlets on the same face, closed form (one row of
+    ``_dirichlet_kl_rows``)."""
     ap = _check_alpha(alpha_p)
     aq = _check_alpha(alpha_q)
     if ap.shape != aq.shape:
         raise ValueError(f"dimension mismatch: {ap.shape} vs {aq.shape}")
-    log_beta_p = scipy.special.gammaln(ap).sum() - scipy.special.gammaln(ap.sum())
-    log_beta_q = scipy.special.gammaln(aq).sum() - scipy.special.gammaln(aq.sum())
-    return float(log_beta_q - log_beta_p + (ap - aq) @ (scipy.special.digamma(ap) - scipy.special.digamma(ap.sum())))
+    return float(_dirichlet_kl_rows(np.ones((1, ap.size), dtype=bool), ap, aq)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +97,8 @@ class MixedDirichlet:
 
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Every face bitmask (``enumerate_faces`` order) and its probability:
-        the exact-mode weights of ``entropy`` and ``kl_mixed``."""
-        _, probs = _face_weights(self, "exact", 0, None)
-        return enumerate_faces(self.K), probs
+        the weights of ``entropy`` and ``kl_mixed``."""
+        return enumerate_faces(self.K), _face_weights(self)[1]
 
 
 def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray,
@@ -196,7 +187,9 @@ def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndar
 
 
 def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """``dirichlet_entropy`` of alpha restricted to each row's face (0 at vertices)."""
+    """Dirichlet entropy ``log B(a) + (a0 - m) psi(a0) - sum_k (a_k - 1)
+    psi(a_k)`` of alpha restricted to each row's face of m vertices, with
+    ``a0 = sum a_k`` (0 at vertices)."""
     alpha_m, log_beta = _log_beta_rows(member, alpha)
     a0 = alpha_m.sum(axis=1)
     psi_terms = np.where(member, (alpha - 1.0) * scipy.special.digamma(alpha), 0.0).sum(axis=1)
@@ -204,7 +197,9 @@ def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray
 
 
 def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
-    """``dirichlet_kl`` of the two concentrations restricted to each row's face."""
+    """Dirichlet KL ``log B(a_q) - log B(a_p) + sum_k (a_p,k - a_q,k)
+    (psi(a_p,k) - psi(a_p,0))`` of the two concentrations restricted to
+    each row's face."""
     ap, log_beta_p = _log_beta_rows(member, alpha_p)
     aq, log_beta_q = _log_beta_rows(member, alpha_q)
     psi = scipy.special.digamma(alpha_p) - scipy.special.digamma(ap.sum(axis=1))[:, None]
@@ -226,40 +221,29 @@ def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
     return float(log_density_many(md, FaceBatch.from_coords(y.coords[None]))[0])
 
 
-def _face_weights(md: MixedDirichlet, mode: str, n: int,
-                  rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-    """Membership matrix of the faces an expectation over faces runs over,
-    and their weights: every face with its exact probability, or the
-    distinct faces of n draws with their frequencies."""
-    if mode == "exact":
-        if md.K > EXACT_ENUM_MAX_K:
-            raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
-        member = mask_members(np.arange(1, 1 << md.K), md.K)
-        return member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
-    if mode == "mc":
-        if rng is None:
-            raise ValueError("mc mode needs an rng")
-        masks, counts = np.unique(face_gibbs.sample_face_masks(md.faces, n, rng), return_counts=True)
-        return mask_members(masks, md.K), counts / n
-    raise ValueError(f"unknown mode {mode!r}")
+def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray]:
+    """Membership matrix of every face (``enumerate_faces`` order) and its
+    exact probability: the weights of the expectations over faces."""
+    if md.K > EXACT_ENUM_MAX_K:
+        raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
+    member = mask_members(np.arange(1, 1 << md.K), md.K)
+    return member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
 
 
-def entropy(md: MixedDirichlet, mode: str = "exact", n: int = 10000,
-            rng: np.random.Generator | None = None) -> float:
+def entropy(md: MixedDirichlet) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
-    entropy over faces (enumerated exactly, or MC over sampled faces)."""
-    member, weights = _face_weights(md, mode, n, rng)
+    entropy over the enumerated faces."""
+    member, weights = _face_weights(md)
     return face_gibbs.entropy(md.faces) + float(weights @ _dirichlet_entropy_rows(member, md.alpha))
 
 
-def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet, mode: str = "exact",
-             n: int = 10000, rng: np.random.Generator | None = None) -> float:
+def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
     """Direct-sum KL: exact face KL plus the expected per-face Dirichlet KL
     under the first distribution's face law.  Never infinite: every face has
     positive probability under both distributions."""
     if md_p.K != md_q.K:
         raise ValueError(f"dimension mismatch: {md_p.K} vs {md_q.K}")
-    member, weights = _face_weights(md_p, mode, n, rng)
+    member, weights = _face_weights(md_p)
     dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
     return face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet)
 

@@ -4,9 +4,12 @@ Everything here is deliberately naive: exhaustive enumeration over all
 2^K - 1 faces, the O(K) face-lattice DAG of the paper's construction,
 explicit active-set search for the simplex projection, the pivoted dense
 Gaussian-Sparsemax density one point at a time with its orthant term by
-adaptive quadrature, the plain Laguerre recurrence, and central finite
-differences.  None of it shares code with the production paths it
-validates.  Faces are int64 bitmasks, as everywhere outside ``simplex``.
+adaptive quadrature, the K = 2 Gaussian-Sparsemax density in its clamped
+scalar form, the plain Laguerre recurrence and the defining series of the
+maxent entropy, and central finite differences.  None of it is a second
+production path: only ``mixedrv check`` and the tests reach it, and none of
+it shares code with the production paths it validates.  Faces are int64
+bitmasks, as everywhere outside ``simplex``.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import log_ndtr, logsumexp
+from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
 
 from .extrinsic import GaussianSparsemax
 from .simplex import enumerate_faces
@@ -34,7 +37,9 @@ __all__ = [
     "enum_kl",
     "enum_most_probable_face",
     "gs_log_density_reference",
+    "gs2_log_density",
     "laguerre_generalized",
+    "maxent_entropy_series",
     "central_difference_gradient",
     "central_difference_jacobian",
 ]
@@ -171,6 +176,16 @@ def gs_log_density_reference(d: GaussianSparsemax, y, pivot: int | None = None) 
     return float(val)
 
 
+def gs2_log_density(y, z: float, sigma: float) -> np.ndarray:
+    """Log-density of the K = 2 Gaussian-Sparsemax in its scalar form
+    ``clamp(N(z, sigma^2), 0, 1)`` at each first coordinate ``y``, w.r.t.
+    the direct-sum measure: the log tail mass ``Phi(-z / sigma)`` at 0 and
+    ``Phi((z - 1) / sigma)`` at 1, the normal log-density inside."""
+    y = np.asarray(y, dtype=float)
+    inside = -0.5 * ((y - z) / sigma) ** 2 - np.log(sigma) - 0.5 * np.log(2.0 * np.pi)
+    return np.where(y == 0.0, np.log(ndtr(-z / sigma)), np.where(y == 1.0, np.log(ndtr((z - 1.0) / sigma)), inside))
+
+
 def laguerre_generalized(n: int, alpha: float, x: float) -> float:
     """Generalized Laguerre polynomial ``L_n^(alpha)(x)`` by the plain
     three-term recurrence: the reference for the scaled recurrence behind
@@ -183,6 +198,15 @@ def laguerre_generalized(n: int, alpha: float, x: float) -> float:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur
+
+
+def maxent_entropy_series(K: int, N: int) -> float:
+    """Maximal coding entropy at bit precision N as the log-sum-exp of its
+    defining series, ``sum_k C(K, k) 2^(N (k-1)) / (k-1)!`` over k = 1..K:
+    the reference for the Laguerre recurrence of ``info_theory.maxent_entropy``."""
+    k = np.arange(1, K + 1)
+    return float(logsumexp(gammaln(K + 1) - gammaln(k + 1) - gammaln(K - k + 1) + N * (k - 1) * math.log(2.0)
+                           - gammaln(k)))
 
 
 # A DAG state is (k, b, s): level k in 0..K+1, b = 1 iff vertex k is taken,

@@ -1,6 +1,8 @@
 """The public names: every name a module lists in ``__all__`` and every name
-the package re-exports resolves, so a deleted name cannot stay listed; and
-outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``."""
+the package re-exports resolves, so a deleted name cannot stay listed;
+outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; and
+the imports: only ``checks`` and ``oracles`` load the oracles at import
+time, and no module keeps an import it does not use."""
 
 import ast
 import importlib
@@ -14,10 +16,13 @@ import mixedrv
 MODULES = sorted(m.name for m in pkgutil.iter_modules(mixedrv.__path__))
 
 
+def _tree(module: str) -> ast.Module:
+    return ast.parse((Path(mixedrv.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def _reexports():
     """(module, name) of every ``from .module import name`` in the package."""
-    tree = ast.parse(Path(mixedrv.__file__).read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body if isinstance(node, ast.ImportFrom)
+    return [(node.module, alias.name) for node in _tree("__init__").body if isinstance(node, ast.ImportFrom)
             for alias in node.names]
 
 
@@ -49,8 +54,7 @@ OBJECT_LAYER_CALLERS = {("face_gibbs", "sample_faces"), ("mixed_dirichlet", "log
 def _object_layer_mentions(module: str) -> list[tuple[int, str]]:
     """(line, name) of each use of ``FaceIndexSet``/``SimplexPoint`` in a
     module, skipping imports and the bodies of the allowed callables."""
-    tree = ast.parse((Path(mixedrv.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
-    found, stack = [], [tree]
+    found, stack = [], [_tree(module)]
     while stack:
         node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -71,3 +75,43 @@ def test_faces_are_masks_outside_simplex(name):
     # outside simplex a face is an int64 bitmask; the object layer is named
     # only by imports, package re-exports and the callables the tracer pins
     assert _object_layer_mentions(name) == [], f"mixedrv.{name} uses the per-point face objects"
+
+
+def _top_level_imports(module: str) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements a module runs at import time: those outside
+    every function and class body."""
+    found, stack = [], list(_tree(module).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """Last dotted component of each module an import statement may load:
+    ``from . import a`` and ``from .a import x`` both name ``a``."""
+    if isinstance(node, ast.Import):
+        return {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+    names = {node.module.rsplit(".", 1)[-1]} if node.module else set()
+    if node.module in (None, "mixedrv"):
+        names |= {alias.name for alias in node.names}
+    return names
+
+
+@pytest.mark.parametrize("name", [m for m in ["__init__", *MODULES] if m not in ("checks", "oracles")])
+def test_oracles_stay_off_the_production_import_path(name):
+    # the references load only with the check registry, never with a command
+    loaded = set().union(*map(_imported_modules, _top_level_imports(name)))
+    assert not loaded & {"checks", "oracles"}, f"mixedrv.{name} imports the oracles at top level"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_top_level_import_is_used(name):
+    used = {node.id for node in ast.walk(_tree(name)) if isinstance(node, ast.Name)}
+    used |= set(getattr(importlib.import_module(f"mixedrv.{name}"), "__all__", []))
+    bound = [(alias.asname or alias.name).split(".")[0] for node in _top_level_imports(name)
+             if getattr(node, "module", None) != "__future__" for alias in node.names]
+    assert [b for b in bound if b not in used] == [], f"mixedrv.{name} imports names it never uses"

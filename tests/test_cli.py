@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mixedrv import cli
-from mixedrv import face_gibbs, glm, mixed_dirichlet
+from mixedrv import face_gibbs, glm, info_theory, mixed_dirichlet
 
 
 def write(path, obj):
@@ -189,6 +189,23 @@ class TestEntropyKlCommands:
         assert exact == pytest.approx(obj["value"], abs=3 * obj["std_error"])
 
 
+    def test_kl_exact_maxent_with_underflowing_class_weights(self, capsys, tmp_path):
+        # at N = 360 the weight of the K = 4 vertex class underflows to 0
+        p = write(tmp_path / "me_360.json", {"kind": "maxent", "k": 4, "n": 360})
+        q = write(tmp_path / "me_361.json", {"kind": "maxent", "k": 4, "n": 361})
+        assert cli.main(["kl", "--dist", p, "--dist2", p, "--mode", "exact"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+        assert cli.main(["kl", "--dist", p, "--dist2", q, "--mode", "exact"]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert np.isfinite(value) and value >= 0.0
+
+    def test_kl_exact_maxent_finite_value_unchanged(self, capsys, specs, tmp_path):
+        other = write(tmp_path / "me3n2.json", {"kind": "maxent", "k": 3, "n": 2})
+        assert cli.main(["kl", "--dist", specs["me3"], "--dist2", other, "--mode", "exact"]) == 0
+        gp, gq = info_theory.MaxEntMixed(3, 0).g, info_theory.MaxEntMixed(3, 2).g
+        assert json.loads(capsys.readouterr().out)["value"] == float(np.sum(gp * (np.log(gp) - np.log(gq))))
+
+
 class TestFaceHistCommand:
     def test_vertex_only_file(self, capsys, tmp_path, specs):
         out = tmp_path / "v.jsonl"
@@ -325,6 +342,23 @@ class TestCheckCommand:
     def test_spec_error_exit_code(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert cli.main(["entropy", "--dist", str(missing), "--mode", "exact"]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "maxent", "k": 4.9, "n": 1},
+        {"kind": "maxent", "k": 4, "n": 1.5},
+        {"kind": "maxent", "k": "4"},
+        {"kind": "maxent", "k": True},
+        {"kind": "maxent", "k": 3, "n": False},
+        {"kind": "maxent", "k": 3.0},
+        {"kind": "mixed-dirichlet", "w": [0.0, 0.0, 0.0], "alpha": [1.0, 1.0, 1.0], "k": 3.2},
+        {"kind": "mixed-dirichlet", "w": [0.0, 0.0, 0.0], "alpha": [1.0, 1.0, 1.0], "k": "3"},
+        {"kind": "gaussian-sparsemax", "mu": [0.5, 0.5], "sigma": [1.0, 1.0], "k": 2.0},
+    ])
+    def test_non_integer_k_or_n_exit_2(self, capsys, tmp_path, spec):
+        path = write(tmp_path / "spec.json", spec)
+        assert cli.main(["entropy", "--dist", path, "--mode", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be an integer" in err
 
     def test_undecodable_spec_exit_2(self, capsys, tmp_path):
         spec = tmp_path / "latin1.json"

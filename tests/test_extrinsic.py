@@ -7,13 +7,6 @@ from mixedrv import extrinsic as ex
 from mixedrv.simplex import FaceBatch, SimplexPoint, sparsemax, sparsemax_rows
 
 
-def mc_logpdf(y, z, s):
-    """Scalar-form log-density used as the MC oracle for entropy and KL."""
-    p0, p1, _ = ex.gs2_face_probs(z, s)
-    interior = -0.5 * ((y - z) / s) ** 2 - np.log(s) - 0.5 * np.log(2 * np.pi)
-    return np.where(y == 0.0, np.log(p0), np.where(y == 1.0, np.log(p1), interior))
-
-
 class TestGaussianSparsemaxSampling:
     def test_degenerate_noise_recovers_mean(self):
         d = ex.GaussianSparsemax([0.5, 0.3, 0.2], [1e-12] * 3)
@@ -87,7 +80,7 @@ class TestGs2ClosedForms:
         for i, (z, s) in enumerate([(0.3, 0.5), (0.7, 1.2), (0.95, 0.25)]):
             rng = np.random.default_rng(54 + i)
             y = np.clip(z + s * rng.standard_normal(2 * 10**5), 0.0, 1.0)
-            logs = mc_logpdf(y, z, s)
+            logs = oracles.gs2_log_density(y, z, s)
             se = logs.std(ddof=1) / np.sqrt(y.size)
             assert ex.gs2_entropy(z, s) == pytest.approx(-logs.mean(), abs=3 * se)
 
@@ -107,7 +100,7 @@ class TestGs2ClosedForms:
             zp, zq = rng.uniform(-0.2, 1.2, 2)
             sp, sq = rng.uniform(0.3, 1.2, 2)
             y = np.clip(zp + sp * np.random.default_rng(56 + i).standard_normal(2 * 10**5), 0.0, 1.0)
-            diffs = mc_logpdf(y, zp, sp) - mc_logpdf(y, zq, sq)
+            diffs = oracles.gs2_log_density(y, zp, sp) - oracles.gs2_log_density(y, zq, sq)
             se = diffs.std(ddof=1) / np.sqrt(y.size)
             assert ex.gs2_kl(zp, sp, zq, sq) == pytest.approx(diffs.mean(), abs=3 * se)
 
@@ -127,8 +120,8 @@ class TestGsLogDensity:
             p = SimplexPoint([y1, 1.0 - y1])
             vals = [
                 ex.gs_log_density(d, p),
-                ex.gs2_log_density_extrinsic(y1, z, s),
-                ex.gs2_log_density_intrinsic(y1, z, s),
+                oracles.gs2_log_density(y1, z, s),
+                oracles.gs_log_density_reference(d, p.coords),
             ]
             assert max(vals) - min(vals) < 1e-8
 

@@ -328,6 +328,21 @@ class TestBatchedSampling:
                 np.testing.assert_array_equal(got, _masks_by_vertex_pass(u, take))
 
 
+    @pytest.mark.parametrize("K", [64, 70])
+    def test_more_vertices_than_mask_bits_raise(self, K):
+        # a 64th vertex has no int64 bit: raise rather than return wrong masks
+        d = fg.GibbsFaceDistribution(np.full(K, 3.0))
+        with pytest.raises(ValueError, match="<= 63"):
+            fg.sample_face_masks(d, 3, np.random.default_rng(30))
+        with pytest.raises(ValueError, match="<= 63"):
+            fg.masks_from_uniforms(np.zeros((2, K)), d.take_probs)
+
+    def test_k63_full_face_uses_every_mask_bit(self):
+        d = fg.GibbsFaceDistribution(np.full(63, 3.0))
+        assert fg.masks_from_uniforms(np.zeros((2, 63)), d.take_probs).tolist() == [(1 << 63) - 1] * 2
+        full = fg.sample_face_masks(fg.GibbsFaceDistribution(np.full(63, 40.0)), 3, np.random.default_rng(31))
+        assert full.tolist() == [(1 << 63) - 1] * 3
+
     @pytest.mark.parametrize("K", [2, 6, 13, 63])
     def test_per_row_tables_match_one_table_at_a_time(self, K):
         rng = np.random.default_rng(29)

@@ -62,14 +62,14 @@ class TestMaxEntEntropy:
     def test_two_code_paths_agree(self):
         for K in range(2, 31):
             for N in range(0, 9):
-                a, b = it.maxent_entropy(K, N), it.maxent_entropy_series(K, N)
+                a, b = it.maxent_entropy(K, N), oracles.maxent_entropy_series(K, N)
                 assert a == pytest.approx(b, rel=1e-10)
 
     @pytest.mark.parametrize("K", [2, 3, 10, 30, 100, 400])
     def test_finite_at_any_precision(self, K):
         # neither L_(K-1)(-2^N) nor 2^N itself need be a double
         for N in (0, 8, 60, 200, 600, 1023, 1100):
-            a, b = it.maxent_entropy(K, N), it.maxent_entropy_series(K, N)
+            a, b = it.maxent_entropy(K, N), oracles.maxent_entropy_series(K, N)
             assert math.isfinite(a) and a == pytest.approx(b, rel=1e-10)
         assert it.maxent_entropy(3, 600) == pytest.approx(831.08, abs=0.01)
         assert it.maxent_entropy(10, 200) == pytest.approx(1234.86, abs=0.01)
@@ -89,7 +89,7 @@ class TestMaxEntEntropy:
 
 class TestMaxEntDistribution:
     def test_k2_n0_is_uniform_over_faces(self):
-        me = it.maxent_distribution(2, 0)
+        me = it.MaxEntMixed(2, 0)
         masks, probs = me.exact_face_distribution()
         assert masks.tolist() == [1, 2, 3]
         for p in probs:
@@ -97,17 +97,17 @@ class TestMaxEntDistribution:
 
     def test_k2_general_n_class_probs(self):
         for N in range(0, 9):
-            me = it.maxent_distribution(2, N)
+            me = it.MaxEntMixed(2, N)
             assert me.g[0] == pytest.approx(2 / (2 + 2**N), rel=1e-13)
             assert me.g[1] == pytest.approx(2**N / (2 + 2**N), rel=1e-13)
 
     def test_k3_n0_class_weights(self):
-        g = it.maxent_distribution(3, 0).g
+        g = it.MaxEntMixed(3, 0).g
         expected = np.array([3.0, 3.0, 0.5]) / 6.5
         np.testing.assert_allclose(g, expected, rtol=1e-13)
 
     def test_dimension_class_symmetry(self):
-        masks, probs = it.maxent_distribution(5, 1).exact_face_distribution()
+        masks, probs = it.MaxEntMixed(5, 1).exact_face_distribution()
         by_dim = {}
         for f, p in zip(masks.tolist(), probs.tolist()):
             by_dim.setdefault(f.bit_count() - 1, set()).add(round(p, 15))
@@ -115,13 +115,13 @@ class TestMaxEntDistribution:
 
     def test_direct_sum_entropy_equals_laguerre_at_n0(self):
         for K in (2, 3, 6):
-            me = it.maxent_distribution(K, 0)
+            me = it.MaxEntMixed(K, 0)
             assert me.direct_sum_entropy() == pytest.approx(it.maxent_entropy(K, 0), rel=1e-12)
 
     def test_component_reconstruction(self):
         # H(F) + flat conditionals + coding term reproduces the Laguerre value
         for K, N in ((2, 0), (3, 2), (5, 1), (8, 3)):
-            me = it.maxent_distribution(K, N)
+            me = it.MaxEntMixed(K, N)
             total = it.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
             assert total == pytest.approx(it.maxent_entropy(K, N), abs=1e-9)
 
@@ -131,12 +131,12 @@ class TestMaxEntDistribution:
             h_max = it.maxent_entropy(K, 0)
             for _ in range(100):
                 dist = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.2, 5, K))
-                assert md.entropy(dist, mode="exact") <= h_max + 1e-9
+                assert md.entropy(dist) <= h_max + 1e-9
 
     def test_local_optimality(self):
         for K in (2, 3, 4):
             for N in (0, 1):
-                me = it.maxent_distribution(K, N)
+                me = it.MaxEntMixed(K, N)
                 logw = it.maxent_log_weights(K, N)
 
                 def objective(g):
@@ -157,7 +157,7 @@ class TestMaxEntDistribution:
 
 class TestMaxEntSampling:
     def test_dimension_frequencies(self):
-        me = it.maxent_distribution(4, 0)
+        me = it.MaxEntMixed(4, 0)
         n = 10**5
         masks = it.maxent_sample_face_masks(me, n, np.random.default_rng(81))
         dims = np.array([bin(m).count("1") for m in masks])
@@ -167,26 +167,26 @@ class TestMaxEntSampling:
             assert abs(freq - me.g[k - 1]) < 4 * se
 
     def test_k2_n0_face_frequencies(self):
-        me = it.maxent_distribution(2, 0)
+        me = it.MaxEntMixed(2, 0)
         n = 10**5
         masks = it.maxent_sample_face_masks(me, n, np.random.default_rng(82))
         counts = np.bincount(masks, minlength=4)[1:]
         assert chisquare(counts, np.full(3, n / 3)).pvalue > 0.001
 
     def test_sample_points_live_on_their_faces(self):
-        me = it.maxent_distribution(4, 1)
+        me = it.MaxEntMixed(4, 1)
         for f, p in me.sample_many(300, np.random.default_rng(83)):
             assert p.support == f
 
     def test_mc_entropy_matches_exact(self):
-        me = it.maxent_distribution(3, 2)
+        me = it.MaxEntMixed(3, 2)
         est = it.direct_sum_entropy_mc(me, 30000, np.random.default_rng(84))
         assert me.direct_sum_entropy() == pytest.approx(est.estimate, abs=3 * est.std_error + 1e-12)
 
 
 class TestDirectSumMc:
     def test_maxent_k2_entropy(self):
-        me = it.maxent_distribution(2, 0)
+        me = it.MaxEntMixed(2, 0)
         est = it.direct_sum_entropy_mc(me, 20000, np.random.default_rng(85))
         assert est.estimate == pytest.approx(np.log(3), abs=3 * est.std_error + 1e-12)
 
@@ -206,7 +206,7 @@ class TestDirectSumMc:
         p = md.MixedDirichlet(rng.normal(0, 1, 4), rng.uniform(0.5, 3, 4))
         q = md.MixedDirichlet(rng.normal(0, 1, 4), rng.uniform(0.5, 3, 4))
         est = it.direct_sum_kl_mc(p, q, 30000, np.random.default_rng(90))
-        assert md.kl_mixed(p, q, mode="exact") == pytest.approx(est.estimate, abs=3 * est.std_error)
+        assert md.kl_mixed(p, q) == pytest.approx(est.estimate, abs=3 * est.std_error)
 
     def test_support_violation_outcome(self):
         rng = np.random.default_rng(91)
@@ -225,12 +225,12 @@ class TestDirectSumMc:
 class TestCodingEntropy:
     def test_maxent_k2_reproduces_log_2_plus_2n(self):
         for N in range(0, 9):
-            me = it.maxent_distribution(2, N)
+            me = it.MaxEntMixed(2, N)
             total = it.coding_entropy(*me.exact_face_distribution(), me.direct_sum_entropy(), N)
             assert total == pytest.approx(np.log(2 + 2**N), abs=1e-12)
 
     def test_n_zero_is_identity(self):
-        me = it.maxent_distribution(4, 2)
+        me = it.MaxEntMixed(4, 2)
         h = me.direct_sum_entropy()
         assert it.coding_entropy(*me.exact_face_distribution(), h, 0) == h
 
@@ -274,5 +274,5 @@ class TestMixedDistributionProtocol:
         from mixedrv.extrinsic import GaussianSparsemax
 
         assert isinstance(md.MixedDirichlet(np.zeros(2), np.ones(2)), it.MixedDistribution)
-        assert isinstance(it.maxent_distribution(3, 0), it.MixedDistribution)
+        assert isinstance(it.MaxEntMixed(3, 0), it.MixedDistribution)
         assert isinstance(GaussianSparsemax([0.5, 0.5], [1.0, 1.0]), it.MixedDistribution)

@@ -159,22 +159,23 @@ class TestEntropyKl:
             assert md.entropy(dist) == pytest.approx(-gammaln(K), abs=1e-7)
 
     def test_exact_vs_mc_mode(self):
+        # Monte Carlo runs through the one sample/density route of --mode mc
         rng = np.random.default_rng(41)
         dist = md.MixedDirichlet(rng.normal(0, 1, 6), rng.uniform(0.5, 3, 6))
-        exact = md.entropy(dist, mode="exact")
-        mc = md.entropy(dist, mode="mc", n=10**5, rng=np.random.default_rng(42))
+        exact = md.entropy(dist)
+        mc = it.direct_sum_entropy_mc(dist, 10**5, np.random.default_rng(42)).estimate
         assert mc == pytest.approx(exact, abs=0.02)
 
     def test_sampling_density_consistency(self):
         rng = np.random.default_rng(43)
         dist = md.MixedDirichlet(rng.normal(0, 1, 5), rng.uniform(0.5, 3, 5))
         est = it.direct_sum_entropy_mc(dist, 30000, np.random.default_rng(44))
-        assert md.entropy(dist, mode="exact") == pytest.approx(est.estimate, abs=3 * est.std_error)
+        assert md.entropy(dist) == pytest.approx(est.estimate, abs=3 * est.std_error)
 
     def test_exact_mode_resource_limit(self):
         dist = md.MixedDirichlet(np.zeros(15), np.ones(15))
         with pytest.raises(ResourceLimitError):
-            md.entropy(dist, mode="exact")
+            md.entropy(dist)
 
     def test_kl_identical_is_zero(self):
         rng = np.random.default_rng(45)
@@ -185,13 +186,13 @@ class TestEntropyKl:
         rng = np.random.default_rng(46)
         p = md.MixedDirichlet(rng.normal(0, 1, 8), rng.uniform(0.5, 3, 8))
         q = md.MixedDirichlet(rng.normal(0, 1, 8), rng.uniform(0.5, 3, 8))
-        exact = md.kl_mixed(p, q, mode="exact")
-        mc = md.kl_mixed(p, q, mode="mc", n=10**5, rng=np.random.default_rng(47))
+        exact = md.kl_mixed(p, q)
+        mc = it.direct_sum_kl_mc(p, q, 10**5, np.random.default_rng(47)).estimate
         assert mc == pytest.approx(exact, abs=0.05)
 
     def test_face_sums_match_per_face_loop(self):
-        # the vectorized sums over faces against the scalar closed forms,
-        # summed per face (exact mode) or averaged over sampled faces (mc)
+        # the vectorized sums over faces against the one-face closed forms,
+        # summed per face
         rng = np.random.default_rng(49)
         for K in (2, 3, 5, 7):
             p = md.MixedDirichlet(rng.normal(0, 2, K), rng.uniform(0.05, 5, K))
@@ -203,11 +204,6 @@ class TestEntropyKl:
             kl = kl_face + sum(pr * md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f, pr in probs.items())
             assert md.entropy(p) == pytest.approx(h, rel=1e-12)
             assert md.kl_mixed(p, q) == pytest.approx(kl, rel=1e-12)
-            faces = fg.sample_face_masks(p.faces, 2000, np.random.default_rng(K)).tolist()
-            h = h_face + np.mean([md.dirichlet_entropy(p.alpha[on[f]]) for f in faces])
-            kl = kl_face + np.mean([md.dirichlet_kl(p.alpha[on[f]], q.alpha[on[f]]) for f in faces])
-            assert md.entropy(p, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(h, rel=1e-12)
-            assert md.kl_mixed(p, q, mode="mc", n=2000, rng=np.random.default_rng(K)) == pytest.approx(kl, rel=1e-12)
 
     def test_kl_nonnegative_and_finite(self):
         rng = np.random.default_rng(48)
@@ -259,7 +255,7 @@ class TestLogSpaceDraws:
         batch = full.sample_many(200, np.random.default_rng(52))
         masks = np.full(200, 15)
         assert np.array_equal(batch.log_coords, log_space_fill(masks, full.alpha, np.random.default_rng(52)))
-        me = it.maxent_distribution(5, 2)
+        me = it.MaxEntMixed(5, 2)
         batch = me.sample_many(200, np.random.default_rng(53))
         ref = np.random.default_rng(53)
         masks = it.maxent_sample_face_masks(me, 200, ref)
