@@ -777,6 +777,27 @@ def _check_glm_gradient():
     return f"gradient error {err:.2e}"
 
 
+def _check_glm_likelihood_vs_reference():
+    """The per-fit likelihood kernel, which runs its Dirichlet half on the
+    Dirichlet entries only, bitwise against the dense reference: at K = 4 on
+    planted targets with vertices, edges and full faces, and at K = 13 with
+    faces of 8 or more vertices (row sums that numpy unrolls), at weights
+    where some clamps saturate."""
+    rng = np.random.default_rng(151)
+    for K, n, seed, needed_sizes in ((4, 60, 1, (1, 2, 4)), (13, 200, 0, (8,))):
+        X, Y, _ = glm.make_planted_dataset(n=n, K=K, d=3, seed=seed)
+        counts = np.bincount((Y.coords > 0.0).sum(axis=1), minlength=K + 1)
+        _require(counts[list(needed_sizes)].all(), f"K={K}: no target face of each size {needed_sizes}")
+        model = glm.GlmModel(rng.normal(0, 3.0, (K, 3)), rng.normal(0, 3.0, K),
+                             rng.normal(0, 3.0, (K, 3)), rng.normal(0, 3.0, K))
+        ll, grads = glm.glm_log_likelihood(model, X, Y)
+        ref_ll, ref_grads = oracles.glm_log_likelihood_reference(model, X, Y)
+        _require(ll == ref_ll, f"K={K}: log-likelihood {ll!r} != reference {ref_ll!r}")
+        differ = [k for k, ref in ref_grads.items() if not np.array_equal(grads[k], ref)]
+        _require(not differ, f"K={K}: gradients {differ} differ from the reference")
+    return "log-likelihood and gradients bitwise equal at K = 4 and K = 13"
+
+
 def _check_glm_planted_recovery():
     f1s, gaps = [], []
     for seed in range(3):
@@ -854,6 +875,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("info_theory.maxent_dominates_mixed_dirichlet", _FAST, _check_maxent_dominates),
     ("info_theory.dimension_class_symmetry", _FAST, _check_dimension_symmetry),
     ("glm.gradient_vs_finite_differences", _FAST, _check_glm_gradient),
+    ("glm.likelihood_vs_reference", _FAST, _check_glm_likelihood_vs_reference),
     ("glm.planted_recovery", _FULL, _check_glm_planted_recovery),
 ]
 

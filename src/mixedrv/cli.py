@@ -193,7 +193,10 @@ def cmd_kl(args) -> int:
     unit = "bits" if args.bits else "nats"
     if args.mode == "exact":
         value = spec_p.exact_kl(spec_q)
-        _print_json({"value": _to_unit(value, args.bits), "mode": "exact", "unit": unit})
+        if math.isinf(value):  # reported as the mc mode reports a support violation
+            _print_json({"value": None, "support_violation": True, "mode": "exact", "unit": unit})
+        else:
+            _print_json({"value": _to_unit(value, args.bits), "mode": "exact", "unit": unit})
         return EXIT_OK
     if not (spec_p.supports_log_density and spec_q.supports_log_density):
         raise CliError(EXIT_USAGE, "mc KL needs both kinds to expose a density")

@@ -100,6 +100,9 @@ class ParsedSpec:
         raise SpecError(f"exact entropy is not available for kind {self.kind!r} (K={self.K})")
 
     def exact_kl(self, other: "ParsedSpec") -> float:
+        """Exact direct-sum KL(self || other), for the pairs of kinds that
+        expose one; ``inf`` where other puts no mass on a part of self's
+        support."""
         if self.K != other.K:
             raise SpecError(f"dimension mismatch: {self.K} vs {other.K}")
         if self.kind == other.kind == "mixed-dirichlet":
@@ -111,6 +114,8 @@ class ParsedSpec:
         if self.kind == other.kind == "maxent":
             on = self.dist.g > 0.0  # a class whose weight underflows to 0 under p adds 0
             gp, gq = self.dist.g[on], other.dist.g[on]
+            if not gq.all():  # a class that p weighs and q's weight underflows to 0
+                return float("inf")
             return float(np.sum(gp * (np.log(gp) - np.log(gq))))
         raise SpecError(f"exact KL is not available for kinds {self.kind!r}/{other.kind!r}")
 

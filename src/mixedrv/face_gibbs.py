@@ -70,16 +70,22 @@ def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x = 2.0 * w
     log1p_exp = np.log1p(np.exp(-np.abs(x)))
     rev = (..., slice(None, None, -1))
-    s = np.cumsum((np.maximum(x, 0.0) + log1p_exp)[rev], axis=-1)[rev]
-    with np.errstate(divide="ignore"):
-        log_nonempty = np.log(-np.expm1(-s))
-    tiny = s < 1e-280
-    if tiny.any():
+    s = np.add.accumulate((np.maximum(x, 0.0) + log1p_exp)[rev], axis=-1)[rev]
+    # entries below 1e-280 are replaced just below, so the floor only keeps log(0) out
+    log_nonempty = np.log(-np.expm1(-np.maximum(s, 1e-280)))
+    if (s[..., -1] < 1e-280).any():  # S_k falls with k, so the last column holds each row's least
         # the softplus terms of very negative potentials underflow; there
         # log(1 - e^-S) = log S and log softplus(x) = x to double precision
-        log_nonempty = np.where(tiny, np.logaddexp.accumulate(x[rev], axis=-1)[rev], log_nonempty)
-    log_z = -np.sum(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
+        log_nonempty = np.where(s < 1e-280, np.logaddexp.accumulate(x[rev], axis=-1)[rev], log_nonempty)
+    log_z = -np.add.reduce(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
     return np.minimum(x, 0.0) - log1p_exp, log_nonempty, log_z
+
+
+def _log_z_and_grad(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log_normalizer_and_grad`` of potentials already known to be
+    finite, K >= 2."""
+    log_p, log_nonempty, log_z = _closed_form(w)
+    return log_z, 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
 
 
 def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:
@@ -90,8 +96,7 @@ def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:
     expected statistic is ``2 P(k in F) - 1``.  Accepts ``w`` of shape (K,)
     or (B, K); returns arrays of shape () and (K,), or (B,) and (B, K).
     """
-    log_p, log_nonempty, log_z = _closed_form(_as_w(w))
-    return log_z, 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
+    return _log_z_and_grad(_as_w(w))
 
 
 def log_normalizer(w) -> float | np.ndarray:

@@ -9,7 +9,14 @@ target is its mixed log-density at the predicted parameters.
 
 Fitting is full-batch gradient ascent with adaptive per-parameter moments
 (Adam), learning rate 0.1, for exactly 400 steps by default.  Both linear
-maps carry a bias term; predictors are used as-is (no standardization).
+maps carry a bias term; predictors are used as-is (no standardization) and
+must be finite.
+
+The likelihood and its gradient run on one kernel per fit
+(``_likelihood_kernel``), which computes what depends on the targets alone
+once: the +/-1 face statistics, the Dirichlet entries (the face's vertices
+on rows whose face has two or more vertices) and their log-coordinates.
+Each step runs the concentration half on the Dirichlet entries only.
 """
 
 from __future__ import annotations
@@ -123,26 +130,6 @@ class FitResult(NamedTuple):
     losses: np.ndarray  # mean negative log-likelihood per step
 
 
-class _TargetTerms(NamedTuple):
-    """Terms of the likelihood that depend on the targets only (n rows)."""
-
-    member: np.ndarray  # (n, K) face membership
-    phi: np.ndarray  # (n, K) +/-1 statistics of the faces
-    log_y: np.ndarray  # (n, K) log coordinates on the face, 0 off it
-    on_dim: np.ndarray  # (n,) face of dimension >= 1 (not a vertex)
-    conc_grad_on: np.ndarray  # (n, K) member and on_dim: where the concentrations get a gradient
-
-
-def _target_terms(targets: FaceBatch) -> _TargetTerms:
-    """Terms of a batch of targets.  A target's face is the support of its
-    coordinates."""
-    coords = targets.coords
-    member = coords > 0.0
-    on_dim = member.sum(axis=1) > 1
-    return _TargetTerms(member, 2.0 * member - 1.0, np.where(member, np.log(np.where(member, coords, 1.0)), 0.0),
-                        on_dim, member & on_dim[:, None])
-
-
 def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, dict[str, np.ndarray]]:
     """Total log-likelihood of the targets (one row per row of X) and its
     analytic gradient.
@@ -157,13 +144,13 @@ def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, d
         raise ValueError(f"X must be (n, {model.d})")
     if len(targets) != X.shape[0]:
         raise ValueError("one target per row required")
-    terms = _target_terms(targets)
     K = model.K
-    if terms.member.shape[1] != K:
+    if targets.K != K:
         raise ValueError(f"targets must have K={K}")
+    kernel = _likelihood_kernel(X, targets)
     theta = np.concatenate([model.w_face.ravel(), model.w_conc.ravel(), model.b_face, model.b_conc])
     grad = np.empty_like(theta)
-    ll = _log_likelihood_flat(theta, X, terms, grad)
+    ll = kernel(theta, grad)
     g_w, g_b = _split_flat(grad, K, model.d)
     return ll, {"w_face": g_w[:K], "b_face": g_b[:K], "w_conc": g_w[K:], "b_conc": g_b[K:]}
 
@@ -174,55 +161,72 @@ def _split_flat(theta: np.ndarray, K: int, d: int) -> tuple[np.ndarray, np.ndarr
     return theta[:2 * K * d].reshape(2 * K, d), theta[2 * K * d:]
 
 
-def _log_likelihood_flat(theta: np.ndarray, X: np.ndarray, t: _TargetTerms, grad: np.ndarray) -> float:
-    """``glm_log_likelihood`` on validated arrays and flat weights ``theta``
-    (see ``_split_flat``); the gradient is written into ``grad``, laid out
-    like ``theta``.
+def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
+    """The log-likelihood of the targets (one row per row of X, both
+    validated) as ``kernel(theta, grad) -> float``, a function of the flat
+    weights ``theta`` (see ``_split_flat``) that writes the gradient into
+    ``grad``, laid out like ``theta``.
 
-    Each map keeps its own matrix products, on views of ``theta`` and
-    ``grad``: one (n, 2K) product rounds differently from the two (n, K)
-    ones for some shapes (d = 1, or one row with d >= 8).
+    A target's face is the support of its coordinates.  What depends on the
+    targets alone is computed here, once: the +/-1 statistics, the flat
+    indices of the Dirichlet entries (the face's vertices, on rows whose face
+    has two or more vertices: vertex targets have no Dirichlet term), their
+    log-coordinates and zero-filled (n, K) buffers.  Each call computes the
+    concentration product on every entry, so each entry rounds as the full
+    product does, but the clamps, softplus, gates, ``gammaln``, ``digamma``
+    and ``expit`` only on the Dirichlet entries; their results are scattered
+    into the buffers before every row or column sum, so each sum runs over
+    the same (n, K) layout as a dense pass would, in numpy's order.  Each map
+    keeps its own matrix products, on views of ``theta`` and ``grad``: one
+    (n, 2K) product rounds differently from the two (n, K) ones for some
+    shapes (d = 1, or one row with d >= 8).
     """
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite")
     d = X.shape[1]
-    K = t.member.shape[1]
-    W, b = _split_flat(theta, K, d)
-    g_w, g_b = _split_flat(grad, K, d)
-    pre_f = X @ W[:K].T + b[:K]
-    scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
-    gate_f = np.abs(pre_f) < SCORE_CLAMP
+    coords = targets.coords
+    n, K = coords.shape
+    member = coords > 0.0
+    phi = 2.0 * member - 1.0
+    on_dim = member.sum(axis=1) > 1
+    on = np.flatnonzero(member & on_dim[:, None])  # the Dirichlet entries of the flat (n, K) arrays
+    on_rows = np.flatnonzero(on_dim)
+    entry_row = np.searchsorted(on_rows, on // K)  # each Dirichlet entry's row, as an index into on_rows
+    log_y = np.log(coords.ravel()[on])
+    alpha, dir_terms, g_conc = np.zeros((3, n, K))  # zero off the Dirichlet entries, at every step
+    alpha_flat, dir_flat, g_conc_flat = alpha.ravel(), dir_terms.ravel(), g_conc.ravel()
+    gammaln, digamma, expit = scipy.special.gammaln, scipy.special.digamma, scipy.special.expit
 
-    pre_c = X @ W[K:].T + b[K:]
-    pre_cc = np.clip(pre_c, -PRE_CLAMP, PRE_CLAMP)
-    soft = np.logaddexp(0.0, pre_cc)
-    conc = np.clip(soft, CONC_MIN, CONC_MAX)
-    gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)
+    def kernel(theta: np.ndarray, grad: np.ndarray) -> float:
+        W, b = _split_flat(theta, K, d)
+        g_w, g_b = _split_flat(grad, K, d)
+        pre_f = X @ W[:K].T + b[:K]
+        scores = np.minimum(np.maximum(pre_f, -SCORE_CLAMP), SCORE_CLAMP)
+        if np.isnan(scores).any():  # clamped, so NaN is the only non-finite value
+            raise ValueError("weights give non-finite face scores")
+        log_z, expected_phi = face_gibbs._log_z_and_grad(scores)
+        ll_face = np.add.reduce(scores * phi, axis=1) - log_z
+        g_scores = (phi - expected_phi) * (np.abs(pre_f) < SCORE_CLAMP)
 
-    log_z, expected_phi = face_gibbs.log_normalizer_and_grad(scores)
-    ll_face = np.sum(scores * t.phi, axis=1) - log_z
-    g_scores = (t.phi - expected_phi) * gate_f
+        pre_c = (X @ W[K:].T + b[K:]).take(on)
+        pre_cc = np.minimum(np.maximum(pre_c, -PRE_CLAMP), PRE_CLAMP)
+        soft = np.logaddexp(0.0, pre_cc)
+        conc = np.minimum(np.maximum(soft, CONC_MIN), CONC_MAX)
+        gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)
+        alpha_flat[on] = conc
+        alpha0 = np.add.reduce(alpha, axis=1).take(on_rows)
+        dir_flat[on] = (conc - 1.0) * log_y - gammaln(conc)
+        ll_dir = np.add.reduce(dir_terms, axis=1)
+        ll_dir[on_rows] += gammaln(alpha0)
+        g_conc_flat[on] = (log_y - digamma(conc) + digamma(alpha0).take(entry_row)) * expit(pre_cc) * gate_c
 
-    alpha_m = np.where(t.member, conc, 0.0)
-    alpha0 = alpha_m.sum(axis=1)
-    ll_dir = np.where(
-        t.on_dim,
-        np.sum(
-            np.where(t.member, (conc - 1.0) * t.log_y - scipy.special.gammaln(np.where(t.member, conc, 1.0)), 0.0),
-            axis=1,
-        )
-        + scipy.special.gammaln(alpha0),
-        0.0,
-    )
-    g_conc = np.where(
-        t.conc_grad_on,
-        t.log_y - scipy.special.digamma(conc) + scipy.special.digamma(alpha0)[:, None],
-        0.0,
-    ) * scipy.special.expit(pre_cc) * gate_c
+        np.matmul(g_scores.T, X, out=g_w[:K])
+        np.matmul(g_conc.T, X, out=g_w[K:])
+        np.add.reduce(g_scores, axis=0, out=g_b[:K])
+        np.add.reduce(g_conc, axis=0, out=g_b[K:])
+        return float(np.add.reduce(ll_face) + np.add.reduce(ll_dir))
 
-    np.matmul(g_scores.T, X, out=g_w[:K])
-    np.matmul(g_conc.T, X, out=g_w[K:])
-    np.sum(g_scores, axis=0, out=g_b[:K])
-    np.sum(g_conc, axis=0, out=g_b[K:])
-    return float(ll_face.sum() + ll_dir.sum())
+    return kernel
 
 
 def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int = 0) -> FitResult:
@@ -231,9 +235,10 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
 
     All weights live in one flat vector laid out ``[W (2K, d) | b (2K)]``,
     rows 0..K-1 of W and entries 0..K-1 of b the face map and the rest the
-    concentration map, so each step is one likelihood pass and one
-    elementwise Adam update of that vector.  Deterministic given the seed,
-    which only controls the small random initialization of the weights
+    concentration map, so each step is one pass of the likelihood kernel
+    (built once per fit, see ``_likelihood_kernel``) and one elementwise Adam
+    update of that vector in preallocated buffers.  Deterministic given the
+    seed, which only controls the small random initialization of the weights
     (drawn face weights, face biases, concentration weights, concentration
     biases, in that order).
     """
@@ -243,8 +248,8 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     n, d = X.shape
     if len(targets) != n:
         raise ValueError("one target per row required")
-    terms = _target_terms(targets)
-    K = terms.member.shape[1]
+    kernel = _likelihood_kernel(X, targets)
+    K = targets.K
     rng = np.random.default_rng(seed)
     theta = np.empty(2 * K * (d + 1))
     W, b = _split_flat(theta, K, d)
@@ -252,19 +257,26 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     b[:K] = rng.normal(0.0, 0.01, K)
     W[K:] = rng.normal(0.0, 0.01, (K, d))
     b[K:] = rng.normal(0.0, 0.01, K)
-    grad = np.empty_like(theta)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
+    grad, g, m, v, step, den = np.zeros((6, theta.size))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = np.empty(steps)
     for t in range(1, steps + 1):
-        losses[t - 1] = -_log_likelihood_flat(theta, X, terms, grad) / n
-        g = grad / -n
+        losses[t - 1] = -kernel(theta, grad) / n
+        np.divide(grad, -n, out=g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        np.multiply(1.0 - beta1, g, out=step)
+        m += step
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        theta -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+        np.multiply(1.0 - beta2, g, out=step)
+        step *= g
+        v += step
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        np.divide(v, 1.0 - beta2**t, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        theta -= step
     return FitResult(GlmModel(W[:K], b[:K], W[K:], b[K:]), losses)
 
 

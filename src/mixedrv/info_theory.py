@@ -125,13 +125,17 @@ def _log_binom(K, k):
     return scipy.special.gammaln(K + 1) - scipy.special.gammaln(k + 1) - scipy.special.gammaln(K - k + 1)
 
 
-def maxent_log_weights(K: int, N: int) -> np.ndarray:
-    """Unnormalized log-probabilities of the face-dimension classes k=1..K:
-    ``log C(K,k) + N(k-1) log2 - log (k-1)!``, all in log space."""
+def _check_maxent_args(K: int, N: int):
     if K < 2:
         raise ValueError(f"K must be >= 2, got {K}")
     if N < 0 or N != int(N):
         raise ValueError(f"N must be a nonnegative integer, got {N}")
+
+
+def maxent_log_weights(K: int, N: int) -> np.ndarray:
+    """Unnormalized log-probabilities of the face-dimension classes k=1..K:
+    ``log C(K,k) + N(k-1) log2 - log (k-1)!``, all in log space."""
+    _check_maxent_args(K, N)
     k = np.arange(1, K + 1)
     return _log_binom(K, k) + N * (k - 1) * _LN2 - scipy.special.gammaln(k)
 
@@ -165,7 +169,7 @@ def maxent_entropy(K: int, N: int) -> float:
     """Maximal coding entropy at bit precision N: log of the generalized
     Laguerre polynomial of degree K-1 with parameter 1 at ``-2^N``, finite
     for every K and N (see ``_log_laguerre_at_minus_pow2``)."""
-    maxent_log_weights(K, N)  # validate arguments as the class weights do
+    _check_maxent_args(K, N)
     return _log_laguerre_at_minus_pow2(int(K) - 1, 1.0, int(N))
 
 

@@ -6,10 +6,12 @@ explicit active-set search for the simplex projection, the pivoted dense
 Gaussian-Sparsemax density one point at a time with its orthant term by
 adaptive quadrature, the K = 2 Gaussian-Sparsemax density in its clamped
 scalar form, the plain Laguerre recurrence and the defining series of the
-maxent entropy, and central finite differences.  None of it is a second
-production path: only ``mixedrv check`` and the tests reach it, and none of
-it shares code with the production paths it validates.  Faces are int64
-bitmasks, as everywhere outside ``simplex``.
+maxent entropy, the GLM likelihood as dense (n, K) arrays, and central
+finite differences.  None of it is a second production path: only ``mixedrv
+check`` and the tests reach it, and none of it shares code with the
+production paths it validates (the GLM reference takes the face law from
+``face_gibbs``, which is checked on its own).  Faces are int64 bitmasks, as
+everywhere outside ``simplex``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import gammaln, log_ndtr, logsumexp, ndtr
+from scipy.special import digamma, expit, gammaln, log_ndtr, logsumexp, ndtr
 
 from .extrinsic import GaussianSparsemax
+from .face_gibbs import log_normalizer_and_grad
+from .glm import CONC_MAX, CONC_MIN, PRE_CLAMP, SCORE_CLAMP
 from .simplex import enumerate_faces
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "gs2_log_density",
     "laguerre_generalized",
     "maxent_entropy_series",
+    "glm_log_likelihood_reference",
     "central_difference_gradient",
     "central_difference_jacobian",
 ]
@@ -320,6 +325,37 @@ def dag_take_probs(w) -> np.ndarray:
                     for k in range(1, K + 1)], dtype=float)
     num = w + np.array([beta[(k, 1, 1)] for k in range(1, K + 1)], dtype=float)
     return np.where(src > -np.inf, np.exp(num[:, None] - src), 0.0)
+
+
+def glm_log_likelihood_reference(model, X, targets) -> tuple[float, dict[str, np.ndarray]]:
+    """``glm.glm_log_likelihood`` on dense (n, K) arrays: every term on
+    every entry, the Dirichlet half masked to the face's vertices on rows
+    whose face has two or more vertices, and one matrix product per map, on
+    that map's own (K, d) weights.  ``model`` is a ``glm.GlmModel``,
+    ``targets`` a ``FaceBatch``; the face of a target is the support of its
+    coordinates."""
+    coords = targets.coords
+    member = coords > 0.0
+    on_dim = member.sum(axis=1) > 1
+    phi = 2.0 * member - 1.0
+    log_y = np.where(member, np.log(np.where(member, coords, 1.0)), 0.0)
+    pre_f = X @ model.w_face.T + model.b_face
+    scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
+    pre_c = X @ model.w_conc.T + model.b_conc
+    pre_cc = np.clip(pre_c, -PRE_CLAMP, PRE_CLAMP)
+    soft = np.logaddexp(0.0, pre_cc)
+    conc = np.clip(soft, CONC_MIN, CONC_MAX)
+    log_z, expected_phi = log_normalizer_and_grad(scores)
+    alpha0 = np.where(member, conc, 0.0).sum(axis=1)
+    ll_dir = np.where(on_dim, np.sum(np.where(member, (conc - 1.0) * log_y - gammaln(np.where(member, conc, 1.0)),
+                                              0.0), axis=1) + gammaln(alpha0), 0.0)
+    g_scores = (phi - expected_phi) * (np.abs(pre_f) < SCORE_CLAMP).astype(float)
+    gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)
+    g_conc = np.where(member & on_dim[:, None], log_y - digamma(conc) + digamma(alpha0)[:, None], 0.0) \
+        * expit(pre_cc) * gate_c.astype(float)
+    ll = float((np.sum(scores * phi, axis=1) - log_z).sum() + ll_dir.sum())
+    return ll, {"w_face": g_scores.T @ X, "b_face": g_scores.sum(axis=0),
+                "w_conc": g_conc.T @ X, "b_conc": g_conc.sum(axis=0)}
 
 
 def central_difference_gradient(fn, x, h: float = 1e-6) -> np.ndarray:

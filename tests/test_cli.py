@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,22 @@ class TestEntropyKlCommands:
         assert cli.main(["kl", "--dist", specs["me3"], "--dist2", other, "--mode", "exact"]) == 0
         gp, gq = info_theory.MaxEntMixed(3, 0).g, info_theory.MaxEntMixed(3, 2).g
         assert json.loads(capsys.readouterr().out)["value"] == float(np.sum(gp * (np.log(gp) - np.log(gq))))
+
+
+    @pytest.mark.parametrize("bits", [False, True])
+    def test_kl_exact_maxent_infinite_is_a_support_violation(self, capsys, tmp_path, bits):
+        # q's vertex-class weight underflows to 0 at N = 360 and p's does not:
+        # exact mode reports the infinite KL as mc mode does, with no warning
+        p = write(tmp_path / "me_0.json", {"kind": "maxent", "k": 4, "n": 0})
+        q = write(tmp_path / "me_360.json", {"kind": "maxent", "k": 4, "n": 360})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["kl", "--dist", p, "--dist2", q, "--mode", "exact"] + ["--bits"] * bits) == 0
+        unit = "bits" if bits else "nats"
+        assert capsys.readouterr().out == \
+            f'{{"value": null, "support_violation": true, "mode": "exact", "unit": "{unit}"}}\n'
+        assert cli.main(["kl", "--dist", q, "--dist2", p, "--mode", "exact"]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
 
 
 class TestFaceHistCommand:

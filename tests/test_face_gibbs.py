@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +74,22 @@ class TestLogNormalizer:
             assert oracles.dag_log_normalizer(w) == pytest.approx(expected, rel=1e-12)
         batched = fg.log_normalizer(np.array([[-20.0, -20.0], [0.0, 0.0]]))
         np.testing.assert_allclose(batched, [np.log(2.0), np.log(3.0)], rtol=1e-12)
+
+    def test_values_pinned_down_to_minus_400(self):
+        # rows with potentials down to -400 reach the small-S branch of the
+        # closed form (S_k < 1e-280); the digest pins log Z and E[phi]
+        # bitwise (numpy 2.4 on x86-64), and no RuntimeWarning may be raised
+        h = hashlib.sha256()
+        rng = np.random.default_rng(1801)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for K in (2, 3, 6, 13):
+                w = np.concatenate([rng.uniform(-400.0, 5.0, (6, K)), rng.uniform(-400.0, -300.0, (6, K)),
+                                    np.full((1, K), -400.0)])
+                log_z, phi = fg.log_normalizer_and_grad(w)
+                h.update(log_z.tobytes())
+                h.update(phi.tobytes())
+        assert h.hexdigest() == "9c09d99f1245b2a24cb879ca391824745094d4cdd3eebb769716716402ebfb59"
 
     def test_not_shift_invariant(self):
         w = np.array([0.3, -0.2, 0.5])

@@ -1,13 +1,13 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import digamma, expit, gammaln
 
 from mixedrv import face_gibbs as fg
 from mixedrv import glm
 from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords, sample_many
-from mixedrv.oracles import central_difference_gradient
+from mixedrv.oracles import central_difference_gradient, glm_log_likelihood_reference
 from mixedrv.simplex import FaceBatch
 
 
@@ -21,33 +21,6 @@ def _unpack(v, K, d):
     b_face = v[i:i + K]; i += K
     w_conc = v[i:i + K * d].reshape(K, d); i += K * d
     return glm.GlmModel(w_face, b_face, w_conc, v[i:i + K])
-
-
-def _reference_log_likelihood(model, X, targets):
-    """The likelihood and its gradient with one matrix product per map, each
-    on that map's own (K, d) weights."""
-    coords = targets.coords
-    member = coords > 0.0
-    on_dim = member.sum(axis=1) > 1
-    phi = 2.0 * member - 1.0
-    log_y = np.where(member, np.log(np.where(member, coords, 1.0)), 0.0)
-    pre_f = X @ model.w_face.T + model.b_face
-    scores = np.clip(pre_f, -glm.SCORE_CLAMP, glm.SCORE_CLAMP)
-    pre_c = X @ model.w_conc.T + model.b_conc
-    pre_cc = np.clip(pre_c, -glm.PRE_CLAMP, glm.PRE_CLAMP)
-    soft = np.logaddexp(0.0, pre_cc)
-    conc = np.clip(soft, glm.CONC_MIN, glm.CONC_MAX)
-    log_z, expected_phi = fg.log_normalizer_and_grad(scores)
-    alpha0 = np.where(member, conc, 0.0).sum(axis=1)
-    ll_dir = np.where(on_dim, np.sum(np.where(member, (conc - 1.0) * log_y - gammaln(np.where(member, conc, 1.0)),
-                                              0.0), axis=1) + gammaln(alpha0), 0.0)
-    g_scores = (phi - expected_phi) * (np.abs(pre_f) < glm.SCORE_CLAMP).astype(float)
-    gate_c = (np.abs(pre_c) < glm.PRE_CLAMP) & (soft > glm.CONC_MIN) & (soft < glm.CONC_MAX)
-    g_conc = np.where(member & on_dim[:, None], log_y - digamma(conc) + digamma(alpha0)[:, None], 0.0) \
-        * expit(pre_cc) * gate_c.astype(float)
-    ll = float((np.sum(scores * phi, axis=1) - log_z).sum() + ll_dir.sum())
-    return ll, {"w_face": g_scores.T @ X, "b_face": g_scores.sum(axis=0),
-                "w_conc": g_conc.T @ X, "b_conc": g_conc.sum(axis=0)}
 
 
 class TestLogLikelihood:
@@ -76,7 +49,7 @@ class TestLogLikelihood:
         X, Y = X[:n], FaceBatch.from_coords(Y.coords[:n])
         model = _random_model(np.random.default_rng([109, K, d]), K, d, scale=3.0)
         ll, grads = glm.glm_log_likelihood(model, X, Y)
-        ref_ll, ref_grads = _reference_log_likelihood(model, X, Y)
+        ref_ll, ref_grads = glm_log_likelihood_reference(model, X, Y)
         assert ll == ref_ll
         for k, ref in ref_grads.items():
             assert np.array_equal(grads[k], ref), k
@@ -105,8 +78,8 @@ class TestLogLikelihood:
 
 
 def _reference_fit(X, targets, steps, lr, seed):
-    """The fit as one Adam per weight array, over the public likelihood:
-    the same initial draws, and the same arithmetic per entry."""
+    """The fit as one Adam per weight array, over the dense reference
+    likelihood: the same initial draws, and the same arithmetic per entry."""
     n, d = X.shape
     K = targets.K
     rng = np.random.default_rng(seed)
@@ -121,7 +94,7 @@ def _reference_fit(X, targets, steps, lr, seed):
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = []
     for t in range(1, steps + 1):
-        ll, grads = glm.glm_log_likelihood(glm.GlmModel(**params), X, targets)
+        ll, grads = glm_log_likelihood_reference(glm.GlmModel(**params), X, targets)
         losses.append(-ll / n)
         for k in params:
             g = -grads[k] / n
@@ -199,6 +172,79 @@ class TestFit:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             glm.glm_fit(np.zeros((0, 2)), FaceBatch(np.zeros(0, dtype=np.int64), np.zeros((0, 2))))
+
+
+def _layout_targets(layout, n, K, seed):
+    """(X, targets) whose target faces take one layout: ``vertices`` (no row
+    has a Dirichlet term), ``full`` (every row on the full face) or
+    ``planted`` (planted data: vertices, edges and larger faces mixed)."""
+    rng = np.random.default_rng([110, n, K, seed])
+    if layout == "planted":
+        X, Y, _ = glm.make_planted_dataset(n=max(n, 2), K=K, d=3, seed=seed)
+        return X[:n], FaceBatch.from_coords(Y.coords[:n])
+    if layout == "vertices":
+        coords = np.eye(K)[rng.integers(0, K, n)]
+    else:
+        coords = rng.dirichlet(np.ones(K), n)
+    return rng.normal(0.0, 1.0, (n, 3)), FaceBatch.from_coords(coords)
+
+
+class TestKernelLayouts:
+    """The per-fit kernel bitwise against the dense reference on the target
+    layouts its compaction to the Dirichlet entries could get wrong."""
+
+    LAYOUTS = [("vertices", 30, 5), ("vertices", 1, 4), ("full", 30, 5), ("full", 1, 4), ("full", 20, 13),
+               ("planted", 1, 6), ("planted", 40, 2), ("planted", 40, 13)]
+
+    @pytest.mark.parametrize("layout, n, K", LAYOUTS)
+    def test_likelihood(self, layout, n, K):
+        X, Y = _layout_targets(layout, n, K, seed=1)
+        for scale in (0.5, 3.0):  # at scale 3 some clamps saturate
+            model = _random_model(np.random.default_rng([111, K]), K, 3, scale=scale)
+            ll, grads = glm.glm_log_likelihood(model, X, Y)
+            ref_ll, ref_grads = glm_log_likelihood_reference(model, X, Y)
+            assert ll == ref_ll
+            for k, ref in ref_grads.items():
+                assert np.array_equal(grads[k], ref), k
+
+    @pytest.mark.parametrize("layout, n, K", LAYOUTS)
+    def test_fit(self, layout, n, K):
+        X, Y = _layout_targets(layout, n, K, seed=2)
+        fit = glm.glm_fit(X, Y, steps=25, lr=0.5, seed=3)
+        params, losses = _reference_fit(X, Y, 25, 0.5, 3)
+        for k, ref in params.items():
+            assert np.array_equal(getattr(fit.model, k), ref), k
+        assert np.array_equal(fit.losses, losses)
+
+    def test_layouts_are_what_they_say(self):
+        sizes = {(layout, K): (_layout_targets(layout, n, K, seed=1)[1].coords > 0.0).sum(axis=1)
+                 for layout, n, K in self.LAYOUTS}
+        assert (sizes["vertices", 5] == 1).all() and (sizes["full", 13] == 13).all()
+        assert set(sizes["planted", 2]) == {1, 2}
+        assert (sizes["planted", 13] >= 8).any() and (sizes["planted", 13] < 8).any()
+
+
+class TestNonFinitePredictors:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejected_before_any_arithmetic(self, value):
+        X, Y, model = glm.make_planted_dataset(20, 4, 3, seed=1)
+        X[3, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="X must be finite"):
+                glm.glm_log_likelihood(model, X, Y)
+            with pytest.raises(ValueError, match="X must be finite"):
+                glm.glm_fit(X, Y, steps=5)
+
+    def test_nan_face_scores_raise(self):
+        # finite predictors, but an infinite weight times a zero predictor is NaN
+        X, Y, _ = glm.make_planted_dataset(20, 4, 3, seed=1)
+        X[0] = [0.0, 1.0, 1.0]
+        w_face = np.zeros((4, 3))
+        w_face[0, 0] = np.inf
+        model = glm.GlmModel(w_face, np.zeros(4), np.zeros((4, 3)), np.zeros(4))
+        with pytest.raises(ValueError, match="non-finite face scores"), np.errstate(invalid="ignore"):
+            glm.glm_log_likelihood(model, X, Y)
 
 
 class TestPredict:

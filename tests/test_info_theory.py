@@ -86,6 +86,16 @@ class TestMaxEntEntropy:
         with pytest.raises(ValueError):
             it.maxent_entropy(3, -1)
 
+    def test_validation_builds_no_class_weights(self, monkeypatch):
+        def fail(K, N):
+            raise AssertionError("maxent_entropy built the class weights")
+        monkeypatch.setattr(it, "maxent_log_weights", fail)
+        assert it.maxent_entropy(3, 0) == pytest.approx(np.log(6.5), abs=1e-12)
+        for K, N, message in [(1, 0, "K must be >= 2, got 1"), (3, -1, "N must be a nonnegative integer, got -1"),
+                              (3, 1.5, "N must be a nonnegative integer, got 1.5")]:
+            with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+                it.maxent_entropy(K, N)
+
 
 class TestMaxEntDistribution:
     def test_k2_n0_is_uniform_over_faces(self):
