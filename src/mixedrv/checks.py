@@ -808,8 +808,7 @@ def _check_glm_planted_recovery():
         fit = glm.glm_fit(X[tr], FaceBatch.from_coords(Y.coords[tr]), seed=seed)
         y_true = Y.coords[te]
         mpm = glm.predict_rows(fit.model, X[te], "most-probable-mean").coords
-        rngs = (np.random.default_rng(seed * 1000 + int(i)) for i in te)
-        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rngs=rngs).coords
+        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rng=rs).coords
         f1s.append(glm.zero_nonzero_macro_f1(y_true, mpm))
         gaps.append(glm.rmse(y_true, mpm) - glm.rmse(y_true, sm))
     _require(min(f1s) > 0.9, f"macro F1 {min(f1s):.4f} <= 0.9")

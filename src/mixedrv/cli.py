@@ -420,8 +420,7 @@ def cmd_fit_glm(args) -> int:
     fit = glm.glm_fit(X[tr], FaceBatch.from_coords(targets.coords[tr]), steps=args.steps, lr=args.lr,
                       seed=args.seed)
     y_true = targets.coords[te]
-    rngs = (np.random.default_rng([args.seed, j]) for j in range(te.size))
-    y_pred = glm.predict_rows(fit.model, X[te], args.predict, n=100, rngs=rngs).coords
+    y_pred = glm.predict_rows(fit.model, X[te], args.predict, n=100, rng=rng).coords
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(fit.model.to_json_dict(), fh)

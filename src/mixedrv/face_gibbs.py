@@ -199,8 +199,7 @@ def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
     """Face bitmasks from (n, K) uniforms under one face law's (K, 3)
     sampling table ``take`` (its ``take_probs``, or one row of
     ``sampling_tables``) or under one table per row (n, K, 3), by ancestral
-    sampling over the vertices.  Leading axes broadcast: (b, n, K) uniforms
-    under (b, 1, K, 3) tables give (b, n) masks.
+    sampling over the vertices.
 
     Row k of ``take`` holds vertex k's probability of being taken in the
     states "still empty" (``p_k / P(some j >= k is taken)``), "nonempty,

@@ -3,8 +3,9 @@
 Two linear maps take a predictor vector to (a) K face scores, clamped to
 [-10, 10], which parametrize the Gibbs face distribution, and (b) K
 concentration pre-activations, clamped to [-10, 10] before a softplus whose
-output is clamped to [1e-3, 1e3].  Targets may sit on any face of the
-simplex (sparse targets need no preprocessing), and the likelihood of a
+output is clamped below at 1e-3, so concentrations lie in [1e-3,
+softplus(10)] = [1e-3, 10.000045398899218].  Targets may sit on any face of
+the simplex (sparse targets need no preprocessing), and the likelihood of a
 target is its mixed log-density at the predicted parameters.
 
 Fitting is full-batch gradient ascent with adaptive per-parameter moments
@@ -21,7 +22,6 @@ Each step runs the concentration half on the Dirichlet entries only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,14 +29,13 @@ import numpy as np
 import scipy
 
 from . import face_gibbs
-from .mixed_dirichlet import MixedDirichlet, dirichlet_log_fill, draw_log_coords
+from .mixed_dirichlet import MixedDirichlet, draw_log_coords
 from .simplex import FaceBatch, SimplexPoint
 
 __all__ = [
     "SCORE_CLAMP",
     "PRE_CLAMP",
     "CONC_MIN",
-    "CONC_MAX",
     "GlmModel",
     "FitResult",
     "glm_log_likelihood",
@@ -52,12 +51,11 @@ __all__ = [
 SCORE_CLAMP = 10.0
 PRE_CLAMP = 10.0
 CONC_MIN = 1e-3
-CONC_MAX = 1e3
 
 
 @dataclass(frozen=True, eq=False)
 class GlmModel:
-    """Weights of the two linear maps (with biases)."""
+    """Weights of the two linear maps (with biases), all finite."""
 
     w_face: np.ndarray  # (K, d)
     b_face: np.ndarray  # (K,)
@@ -74,6 +72,8 @@ class GlmModel:
         if b_face.shape != (w_face.shape[0],) or b_conc.shape != b_face.shape:
             raise ValueError("biases must have shape (K,)")
         for a in (w_face, b_face, w_conc, b_conc):
+            if not np.isfinite(a).all():
+                raise ValueError("weights must be finite")
             a.flags.writeable = False
         object.__setattr__(self, "w_face", w_face)
         object.__setattr__(self, "b_face", b_face)
@@ -98,7 +98,7 @@ class GlmModel:
         rows = np.asarray(X, dtype=float)[:, None, :]
         scores = np.clip((rows @ self.w_face.T)[:, 0] + self.b_face, -SCORE_CLAMP, SCORE_CLAMP)
         pre = np.clip((rows @ self.w_conc.T)[:, 0] + self.b_conc, -PRE_CLAMP, PRE_CLAMP)
-        conc = np.clip(np.logaddexp(0.0, pre), CONC_MIN, CONC_MAX)
+        conc = np.maximum(np.logaddexp(0.0, pre), CONC_MIN)
         if np.isnan(scores).any() or np.isnan(conc).any():  # clipped, so NaN is the only non-finite value
             raise ValueError("predictors give non-finite scores or concentrations")
         return scores, conc
@@ -117,7 +117,7 @@ class GlmModel:
             "b_conc": self.b_conc.tolist(),
             "score_clamp": [-SCORE_CLAMP, SCORE_CLAMP],
             "pre_clamp": [-PRE_CLAMP, PRE_CLAMP],
-            "conc_clamp": [CONC_MIN, CONC_MAX],
+            "conc_clamp": [CONC_MIN, float(np.logaddexp(0.0, PRE_CLAMP))],
         }
 
     @classmethod
@@ -211,8 +211,8 @@ def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
         pre_c = (X @ W[K:].T + b[K:]).take(on)
         pre_cc = np.minimum(np.maximum(pre_c, -PRE_CLAMP), PRE_CLAMP)
         soft = np.logaddexp(0.0, pre_cc)
-        conc = np.minimum(np.maximum(soft, CONC_MIN), CONC_MAX)
-        gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN) & (soft < CONC_MAX)
+        conc = np.maximum(soft, CONC_MIN)
+        gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN)
         alpha_flat[on] = conc
         alpha0 = np.add.reduce(alpha, axis=1).take(on_rows)
         dir_flat[on] = (conc - 1.0) * log_y - gammaln(conc)
@@ -281,47 +281,26 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
 
 
 #: Draws made in one sample-mean block: 8 rows of the CLI's 100 draws.  The
-#: block's temporaries take about 40 bytes per draw and vertex and set the
-#: peak memory of ``fit-glm``.  At K = 6 on a 2-core x86-64 host, blocks of 8
-#: rows ran the predictions in 60% of the per-row time, and blocks of 16 in
-#: 57% at twice the memory.  A row with more draws is a block of its own.
+#: block's temporaries, the repeated sampling tables among them, take about
+#: 60 bytes per draw and vertex, so a block holds about 290 KB at K = 6
+#: however many rows are predicted; one pass over all rows would hold
+#: B x n x K x 60 bytes (115 MB for 2,000 rows).  At K = 6 on a 2-core x86-64 host,
+#: 96 rows took 6.5 ms in blocks of 8 rows and 6.1 ms in blocks of 16 (2,000
+#: rows: 127 and 120 ms), 6% less time at twice the memory.  A row with more
+#: draws is a block of its own.
 _BLOCK_DRAWS = 800
 
 
-def _sample_blocks(scores: np.ndarray, conc: np.ndarray, n: int, rngs: list):
-    """Yield n draws of the mixed law at each row's face scores and
-    concentrations (B, K), as arrays (b, n, K) over consecutive blocks of
-    ``max(1, _BLOCK_DRAWS // n)`` rows (fewer in the last block).
-
-    Row i consumes its own generator ``rngs[i]`` (a list of B distinct
-    generators) exactly as ``draw_log_coords`` of that row alone would:
-    n x K uniforms for the faces, then the Dirichlet step's two calls over
-    the row's on-face entries.  Everything else runs once per block.
-    """
-    if not (np.isfinite(conc).all() and (conc > 0.0).all()):
-        raise ValueError("concentrations must be finite and > 0")
-    take = face_gibbs.sampling_tables(scores)
-    K = conc.shape[1]
-    size = max(1, _BLOCK_DRAWS // n)
-    for lo in range(0, len(conc), size):
-        block = rngs[lo:lo + size]
-        masks = face_gibbs.masks_from_uniforms(np.stack([rng.random((n, K)) for rng in block]),
-                                               take[lo:lo + len(block), None]).ravel()
-        log_y = dirichlet_log_fill(masks, np.repeat(conc[lo:lo + len(block)], n, axis=0), block)
-        yield np.exp(log_y, out=log_y).reshape(len(block), n, K)
-
-
 def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 100,
-                 rngs=None) -> FaceBatch:
+                 rng: np.random.Generator | None = None) -> FaceBatch:
     """Point predictions at the rows of X (B, d), validated as one batch.
 
     ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
     face; ``sample-mean`` averages ``n`` draws from each row's predicted
-    distribution.  Its ``rngs`` yields one generator per row, the first B
-    of which are taken; each must belong to one row only, and is consumed
-    as ``sample_many`` of that row's distribution alone would (see
-    ``_sample_blocks``), so the predictions do not depend on how rows are
-    grouped into blocks.
+    distribution, all from the one generator ``rng``.  The rows are drawn in
+    consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows, each block one
+    ``draw_log_coords`` call with every row's table and concentrations
+    repeated n times, so the stream is consumed block after block.
     """
     scores, conc = model.row_params(X)
     preds = np.zeros_like(conc)
@@ -331,17 +310,17 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
             a = c[idx]
             preds[i, idx] = a / a.sum()
     elif rule == "sample-mean":
-        if rngs is None:
+        if rng is None:
             raise ValueError("sample-mean needs an rng")
-        rngs = list(itertools.islice(rngs, len(conc)))
-        if len(rngs) < len(conc):
-            raise ValueError(f"sample-mean needs one generator per row: {len(conc)} rows, {len(rngs)} generators")
-        if len({id(rng) for rng in rngs}) < len(rngs):
-            raise ValueError("sample-mean needs a distinct generator for each row")
-        lo = 0
-        for draws in _sample_blocks(scores, conc, n, rngs):
-            preds[lo:lo + len(draws)] = draws.mean(axis=1)
-            lo += len(draws)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        take = face_gibbs.sampling_tables(scores)
+        size = max(1, _BLOCK_DRAWS // n)
+        for lo in range(0, len(conc), size):
+            rows = slice(lo, lo + size)
+            m = len(conc[rows])
+            _, log_y = draw_log_coords(np.repeat(take[rows], n, 0), np.repeat(conc[rows], n, 0), m * n, rng)
+            preds[rows] = np.exp(log_y, out=log_y).reshape(m, n, -1).mean(axis=1)
     else:
         raise ValueError(f"unknown prediction rule {rule!r}")
     return FaceBatch.from_coords(preds)
@@ -351,7 +330,7 @@ def glm_predict(model: GlmModel, x, rule: str = "most-probable-mean",
                 n: int = 100, rng: np.random.Generator | None = None) -> SimplexPoint:
     """Point prediction at one predictor vector (``predict_rows`` on one row)."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
-    return SimplexPoint(predict_rows(model, X, rule, n, None if rng is None else [rng]).coords[0])
+    return SimplexPoint(predict_rows(model, X, rule, n, rng).coords[0])
 
 
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:

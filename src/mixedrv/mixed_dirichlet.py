@@ -101,8 +101,7 @@ class MixedDirichlet:
         return enumerate_faces(self.K), _face_weights(self)[1]
 
 
-def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray,
-                       rng: np.random.Generator | list[np.random.Generator]) -> np.ndarray:
+def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Log-coordinates (n, K) of Dirichlet points on the faces ``masks``
     (n,), with concentrations ``alpha`` (K,) or one row per point (n, K)
     restricted to each face: finite on the face, -inf off it, 0 at vertices.
@@ -110,31 +109,22 @@ def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray,
     Gammas are drawn in log space, ``log G(a) = log G(a + 1) + log(U) / a``
     (Marsaglia & Tsang 2000), so no coordinate underflows however small
     ``a`` is, and each row is normalized by a max-shifted logsumexp over
-    its face.  The stream is consumed in one block: one ``standard_gamma``
-    call over ``a + 1`` at every on-face entry of every row whose face has
-    two or more vertices, in row-major order, then one ``random`` call of
-    the same length, used as ``log(1 - U) / a``.  Vertices consume nothing.
+    its face.  ``rng`` makes two calls: one ``standard_gamma`` call over
+    ``a + 1`` at every on-face entry of every row whose face has two or
+    more vertices, in row-major order, then one ``random`` call of the same
+    length, used as ``log(1 - U) / a``.  Vertices consume nothing.
     Any concentration below ``SAMPLE_ALPHA_MIN`` raises ValueError before
     anything is drawn.
-
-    ``rng`` is one generator, or a list of R distinct generators that own
-    R equal runs of consecutive rows: each then makes the two calls over
-    its own run's entries, exactly as a fill of that run alone would.
     """
     if np.any(alpha < SAMPLE_ALPHA_MIN):
         raise ValueError(f"concentrations must be >= {SAMPLE_ALPHA_MIN!r} to be sampled, "
                          f"got {np.min(alpha):.4g}")
-    rngs = rng if isinstance(rng, list) else [rng]
     K = alpha.shape[-1]
     member = mask_members(masks, K)
     on = member & (member.sum(axis=1) > 1)[:, None]
     a = np.broadcast_to(alpha, member.shape)[on]
-    g = np.empty(a.size)
-    log_u = np.empty(a.size)
-    ends = np.cumsum(on.reshape(len(rngs), -1).sum(axis=1)).tolist()
-    for r, lo, hi in zip(rngs, [0] + ends, ends):
-        g[lo:hi] = r.standard_gamma(a[lo:hi] + 1.0)
-        log_u[lo:hi] = r.random(hi - lo)
+    g = rng.standard_gamma(a + 1.0)
+    log_u = rng.random(a.size)
     np.log1p(np.negative(log_u, out=log_u), out=log_u)  # log(1 - U) with U in [0, 1): never -inf
     log_u /= a
     np.log(g, out=g)

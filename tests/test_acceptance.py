@@ -229,8 +229,7 @@ def test_criterion_09_glm_planted_recovery():
         fit = glm.glm_fit(X[tr], FaceBatch.from_coords(Y.coords[tr]), seed=seed)
         y_true = Y.coords[te]
         mpm = glm.predict_rows(fit.model, X[te], "most-probable-mean").coords
-        rngs = (np.random.default_rng([seed, int(i)]) for i in te)
-        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rngs=rngs).coords
+        sm = glm.predict_rows(fit.model, X[te], "sample-mean", n=100, rng=rs).coords
         f1s.append(glm.zero_nonzero_macro_f1(y_true, mpm))
         gaps.append(glm.rmse(y_true, mpm) - glm.rmse(y_true, sm))
     elapsed = time.perf_counter() - t0

@@ -274,7 +274,7 @@ class TestGlmCommands:
         saved = json.loads(model.read_text())
         assert saved["k"] == 5 and saved["d"] == 4
         assert len(saved["w_face"]) == 5 and len(saved["w_face"][0]) == 4
-        assert saved["conc_clamp"] == [1e-3, 1e3]
+        assert saved["conc_clamp"] == [1e-3, 10.000045398899218]  # [CONC_MIN, softplus(PRE_CLAMP)]
 
     def test_schema_violation_exit_4(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
-import itertools
+import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -237,14 +238,38 @@ class TestNonFinitePredictors:
                 glm.glm_fit(X, Y, steps=5)
 
     def test_nan_face_scores_raise(self):
-        # finite predictors, but an infinite weight times a zero predictor is NaN
+        # a model's weights are finite (see TestNonFiniteWeights), but the
+        # kernel runs on glm_fit's flat weights, which it checks through the
+        # face scores: a NaN weight gives NaN scores
         X, Y, _ = glm.make_planted_dataset(20, 4, 3, seed=1)
-        X[0] = [0.0, 1.0, 1.0]
-        w_face = np.zeros((4, 3))
-        w_face[0, 0] = np.inf
-        model = glm.GlmModel(w_face, np.zeros(4), np.zeros((4, 3)), np.zeros(4))
-        with pytest.raises(ValueError, match="non-finite face scores"), np.errstate(invalid="ignore"):
-            glm.glm_log_likelihood(model, X, Y)
+        theta = np.zeros(2 * 4 * (3 + 1))
+        theta[0] = np.nan  # w_face[0, 0]
+        with pytest.raises(ValueError, match="non-finite face scores"):
+            glm._likelihood_kernel(X, Y)(theta, np.empty_like(theta))
+
+
+class TestNonFiniteWeights:
+    """A non-finite weight is rejected when the model is built: the clamps
+    would otherwise hide it (an infinite face weight gives scores of +/-10
+    and a finite likelihood)."""
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["w_face", "b_face", "w_conc", "b_conc"])
+    def test_model_rejects(self, name, value):
+        _, _, model = glm.make_planted_dataset(20, 4, 3, seed=1)
+        weights = {k: getattr(model, k).copy() for k in ("w_face", "b_face", "w_conc", "b_conc")}
+        weights[name].flat[0] = value
+        with pytest.raises(ValueError, match="weights must be finite"):
+            glm.GlmModel(**weights)
+
+    def test_model_file_rejects_infinity(self):
+        _, _, model = glm.make_planted_dataset(20, 4, 3, seed=1)
+        obj = model.to_json_dict()
+        obj["w_face"][0][0] = float("inf")
+        text = json.dumps(obj)
+        assert "Infinity" in text  # Python's json writes and reads it
+        with pytest.raises(ValueError, match="weights must be finite"):
+            glm.GlmModel.from_json_dict(json.loads(text))
 
 
 class TestPredict:
@@ -290,30 +315,45 @@ def _random_model(rng, K, d, scale=1.0):
 def _reference_draws(scores, conc, rng, fill):
     """Reference: one draw per row of (B, K) parameters from one generator,
     by the stream contract: B x K uniforms give the faces (row i under its
-    own law's table), then ``fill`` (the Dirichlet step in raw numpy)."""
+    own law's table, built once per run of equal rows), then ``fill`` (the
+    Dirichlet step in raw numpy)."""
     u = rng.random(scores.shape)
-    masks = np.concatenate([fg.masks_from_uniforms(u[i:i + 1], fg.GibbsFaceDistribution(s).take_probs)
-                            for i, s in enumerate(scores)])
+    starts = [i for i in range(len(scores)) if i == 0 or not np.array_equal(scores[i], scores[i - 1])]
+    masks = np.concatenate([fg.masks_from_uniforms(u[lo:hi], fg.GibbsFaceDistribution(scores[lo]).take_probs)
+                            for lo, hi in zip(starts, starts[1:] + [len(scores)])])
     return masks, fill(masks, conc, rng)
+
+
+def _sample_mean_reference(scores, conc, n, rng, fill):
+    """Reference ``sample-mean``: blocks of 800 // n rows (at least one),
+    each ``_reference_draws`` of its rows repeated n times, from one
+    generator consumed block after block; each row's mean over its draws."""
+    size = max(1, 800 // n)
+    means = []
+    for lo in range(0, len(scores), size):
+        s, c = scores[lo:lo + size], conc[lo:lo + size]
+        _, log_y = _reference_draws(np.repeat(s, n, 0), np.repeat(c, n, 0), rng, fill)
+        means.append(np.exp(log_y).reshape(len(s), n, -1).mean(axis=1))
+    return np.concatenate(means)
 
 
 def _row_case(K, case, rows=30, seed=0):
     rng = np.random.default_rng([K, seed])
     scores = np.clip(rng.normal(0.0, 3.0, (rows, K)), -glm.SCORE_CLAMP, glm.SCORE_CLAMP)
-    conc = np.exp(rng.uniform(np.log(glm.CONC_MIN), np.log(glm.CONC_MAX), (rows, K)))
+    conc = np.exp(rng.uniform(np.log(glm.CONC_MIN), np.log(1e3), (rows, K)))
     if case != "random":
         scores = rng.choice([-glm.SCORE_CLAMP, glm.SCORE_CLAMP], (rows, K))
         scores[:, 0] = glm.SCORE_CLAMP  # some faces with more than one vertex
     if case == "conc-min":
         conc = np.full((rows, K), glm.CONC_MIN)
     elif case == "conc-max":
-        conc = np.full((rows, K), glm.CONC_MAX)
+        conc = np.full((rows, K), 1e3)
     return scores, conc
 
 
 class TestRowBatchedSampling:
-    """One block of draws over all rows, and the sample-mean blocks with one
-    generator per row, bitwise against the stream contract in raw numpy."""
+    """One block of draws over all rows, and the sample-mean blocks from one
+    generator, bitwise against the stream contract in raw numpy."""
 
     CASES = ["random", "clamped", "conc-min", "conc-max"]
 
@@ -326,17 +366,6 @@ class TestRowBatchedSampling:
         ref_masks, ref_log_y = _reference_draws(scores, conc, b, log_space_fill)
         assert np.array_equal(masks, ref_masks) and np.array_equal(log_y, ref_log_y)
         assert a.random() == b.random()  # the same stream consumed
-
-    @pytest.mark.parametrize("K", [2, 6, 13])
-    @pytest.mark.parametrize("case", CASES)
-    def test_per_row_generators(self, K, case, log_space_fill):
-        scores, conc = _row_case(K, case, rows=8)
-        blocks = list(glm._sample_blocks(scores, conc, 100, [np.random.default_rng([2, i]) for i in range(8)]))
-        got = np.concatenate(blocks)
-        assert got.shape == (8, 100, K)
-        for i, (s, c) in enumerate(zip(scores, conc)):
-            _, ref_log_y = _reference_draws(np.tile(s, (100, 1)), c, np.random.default_rng([2, i]), log_space_fill)
-            assert np.array_equal(got[i], np.exp(ref_log_y))
 
     @pytest.mark.parametrize("K", [2, 6, 13])
     def test_no_ties_at_conc_min(self, K):
@@ -365,7 +394,7 @@ class TestRowBatchedSampling:
                 pre_f = x[None, :] @ model.w_face.T + model.b_face
                 pre_c = np.clip(x[None, :] @ model.w_conc.T + model.b_conc, -glm.PRE_CLAMP, glm.PRE_CLAMP)
                 assert np.array_equal(np.clip(pre_f[0], -glm.SCORE_CLAMP, glm.SCORE_CLAMP), s)
-                assert np.array_equal(np.clip(np.logaddexp(0.0, pre_c[0]), glm.CONC_MIN, glm.CONC_MAX), c)
+                assert np.array_equal(np.maximum(np.logaddexp(0.0, pre_c[0]), glm.CONC_MIN), c)
 
     def test_planted_dataset_is_one_block(self, log_space_fill):
         X, Y, true_model = glm.make_planted_dataset(n=200, K=6, d=4, seed=11)
@@ -377,77 +406,75 @@ class TestRowBatchedSampling:
         assert np.array_equal(Y.log_coords, ref_log_y) and np.array_equal(Y.coords, np.exp(ref_log_y))
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
-    def test_predictions_match_per_row_reference(self, rule):
+    def test_predictions_match_per_row_reference(self, rule, log_space_fill):
         rng = np.random.default_rng(105)
         model = _random_model(rng, 7, 3, scale=2.0)
         X = rng.normal(0.0, 1.0, (25, 3))
-        batch = glm.predict_rows(model, X, rule, n=50, rngs=(np.random.default_rng([4, i]) for i in range(25)))
+        batch = glm.predict_rows(model, X, rule, n=50, rng=np.random.default_rng(4))
+        if rule == "sample-mean":
+            ref = _sample_mean_reference(*model.row_params(X), 50, np.random.default_rng(4), log_space_fill)
+            assert np.array_equal(batch.coords, ref)
         for i, x in enumerate(X):
             md = model.mixed_at(x)
             if rule == "sample-mean":
+                # one row is one block: its n draws are sample_many's
                 ref = sample_many(md, 50, np.random.default_rng([4, i])).coords.mean(axis=0)
             else:
                 on = (fg.most_probable_face(md.faces) >> np.arange(7)) & 1 == 1
                 ref = np.zeros(7)
                 ref[on] = md.alpha[on] / md.alpha[on].sum()
-            assert np.array_equal(batch.coords[i], ref)
+                assert np.array_equal(batch.coords[i], ref)
             one = glm.glm_predict(model, x, rule, n=50, rng=np.random.default_rng([4, i]))
             assert np.array_equal(one.coords, ref)
 
     @pytest.mark.parametrize("K", [2, 13, 20])
     @pytest.mark.parametrize("B", [1, 16, 37])
     @pytest.mark.parametrize("n", [100, 1700])
-    def test_sample_mean_blocks_match_per_row_reference(self, K, B, n):
-        # 16 rows of 100 draws make one block, so B = 37 ends on a partial
-        # block; 1700 draws make a block of one row.  Every row's mean is
-        # its own draws' mean, whichever block the row falls in
+    def test_sample_mean_blocks_match_per_row_reference(self, K, B, n, log_space_fill):
+        # bitwise the block-by-block reference, whose faces and Dirichlet
+        # step are written out row by row.  8 rows of 100 draws make one
+        # block, so B = 16 is two whole blocks and B = 37 ends on a partial
+        # block; 1700 draws make a block of one row
         rng = np.random.default_rng([106, K, B])
         model = _random_model(rng, K, 3, scale=2.0)
         X = rng.normal(0.0, 1.0, (B, 3))
-        rngs = [np.random.default_rng([5, i]) for i in range(B)]
-        batch = glm.predict_rows(model, X, "sample-mean", n=n, rngs=iter(rngs))
-        for i, x in enumerate(X):
-            ref_rng = np.random.default_rng([5, i])
-            ref = sample_many(model.mixed_at(x), n, ref_rng).coords.mean(axis=0)
-            assert np.array_equal(batch.coords[i], ref)
-            assert rngs[i].random() == ref_rng.random()  # each row's stream consumed alike
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        batch = glm.predict_rows(model, X, "sample-mean", n=n, rng=got_rng)
+        ref = _sample_mean_reference(*model.row_params(X), n, ref_rng, log_space_fill)
+        assert np.array_equal(batch.coords, ref)
+        assert got_rng.random() == ref_rng.random()  # the stream left where the reference leaves it
 
-    def test_sample_mean_takes_one_generator_per_row(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_sample_mean_rejects_too_few_draws(self, n):
         model = _random_model(np.random.default_rng(107), 3, 2)
-        X = np.zeros((3, 2))
-        rngs = [np.random.default_rng(i) for i in range(3)]
-        with pytest.raises(ValueError, match="one generator per row"):
-            glm.predict_rows(model, X, "sample-mean", rngs=rngs[:1])
-        with pytest.raises(ValueError, match="one generator per row"):
-            glm.predict_rows(model, X, "sample-mean", rngs=iter(rngs[:2]))
-        # nothing was drawn from the generators that were given
-        assert rngs[0].random() == np.random.default_rng(0).random()
-        assert rngs[1].random() == np.random.default_rng(1).random()
-        # a longer iterable gives the first B generators; the rest are left as they were
-        rest = iter([np.random.default_rng(10 + i) for i in range(5)])
-        glm.predict_rows(model, X, "sample-mean", rngs=rest)
-        assert next(rest).random() == np.random.default_rng(13).random()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            glm.predict_rows(model, np.zeros((3, 2)), "sample-mean", n=n, rng=rng)
+        assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
-    def test_sample_mean_rejects_a_shared_generator(self):
-        model = _random_model(np.random.default_rng(108), 3, 2)
-        shared = np.random.default_rng(0)
-        for rngs in ([shared] * 3, [np.random.default_rng(1), shared, shared]):
-            with pytest.raises(ValueError, match="distinct generator"):
-                glm.predict_rows(model, np.zeros((3, 2)), "sample-mean", rngs=rngs)
-        assert shared.random() == np.random.default_rng(0).random()
+    def test_sample_mean_memory_is_bounded_by_the_blocks(self):
+        """Blocks of rows bound the memory: 2,000 rows of 100 draws at K = 6
+        hold far less at once than one pass over all the draws would."""
+        model = _random_model(np.random.default_rng(108), 6, 3)
+        X = np.random.default_rng(109).normal(0.0, 1.0, (2000, 3))
+        tracemalloc.start()
+        try:
+            glm.predict_rows(model, X, "sample-mean", n=100, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one pass over all rows would hold the repeated tables alone, a
+        # float64 (B x n, K, 3) array of 28.8 MB; the blocks hold 800 draws
+        # at a time, and what grows with B is only the per-row parameters
+        draws = 2000 * 100 * 6 * 8  # one float64 (B x n, K) array: 9.6 MB
+        assert peak < draws / 4
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
     def test_rejects_nan_predictors(self, rule):
         model = glm.GlmModel(np.ones((3, 2)), np.zeros(3), np.zeros((3, 2)), np.zeros(3))
         X = np.array([[0.5, 0.1], [np.inf, 0.0]])  # inf * 0 = NaN in the concentrations only
         with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
-            glm.predict_rows(model, X, rule, rngs=itertools.repeat(np.random.default_rng(0)))
-
-    def test_rejects_bad_concentrations(self):
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError, match="concentrations"):
-                next(glm._sample_blocks(np.zeros((1, 3)), np.array([[1.0, bad, 1.0]]), 1,
-                                        [np.random.default_rng(0)]))
+            glm.predict_rows(model, X, rule, rng=np.random.default_rng(0))
 
     def test_rejects_unknown_rule(self):
         model = _random_model(np.random.default_rng(106), 3, 2)
