@@ -16,6 +16,10 @@ Exit codes: 0 success, 1 check failure, 2 usage or spec error, 3 I/O error,
 4 data-format error.  All commands are deterministic given their seed and
 inputs.  Entropies are in nats unless ``--bits`` is given.  Faces in files
 are sorted lists of 1-based vertex indices.
+
+A command imports the modules and SciPy functions that only some commands
+use inside its own function, so a fresh process loads only what its
+command uses.
 """
 
 from __future__ import annotations
@@ -29,9 +33,7 @@ import sys
 from collections import Counter
 
 import numpy as np
-import scipy
 
-from . import glm, info_theory
 from .distspec import SpecError, load_spec_file
 from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError
 
@@ -65,6 +67,10 @@ def cmd_maxent(args) -> int:
         raise CliError(EXIT_USAGE, "--k must be >= 2")
     if args.n_max < 0:
         raise CliError(EXIT_USAGE, "--n-max must be >= 0")
+    from scipy.special import gammaln
+
+    from . import info_theory
+
     rows = []
     for K in range(2, args.k + 1):
         for N in range(0, args.n_max + 1):
@@ -73,7 +79,7 @@ def cmd_maxent(args) -> int:
                 "N": N,
                 "H_maxent": _to_unit(info_theory.maxent_entropy(K, N), args.bits),
                 "H_discrete": _to_unit(math.log(K), args.bits),
-                "H_continuous": _to_unit(-float(scipy.special.gammaln(K)) + 0.0, args.bits) if K > 2 else 0.0,
+                "H_continuous": _to_unit(-float(gammaln(K)) + 0.0, args.bits) if K > 2 else 0.0,
             })
     if args.format == "json":
         print(json.dumps(rows))
@@ -175,6 +181,8 @@ def cmd_entropy(args) -> int:
         return EXIT_OK
     if not spec.supports_log_density:
         raise CliError(EXIT_USAGE, f"kind {spec.kind!r} has no density; mc entropy unavailable")
+    from . import info_theory
+
     seed = _resolve_seed(args.seed, spec.default_seed)
     est = info_theory.direct_sum_entropy_mc(spec.dist, args.samples, np.random.default_rng(seed))
     _print_json({
@@ -200,6 +208,8 @@ def cmd_kl(args) -> int:
         return EXIT_OK
     if not (spec_p.supports_log_density and spec_q.supports_log_density):
         raise CliError(EXIT_USAGE, "mc KL needs both kinds to expose a density")
+    from . import info_theory
+
     seed = _resolve_seed(args.seed, spec_p.default_seed)
     est = info_theory.direct_sum_kl_mc(spec_p.dist, spec_q.dist, args.samples, np.random.default_rng(seed))
     if est.is_infinite:
@@ -409,6 +419,8 @@ def cmd_fit_glm(args) -> int:
         raise CliError(EXIT_USAGE, "--steps must be >= 1")
     if not (math.isfinite(args.lr) and args.lr > 0.0):
         raise CliError(EXIT_USAGE, "--lr must be finite and > 0")
+    from . import glm
+
     X, targets = _read_glm_csv(args.data)
     n = len(targets)
     rng = np.random.default_rng(args.seed)
@@ -451,6 +463,8 @@ def cmd_gen_glm_data(args) -> int:
         raise CliError(EXIT_USAGE, "--rows >= 2, --k >= 2 and --d >= 1 required")
     if args.k > MAX_BITMASK_K:
         raise CliError(EXIT_USAGE, f"--k must be <= {MAX_BITMASK_K}")
+    from . import glm
+
     X, targets, _ = glm.make_planted_dataset(n=args.rows, K=args.k, d=args.d, seed=args.seed)
     header = [f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]
     try:

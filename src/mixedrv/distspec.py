@@ -10,6 +10,9 @@ Supported kinds: ``mixed-dirichlet``, ``gaussian-sparsemax``,
 An optional ``seed`` key supplies a default sampling seed (a ``--seed``
 flag wins).  Unknown keys are rejected so that a spec file reproduces one
 distribution unambiguously.
+
+A kind's module is imported only when a spec of that kind is parsed or
+evaluated, so loading a spec loads no other kind's module.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import extrinsic, info_theory, mixed_dirichlet
 
 __all__ = ["SpecError", "ParsedSpec", "parse_spec", "load_spec_file", "KINDS"]
 
@@ -91,10 +92,14 @@ class ParsedSpec:
     def exact_entropy(self) -> float:
         """Exact direct-sum entropy, for the kinds that expose one."""
         if self.kind == "mixed-dirichlet":
+            from . import mixed_dirichlet
+
             return mixed_dirichlet.entropy(self.dist)
         if self.kind == "maxent":
             return self.dist.direct_sum_entropy()
         if self.kind == "gaussian-sparsemax" and self.K == 2:
+            from . import extrinsic
+
             z, s = extrinsic.gs2_params(self.dist)
             return extrinsic.gs2_entropy(z, s)
         raise SpecError(f"exact entropy is not available for kind {self.kind!r} (K={self.K})")
@@ -106,8 +111,12 @@ class ParsedSpec:
         if self.K != other.K:
             raise SpecError(f"dimension mismatch: {self.K} vs {other.K}")
         if self.kind == other.kind == "mixed-dirichlet":
+            from . import mixed_dirichlet
+
             return mixed_dirichlet.kl_mixed(self.dist, other.dist)
         if self.kind == other.kind == "gaussian-sparsemax" and self.K == 2:
+            from . import extrinsic
+
             zp, sp = extrinsic.gs2_params(self.dist)
             zq, sq = extrinsic.gs2_params(other.dist)
             return extrinsic.gs2_kl(zp, sp, zq, sq)
@@ -131,28 +140,36 @@ def parse_spec(obj: dict) -> ParsedSpec:
         raise SpecError("field 'seed' must be a nonnegative integer")
     try:
         if kind == "mixed-dirichlet":
+            from .mixed_dirichlet import MixedDirichlet
+
             _check_keys(obj, {"w", "alpha"})
             w = _vector(obj, "w")
             alpha = _vector(obj, "alpha")
             _check_k(obj, w.size)
-            dist = mixed_dirichlet.MixedDirichlet(w, alpha)
+            dist = MixedDirichlet(w, alpha)
             return ParsedSpec(kind, dist, dist.K, seed)
         if kind == "gaussian-sparsemax":
+            from .extrinsic import GaussianSparsemax
+
             _check_keys(obj, {"mu", "sigma"})
             mu = _vector(obj, "mu")
             sigma = _vector(obj, "sigma")
             _check_k(obj, mu.size)
-            dist = extrinsic.GaussianSparsemax(mu, sigma)
+            dist = GaussianSparsemax(mu, sigma)
             return ParsedSpec(kind, dist, dist.K, seed)
         if kind == "kd-hard-concrete":
+            from .extrinsic import KDHardConcrete
+
             _check_keys(obj, {"z", "beta", "lambda"})
             z = _vector(obj, "z")
             _check_k(obj, z.size)
-            d = extrinsic.KDHardConcrete(z, _scalar(obj, "beta"), _scalar(obj, "lambda", 1.1))
+            d = KDHardConcrete(z, _scalar(obj, "beta"), _scalar(obj, "lambda", 1.1))
             return ParsedSpec(kind, d, d.K, seed)
         if kind == "binary-hard-concrete":
+            from .extrinsic import BinaryHardConcrete
+
             _check_keys(obj, {"log_alpha", "beta", "l", "r"})
-            d = extrinsic.BinaryHardConcrete(
+            d = BinaryHardConcrete(
                 _scalar(obj, "log_alpha"),
                 _scalar(obj, "beta"),
                 _scalar(obj, "l", -0.1),
@@ -160,16 +177,20 @@ def parse_spec(obj: dict) -> ParsedSpec:
             )
             return ParsedSpec(kind, d, 2, seed)
         if kind == "maxent":
+            from .info_theory import MaxEntMixed
+
             _check_keys(obj, {"n"})
             if "k" not in obj:
                 raise SpecError("maxent needs field 'k'")
-            dist = info_theory.MaxEntMixed(_integer(obj, "k"), _integer(obj, "n") if "n" in obj else 0)
+            dist = MaxEntMixed(_integer(obj, "k"), _integer(obj, "n") if "n" in obj else 0)
             return ParsedSpec(kind, dist, dist.K, seed)
         if kind == "concrete":
+            from .extrinsic import Concrete
+
             _check_keys(obj, {"z", "beta"})
             z = _vector(obj, "z")
             _check_k(obj, z.size)
-            dist = extrinsic.Concrete(z, _scalar(obj, "beta"))
+            dist = Concrete(z, _scalar(obj, "beta"))
             return ParsedSpec(kind, dist, dist.K, seed)
     except SpecError:
         raise

@@ -23,7 +23,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, sparsemax_rows
 
@@ -165,9 +164,11 @@ def _check_sigma(sigma: float) -> float:
 
 def gs2_face_probs(z: float, sigma: float) -> tuple[float, float, float]:
     """(mass at 0, mass at 1, interior mass) of clamp(N(z, sigma^2), 0, 1)."""
+    from scipy.special import ndtr
+
     sigma = _check_sigma(sigma)
-    p0 = float(scipy.special.ndtr(-z / sigma))
-    p1 = float(scipy.special.ndtr((z - 1.0) / sigma))
+    p0 = float(ndtr(-z / sigma))
+    p1 = float(ndtr((z - 1.0) / sigma))
     return p0, p1, max(1.0 - p0 - p1, 0.0)
 
 
@@ -177,9 +178,11 @@ def _truncated_moments(z: float, sigma: float) -> tuple[float, float, float]:
     Returns (M0, M1, M2) with M_j = integral of t^j * pdf(t) over the
     interval; M0 is the interior mass.
     """
+    from scipy.special import ndtr
+
     a = -z / sigma
     b = (1.0 - z) / sigma
-    m0 = float(scipy.special.ndtr(b) - scipy.special.ndtr(a))
+    m0 = float(ndtr(b) - ndtr(a))
     m1 = float(_norm_pdf(a) - _norm_pdf(b))
     m2 = m0 - float(b * _norm_pdf(b)) + float(a * _norm_pdf(a))
     return m0, m1, m2
@@ -192,11 +195,13 @@ def gs2_entropy(z: float, sigma: float) -> float:
     ``-int_0^1 N(y; z, sigma^2) log N(y; z, sigma^2) dy`` expressed through
     truncated normal moments.
     """
+    from scipy.special import xlogy
+
     sigma = _check_sigma(sigma)
     p0, p1, _ = gs2_face_probs(z, sigma)
     m0, _, m2 = _truncated_moments(z, sigma)
     cont = m0 * 0.5 * np.log(2.0 * np.pi * sigma**2) + 0.5 * m2
-    return float(-scipy.special.xlogy(p0, p0) - scipy.special.xlogy(p1, p1) + cont)
+    return float(-xlogy(p0, p0) - xlogy(p1, p1) + cont)
 
 
 def _kl_term(p: float, q: float) -> float:
@@ -268,17 +273,21 @@ _Z_MAX = 1e150
 # coordinate's parameters.
 
 def _log_f(v, m, t, row, mu_e, sigma_e) -> np.ndarray:
+    from scipy.special import log_ndtr
+
     z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     dv = v - m
-    return np.bincount(row, scipy.special.log_ndtr(z), v.size) - 0.5 * t * dv * dv
+    return np.bincount(row, log_ndtr(z), v.size) - 0.5 * t * dv * dv
 
 
 def _log_f_slope(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """First derivative of ``_log_f``, with each entry's z and inverse Mills
     ratio."""
+    from scipy.special import erfcx
+
     z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     # inverse Mills ratio phi(z) / Phi(z), free of cancellation in both tails
-    lam = _SQRT_2_OVER_PI / scipy.special.erfcx(z * -np.sqrt(0.5))
+    lam = _SQRT_2_OVER_PI / erfcx(z * -np.sqrt(0.5))
     return np.bincount(row, lam / sigma_e, v.size) - t * (v - m), z, lam
 
 
@@ -371,6 +380,8 @@ def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi:
     at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel.  The
     step product is evaluated once; each row only adds its Gaussian
     log-weight."""
+    from scipy.special import log_ndtr
+
     x, w = quad.points_weights()
     h = float(np.min(hi - lo)) / quad.panels
     a = float(lo.min())
@@ -381,7 +392,7 @@ def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi:
         edges = np.union1d(edges, steps[(steps > a) & (steps < edges[-1])])
     half = np.diff(edges)[:, None] / 2.0
     v = ((edges[:-1, None] + half) + half * x).ravel()
-    base = np.log((half * w).ravel()) + scipy.special.log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
+    base = np.log((half * w).ravel()) + log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
     out = np.empty(m.size)
     step = max(1, _ORTHANT_CHUNK // v.size)
     for i in range(0, m.size, step):
@@ -551,7 +562,9 @@ class BinaryHardConcrete:
 
 def binary_hard_concrete_from_logistic(d: BinaryHardConcrete, noise) -> np.ndarray:
     """Map standard-logistic noise through the stretch-and-clamp transform."""
-    s = scipy.special.expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
+    from scipy.special import expit
+
+    s = expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
     return np.clip(s * (d.r - d.l) + d.l, 0.0, 1.0)
 
 

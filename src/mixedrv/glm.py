@@ -11,7 +11,8 @@ target is its mixed log-density at the predicted parameters.
 Fitting is full-batch gradient ascent with adaptive per-parameter moments
 (Adam), learning rate 0.1, for exactly 400 steps by default.  Both linear
 maps carry a bias term; predictors are used as-is (no standardization) and
-must be finite.
+must be finite, and so must their products with the weights: a product that
+overflows raises ValueError rather than reach a clamp.
 
 The likelihood and its gradient run on one kernel per fit
 (``_likelihood_kernel``), which computes what depends on the targets alone
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import face_gibbs
 from .mixed_dirichlet import MixedDirichlet, draw_log_coords
@@ -51,6 +51,10 @@ __all__ = [
 SCORE_CLAMP = 10.0
 PRE_CLAMP = 10.0
 CONC_MIN = 1e-3
+
+#: Message of the ValueError raised where a row's products with the weights
+#: overflow: the clamps would otherwise turn +-inf, or NaN, into a bound.
+_NON_FINITE = "predictors and weights give non-finite face scores or concentration pre-activations"
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +100,13 @@ class GlmModel:
         ``X @ W.T`` rounds the last bit differently for most rows.
         """
         rows = np.asarray(X, dtype=float)[:, None, :]
-        scores = np.clip((rows @ self.w_face.T)[:, 0] + self.b_face, -SCORE_CLAMP, SCORE_CLAMP)
-        pre = np.clip((rows @ self.w_conc.T)[:, 0] + self.b_conc, -PRE_CLAMP, PRE_CLAMP)
-        conc = np.maximum(np.logaddexp(0.0, pre), CONC_MIN)
-        if np.isnan(scores).any() or np.isnan(conc).any():  # clipped, so NaN is the only non-finite value
-            raise ValueError("predictors give non-finite scores or concentrations")
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that overflows is reported below
+            pre_f = (rows @ self.w_face.T)[:, 0] + self.b_face
+            pre_c = (rows @ self.w_conc.T)[:, 0] + self.b_conc
+        if not (np.isfinite(pre_f).all() and np.isfinite(pre_c).all()):
+            raise ValueError(_NON_FINITE)
+        scores = np.clip(pre_f, -SCORE_CLAMP, SCORE_CLAMP)
+        conc = np.maximum(np.logaddexp(0.0, np.clip(pre_c, -PRE_CLAMP, PRE_CLAMP)), CONC_MIN)
         return scores, conc
 
     def mixed_at(self, x) -> MixedDirichlet:
@@ -150,7 +156,8 @@ def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, d
     kernel = _likelihood_kernel(X, targets)
     theta = np.concatenate([model.w_face.ravel(), model.w_conc.ravel(), model.b_face, model.b_conc])
     grad = np.empty_like(theta)
-    ll = kernel(theta, grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # the kernel raises where a product overflows
+        ll = kernel(theta, grad)
     g_w, g_b = _split_flat(grad, K, model.d)
     return ll, {"w_face": g_w[:K], "b_face": g_b[:K], "w_conc": g_w[K:], "b_conc": g_b[K:]}
 
@@ -177,10 +184,19 @@ def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
     and ``expit`` only on the Dirichlet entries; their results are scattered
     into the buffers before every row or column sum, so each sum runs over
     the same (n, K) layout as a dense pass would, in numpy's order.  Each map
-    keeps its own matrix products, on views of ``theta`` and ``grad``: one
-    (n, 2K) product rounds differently from the two (n, K) ones for some
-    shapes (d = 1, or one row with d >= 8).
+    keeps its own matrix products, on views of ``theta`` and ``grad`` (the
+    pre-activations are one stacked matmul, a batch of the two (n, K)
+    products): one (n, 2K) product rounds differently from the two (n, K)
+    ones for some shapes (d = 1, or one row with d >= 8).
+
+    A face score or concentration pre-activation that is not finite (a
+    product that overflows) raises ValueError.  Callers run the kernel under
+    ``np.errstate(over="ignore", invalid="ignore")``, so that numpy's
+    overflow warning does not come first; ``glm_fit`` enters it once per
+    fit, not once per step.
     """
+    from scipy.special import digamma, expit, gammaln
+
     if not np.isfinite(X).all():
         raise ValueError("X must be finite")
     d = X.shape[1]
@@ -195,20 +211,20 @@ def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
     log_y = np.log(coords.ravel()[on])
     alpha, dir_terms, g_conc = np.zeros((3, n, K))  # zero off the Dirichlet entries, at every step
     alpha_flat, dir_flat, g_conc_flat = alpha.ravel(), dir_terms.ravel(), g_conc.ravel()
-    gammaln, digamma, expit = scipy.special.gammaln, scipy.special.digamma, scipy.special.expit
 
     def kernel(theta: np.ndarray, grad: np.ndarray) -> float:
         W, b = _split_flat(theta, K, d)
         g_w, g_b = _split_flat(grad, K, d)
-        pre_f = X @ W[:K].T + b[:K]
+        pre = np.matmul(X, W.reshape(2, K, d).transpose(0, 2, 1)) + b.reshape(2, 1, K)
+        if not np.isfinite(pre).all():
+            raise ValueError(_NON_FINITE)
+        pre_f, pre_c = pre
         scores = np.minimum(np.maximum(pre_f, -SCORE_CLAMP), SCORE_CLAMP)
-        if np.isnan(scores).any():  # clamped, so NaN is the only non-finite value
-            raise ValueError("weights give non-finite face scores")
         log_z, expected_phi = face_gibbs._log_z_and_grad(scores)
         ll_face = np.add.reduce(scores * phi, axis=1) - log_z
         g_scores = (phi - expected_phi) * (np.abs(pre_f) < SCORE_CLAMP)
 
-        pre_c = (X @ W[K:].T + b[K:]).take(on)
+        pre_c = pre_c.take(on)
         pre_cc = np.minimum(np.maximum(pre_c, -PRE_CLAMP), PRE_CLAMP)
         soft = np.logaddexp(0.0, pre_cc)
         conc = np.maximum(soft, CONC_MIN)
@@ -260,23 +276,26 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     grad, g, m, v, step, den = np.zeros((6, theta.size))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     losses = np.empty(steps)
-    for t in range(1, steps + 1):
-        losses[t - 1] = -kernel(theta, grad) / n
-        np.divide(grad, -n, out=g)
-        m *= beta1
-        np.multiply(1.0 - beta1, g, out=step)
-        m += step
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=step)
-        step *= g
-        v += step
-        np.divide(m, 1.0 - beta1**t, out=step)
-        step *= lr
-        np.divide(v, 1.0 - beta2**t, out=den)
-        np.sqrt(den, out=den)
-        den += eps
-        step /= den
-        theta -= step
+    # the kernel raises where a product overflows; weights that an update
+    # made non-finite raise there too, at the next step or in GlmModel
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, steps + 1):
+            losses[t - 1] = -kernel(theta, grad) / n
+            np.divide(grad, -n, out=g)
+            m *= beta1
+            np.multiply(1.0 - beta1, g, out=step)
+            m += step
+            v *= beta2
+            np.multiply(1.0 - beta2, g, out=step)
+            step *= g
+            v += step
+            np.divide(m, 1.0 - beta1**t, out=step)
+            step *= lr
+            np.divide(v, 1.0 - beta2**t, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            step /= den
+            theta -= step
     return FitResult(GlmModel(W[:K], b[:K], W[K:], b[K:]), losses)
 
 

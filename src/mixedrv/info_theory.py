@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
-import scipy
 
 from .mixed_dirichlet import EXACT_ENUM_MAX_K, dirichlet_log_fill
 from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, mask_members
@@ -122,7 +121,9 @@ def coding_entropy(masks, probs, base_entropy: float, N: int) -> float:
 
 def _log_binom(K, k):
     """``log C(K, k)``, elementwise in ``k``."""
-    return scipy.special.gammaln(K + 1) - scipy.special.gammaln(k + 1) - scipy.special.gammaln(K - k + 1)
+    from scipy.special import gammaln
+
+    return gammaln(K + 1) - gammaln(k + 1) - gammaln(K - k + 1)
 
 
 def _check_maxent_args(K: int, N: int):
@@ -135,9 +136,11 @@ def _check_maxent_args(K: int, N: int):
 def maxent_log_weights(K: int, N: int) -> np.ndarray:
     """Unnormalized log-probabilities of the face-dimension classes k=1..K:
     ``log C(K,k) + N(k-1) log2 - log (k-1)!``, all in log space."""
+    from scipy.special import gammaln
+
     _check_maxent_args(K, N)
     k = np.arange(1, K + 1)
-    return _log_binom(K, k) + N * (k - 1) * _LN2 - scipy.special.gammaln(k)
+    return _log_binom(K, k) + N * (k - 1) * _LN2 - gammaln(k)
 
 
 def _log_laguerre_at_minus_pow2(n: int, alpha: float, N: int) -> float:
@@ -186,8 +189,10 @@ class MaxEntMixed:
     g: np.ndarray
 
     def __init__(self, K: int, N: int):
+        from scipy.special import logsumexp
+
         logw = maxent_log_weights(K, N)
-        g = np.exp(logw - scipy.special.logsumexp(logw))
+        g = np.exp(logw - logsumexp(logw))
         g.flags.writeable = False
         object.__setattr__(self, "K", int(K))
         object.__setattr__(self, "N", int(N))
@@ -198,9 +203,11 @@ class MaxEntMixed:
         ``log (k-1)!`` on a face with k vertices."""
         if batch.K != self.K:
             raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
+        from scipy.special import gammaln
+
         k = np.arange(1, self.K + 1)
         with np.errstate(divide="ignore"):
-            by_size = np.log(self.g) - _log_binom(self.K, k) + scipy.special.gammaln(k)
+            by_size = np.log(self.g) - _log_binom(self.K, k) + gammaln(k)
         return by_size[batch.members().sum(axis=1) - 1]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
@@ -219,10 +226,12 @@ class MaxEntMixed:
 
     def direct_sum_entropy(self) -> float:
         """Exact H(F) + E[flat entropy]; equals maxent_entropy at N=0."""
+        from scipy.special import gammaln
+
         k = np.arange(1, self.K + 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(self.g > 0, self.g * (np.log(self.g) - _log_binom(self.K, k)), 0.0)
-        return float(-terms.sum() - self.g @ scipy.special.gammaln(k))
+        return float(-terms.sum() - self.g @ gammaln(k))
 
 
 def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import face_gibbs
 from .simplex import FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
@@ -160,9 +159,11 @@ def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBat
 def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concentrations restricted to each row's face (0 off it) and their
     log multivariate Beta function."""
+    from scipy.special import gammaln
+
     alpha_m = np.where(member, alpha, 0.0)
-    log_gammas = np.where(member, scipy.special.gammaln(alpha), 0.0).sum(axis=1)
-    return alpha_m, log_gammas - scipy.special.gammaln(alpha_m.sum(axis=1))
+    log_gammas = np.where(member, gammaln(alpha), 0.0).sum(axis=1)
+    return alpha_m, log_gammas - gammaln(alpha_m.sum(axis=1))
 
 
 def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndarray) -> np.ndarray:
@@ -180,19 +181,23 @@ def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray
     """Dirichlet entropy ``log B(a) + (a0 - m) psi(a0) - sum_k (a_k - 1)
     psi(a_k)`` of alpha restricted to each row's face of m vertices, with
     ``a0 = sum a_k`` (0 at vertices)."""
+    from scipy.special import digamma
+
     alpha_m, log_beta = _log_beta_rows(member, alpha)
     a0 = alpha_m.sum(axis=1)
-    psi_terms = np.where(member, (alpha - 1.0) * scipy.special.digamma(alpha), 0.0).sum(axis=1)
-    return log_beta + (a0 - member.sum(axis=1)) * scipy.special.digamma(a0) - psi_terms
+    psi_terms = np.where(member, (alpha - 1.0) * digamma(alpha), 0.0).sum(axis=1)
+    return log_beta + (a0 - member.sum(axis=1)) * digamma(a0) - psi_terms
 
 
 def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
     """Dirichlet KL ``log B(a_q) - log B(a_p) + sum_k (a_p,k - a_q,k)
     (psi(a_p,k) - psi(a_p,0))`` of the two concentrations restricted to
     each row's face."""
+    from scipy.special import digamma
+
     ap, log_beta_p = _log_beta_rows(member, alpha_p)
     aq, log_beta_q = _log_beta_rows(member, alpha_q)
-    psi = scipy.special.digamma(alpha_p) - scipy.special.digamma(ap.sum(axis=1))[:, None]
+    psi = digamma(alpha_p) - digamma(ap.sum(axis=1))[:, None]
     return log_beta_q - log_beta_p + np.sum((ap - aq) * psi, axis=1)
 
 

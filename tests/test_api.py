@@ -1,8 +1,9 @@
 """The public names: every name a module lists in ``__all__`` and every name
 the package re-exports resolves, so a deleted name cannot stay listed;
 outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; and
-the imports: only ``checks`` and ``oracles`` load the oracles at import
-time, and no module keeps an import it does not use."""
+the imports: only ``checks`` and ``oracles`` load the oracles or SciPy at
+import time, the package, the CLI and the spec parser load no kind module
+at import time, and no module keeps an import it does not use."""
 
 import ast
 import importlib
@@ -20,12 +21,6 @@ def _tree(module: str) -> ast.Module:
     return ast.parse((Path(mixedrv.__file__).parent / f"{module}.py").read_text(encoding="utf-8"))
 
 
-def _reexports():
-    """(module, name) of every ``from .module import name`` in the package."""
-    return [(node.module, alias.name) for node in _tree("__init__").body if isinstance(node, ast.ImportFrom)
-            for alias in node.names]
-
-
 @pytest.mark.parametrize("name", MODULES)
 def test_module_all_resolves_and_star_import_works(name):
     module = importlib.import_module(f"mixedrv.{name}")
@@ -37,9 +32,10 @@ def test_module_all_resolves_and_star_import_works(name):
 
 
 def test_package_names_resolve_and_are_public_in_their_module():
-    reexports = _reexports()
+    reexports = mixedrv._EXPORTS.items()
     assert reexports
-    for module_name, name in reexports:
+    assert mixedrv.__all__ == list(mixedrv._EXPORTS)
+    for name, module_name in reexports:
         assert getattr(mixedrv, name) is getattr(importlib.import_module(f"mixedrv.{module_name}"), name)
         assert name in importlib.import_module(f"mixedrv.{module_name}").__all__, (module_name, name)
 
@@ -106,6 +102,34 @@ def test_oracles_stay_off_the_production_import_path(name):
     # the references load only with the check registry, never with a command
     loaded = set().union(*map(_imported_modules, _top_level_imports(name)))
     assert not loaded & {"checks", "oracles"}, f"mixedrv.{name} imports the oracles at top level"
+
+
+@pytest.mark.parametrize("name", [m for m in ["__init__", *MODULES] if m not in ("checks", "oracles")])
+def test_scipy_stays_off_the_production_import_path(name):
+    # a function that calls scipy.special imports it where it calls it, so a
+    # command that evaluates no special function never imports scipy
+    roots = {alias.name.split(".")[0] for node in _top_level_imports(name) if isinstance(node, ast.Import)
+             for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in _top_level_imports(name)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert "scipy" not in roots, f"mixedrv.{name} imports scipy at top level"
+
+
+KIND_MODULES = {"extrinsic", "mixed_dirichlet", "face_gibbs", "info_theory", "glm"}
+
+
+@pytest.mark.parametrize("name", ["__init__", "cli", "distspec"])
+def test_kind_modules_load_only_when_used(name):
+    # the package, the CLI and the spec parser import a kind's module where
+    # it is used, so a command loads only the kinds it parses or runs
+    loaded = set().union(*map(_imported_modules, _top_level_imports(name)))
+    assert not loaded & KIND_MODULES, f"mixedrv.{name} imports {sorted(loaded & KIND_MODULES)} at top level"
+
+
+def test_star_import_binds_every_package_name():
+    namespace: dict = {}
+    exec("from mixedrv import *", namespace)
+    assert set(mixedrv._EXPORTS) <= set(namespace)
 
 
 @pytest.mark.parametrize("name", MODULES)

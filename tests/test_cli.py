@@ -331,6 +331,25 @@ class TestGlmCommands:
         assert capsys.readouterr().err == f"error: {data}:{row + 2}: non-finite predictor value\n"
         assert not model.exists()
 
+    def test_overflowing_predictor_products_exit_2(self, tmp_path):
+        # finite predictors whose products with the fitted weights overflow;
+        # a fresh interpreter that turns warnings into errors, so a
+        # RuntimeWarning before the error would end in a traceback
+        data = tmp_path / "d.csv"
+        assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "20", "--k", "4", "--d", "2",
+                         "--seed", "1"]) == 0
+        lines = data.read_text().splitlines()
+        lines[1] = ",".join(["1e308", "-1e308"] + lines[1].split(",")[2:])
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "mixedrv.cli", "fit-glm", "--data", str(data),
+                               "--out", str(model)], env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {glm._NON_FINITE}\n"
+        assert not model.exists()
+
     def test_failed_allocation_exit_2(self, capsys, monkeypatch, tmp_path):
         def make_planted_dataset(**kwargs):
             raise MemoryError("Unable to allocate 2.91 TiB for an array")
@@ -390,20 +409,77 @@ class TestColdStart:
     SCRIPT = (
         "import json, sys\n"
         "from mixedrv import cli, distspec\n"
-        "distspec.load_spec_file(sys.argv[1])\n"
+        "if sys.argv[1]:\n"
+        "    distspec.load_spec_file(sys.argv[1])\n"
         "code = cli.main(json.loads(sys.argv[2]))\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith(('scipy.', 'mixedrv.', 'mpmath')))]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m == 'scipy' or m.startswith(('scipy.', 'mixedrv.', 'mpmath')))]))\n"
     )
 
     def _run_fresh(self, spec, argv):
-        """Exit code of ``cli.main(argv)`` after loading ``spec``, and the
-        scipy, mpmath and mixedrv modules loaded, in a fresh interpreter."""
+        """Exit code of ``cli.main(argv)`` after loading ``spec`` (none if
+        None), and the scipy, mpmath and mixedrv modules loaded, in a fresh
+        interpreter that turns every warning into an error, as CI does: a
+        warning raised by a module imported on first use fails the run."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, spec, json.dumps(argv)],
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", self.SCRIPT, spec or "", json.dumps(argv)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
+
+    MD = {"cli", "distspec", "simplex", "face_gibbs", "mixed_dirichlet"}
+    GS = {"cli", "distspec", "simplex", "extrinsic"}
+    INFO = MD | {"info_theory"}  # info_theory draws maxent points with mixed_dirichlet's Dirichlet step
+    #: id, argv, the mixedrv modules a fresh process loads for it, and whether
+    #: it loads scipy (and with it scipy.special, the only part a command uses)
+    LOADS = [
+        ("sample-mixed-dirichlet", ["sample", "--dist", "{md}", "--num", "20", "--out", "{tmp}/s.jsonl"], MD, False),
+        ("sample-gaussian-sparsemax", ["sample", "--dist", "{gs}", "--num", "20", "--out", "{tmp}/s.jsonl"], GS,
+         False),
+        ("sample-kd-hard-concrete", ["sample", "--dist", "{khc}", "--num", "20", "--out", "{tmp}/s.jsonl"], GS,
+         False),
+        ("sample-binary-hard-concrete", ["sample", "--dist", "{bhc}", "--num", "20", "--out", "{tmp}/s.jsonl"], GS,
+         True),
+        ("sample-maxent", ["sample", "--dist", "{me}", "--num", "20", "--out", "{tmp}/s.jsonl"], INFO, True),
+        ("sample-concrete", ["sample", "--dist", "{conc}", "--num", "20", "--out", "{tmp}/s.jsonl"], GS, False),
+        ("face-hist", ["face-hist", "--in", "{tmp}/md.jsonl"], {"cli", "distspec", "simplex"}, False),
+        ("entropy-exact-mixed-dirichlet", ["entropy", "--dist", "{md}", "--mode", "exact"], MD, True),
+        ("entropy-mc-mixed-dirichlet", ["entropy", "--dist", "{md}", "--mode", "mc", "--samples", "50"], INFO, True),
+        ("kl-exact-mixed-dirichlet", ["kl", "--dist", "{md}", "--dist2", "{md}", "--mode", "exact"], MD, True),
+        ("kl-mc-mixed-dirichlet", ["kl", "--dist", "{md}", "--dist2", "{md}", "--mode", "mc", "--samples", "50"],
+         INFO, True),
+        ("entropy-exact-gaussian-sparsemax", ["entropy", "--dist", "{gs}", "--mode", "exact"], GS, True),
+        ("entropy-mc-gaussian-sparsemax", ["entropy", "--dist", "{gs}", "--mode", "mc", "--samples", "50"],
+         GS | INFO, True),
+        ("kl-exact-gaussian-sparsemax", ["kl", "--dist", "{gs}", "--dist2", "{gs}", "--mode", "exact"], GS, True),
+        ("kl-mc-gaussian-sparsemax", ["kl", "--dist", "{gs}", "--dist2", "{gs}", "--mode", "mc", "--samples", "50"],
+         GS | INFO, True),
+        ("maxent", ["maxent", "--k", "3", "--n-max", "1"], INFO, True),
+        ("gen-glm-data", ["gen-glm-data", "--out", "{tmp}/g.csv", "--rows", "20", "--k", "3", "--d", "2"],
+         MD | {"glm"}, False),
+        ("fit-glm", ["fit-glm", "--data", "{tmp}/glm.csv", "--out", "{tmp}/m.json", "--steps", "3"], MD | {"glm"},
+         True),
+        ("check", ["check", "--level", "fast"], GS | INFO | {"glm", "checks", "oracles"}, True),
+    ]
+
+    @pytest.mark.parametrize("argv, modules, uses_scipy", [case[1:] for case in LOADS], ids=[c[0] for c in LOADS])
+    def test_command_loads_exactly_what_it_uses(self, tmp_path, argv, modules, uses_scipy):
+        paths = {
+            "md": write(tmp_path / "md.json", {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]}),
+            "gs": write(tmp_path / "gs.json", {"kind": "gaussian-sparsemax", "mu": [0.3, -0.2], "sigma": [0.9, 0.5]}),
+            "khc": write(tmp_path / "khc.json", {"kind": "kd-hard-concrete", "z": [0.4, -0.3, 0.1], "beta": 0.66}),
+            "bhc": write(tmp_path / "bhc.json", {"kind": "binary-hard-concrete", "log_alpha": 0.0, "beta": 0.6667}),
+            "me": write(tmp_path / "me.json", {"kind": "maxent", "k": 3, "n": 1}),
+            "conc": write(tmp_path / "conc.json", {"kind": "concrete", "z": [0.2, -0.5, 1.0], "beta": 0.7}),
+            "tmp": str(tmp_path),
+        }
+        (tmp_path / "md.jsonl").write_text('{"face": [1, 3], "dim": 1, "y": [0.25, 0.0, 0.75]}\n')
+        assert cli.main(["gen-glm-data", "--out", str(tmp_path / "glm.csv"), "--rows", "20", "--k", "3", "--d", "2"]) == 0
+        code, loaded = self._run_fresh(None, [a.format(**paths) for a in argv])
+        assert code == 0
+        assert {m.removeprefix("mixedrv.") for m in loaded if m.startswith("mixedrv.")} == modules
+        assert ("scipy" in loaded, "scipy.special" in loaded) == (uses_scipy, uses_scipy)
 
     def test_gs_mc_entropy_loads_no_quadrature_oracle(self, tmp_path):
         spec = write(tmp_path / "gs.json", {"kind": "gaussian-sparsemax", "mu": [0.3, -0.2, 0.5], "sigma": [0.9, 0.5, 1.2]})

@@ -248,6 +248,41 @@ class TestNonFinitePredictors:
             glm._likelihood_kernel(X, Y)(theta, np.empty_like(theta))
 
 
+class TestOverflowingProducts:
+    """Finite predictors whose products with finite weights overflow: the
+    per-row parameters, the predictions and the likelihood kernel all raise
+    ValueError, and no RuntimeWarning comes first.  The clamps would turn
+    +-inf or NaN into a bound whose sign depends on numpy's matmul kernel."""
+
+    @pytest.mark.parametrize("which", ["face", "conc"])
+    def test_every_path_raises(self, which):
+        X, Y, _ = glm.make_planted_dataset(20, 4, 2, seed=1)
+        X[0] = [1e308, -1e308]
+        weights = {"w_face": np.zeros((4, 2)), "b_face": np.zeros(4), "w_conc": np.zeros((4, 2)),
+                   "b_conc": np.zeros(4)}
+        weights[f"w_{which}"][:] = 10.0
+        model = glm.GlmModel(**weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                model.row_params(X)
+            for rule in ("most-probable-mean", "sample-mean"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    glm.predict_rows(model, X, rule, rng=np.random.default_rng(0))
+            with pytest.raises(ValueError, match="non-finite"):
+                glm.glm_log_likelihood(model, X, Y)
+
+    def test_finite_products_beyond_the_clamps_pass(self):
+        X, Y, _ = glm.make_planted_dataset(20, 4, 2, seed=1)
+        X[0] = [1e308, 0.0]
+        model = glm.GlmModel(np.full((4, 2), 1.0), np.zeros(4), np.full((4, 2), 1.0), np.zeros(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, conc = model.row_params(X)
+            assert np.isfinite(glm.glm_log_likelihood(model, X, Y)[0])
+        assert (scores[0] == glm.SCORE_CLAMP).all() and (conc[0] == np.logaddexp(0.0, glm.PRE_CLAMP)).all()
+
+
 class TestNonFiniteWeights:
     """A non-finite weight is rejected when the model is built: the clamps
     would otherwise hide it (an infinite face weight gives scores of +/-10
