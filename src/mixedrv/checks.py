@@ -493,6 +493,33 @@ def _check_gs_density_unequal_sigma():
     return f"unequal-sigma batches match the oracle to {worst:.2e}"
 
 
+def _pooled_faces_batch(rng: np.random.Generator, K: int) -> FaceBatch:
+    """40 rows on one face and 1-3 rows on each of 12 others, all faces
+    distinct and short of the full one, in random order: the large face
+    takes node sets of its own, the small ones share theirs."""
+    masks = rng.permutation(np.arange(1, 2**K - 1))[:13]
+    coords = []
+    for mask, n in zip(masks.tolist(), [40, *rng.integers(1, 4, 12).tolist()]):
+        on = (mask >> np.arange(K)) & 1 == 1
+        rows = np.zeros((n, K))
+        rows[:, on] = rng.dirichlet(np.ones(on.sum()), n)
+        coords.append(rows)
+    return FaceBatch.from_coords(rng.permutation(np.concatenate(coords)))
+
+
+def _check_gs_density_pooled_faces():
+    rng = np.random.default_rng(138)
+    worst = 0.0
+    for K in range(4, 9):
+        d = extrinsic.GaussianSparsemax(rng.normal(0.0, 1.0, K), rng.uniform(0.3, 1.5, K))
+        batch = _pooled_faces_batch(rng, K)
+        ref = np.array([oracles.gs_log_density_reference(d, row) for row in batch.coords])
+        err = np.abs(extrinsic.gs_log_density_many(d, batch) - ref) / np.maximum(1.0, np.abs(ref))
+        worst = max(worst, float(err.max()))
+    _require(worst <= 1e-12, f"batches of shared and own node sets off the oracle by {worst:.2e} relative")
+    return f"batches of shared and own node sets match the oracle to {worst:.2e} relative"
+
+
 def _check_gs_orthant_wide_sigma():
     # sigma log-uniform over the four decades the contract properties draw,
     # mu uniform in [-30, 30]; rows from the law and on random faces, each
@@ -854,6 +881,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs_density_pivot_invariance", _FAST, _check_gs_density_pivot_invariance),
     ("extrinsic.gs_density_constant_sigma_path", _FAST, _check_gs_density_constant_sigma),
     ("extrinsic.gs_density_unequal_sigma_batches", _FAST, _check_gs_density_unequal_sigma),
+    ("extrinsic.gs_density_pooled_faces", _FAST, _check_gs_density_pooled_faces),
     ("extrinsic.gs_orthant_wide_sigma", _FAST, _check_gs_orthant_wide_sigma),
     ("extrinsic.gs_quadrature_refinement", _FAST, _check_gs_quadrature_refinement),
     ("extrinsic.gs2_face_probs_vs_frequencies", _FAST, lambda: _check_gs2_face_frequencies(10**5)),

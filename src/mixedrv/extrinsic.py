@@ -19,12 +19,13 @@ place probability mass on every face:
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, sparsemax_rows
+from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, mask_members, sparsemax_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -238,8 +239,13 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
 # sigma_j), the product running over the off-face coordinates.
 # ---------------------------------------------------------------------------
 
-#: Elements of the (rows, nodes) reweighting array evaluated at once.
-_ORTHANT_CHUNK = 1 << 16
+#: Elements of the (rows, nodes) reweighting array evaluated at once, the
+#: one buffer whose size grows with the rows: an eighth of a node set's
+#: terms, within these bounds (256 KB to 512 KB).  The sets of a small
+#: batch take the lower bound, which keeps its peak memory down; a set of
+#: millions of terms takes the upper, which halves the fixed cost of its
+#: chunks, about a dozen array calls each.
+_ORTHANT_CHUNK = (1 << 15, 1 << 16)
 
 #: A row's window is where its log-integrand lies within this drop of its
 #: peak.  The log-integrand is concave, so the mass left outside is below
@@ -254,6 +260,11 @@ _NEWTON_STEPS = 100
 #: One node set serves rows whose windows together span at most this many
 #: times the narrowest of them; rows further apart get node sets of their own.
 _MAX_SPAN = 4.0
+
+#: A face keeps node sets of its own from this many rows per off-face
+#: coordinate: a step's log Phi at one node costs about as much as this
+#: many rows' Gaussian terms there.
+_OWN_SET_ROWS = 4
 
 #: Windows narrower than this share of their distance from 0 leave too few
 #: distinct doubles for the rule; such rows take the Laplace approximation.
@@ -369,19 +380,26 @@ def _step_edges(mu, sigma, h: float) -> np.ndarray:
     return np.concatenate([centers - reach[keep], centers + reach[keep]])
 
 
-def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  quad: QuadratureConfig) -> np.ndarray:
-    """Log orthant probability of the off-face coordinates (``mu_off``,
-    ``sigma_off``) of one face with precision sum ``t``, for rows with
-    Gaussian means ``m`` and windows ``[lo, hi]`` (see ``_clusters``).
+    """Log orthant probability of the law (``mu``, ``sigma``) for rows on
+    the faces ``masks`` (the rows of each face adjacent), with precision
+    sums ``t``, Gaussian means ``m`` and windows ``[lo, hi]`` (see
+    ``_clusters``).
 
     One node set serves all the rows: ``quad.panels`` equal panels across
     the narrowest row window, spanning the union of the windows, plus edges
-    at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel.  The
-    step product is evaluated once; each row only adds its Gaussian
-    log-weight."""
+    at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel, for
+    every coordinate off-face for some row.  Each step is evaluated once
+    per node; the rows of a face sum their own steps into one base, and
+    each row only adds its Gaussian log-weight."""
     from scipy.special import log_ndtr
 
+    # rows runs[r]:runs[r + 1] share a face, and with it t and the base
+    runs = [0, *(np.flatnonzero(masks[1:] != masks[:-1]) + 1).tolist(), m.size]
+    off = ~mask_members(masks[runs[:-1]], mu.size)
+    cols = off.any(axis=0)
+    mu_off, sigma_off = mu[cols], sigma[cols]
     x, w = quad.points_weights()
     h = float(np.min(hi - lo)) / quad.panels
     a = float(lo.min())
@@ -392,18 +410,30 @@ def _orthant_log(mu_off, sigma_off, t: float, m: np.ndarray, lo: np.ndarray, hi:
         edges = np.union1d(edges, steps[(steps > a) & (steps < edges[-1])])
     half = np.diff(edges)[:, None] / 2.0
     v = ((edges[:-1, None] + half) + half * x).ravel()
-    base = np.log((half * w).ravel()) + log_ndtr((v[:, None] - mu_off) / sigma_off).sum(axis=1)
+    log_w = np.log((half * w).ravel())
+    log_phi = log_ndtr((v[:, None] - mu_off) / sigma_off)
+    held = -1
     out = np.empty(m.size)
-    step = max(1, _ORTHANT_CHUNK // v.size)
+    step = max(1, int(np.clip(m.size * v.size // 8, *_ORTHANT_CHUNK)) // v.size)
+    buf = np.empty((min(step, m.size), v.size))
     for i in range(0, m.size, step):
-        arg = v - m[i:i + step, None]
-        arg *= np.sqrt(0.5 * t)
-        arg *= arg
-        np.subtract(base, arg, out=arg)
+        j = min(i + step, m.size)
+        arg = np.subtract(v, m[i:j, None], out=buf[:j - i])
+        # each face's rows of the chunk take its scale, a scalar, and its
+        # base, which sums only its face's columns (a 0/1 product would turn
+        # a -inf into nan)
+        for r in range(bisect.bisect_right(runs, i) - 1, bisect.bisect_left(runs, j)):
+            if r != held:
+                held, root = r, np.sqrt(0.5 * t[runs[r]])
+                base = log_w + log_phi[:, off[r, cols]].sum(axis=1)
+            rows = arg[max(runs[r], i) - i:min(runs[r + 1], j) - i]
+            rows *= root
+            rows *= rows
+            np.subtract(base, rows, out=rows)
         top = arg.max(axis=1, keepdims=True)
         arg -= top
         np.exp(arg, out=arg)
-        out[i:i + step] = top[:, 0] + np.log(arg.sum(axis=1))
+        out[i:j] = top[:, 0] + np.log(arg.sum(axis=1))
     return out + 0.5 * (np.log(t) - _LOG_2PI)
 
 
@@ -416,8 +446,10 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     c/t)^2``.  The support coordinates contribute ``log s - (q + sum_S log
     sigma_k^2 + log t + (s - 1) log 2 pi) / 2`` (0 at vertices), the density
     of their differences; the off-support coordinates the log orthant
-    probability, by quadrature on one node set per distinct face (per
-    cluster of its rows' windows, when those lie far apart).
+    probability, by quadrature on node sets grouped by ``_clusters`` over
+    the rows' windows.  A face with at least ``_OWN_SET_ROWS`` rows per
+    off-face coordinate gets node sets of its own; the rows of all other
+    faces share node sets, so each step is evaluated once per shared node.
     """
     quad = QuadratureConfig() if quad is None else quad
     if quad.panels * quad.nodes < _MIN_DENSITY_NODES:
@@ -444,13 +476,19 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     with np.errstate(over="ignore"):
         lo[part], hi[part], orthant[part] = _row_windows(m[part], t[part], d.mu, d.sigma, ~member[part])
         resolved = hi - lo > _MIN_RELATIVE_WIDTH * (np.abs(lo) + np.abs(hi))
+        sets, shared = [], []
         for _, rows in face_groups(batch.masks):
-            off = ~member[rows[0]]
+            n_off = d.K - s[rows[0]]
             rows = rows[resolved[rows]]  # none on the full face, whose windows are nan
-            if rows.size:
-                for group in _clusters(lo[rows], hi[rows]):
-                    at = rows[group]
-                    orthant[at] = _orthant_log(d.mu[off], d.sigma[off], t[at[0]], m[at], lo[at], hi[at], quad)
+            if rows.size >= _OWN_SET_ROWS * n_off > 0:
+                sets += [rows[group] for group in _clusters(lo[rows], hi[rows])]
+            elif rows.size:
+                shared.append(rows)
+        if shared:  # each shared set in face order, as _orthant_log takes its rows
+            rows = np.concatenate(shared)
+            sets += [rows[np.sort(group)] for group in _clusters(lo[rows], hi[rows])]
+        for at in sets:
+            orthant[at] = _orthant_log(d.mu, d.sigma, batch.masks[at], t[at], m[at], lo[at], hi[at], quad)
     return out + orthant
 
 

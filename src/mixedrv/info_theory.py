@@ -27,7 +27,6 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .mixed_dirichlet import EXACT_ENUM_MAX_K, dirichlet_log_fill
 from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, mask_members
 
 __all__ = [
@@ -74,7 +73,12 @@ class KlMcEstimate(NamedTuple):
 
 
 def direct_sum_entropy_mc(dist: MixedDistribution, n: int, rng: np.random.Generator) -> McEstimate:
-    """Monte Carlo direct-sum entropy: minus the mean log-density of draws."""
+    """Monte Carlo direct-sum entropy: minus the mean log-density of draws.
+
+    ``std_error`` is the sample standard error of the log-densities,
+    ``std(ddof=1) / sqrt(n)``.  It is exactly 0 when every draw has the same
+    log-density (every draw on one vertex, say), and then bounds nothing.
+    """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     logs = dist.log_density_many(dist.sample_many(n, rng))
@@ -88,6 +92,9 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     If q assigns -inf log-density to any sampled point the divergence is
     structurally infinite (support mismatch); this is reported as an outcome
     rather than letting a float inf contaminate the average silently.
+    Otherwise ``std_error`` is the sample standard error of the
+    differences, ``std(ddof=1) / sqrt(n)``: exactly 0 when every difference
+    is equal (every draw on one vertex, say), and then it bounds nothing.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
@@ -211,12 +218,16 @@ class MaxEntMixed:
         return by_size[batch.members().sum(axis=1) - 1]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
+        from .mixed_dirichlet import dirichlet_log_fill
+
         masks = maxent_sample_face_masks(self, n, rng)
         return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, np.ones(self.K), rng))
 
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Every face bitmask (``enumerate_faces`` order) and its probability,
         ``g(k) / C(K, k)`` on a face with k vertices."""
+        from .mixed_dirichlet import EXACT_ENUM_MAX_K
+
         if self.K > EXACT_ENUM_MAX_K:
             raise ResourceLimitError(f"face enumeration needs K <= {EXACT_ENUM_MAX_K}")
         masks = enumerate_faces(self.K)

@@ -451,11 +451,11 @@ class TestColdStart:
          INFO, True),
         ("entropy-exact-gaussian-sparsemax", ["entropy", "--dist", "{gs}", "--mode", "exact"], GS, True),
         ("entropy-mc-gaussian-sparsemax", ["entropy", "--dist", "{gs}", "--mode", "mc", "--samples", "50"],
-         GS | INFO, True),
+         GS | {"info_theory"}, True),
         ("kl-exact-gaussian-sparsemax", ["kl", "--dist", "{gs}", "--dist2", "{gs}", "--mode", "exact"], GS, True),
         ("kl-mc-gaussian-sparsemax", ["kl", "--dist", "{gs}", "--dist2", "{gs}", "--mode", "mc", "--samples", "50"],
-         GS | INFO, True),
-        ("maxent", ["maxent", "--k", "3", "--n-max", "1"], INFO, True),
+         GS | {"info_theory"}, True),
+        ("maxent", ["maxent", "--k", "3", "--n-max", "1"], {"cli", "distspec", "simplex", "info_theory"}, True),
         ("gen-glm-data", ["gen-glm-data", "--out", "{tmp}/g.csv", "--rows", "20", "--k", "3", "--d", "2"],
          MD | {"glm"}, False),
         ("fit-glm", ["fit-glm", "--data", "{tmp}/glm.csv", "--out", "{tmp}/m.json", "--steps", "3"], MD | {"glm"},

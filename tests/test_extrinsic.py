@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import expit, ndtr
@@ -198,6 +200,38 @@ class TestGsLogDensity:
         batch = FaceBatch.from_coords(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
                                                 [0.0, 0.64, 0.36, 0.0], [0.0, 0.29, 0.04, 0.67]]))
         assert np.isfinite(d.log_density_many(batch)).all()
+        # alone, a row that falls back leaves no row for any node set
+        for row in batch.coords:
+            assert np.isfinite(d.log_density_many(FaceBatch.from_coords(row[None]))).all()
+
+    def test_shared_and_own_node_sets_match_the_oracle(self, monkeypatch):
+        # the check's batches: a face of 40 rows takes node sets of its own
+        # and the faces of 1-3 rows share theirs, in the same call
+        node_sets = []
+        orthant_log = ex._orthant_log
+        monkeypatch.setattr(ex, "_orthant_log", lambda *args: node_sets.append(args[2]) or orthant_log(*args))
+        assert "match the oracle" in checks._check_gs_density_pooled_faces()
+        faces = [np.unique(masks).size for masks in node_sets]
+        assert min(faces) == 1 and max(faces) > 1
+
+    def test_density_memory_is_bounded_by_the_chunk(self):
+        """A batch's rows on faces of few rows share one node set, whose
+        (rows, nodes) terms are evaluated in chunks: 200 rows at K = 6 hold
+        one chunk buffer of at most 2^15 doubles (256 KiB) at a time."""
+        rng = np.random.default_rng(139)
+        for _ in range(4):
+            d = ex.GaussianSparsemax(rng.normal(0.0, 1.0, 6), rng.uniform(0.5, 1.5, 6))
+            batch = d.sample_many(200, rng)
+            d.log_density_many(batch)  # scipy's import and the rule's nodes are one-time costs
+            tracemalloc.start()
+            try:
+                d.log_density_many(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a second buffer of (rows, nodes) terms, a chunk of 2^16 doubles
+            # or the unchunked shared set's would take this past 0.6 MB
+            assert peak < 0.6e6
 
     def test_quadrature_refinement(self):
         rng = np.random.default_rng(60)
