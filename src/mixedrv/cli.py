@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from collections import Counter
 
@@ -155,6 +156,19 @@ def _sample_lines(masks: np.ndarray, coords: np.ndarray):
     return _row_blocks(coords, masks, ", ", row_format)
 
 
+#: The one line that ``_sample_lines`` writes, under ``re.M`` and without its
+#: newline: face entries of one or two digits without a leading zero (their
+#: range is validated afterwards), the dim a JSON integer and every
+#: coordinate a JSON number (RFC 8259 section 6), list items separated by
+#: ``", "``.  Groups: the face's entries and the dim.  Every quantifier is
+#: possessive, so a line that does not match is given up without
+#: backtracking.
+_FACE_ENTRY = r"[1-9][0-9]?+"
+_NUMBER = r"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][-+]?+[0-9]++)?+"
+_SAMPLE_LINE = (rf'^\{{"face": \[({_FACE_ENTRY}(?:, {_FACE_ENTRY})*+)\], "dim": (0|[1-9][0-9]*+), '
+                rf'"y": \[{_NUMBER}(?:, {_NUMBER})*+\]\}}$')
+
+
 def cmd_sample(args) -> int:
     if args.num < 1:
         raise CliError(EXIT_USAGE, "--num must be >= 1")
@@ -272,12 +286,54 @@ def _undecodable(text: str) -> bool:
     return False
 
 
+def _scan_sample_file(text: str):
+    """The validated (face, dim) groups of ``text`` with their line counts,
+    and its number of lines, when every line of ``text`` is one that
+    ``_sample_lines`` writes (``_SAMPLE_LINE``) and every face validates;
+    else None.  One regex pass over the whole text; each distinct face and
+    dim is validated once."""
+    found = re.findall(_SAMPLE_LINE, text, re.M)
+    # "^" anchors each match at a line start, so one match per line means
+    # that every "\n"-separated line matched whole
+    if not found or len(found) != text.count("\n") + (not text.endswith("\n")):
+        return None
+    groups = []
+    for (face, dim), cnt in Counter(found).items():
+        try:
+            groups.append((_face_and_dim({"face": json.loads(f"[{face}]"), "dim": int(dim)}), cnt))
+        except ValueError:
+            return None
+    return groups, len(found)
+
+
+def _print_face_hist(groups, total: int):
+    """The histogram of ``groups``, pairs of a validated (face, dim) and its
+    line count, over ``total`` lines: dims in order, then faces by count,
+    most frequent first."""
+    dim_counts: Counter = Counter()
+    face_counts: Counter = Counter()
+    for (face, dim), cnt in groups:
+        dim_counts[dim] += cnt
+        face_counts[face] += cnt
+    print("kind,label,count,fraction")
+    for dim in sorted(dim_counts):
+        print(f"dim,{dim},{dim_counts[dim]},{dim_counts[dim] / total!r}")
+    for face, cnt in sorted(face_counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        label = "+".join(map(str, face))
+        print(f"face,{label},{cnt},{cnt / total!r}")
+
+
 def cmd_face_hist(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {args.infile}: {e}") from e
+    scanned = _scan_sample_file(text)
+    if scanned is not None:
+        _print_face_hist(*scanned)
+        return EXIT_OK
+    # any other file is decoded line by line, which reports its first bad line
     lines = text.splitlines()
     if not lines:
         raise CliError(EXIT_DATA, f"{args.infile} is empty")
@@ -311,19 +367,7 @@ def cmd_face_hist(args) -> int:
         counts[key] += 1
     if undecodable is not None:
         raise CliError(EXIT_DATA, f"{args.infile}:{undecodable + 1}: not UTF-8 text")
-    dim_counts: Counter = Counter()
-    face_counts: Counter = Counter()
-    for key, cnt in counts.items():
-        face, dim = faces[key]
-        dim_counts[dim] += cnt
-        face_counts[face] += cnt
-    total = len(lines)
-    print("kind,label,count,fraction")
-    for dim in sorted(dim_counts):
-        print(f"dim,{dim},{dim_counts[dim]},{dim_counts[dim] / total!r}")
-    for face, cnt in sorted(face_counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        label = "+".join(map(str, face))
-        print(f"face,{label},{cnt},{cnt / total!r}")
+    _print_face_hist(((faces[key], cnt) for key, cnt in counts.items()), len(lines))
     return EXIT_OK
 
 

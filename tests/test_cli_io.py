@@ -7,6 +7,7 @@ defined by, including which line a malformed file is reported at.
 """
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,19 @@ def test_sample_lines_match_json_dumps(rows):
     masks, coords = rows
     expected = "".join(_json_dumps_line(m, r, coords.shape[1]) for m, r in zip(masks.tolist(), coords.tolist()))
     assert "".join(cli._sample_lines(masks, coords)) == expected
+
+
+@settings(max_examples=100, phases=NO_SHRINK)
+@given(sample_rows())
+def test_sample_lines_are_what_face_hist_scans(rows):
+    """The writer and ``face-hist``'s one-pass scan agree on the format:
+    every line the writer yields matches ``_SAMPLE_LINE`` whole."""
+    masks, coords = rows
+    text = "".join(cli._sample_lines(masks, coords))
+    lines = text.split("\n")
+    assert lines.pop() == ""
+    assert all(re.fullmatch(cli._SAMPLE_LINE, line) for line in lines)
+    assert cli._scan_sample_file(text)[1] == len(masks)
 
 
 @settings(max_examples=200, phases=NO_SHRINK)
@@ -203,6 +217,113 @@ def test_face_hist_names_an_undecodable_line(lines, expected, tmp_path, capsys):
     path.write_bytes(b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines) + b"\n")
     assert cli.main(["face-hist", "--in", str(path)]) == 4
     assert capsys.readouterr() == ("", f"error: {path}{expected}\n")
+
+
+def _face_hist(path, capsys) -> tuple:
+    code = cli.main(["face-hist", "--in", str(path)])
+    return (code, *capsys.readouterr())
+
+
+def _decoded_face_hist(path, capsys, monkeypatch) -> tuple:
+    """``_face_hist`` with the one-pass scan disabled: the line decoder's
+    exit code, stdout and stderr."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_SAMPLE_LINE", "(?!)")
+        return _face_hist(path, capsys)
+
+
+SAMPLE_SPECS = {
+    "mixed-dirichlet": {"w": [0.3, -0.2, 0.5, 0.0, -0.4, 0.1, 0.2, -0.1], "alpha": [1.0, 2.0, 0.5, 1.5, 2.5, 0.8, 1.2, 3.0]},
+    "gaussian-sparsemax": {"mu": [0.4, 0.3, 0.2, 0.1], "sigma": [0.3, 0.5, 0.2, 0.4]},
+    "kd-hard-concrete": {"z": [0.4, -0.3, 0.1], "beta": 0.66, "lambda": 1.1},
+    "binary-hard-concrete": {"log_alpha": 0.0, "beta": 0.6667},
+    "maxent": {"k": 4, "n": 2},
+    "concrete": {"z": [0.2, -0.5, 1.0], "beta": 0.7},
+}
+
+
+def _sample_file(tmp_path, kind: str, num: int):
+    spec, path = tmp_path / f"{kind}.json", tmp_path / f"{kind}.jsonl"
+    spec.write_text(json.dumps({"kind": kind, **SAMPLE_SPECS[kind]}))
+    assert cli.main(["sample", "--dist", str(spec), "--num", str(num), "--seed", "5", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("kind", list(SAMPLE_SPECS))
+def test_face_hist_scans_a_sample_file_as_the_decoder_reads_it(kind, tmp_path, capsys, monkeypatch):
+    path = _sample_file(tmp_path, kind, 600)
+
+    def unreachable(*args):
+        raise AssertionError("a sample file reached the line decoder")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_decode_line", unreachable)
+        scanned = _face_hist(path, capsys)
+    assert scanned[0] == 0
+    assert scanned == _decoded_face_hist(path, capsys, monkeypatch)
+
+
+def _line(face: str, dim: str | None = None, y: str = "0.5, 0.5, 0.0") -> str:
+    dim = str(face.count(",")) if dim is None else dim
+    return f'{{"face": [{face}], "dim": {dim}, "y": [{y}]}}'
+
+
+CANONICAL = [_line("1, 2"), _line("3", y="0.0, 0.0, 1.0"), _line("1, 2, 3", y="0.25, -0.0, 5e-324")]
+NEAR_CANONICAL_LINES = {
+    # name: (a line put among canonical ones, whether the scan accepts the file)
+    "leading_zero": (_line("1, 2", y="01, 0.5, 0.0"), False),
+    "bare_point": (_line("1, 2", y="1., 0.5, 0.0"), False),
+    "point_first": (_line("1, 2", y=".5, 0.5, 0.0"), False),
+    "plus_sign": (_line("1, 2", y="+1, 0.5, 0.0"), False),
+    "nan": (_line("1, 2", y="NaN, 0.5, 0.0"), False),
+    "infinity": (_line("1, 2", y="Infinity, 0.5, 0.0"), False),
+    "upper_exponent": (_line("1, 2", y="1E5, 0.5, 0.0"), True),
+    "arabic_indic_digit": (_line("1, 2", y="0.5, 0.\u0665, 0.0"), False),
+    "arabic_indic_dim": (_line("1", dim="\u0660"), False),
+    "mid_line_cr": (_line("1, 2", y="0.5,\r 0.5, 0.0"), False),
+    "line_separator": (_line("1, 2", y="0.5,\u2028 0.5, 0.0"), False),
+    "face_entry_64": (_line("1, 64"), False),
+    "face_entry_99": (_line("99"), False),
+    "repeated_entry": (_line("2, 2"), False),
+    "dim_mismatch": (_line("1, 2", dim="2"), False),
+    "unsorted_face": (_line("3, 1, 2"), True),
+}
+NEAR_CANONICAL_FILES = {
+    # name: (file text, whether the scan accepts it)
+    **{name: ("\n".join([*CANONICAL, line, CANONICAL[0]]) + "\n", accepted)
+       for name, (line, accepted) in NEAR_CANONICAL_LINES.items()},
+    "crlf": ("\r\n".join(CANONICAL) + "\r\n", False),
+    "no_final_newline": ("\n".join(CANONICAL), True),
+    "trailing_blank_line": ("\n".join(CANONICAL) + "\n\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_CANONICAL_FILES))
+def test_face_hist_scan_and_decoder_agree(name, tmp_path, capsys, monkeypatch):
+    """Near-canonical files read the same with and without the one-pass
+    scan: the scan accepts a file only where the decoder reads it alike, and
+    every other file goes to the decoder, which reports its errors."""
+    text, accepted = NEAR_CANONICAL_FILES[name]
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert (cli._scan_sample_file(text) is not None) == accepted
+    assert _face_hist(path, capsys) == _decoded_face_hist(path, capsys, monkeypatch)
+
+
+def test_face_hist_memory_stays_near_the_file_size(tmp_path, capsys):
+    """Scanning a ``sample`` file holds its text and one match per line: the
+    tracemalloc peak stays under 2.5x the file's size (the line decoder,
+    which holds a list of the lines beside the text, peaks at about 3.4x)."""
+    path = _sample_file(tmp_path, "mixed-dirichlet", 20_000)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        assert cli.main(["face-hist", "--in", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < 2.5 * size
 
 
 # ------------------------------------------------------------------ fit-glm ---
