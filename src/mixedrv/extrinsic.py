@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import FaceBatch, SimplexPoint, enumerate_faces, face_groups, mask_members, sparsemax_rows
+from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_groups, mask_members, row_max, sparsemax_rows,
+                      vertex_counts)
 
 __all__ = [
     "QuadratureConfig",
@@ -463,7 +464,7 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     r = batch.coords - d.mu
     c = np.sum(a_on * r, axis=1)
     q = np.sum(a_on * (r - (c / t)[:, None]) ** 2, axis=1)
-    s = member.sum(axis=1)
+    s = vertex_counts(batch.masks)
     log_det = np.where(member, -np.log(a), 0.0).sum(axis=1) + np.log(t)
     out = np.log(s) + np.where(s > 1, -0.5 * (q + log_det + (s - 1) * _LOG_2PI), 0.0)
     part = s < d.K
@@ -510,7 +511,7 @@ def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
 def concrete_from_gumbels(z, beta: float, g: np.ndarray) -> np.ndarray:
     """Softmax at temperature beta of logits plus given Gumbel noise."""
     x = (np.asarray(z, dtype=float) + g) / beta
-    x = x - x.max(axis=-1, keepdims=True)
+    x = x - row_max(x)[..., None]
     e = np.exp(x)
     # guard subnormal underflow so samples stay in the relative interior
     e = np.maximum(e, 1e-300)

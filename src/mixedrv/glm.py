@@ -302,11 +302,13 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
 #: Draws made in one sample-mean block: 8 rows of the CLI's 100 draws.  The
 #: block's temporaries, the repeated sampling tables among them, take about
 #: 60 bytes per draw and vertex, so a block holds about 290 KB at K = 6
-#: however many rows are predicted; one pass over all rows would hold
-#: B x n x K x 60 bytes (115 MB for 2,000 rows).  At K = 6 on a 2-core x86-64 host,
-#: 96 rows took 6.5 ms in blocks of 8 rows and 6.1 ms in blocks of 16 (2,000
-#: rows: 127 and 120 ms), 6% less time at twice the memory.  A row with more
-#: draws is a block of its own.
+#: however many rows are predicted (a 96-row prediction peaks at 365 KB
+#: under tracemalloc); one pass over all rows would hold B x n x K x 60
+#: bytes (71 MB for 2,000 rows).  At K = 6 on a 2-core x86-64 host (the
+#: planted model of ``make_planted_dataset(2000, 6, 4, seed=3)``), 96 rows
+#: took 2.8 ms in blocks of 8 rows and 2.6 ms in blocks of 16 (2,000 rows:
+#: 56 and 52 ms), 7% less time at twice the memory.  A row with more draws
+#: is a block of its own.
 _BLOCK_DRAWS = 800
 
 

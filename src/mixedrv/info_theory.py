@@ -27,7 +27,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, mask_members
+from .simplex import FaceBatch, ResourceLimitError, enumerate_faces, vertex_counts
 
 __all__ = [
     "MixedDistribution",
@@ -72,6 +72,20 @@ class KlMcEstimate(NamedTuple):
         return self.support_violations > 0
 
 
+def _mean_and_std_error(terms: np.ndarray) -> tuple[float, float]:
+    """Mean and ``std(ddof=1) / sqrt(n)`` of finite terms, taken on the
+    terms scaled by 2^-e so that the largest lies below 2^256 (e = 0 when it
+    already does).  Scaling by a power of two is exact, and so is every
+    rounding step after it, barring subnormals, so the scaled result times
+    2^e is bitwise the unscaled one wherever that does not overflow; terms
+    near the largest double no longer overflow the squares (or the sum)."""
+    e = max(0, math.frexp(float(np.max(np.abs(terms))))[1] - 256)
+    if e:
+        terms = np.ldexp(terms, -e)
+    scale = 2.0 ** e
+    return float(terms.mean()) * scale, float(terms.std(ddof=1) / np.sqrt(terms.size)) * scale
+
+
 def direct_sum_entropy_mc(dist: MixedDistribution, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo direct-sum entropy: minus the mean log-density of draws.
 
@@ -81,8 +95,8 @@ def direct_sum_entropy_mc(dist: MixedDistribution, n: int, rng: np.random.Genera
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    logs = dist.log_density_many(dist.sample_many(n, rng))
-    return McEstimate(float(-logs.mean()), float(logs.std(ddof=1) / np.sqrt(n)))
+    mean, std_error = _mean_and_std_error(dist.log_density_many(dist.sample_many(n, rng)))
+    return McEstimate(-mean, std_error)
 
 
 def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
@@ -103,8 +117,7 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     violations = int(np.count_nonzero(log_q == -np.inf))
     if violations:
         return KlMcEstimate(np.inf, np.nan, violations)
-    diffs = p.log_density_many(batch) - log_q
-    return KlMcEstimate(float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(n)), 0)
+    return KlMcEstimate(*_mean_and_std_error(p.log_density_many(batch) - log_q), 0)
 
 
 def coding_entropy(masks, probs, base_entropy: float, N: int) -> float:
@@ -122,7 +135,7 @@ def coding_entropy(masks, probs, base_entropy: float, N: int) -> float:
         raise ValueError("need one positive face bitmask per probability")
     if np.any(probs < -1e-10) or abs(probs.sum() - 1.0) > 1e-10:
         raise ValueError("face probabilities must be nonnegative and sum to 1")
-    expected_dim = float(probs @ (mask_members(masks, MAX_BITMASK_K).sum(axis=1) - 1))
+    expected_dim = float(probs @ (vertex_counts(masks) - 1))
     return float(base_entropy + N * _LN2 * expected_dim)
 
 
@@ -215,7 +228,7 @@ class MaxEntMixed:
         k = np.arange(1, self.K + 1)
         with np.errstate(divide="ignore"):
             by_size = np.log(self.g) - _log_binom(self.K, k) + gammaln(k)
-        return by_size[batch.members().sum(axis=1) - 1]
+        return by_size[vertex_counts(batch.masks) - 1]
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         from .mixed_dirichlet import dirichlet_log_fill
@@ -231,7 +244,7 @@ class MaxEntMixed:
         if self.K > EXACT_ENUM_MAX_K:
             raise ResourceLimitError(f"face enumeration needs K <= {EXACT_ENUM_MAX_K}")
         masks = enumerate_faces(self.K)
-        k = mask_members(masks, self.K).sum(axis=1)
+        k = vertex_counts(masks)
         with np.errstate(divide="ignore"):
             return masks, np.exp(np.log(self.g[k - 1]) - _log_binom(self.K, k))
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import face_gibbs
-from .simplex import FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces, mask_members
+from .simplex import (FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces, face_index, mask_members,
+                      row_max, vertex_counts)
 
 __all__ = [
     "MixedDirichlet",
@@ -53,7 +54,7 @@ def dirichlet_entropy(alpha_restricted) -> float:
     """Differential entropy of a Dirichlet, closed form (one row of
     ``_dirichlet_entropy_rows``); exactly 0 for a single component."""
     alpha = _check_alpha(alpha_restricted)
-    return float(_dirichlet_entropy_rows(np.ones((1, alpha.size), dtype=bool), alpha)[0])
+    return float(_dirichlet_entropy_rows(np.ones((1, alpha.size), dtype=bool), alpha, alpha.size)[0])
 
 
 def dirichlet_kl(alpha_p, alpha_q) -> float:
@@ -97,7 +98,8 @@ class MixedDirichlet:
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Every face bitmask (``enumerate_faces`` order) and its probability:
         the weights of ``entropy`` and ``kl_mixed``."""
-        return enumerate_faces(self.K), _face_weights(self)[1]
+        masks, _, weights = _face_weights(self)
+        return masks, weights
 
 
 def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -114,25 +116,26 @@ def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Gene
     length, used as ``log(1 - U) / a``.  Vertices consume nothing.
     Any concentration below ``SAMPLE_ALPHA_MIN`` raises ValueError before
     anything is drawn.
+
+    The on-face entries are one flat index into the row-major (n, K)
+    arrays: it gathers their concentrations and scatters their draws.
     """
     if np.any(alpha < SAMPLE_ALPHA_MIN):
         raise ValueError(f"concentrations must be >= {SAMPLE_ALPHA_MIN!r} to be sampled, "
                          f"got {np.min(alpha):.4g}")
-    K = alpha.shape[-1]
-    member = mask_members(masks, K)
-    on = member & (member.sum(axis=1) > 1)[:, None]
-    a = np.broadcast_to(alpha, member.shape)[on]
+    member = mask_members(masks, alpha.shape[-1])
+    on = np.flatnonzero(member & (vertex_counts(masks) > 1)[:, None])
+    a = np.broadcast_to(alpha, member.shape).ravel()[on]
     g = rng.standard_gamma(a + 1.0)
     log_u = rng.random(a.size)
     np.log1p(np.negative(log_u, out=log_u), out=log_u)  # log(1 - U) with U in [0, 1): never -inf
     log_u /= a
     np.log(g, out=g)
     g += log_u
-    log_g = np.full(member.shape, -np.inf)
-    log_g[member] = 0.0
-    log_g[on] = g
+    log_g = np.where(member, 0.0, -np.inf)
+    log_g.ravel()[on] = g
     del a, g, log_u  # free the draws before the normalization's temporaries
-    log_g -= log_g.max(axis=1, keepdims=True)
+    log_g -= row_max(log_g)[:, None]
     log_g -= np.log(np.exp(log_g).sum(axis=1, keepdims=True))
     return log_g
 
@@ -167,26 +170,29 @@ def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndarray) -> np.ndarray:
-    """Dirichlet log-density of each row of ``batch`` on the face ``member``,
-    0 at vertices; from the batch's log-coordinates when it carries them."""
-    alpha_m, log_beta = _log_beta_rows(member, alpha)
+    """Dirichlet log-density of each row of ``batch`` (membership matrix
+    ``member``) on its face, 0 at vertices; from the batch's log-coordinates
+    when it carries them.  The restricted concentrations and log-Beta are
+    computed once per distinct face and gathered to the rows."""
+    faces, inverse = face_index(batch.masks)
+    alpha_f, log_beta_f = _log_beta_rows(mask_members(faces, batch.K), alpha)
     with np.errstate(divide="ignore"):
         log_y = np.log(batch.coords) if batch.log_coords is None else batch.log_coords
     log_y = np.where(member, log_y, 0.0)
-    out = np.sum((alpha_m - member) * log_y, axis=1) - log_beta
-    return np.where(member.sum(axis=1) > 1, out, 0.0)
+    out = np.sum((alpha_f[inverse] - member) * log_y, axis=1) - log_beta_f[inverse]
+    return np.where(vertex_counts(batch.masks) > 1, out, 0.0)
 
 
-def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray, sizes: np.ndarray | int) -> np.ndarray:
     """Dirichlet entropy ``log B(a) + (a0 - m) psi(a0) - sum_k (a_k - 1)
-    psi(a_k)`` of alpha restricted to each row's face of m vertices, with
-    ``a0 = sum a_k`` (0 at vertices)."""
+    psi(a_k)`` of alpha restricted to each row's face of m = ``sizes``
+    vertices, with ``a0 = sum a_k`` (0 at vertices)."""
     from scipy.special import digamma
 
     alpha_m, log_beta = _log_beta_rows(member, alpha)
     a0 = alpha_m.sum(axis=1)
     psi_terms = np.where(member, (alpha - 1.0) * digamma(alpha), 0.0).sum(axis=1)
-    return log_beta + (a0 - member.sum(axis=1)) * digamma(a0) - psi_terms
+    return log_beta + (a0 - sizes) * digamma(a0) - psi_terms
 
 
 def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
@@ -216,20 +222,22 @@ def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
     return float(log_density_many(md, FaceBatch.from_coords(y.coords[None]))[0])
 
 
-def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray]:
-    """Membership matrix of every face (``enumerate_faces`` order) and its
+def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every face (``enumerate_faces`` order), its membership matrix and its
     exact probability: the weights of the expectations over faces."""
     if md.K > EXACT_ENUM_MAX_K:
         raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
-    member = mask_members(np.arange(1, 1 << md.K), md.K)
-    return member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
+    masks = enumerate_faces(md.K)
+    member = mask_members(masks, md.K)
+    return masks, member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
 
 
 def entropy(md: MixedDirichlet) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
     entropy over the enumerated faces."""
-    member, weights = _face_weights(md)
-    return face_gibbs.entropy(md.faces) + float(weights @ _dirichlet_entropy_rows(member, md.alpha))
+    masks, member, weights = _face_weights(md)
+    dirichlet = _dirichlet_entropy_rows(member, md.alpha, vertex_counts(masks))
+    return face_gibbs.entropy(md.faces) + float(weights @ dirichlet)
 
 
 def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
@@ -238,7 +246,7 @@ def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
     positive probability under both distributions."""
     if md_p.K != md_q.K:
         raise ValueError(f"dimension mismatch: {md_p.K} vs {md_q.K}")
-    member, weights = _face_weights(md_p)
+    _, member, weights = _face_weights(md_p)
     dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
     return face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet)
 
@@ -272,5 +280,4 @@ class FullFaceDirichlet:
         if batch.K != self.K:
             raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
         full = batch.masks == (1 << self.K) - 1
-        member = np.broadcast_to(full[:, None], batch.coords.shape)
-        return np.where(full, _dirichlet_log_pdf_rows(member, batch, self.alpha), -np.inf)
+        return np.where(full, _dirichlet_log_pdf_rows(batch.members(), batch, self.alpha), -np.inf)

@@ -26,6 +26,9 @@ __all__ = [
     "SimplexPoint",
     "FaceBatch",
     "mask_members",
+    "vertex_counts",
+    "row_max",
+    "face_index",
     "face_groups",
     "sparsemax",
     "sparsemax_rows",
@@ -117,23 +120,46 @@ class SimplexPoint:
         return f"SimplexPoint({np.array2string(self.coords, separator=', ')})"
 
 
+_BITS = np.left_shift(1, np.arange(MAX_BITMASK_K), dtype=np.int64)
+
+
 def mask_members(masks: np.ndarray, K: int) -> np.ndarray:
     """(n, K) boolean membership matrix of n face bitmasks."""
-    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(K)) & 1).astype(bool)
+    return (np.asarray(masks, dtype=np.int64)[:, None] & _BITS[:K]) != 0
+
+
+def vertex_counts(masks: np.ndarray) -> np.ndarray:
+    """Number of vertices of each face bitmask (a popcount), as int64: the
+    uint8 of ``np.bitwise_count`` would send numpy's and scipy's math
+    (``np.log``, ``gammaln``) to their float16 or float32 loops."""
+    return np.bitwise_count(np.asarray(masks, dtype=np.int64)).astype(np.int64)
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` of an (n, K) array (or a vector), reduced over a
+    transposed copy: numpy pays about 45 ns per row reducing a short last
+    axis, and a max is exact, so the values are the same (a row whose max
+    is a zero of both signs may give either zero)."""
+    return np.ascontiguousarray(x.T).max(axis=0)
+
+
+def face_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct face bitmasks of ``masks``, ascending, and each row's
+    index into them."""
+    if masks.shape[0] == 1:  # the common single-draw case needs no sort
+        return masks, np.zeros(1, dtype=np.intp)
+    return np.unique(masks, return_inverse=True)
 
 
 def face_groups(masks: np.ndarray):
     """Rows of each distinct face bitmask: ``(mask, rows)`` pairs with masks
     ascending and each face's row indices ascending."""
-    if masks.shape[0] == 1:  # the common single-draw case needs no sort
-        return [(int(masks[0]), np.zeros(1, dtype=np.intp))]
-    faces, inverse = np.unique(masks, return_inverse=True)
+    faces, inverse = face_index(masks)
+    if faces.size == 1:
+        return [(int(faces[0]), np.arange(masks.shape[0]))]
     rows = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse, minlength=faces.size))[:-1]
     return list(zip(faces.tolist(), np.split(rows, bounds)))
-
-
-_BITS = np.left_shift(1, np.arange(MAX_BITMASK_K), dtype=np.int64)
 
 
 def _support_masks(coords: np.ndarray) -> np.ndarray:
@@ -225,7 +251,9 @@ class FaceBatch:
             if log_coords.shape != coords.shape:
                 raise ValueError(f"log_coords must have shape {coords.shape}, got {log_coords.shape}")
             # a row summing to one has a positive coordinate, so its mask is nonempty
-            valid = valid and (_log_support_masks(log_coords) == masks).all() and not (supports & ~masks).any()
+            finite = np.isfinite(log_coords)
+            valid = (valid and (finite | (log_coords == -np.inf)).all()
+                     and ((finite @ _BITS[:K]) == masks).all() and not (supports & ~masks).any())
             log_coords.flags.writeable = False
         if not valid:
             raise _invalid_batch(coords, masks, sums, log_coords)
@@ -293,7 +321,7 @@ def sparsemax_rows(z: np.ndarray) -> np.ndarray:
     """
     # projection is shift invariant; centering at the max keeps the
     # threshold subtraction well conditioned for large-magnitude inputs
-    z = z - z.max(axis=1, keepdims=True)
+    z = z - row_max(z)[:, None]
     u = np.sort(z, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1)
     k = np.arange(1, z.shape[1] + 1)

@@ -179,6 +179,24 @@ class TestEntropyKlCommands:
         assert not obj["support_violation"]
         assert obj["value"] == pytest.approx(0.0, abs=max(3 * obj["std_error"], 1e-12))
 
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200])
+    def test_mc_std_error_of_tiny_concentrations_is_strict_json(self, capsys, tmp_path, alpha):
+        # log-densities near 1e300: their squares would overflow an unscaled standard error
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        spec = write(tmp_path / "tiny.json", {"kind": "mixed-dirichlet", "w": [1, 1, 1], "alpha": [alpha] * 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["entropy", "--dist", spec, "--mode", "mc", "--samples", "100", "--seed", "1"]) == 0
+            assert cli.main(["kl", "--dist", spec, "--dist2", spec, "--mode", "mc", "--samples", "100",
+                             "--seed", "1"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        h, kl = (json.loads(line, parse_constant=reject) for line in out.splitlines())
+        assert 0.0 < h["std_error"] < abs(h["value"])
+        assert kl["value"] == 0.0 and kl["std_error"] == 0.0
+
     def test_kl_exact_mixed_dirichlet(self, capsys, tmp_path, specs):
         other = write(tmp_path / "md4b.json",
                       {"kind": "mixed-dirichlet", "w": [0.1, 0.3, -0.2, 0.4], "alpha": [1.5, 1.0, 2.0, 0.7]})

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,35 @@ class TestDirectSumMc:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             it.direct_sum_entropy_mc(_VertexPointMass(0, 2), 1, np.random.default_rng(0))
+
+    def test_mean_and_std_error_are_numpys_below_2_to_256(self):
+        rng = np.random.default_rng(92)
+        for scale in (1e-300, 1.0, 1e30, 1e76):
+            terms = rng.normal(0.0, scale, 301)
+            mean, se = it._mean_and_std_error(terms)
+            assert mean == float(terms.mean()) and se == float(terms.std(ddof=1) / np.sqrt(terms.size))
+
+    @pytest.mark.parametrize("e", [300, 700, 960])
+    def test_std_error_of_huge_terms_scales_exactly(self, e):
+        # terms near the largest double: the squares (and at 960 the sum)
+        # overflow unscaled, and the scaled result is the small one times 2^e
+        terms = np.random.default_rng(93).normal(0.0, 1.0, 400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = it._mean_and_std_error(np.ldexp(terms, e))
+        small = it._mean_and_std_error(terms)
+        assert (mean, se) == (math.ldexp(small[0], e), math.ldexp(small[1], e))
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-200, 1e-100])
+    def test_tiny_concentrations_give_a_finite_std_error(self, alpha):
+        p = md.MixedDirichlet(np.zeros(3), np.full(3, alpha))
+        q = md.MixedDirichlet(np.ones(3), np.full(3, 2 * alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = it.direct_sum_entropy_mc(p, 100, np.random.default_rng(1))
+            kl = it.direct_sum_kl_mc(p, q, 100, np.random.default_rng(1))
+        for est in (h, kl):
+            assert np.isfinite(est.estimate) and np.isfinite(est.std_error) and est.std_error > 0.0
 
 
 class TestCodingEntropy:
