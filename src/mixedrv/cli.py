@@ -249,18 +249,6 @@ def cmd_kl(args) -> int:
 
 # --------------------------------------------------------------- face-hist ---
 
-def _decode_line(line: str, raw_decode):
-    """``json.loads(line)``: one ``raw_decode`` when the line is exactly one
-    JSON value, else ``json.loads`` itself, with its result or its error."""
-    try:
-        obj, end = raw_decode(line)
-        if end == len(line):
-            return obj
-    except ValueError:
-        pass
-    return json.loads(line)
-
-
 def _face_and_dim(obj) -> tuple[tuple[int, ...], int]:
     """Sorted face and dim of a decoded sample line: the face a nonempty JSON
     array of distinct integers (not booleans) in 1..63, the dim the integer
@@ -323,6 +311,25 @@ def _print_face_hist(groups, total: int):
         print(f"face,{label},{cnt},{cnt / total!r}")
 
 
+def _decode_sample_file(path: str, text: str):
+    """The validated (face, dim) groups of ``text`` with their line counts,
+    and its number of lines, decoding one line at a time with
+    ``json.loads``; CliError at the first line that is not UTF-8 text or not
+    a valid sample line."""
+    lines = text.splitlines()
+    if not lines:
+        raise CliError(EXIT_DATA, f"{path} is empty")
+    counts: Counter = Counter()
+    for lineno, line in enumerate(lines, start=1):
+        if _undecodable(line):
+            raise CliError(EXIT_DATA, f"{path}:{lineno}: not UTF-8 text")
+        try:
+            counts[_face_and_dim(json.loads(line))] += 1
+        except (ValueError, KeyError, TypeError) as e:
+            raise CliError(EXIT_DATA, f"{path}:{lineno}: malformed sample line ({e})") from e
+    return counts.items(), len(lines)
+
+
 def cmd_face_hist(args) -> int:
     try:
         with open(args.infile, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -330,44 +337,9 @@ def cmd_face_hist(args) -> int:
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot read {args.infile}: {e}") from e
     scanned = _scan_sample_file(text)
-    if scanned is not None:
-        _print_face_hist(*scanned)
-        return EXIT_OK
-    # any other file is decoded line by line, which reports its first bad line
-    lines = text.splitlines()
-    if not lines:
-        raise CliError(EXIT_DATA, f"{args.infile} is empty")
-    # the lines before the first undecodable one are checked first, so the
-    # first bad line is the one reported
-    undecodable = None
-    if _undecodable(text):
-        undecodable = next(i for i, line in enumerate(lines) if _undecodable(line))
-        lines = lines[:undecodable]
-    raw_decode = json.JSONDecoder().raw_decode
-    # Lines are counted by their (face, dim) as decoded; each distinct pair is
-    # validated once, at the first line that holds it, so the first bad line
-    # is the one reported.  The key holds the values' types as well: 1, 1.0
-    # and true compare equal but do not validate alike.
-    faces: dict = {}
-    counts: Counter = Counter()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            obj = _decode_line(line, raw_decode)
-            try:
-                face, dim = obj["face"], obj["dim"]
-                key = (tuple(face), dim, type(dim), *map(type, face))
-                new = key not in faces
-            except (KeyError, TypeError):  # not an object, a key missing or an unhashable value
-                _face_and_dim(obj)  # raises the error of the line's face or dim
-                raise
-            if new:
-                faces[key] = _face_and_dim(obj)
-        except (ValueError, KeyError, TypeError) as e:
-            raise CliError(EXIT_DATA, f"{args.infile}:{lineno}: malformed sample line ({e})") from e
-        counts[key] += 1
-    if undecodable is not None:
-        raise CliError(EXIT_DATA, f"{args.infile}:{undecodable + 1}: not UTF-8 text")
-    _print_face_hist(((faces[key], cnt) for key, cnt in counts.items()), len(lines))
+    if scanned is None:  # any other file is decoded line by line, which reports its first bad line
+        scanned = _decode_sample_file(args.infile, text)
+    _print_face_hist(*scanned)
     return EXIT_OK
 
 

@@ -5,18 +5,20 @@ parameter vectors (no broadcasting), e.g.::
 
     {"kind": "mixed-dirichlet", "w": [0.5, -1.0, 0.0], "alpha": [1.0, 2.0, 0.5]}
 
-Supported kinds: ``mixed-dirichlet``, ``gaussian-sparsemax``,
-``kd-hard-concrete``, ``binary-hard-concrete``, ``maxent``, ``concrete``.
-An optional ``seed`` key supplies a default sampling seed (a ``--seed``
-flag wins).  Unknown keys are rejected so that a spec file reproduces one
-distribution unambiguously.
+The kinds are declared once, in ``_KINDS``.  An optional ``seed`` key
+supplies a default sampling seed (a ``--seed`` flag wins).  Unknown keys
+are rejected so that a spec file reproduces one distribution
+unambiguously.
 
-A kind's module is imported only when a spec of that kind is parsed or
-evaluated, so loading a spec loads no other kind's module.
+A kind's module is imported only when a spec of that kind is parsed, so
+loading a spec loads no other kind's module.  Exact direct-sum entropy and
+KL are the ``direct_sum_entropy``/``direct_sum_kl`` methods of the kinds
+that have them.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from dataclasses import dataclass
 
@@ -24,14 +26,19 @@ import numpy as np
 
 __all__ = ["SpecError", "ParsedSpec", "parse_spec", "load_spec_file", "KINDS"]
 
-KINDS = (
-    "mixed-dirichlet",
-    "gaussian-sparsemax",
-    "kd-hard-concrete",
-    "binary-hard-concrete",
-    "maxent",
-    "concrete",
-)
+#: kind -> (module, class, vector fields, scalar fields with their defaults,
+#: None for a required one).  The class is built from the vectors, then the
+#: scalars, in the order listed.  maxent's fields are integers, read apart.
+_KINDS = {
+    "mixed-dirichlet": ("mixed_dirichlet", "MixedDirichlet", ("w", "alpha"), {}),
+    "gaussian-sparsemax": ("extrinsic", "GaussianSparsemax", ("mu", "sigma"), {}),
+    "kd-hard-concrete": ("extrinsic", "KDHardConcrete", ("z",), {"beta": None, "lambda": 1.1}),
+    "binary-hard-concrete": ("extrinsic", "BinaryHardConcrete", (),
+                             {"log_alpha": None, "beta": None, "l": -0.1, "r": 1.1}),
+    "maxent": ("info_theory", "MaxEntMixed", (), {"n": 0}),
+    "concrete": ("extrinsic", "Concrete", ("z",), {"beta": None}),
+}
+KINDS = tuple(_KINDS)
 
 
 class SpecError(ValueError):
@@ -78,11 +85,21 @@ def _check_k(obj: dict, K: int):
         raise SpecError(f"field 'k' is {obj['k']} but parameter vectors have length {K}")
 
 
+def _exact(method, *args):
+    """``method(*args)``, or None where the kind has no such method or it
+    raises NotImplementedError (no closed form at these parameters)."""
+    if method is not None:
+        try:
+            return method(*args)
+        except NotImplementedError:
+            pass
+    return None
+
+
 @dataclass
 class ParsedSpec:
     kind: str
     dist: object
-    K: int
     default_seed: int | None
 
     @property
@@ -90,113 +107,53 @@ class ParsedSpec:
         return hasattr(self.dist, "log_density_many")
 
     def exact_entropy(self) -> float:
-        """Exact direct-sum entropy, for the kinds that expose one."""
-        if self.kind == "mixed-dirichlet":
-            from . import mixed_dirichlet
-
-            return mixed_dirichlet.entropy(self.dist)
-        if self.kind == "maxent":
-            return self.dist.direct_sum_entropy()
-        if self.kind == "gaussian-sparsemax" and self.K == 2:
-            from . import extrinsic
-
-            z, s = extrinsic.gs2_params(self.dist)
-            return extrinsic.gs2_entropy(z, s)
-        raise SpecError(f"exact entropy is not available for kind {self.kind!r} (K={self.K})")
+        """Exact direct-sum entropy, for the kinds whose class has a
+        ``direct_sum_entropy`` method."""
+        value = _exact(getattr(self.dist, "direct_sum_entropy", None))
+        if value is None:
+            raise SpecError(f"exact entropy is not available for kind {self.kind!r} (K={self.dist.K})")
+        return value
 
     def exact_kl(self, other: "ParsedSpec") -> float:
-        """Exact direct-sum KL(self || other), for the pairs of kinds that
-        expose one; ``inf`` where other puts no mass on a part of self's
-        support."""
-        if self.K != other.K:
-            raise SpecError(f"dimension mismatch: {self.K} vs {other.K}")
-        if self.kind == other.kind == "mixed-dirichlet":
-            from . import mixed_dirichlet
-
-            return mixed_dirichlet.kl_mixed(self.dist, other.dist)
-        if self.kind == other.kind == "gaussian-sparsemax" and self.K == 2:
-            from . import extrinsic
-
-            zp, sp = extrinsic.gs2_params(self.dist)
-            zq, sq = extrinsic.gs2_params(other.dist)
-            return extrinsic.gs2_kl(zp, sp, zq, sq)
-        if self.kind == other.kind == "maxent":
-            on = self.dist.g > 0.0  # a class whose weight underflows to 0 under p adds 0
-            gp, gq = self.dist.g[on], other.dist.g[on]
-            if not gq.all():  # a class that p weighs and q's weight underflows to 0
-                return float("inf")
-            return float(np.sum(gp * (np.log(gp) - np.log(gq))))
-        raise SpecError(f"exact KL is not available for kinds {self.kind!r}/{other.kind!r}")
+        """Exact direct-sum KL(self || other), for two specs of one kind whose
+        class has a ``direct_sum_kl`` method; ``inf`` where other puts no
+        mass on a part of self's support."""
+        if self.dist.K != other.dist.K:
+            raise SpecError(f"dimension mismatch: {self.dist.K} vs {other.dist.K}")
+        value = None
+        if self.kind == other.kind:
+            value = _exact(getattr(self.dist, "direct_sum_kl", None), other.dist)
+        if value is None:
+            raise SpecError(f"exact KL is not available for kinds {self.kind!r}/{other.kind!r}")
+        return value
 
 
 def parse_spec(obj: dict) -> ParsedSpec:
     if not isinstance(obj, dict):
         raise SpecError("spec must be a JSON object")
     kind = obj.get("kind")
-    if kind not in KINDS:
+    if kind not in _KINDS:
         raise SpecError(f"unknown kind {kind!r}; expected one of {list(KINDS)}")
     seed = obj.get("seed")
     if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
         raise SpecError("field 'seed' must be a nonnegative integer")
+    module, name, vectors, scalars = _KINDS[kind]
     try:
-        if kind == "mixed-dirichlet":
-            from .mixed_dirichlet import MixedDirichlet
-
-            _check_keys(obj, {"w", "alpha"})
-            w = _vector(obj, "w")
-            alpha = _vector(obj, "alpha")
-            _check_k(obj, w.size)
-            dist = MixedDirichlet(w, alpha)
-            return ParsedSpec(kind, dist, dist.K, seed)
-        if kind == "gaussian-sparsemax":
-            from .extrinsic import GaussianSparsemax
-
-            _check_keys(obj, {"mu", "sigma"})
-            mu = _vector(obj, "mu")
-            sigma = _vector(obj, "sigma")
-            _check_k(obj, mu.size)
-            dist = GaussianSparsemax(mu, sigma)
-            return ParsedSpec(kind, dist, dist.K, seed)
-        if kind == "kd-hard-concrete":
-            from .extrinsic import KDHardConcrete
-
-            _check_keys(obj, {"z", "beta", "lambda"})
-            z = _vector(obj, "z")
-            _check_k(obj, z.size)
-            d = KDHardConcrete(z, _scalar(obj, "beta"), _scalar(obj, "lambda", 1.1))
-            return ParsedSpec(kind, d, d.K, seed)
-        if kind == "binary-hard-concrete":
-            from .extrinsic import BinaryHardConcrete
-
-            _check_keys(obj, {"log_alpha", "beta", "l", "r"})
-            d = BinaryHardConcrete(
-                _scalar(obj, "log_alpha"),
-                _scalar(obj, "beta"),
-                _scalar(obj, "l", -0.1),
-                _scalar(obj, "r", 1.1),
-            )
-            return ParsedSpec(kind, d, 2, seed)
-        if kind == "maxent":
-            from .info_theory import MaxEntMixed
-
-            _check_keys(obj, {"n"})
+        cls = getattr(importlib.import_module(f".{module}", __package__), name)
+        _check_keys(obj, {*vectors, *scalars})
+        if kind == "maxent":  # k, the dimension, and n are integers
             if "k" not in obj:
                 raise SpecError("maxent needs field 'k'")
-            dist = MaxEntMixed(_integer(obj, "k"), _integer(obj, "n") if "n" in obj else 0)
-            return ParsedSpec(kind, dist, dist.K, seed)
-        if kind == "concrete":
-            from .extrinsic import Concrete
-
-            _check_keys(obj, {"z", "beta"})
-            z = _vector(obj, "z")
-            _check_k(obj, z.size)
-            dist = Concrete(z, _scalar(obj, "beta"))
-            return ParsedSpec(kind, dist, dist.K, seed)
+            args = [_integer(obj, "k"), _integer(obj, "n") if "n" in obj else scalars["n"]]
+        else:
+            args = [_vector(obj, key) for key in vectors]
+            _check_k(obj, args[0].size if args else cls.K)
+            args += [_scalar(obj, key, default) for key, default in scalars.items()]
+        return ParsedSpec(kind, cls(*args), seed)
     except SpecError:
         raise
     except (ValueError, TypeError, KeyError) as e:
         raise SpecError(f"invalid parameters for kind {kind!r}: {e}") from e
-    raise AssertionError("unreachable")
 
 
 def load_spec_file(path: str) -> ParsedSpec:

@@ -132,6 +132,18 @@ class GaussianSparsemax:
         p0, p1, pc = gs2_face_probs(*gs2_params(self))
         return enumerate_faces(2), np.array([p1, p0, pc])
 
+    def direct_sum_entropy(self) -> float:
+        """``gs2_entropy``; K = 2 only."""
+        if self.K != 2:
+            raise NotImplementedError("closed-form direct-sum entropy exists only for K=2")
+        return gs2_entropy(*gs2_params(self))
+
+    def direct_sum_kl(self, other: "GaussianSparsemax") -> float:
+        """``gs2_kl``; K = 2 only."""
+        if self.K != 2 or other.K != 2:
+            raise NotImplementedError("closed-form direct-sum KL exists only for K=2")
+        return gs2_kl(*gs2_params(self), *gs2_params(other))
+
 
 # benchmarks/tracer.py looks the batch projection up under this name
 _sparsemax_batch = sparsemax_rows
@@ -582,6 +594,7 @@ class KDHardConcrete:
 class BinaryHardConcrete:
     """Binary Concrete stretched to (l, r) and clamped back to [0, 1]."""
 
+    K = 2  # draws are points (y, 1 - y) of the two-vertex simplex
     log_alpha: float
     beta: float
     l: float = -0.1

@@ -6,9 +6,12 @@ KL decomposes the same way.  Both are estimated here by Monte Carlo for any
 distribution exposing mutually consistent ``sample_many`` and
 ``log_density_many``.
 
-These estimators are the one Monte Carlo route of every kind, Mixed
-Dirichlet included; exact values are closed forms summed over faces
-(``mixed_dirichlet.entropy``/``kl_mixed``, ``extrinsic.gs2_entropy``/``gs2_kl``).
+These estimators, ``direct_sum_entropy_mc`` and ``direct_sum_kl_mc``, are
+the one Monte Carlo route of every kind, Mixed Dirichlet included.  Exact
+values are the ``direct_sum_entropy()``/``direct_sum_kl(other)`` methods of
+the kinds that have closed forms: ``MixedDirichlet`` (a sum over faces,
+``mixed_dirichlet.entropy``/``kl_mixed``), ``GaussianSparsemax`` at K = 2
+(``extrinsic.gs2_entropy``/``gs2_kl``) and ``MaxEntMixed`` below.
 
 ``coding_entropy`` converts a direct-sum entropy into the average optimal
 code length when continuous coordinates are kept at N-bit precision, and
@@ -86,16 +89,32 @@ def _mean_and_std_error(terms: np.ndarray) -> tuple[float, float]:
     return float(terms.mean()) * scale, float(terms.std(ddof=1) / np.sqrt(terms.size)) * scale
 
 
+def _finite(terms: np.ndarray) -> np.ndarray:
+    """``terms``, or ValueError when one of them is not finite: a
+    log-density beyond the range of a double has no finite mean.  The
+    callers evaluate the terms with overflow and invalid operations
+    silenced, so this error is the only report of one."""
+    bad = int(np.count_nonzero(~np.isfinite(terms)))
+    if bad:
+        raise ValueError(f"{bad} of {terms.size} Monte Carlo terms are not finite "
+                         "(a log-density beyond the range of a double)")
+    return terms
+
+
 def direct_sum_entropy_mc(dist: MixedDistribution, n: int, rng: np.random.Generator) -> McEstimate:
     """Monte Carlo direct-sum entropy: minus the mean log-density of draws.
 
     ``std_error`` is the sample standard error of the log-densities,
     ``std(ddof=1) / sqrt(n)``.  It is exactly 0 when every draw has the same
     log-density (every draw on one vertex, say), and then bounds nothing.
+    A log-density that is not finite raises ValueError (``_finite``).
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    mean, std_error = _mean_and_std_error(dist.log_density_many(dist.sample_many(n, rng)))
+    batch = dist.sample_many(n, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_p = dist.log_density_many(batch)
+    mean, std_error = _mean_and_std_error(_finite(log_p))
     return McEstimate(-mean, std_error)
 
 
@@ -109,15 +128,18 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     Otherwise ``std_error`` is the sample standard error of the
     differences, ``std(ddof=1) / sqrt(n)``: exactly 0 when every difference
     is equal (every draw on one vertex, say), and then it bounds nothing.
+    A difference that is not finite raises ValueError (``_finite``).
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
     batch = p.sample_many(n, rng)
-    log_q = q.log_density_many(batch)
-    violations = int(np.count_nonzero(log_q == -np.inf))
-    if violations:
-        return KlMcEstimate(np.inf, np.nan, violations)
-    return KlMcEstimate(*_mean_and_std_error(p.log_density_many(batch) - log_q), 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q = q.log_density_many(batch)
+        violations = int(np.count_nonzero(log_q == -np.inf))
+        if violations:
+            return KlMcEstimate(np.inf, np.nan, violations)
+        terms = p.log_density_many(batch) - log_q
+    return KlMcEstimate(*_mean_and_std_error(_finite(terms)), 0)
 
 
 def coding_entropy(masks, probs, base_entropy: float, N: int) -> float:
@@ -256,6 +278,19 @@ class MaxEntMixed:
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(self.g > 0, self.g * (np.log(self.g) - _log_binom(self.K, k)), 0.0)
         return float(-terms.sum() - self.g @ gammaln(k))
+
+    def direct_sum_kl(self, other: "MaxEntMixed") -> float:
+        """Exact KL(self || other) for one K: the laws share the flat
+        conditionals and spread each class over its faces alike, so this is
+        the KL of the class weights g; ``inf`` where a class that self
+        weighs has weight 0 (underflow) under other."""
+        if other.K != self.K:
+            raise ValueError(f"dimension mismatch: {self.K} vs {other.K}")
+        on = self.g > 0.0  # a class whose weight underflows to 0 under self adds 0
+        gp, gq = self.g[on], other.g[on]
+        if not gq.all():
+            return float("inf")
+        return float(np.sum(gp * (np.log(gp) - np.log(gq))))
 
 
 def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -101,6 +101,14 @@ class MixedDirichlet:
         masks, _, weights = _face_weights(self)
         return masks, weights
 
+    # called by their global names, where a run-time patch of the module's
+    # ``entropy``/``kl_mixed`` also reaches them
+    def direct_sum_entropy(self) -> float:
+        return entropy(self)
+
+    def direct_sum_kl(self, other: "MixedDirichlet") -> float:
+        return kl_mixed(self, other)
+
 
 def dirichlet_log_fill(masks: np.ndarray, alpha: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Log-coordinates (n, K) of Dirichlet points on the faces ``masks``

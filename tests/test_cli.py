@@ -197,6 +197,18 @@ class TestEntropyKlCommands:
         assert 0.0 < h["std_error"] < abs(h["value"])
         assert kl["value"] == 0.0 and kl["std_error"] == 0.0
 
+    @pytest.mark.parametrize("command", ["entropy", "kl"])
+    def test_mc_beyond_double_precision_is_one_error_line(self, capsys, tmp_path, command):
+        spec = write(tmp_path / "big.json", {"kind": "mixed-dirichlet", "w": [3.0] * 63, "alpha": [2.05e-307] * 63})
+        argv = [command, "--dist", spec, "--mode", "mc", "--samples", "200", "--seed", "0"]
+        if command == "kl":
+            argv[3:3] = ["--dist2", spec]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: 200 of 200 Monte Carlo terms are not finite "
+                                           "(a log-density beyond the range of a double)\n")
+
     def test_kl_exact_mixed_dirichlet(self, capsys, tmp_path, specs):
         other = write(tmp_path / "md4b.json",
                       {"kind": "mixed-dirichlet", "w": [0.1, 0.3, -0.2, 0.4], "alpha": [1.5, 1.0, 2.0, 0.7]})

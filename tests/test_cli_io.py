@@ -257,7 +257,7 @@ def test_face_hist_scans_a_sample_file_as_the_decoder_reads_it(kind, tmp_path, c
         raise AssertionError("a sample file reached the line decoder")
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "_decode_line", unreachable)
+        m.setattr(cli, "_decode_sample_file", unreachable)
         scanned = _face_hist(path, capsys)
     assert scanned[0] == 0
     assert scanned == _decoded_face_hist(path, capsys, monkeypatch)

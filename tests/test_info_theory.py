@@ -261,6 +261,35 @@ class TestDirectSumMc:
         for est in (h, kl):
             assert np.isfinite(est.estimate) and np.isfinite(est.std_error) and est.std_error > 0.0
 
+    def test_log_densities_beyond_double_precision_raise(self):
+        # K = 63 faces near SAMPLE_ALPHA_MIN: the Dirichlet term of a draw's
+        # log-density passes the largest double (numpy warns of an overflow
+        # and then of inf - inf); no finite mean exists, so both estimators
+        # raise instead of warning and returning -inf and NaN
+        p = md.MixedDirichlet(np.full(63, 3.0), np.full(63, 2.05e-307))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="200 of 200 Monte Carlo terms are not finite"):
+                it.direct_sum_entropy_mc(p, 200, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="200 of 200 Monte Carlo terms are not finite"):
+                it.direct_sum_kl_mc(p, p, 200, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_term_that_is_not_finite_raises(self, bad):
+        class Bad(_VertexPointMass):
+            def log_density_many(self, batch):
+                out = super().log_density_many(batch)
+                out[3] = bad
+                return out
+
+        p = Bad(0, 3)
+        with pytest.raises(ValueError, match="1 of 10 Monte Carlo terms are not finite"):
+            it.direct_sum_entropy_mc(p, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="1 of 10 Monte Carlo terms are not finite"):
+            it.direct_sum_kl_mc(p, _VertexPointMass(0, 3), 10, np.random.default_rng(0))
+        # a q with no mass at a draw stays a support violation
+        assert it.direct_sum_kl_mc(p, _VertexPointMass(1, 3), 10, np.random.default_rng(0)).support_violations == 10
+
 
 class TestCodingEntropy:
     def test_maxent_k2_reproduces_log_2_plus_2n(self):
