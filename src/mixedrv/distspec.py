@@ -46,10 +46,17 @@ class SpecError(ValueError):
 
 
 def _vector(obj: dict, key: str) -> np.ndarray:
+    """The value of ``key``: a flat JSON array of numbers, each a double (an
+    integer beyond the double range is not), never a bool or a string.  A
+    null entry reads as NaN, which every kind rejects."""
+    v = obj[key]
+    error = SpecError(f"field {key!r} must be a list of numbers")
+    if isinstance(v, (bool, str)) or (isinstance(v, list) and any(isinstance(x, (bool, str)) for x in v)):
+        raise error
     try:
-        v = np.asarray(obj[key], dtype=float)
-    except (TypeError, ValueError) as e:
-        raise SpecError(f"field {key!r} must be a list of numbers") from e
+        v = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise error from e
     if v.ndim != 1 or v.size < 1:
         raise SpecError(f"field {key!r} must be a nonempty vector")
     return v
@@ -63,7 +70,10 @@ def _scalar(obj: dict, key: str, default=None) -> float:
     v = obj[key]
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SpecError(f"field {key!r} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError as e:  # an integer beyond the double range
+        raise SpecError(f"field {key!r} must be a number") from e
 
 
 def _integer(obj: dict, key: str) -> int:
@@ -152,7 +162,7 @@ def parse_spec(obj: dict) -> ParsedSpec:
         return ParsedSpec(kind, cls(*args), seed)
     except SpecError:
         raise
-    except (ValueError, TypeError, KeyError) as e:
+    except (ValueError, TypeError, KeyError, OverflowError) as e:
         raise SpecError(f"invalid parameters for kind {kind!r}: {e}") from e
 
 

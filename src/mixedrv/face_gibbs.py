@@ -9,7 +9,11 @@ is in the face, ``-1`` otherwise, so the unnormalized log-weight of face I is
 The law is exactly independent Bernoulli(p_k = sigma(2 w_k)) vertices
 conditioned on a nonempty face, so every quantity that naively requires a
 sum over 2^K - 1 faces (the log-normalizer, vertex-membership marginals,
-sampling) has an O(K) closed form, evaluated in log space.  The paper's
+sampling) has an O(K) closed form, evaluated in log space: the softplus
+sums ``S_k`` (``_softplus_sums``) and ``log P(some j >= k is taken)``
+(``_log_nonempty``), on every column for the sampling tables
+(``_closed_form``) and on column 0 only for log Z and its gradient
+(``_log_z_and_grad``, the GLM's per-step call).  The paper's
 O(K) face-lattice DAG computes the same quantities and is kept in
 ``oracles`` as the independent reference.
 """
@@ -59,6 +63,37 @@ def _as_w(w) -> np.ndarray:
     return w
 
 
+def _softplus_sums(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``x = 2 w``, ``log(1 + e^-|x|)`` and the softplus sums ``S_k =
+    sum_{j>=k} softplus(x_j)``, over the last axis of ``w``."""
+    x = 2.0 * w
+    log1p_exp = np.log1p(np.exp(-np.abs(x)))
+    rev = (..., slice(None, None, -1))
+    return x, log1p_exp, np.add.accumulate((np.maximum(x, 0.0) + log1p_exp)[rev], axis=-1)[rev]
+
+
+def _log_nonempty(x: np.ndarray, s: np.ndarray, cols: slice = slice(None)) -> np.ndarray:
+    """``log(1 - e^-S_k) = log P(some j >= k is taken)`` on the columns
+    ``cols`` (a slice) of the softplus sums ``s`` of ``x`` (see
+    ``_softplus_sums``)."""
+    s = s[..., cols]
+    # entries below 1e-280 are replaced just below, so the floor only keeps log(0) out
+    log_nonempty = np.log(-np.expm1(-np.maximum(s, 1e-280)))
+    if (s[..., -1] < 1e-280).any():  # S_k falls with k, so the last column holds each row's least
+        # the softplus terms of very negative potentials underflow; there
+        # log(1 - e^-S) = log S and log softplus(x) = x to double precision
+        rev = (..., slice(None, None, -1))
+        log_s = np.logaddexp.accumulate(x[rev], axis=-1)[rev][..., cols]
+        log_nonempty = np.where(s < 1e-280, log_s, log_nonempty)
+    return log_nonempty
+
+
+def _log_z(w: np.ndarray, s: np.ndarray, log_nonempty: np.ndarray) -> np.ndarray:
+    """``log Z = -sum w + S_0 + log(1 - e^-S_0)``, from column 0 of the
+    softplus sums ``s`` and of ``log_nonempty``."""
+    return -np.add.reduce(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
+
+
 def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The face law in closed form, over the last axis of ``w``.
 
@@ -67,25 +102,26 @@ def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j >= k is taken) = log(1 - exp(-S_k))`` and the log-normalizer ``log Z
     = log(prod_k 2cosh(w_k) * P(nonempty)) = -sum w + S_0 + log(1 - exp(-S_0))``.
     """
-    x = 2.0 * w
-    log1p_exp = np.log1p(np.exp(-np.abs(x)))
-    rev = (..., slice(None, None, -1))
-    s = np.add.accumulate((np.maximum(x, 0.0) + log1p_exp)[rev], axis=-1)[rev]
-    # entries below 1e-280 are replaced just below, so the floor only keeps log(0) out
-    log_nonempty = np.log(-np.expm1(-np.maximum(s, 1e-280)))
-    if (s[..., -1] < 1e-280).any():  # S_k falls with k, so the last column holds each row's least
-        # the softplus terms of very negative potentials underflow; there
-        # log(1 - e^-S) = log S and log softplus(x) = x to double precision
-        log_nonempty = np.where(s < 1e-280, np.logaddexp.accumulate(x[rev], axis=-1)[rev], log_nonempty)
-    log_z = -np.add.reduce(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
-    return np.minimum(x, 0.0) - log1p_exp, log_nonempty, log_z
+    x, log1p_exp, s = _softplus_sums(w)
+    log_nonempty = _log_nonempty(x, s)
+    return np.minimum(x, 0.0) - log1p_exp, log_nonempty, _log_z(w, s, log_nonempty)
 
 
 def _log_z_and_grad(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``log_normalizer_and_grad`` of potentials already known to be
-    finite, K >= 2."""
-    log_p, log_nonempty, log_z = _closed_form(w)
-    return log_z, 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
+    finite, K >= 2: the terms of ``_closed_form`` that log Z and the
+    expected statistics use, which need ``log P(nonempty)`` in column 0
+    only."""
+    x, log1p_exp, s = _softplus_sums(w)
+    log_nonempty = _log_nonempty(x, s, slice(0, 1))
+    log_z = _log_z(w, s, log_nonempty)
+    phi = np.minimum(x, 0.0)  # log p, then 2 p / P(nonempty) - 1 in the same buffer
+    phi -= log1p_exp
+    phi -= log_nonempty
+    np.exp(phi, out=phi)
+    phi *= 2.0
+    phi -= 1.0
+    return log_z, phi
 
 
 def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:

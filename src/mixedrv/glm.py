@@ -15,10 +15,13 @@ must be finite, and so must their products with the weights: a product that
 overflows raises ValueError rather than reach a clamp.
 
 The likelihood and its gradient run on one kernel per fit
-(``_likelihood_kernel``), which computes what depends on the targets alone
-once: the +/-1 face statistics, the Dirichlet entries (the face's vertices
-on rows whose face has two or more vertices) and their log-coordinates.
-Each step runs the concentration half on the Dirichlet entries only.
+(``_likelihood_kernel``), bound to the flat weights and gradient, which
+computes what depends on the targets alone once: the +/-1 face statistics,
+the Dirichlet entries (the face's vertices on rows whose face has two or
+more vertices) and their log-coordinates.  Each step works on stacked
+(2, n, K) buffers of both maps allocated once per fit, takes the face law's
+log Z and expected statistics from ``face_gibbs._log_z_and_grad``, and runs
+the concentration half on the Dirichlet entries only.
 """
 
 from __future__ import annotations
@@ -153,11 +156,11 @@ def glm_log_likelihood(model: GlmModel, X, targets: FaceBatch) -> tuple[float, d
     K = model.K
     if targets.K != K:
         raise ValueError(f"targets must have K={K}")
-    kernel = _likelihood_kernel(X, targets)
     theta = np.concatenate([model.w_face.ravel(), model.w_conc.ravel(), model.b_face, model.b_conc])
     grad = np.empty_like(theta)
+    kernel = _likelihood_kernel(X, targets, theta, grad)
     with np.errstate(over="ignore", invalid="ignore"):  # the kernel raises where a product overflows
-        ll = kernel(theta, grad)
+        ll = kernel()
     g_w, g_b = _split_flat(grad, K, model.d)
     return ll, {"w_face": g_w[:K], "b_face": g_b[:K], "w_conc": g_w[K:], "b_conc": g_b[K:]}
 
@@ -168,26 +171,34 @@ def _split_flat(theta: np.ndarray, K: int, d: int) -> tuple[np.ndarray, np.ndarr
     return theta[:2 * K * d].reshape(2 * K, d), theta[2 * K * d:]
 
 
-def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
+def _likelihood_kernel(X: np.ndarray, targets: FaceBatch, theta: np.ndarray, grad: np.ndarray):
     """The log-likelihood of the targets (one row per row of X, both
-    validated) as ``kernel(theta, grad) -> float``, a function of the flat
-    weights ``theta`` (see ``_split_flat``) that writes the gradient into
-    ``grad``, laid out like ``theta``.
+    validated) as ``kernel() -> float``, a function of the flat weights
+    ``theta`` (see ``_split_flat``) that writes the gradient into ``grad``,
+    laid out like ``theta``.  Both are the caller's arrays, read and written
+    in place at every call.
 
     A target's face is the support of its coordinates.  What depends on the
     targets alone is computed here, once: the +/-1 statistics, the flat
     indices of the Dirichlet entries (the face's vertices, on rows whose face
-    has two or more vertices: vertex targets have no Dirichlet term), their
-    log-coordinates and zero-filled (n, K) buffers.  Each call computes the
-    concentration product on every entry, so each entry rounds as the full
-    product does, but the clamps, softplus, gates, ``gammaln``, ``digamma``
-    and ``expit`` only on the Dirichlet entries; their results are scattered
-    into the buffers before every row or column sum, so each sum runs over
-    the same (n, K) layout as a dense pass would, in numpy's order.  Each map
-    keeps its own matrix products, on views of ``theta`` and ``grad`` (the
-    pre-activations are one stacked matmul, a batch of the two (n, K)
-    products): one (n, 2K) product rounds differently from the two (n, K)
-    ones for some shapes (d = 1, or one row with d >= 8).
+    has two or more vertices: vertex targets have no Dirichlet term) and
+    their log-coordinates.  So are the stacked views of ``theta`` and
+    ``grad`` and the buffers of every call: the pre-activations, clamped
+    values, in-range gates and gradients of both maps are (2, n, K) arrays,
+    index 0 the face map and 1 the concentration map, clamped and gated in
+    one pass each against the bounds ``[SCORE_CLAMP, PRE_CLAMP]``.  The face
+    law's log Z and expected statistics come from
+    ``face_gibbs._log_z_and_grad``.  The softplus, floor, ``expit``,
+    ``gammaln`` and ``digamma`` run on the Dirichlet entries only (the last
+    two once each, on the entries and their row sums together); their
+    results are scattered into zero-filled (n, K) buffers before every row
+    or column sum, so each sum runs over the same (n, K) layout as a dense
+    pass would, in numpy's order.
+
+    The pre-activations and the weight gradient are each one stacked
+    matmul, a batch of the two maps' (n, d) @ (d, K) or (K, n) @ (n, d)
+    products: one (n, 2K) or (2K, n) product rounds differently from the two
+    per-map ones for some shapes (d = 1, or one row with d >= 8).
 
     A face score or concentration pre-activation that is not finite (a
     product that overflows) raises ValueError.  Callers run the kernel under
@@ -209,37 +220,53 @@ def _likelihood_kernel(X: np.ndarray, targets: FaceBatch):
     on_rows = np.flatnonzero(on_dim)
     entry_row = np.searchsorted(on_rows, on // K)  # each Dirichlet entry's row, as an index into on_rows
     log_y = np.log(coords.ravel()[on])
-    alpha, dir_terms, g_conc = np.zeros((3, n, K))  # zero off the Dirichlet entries, at every step
-    alpha_flat, dir_flat, g_conc_flat = alpha.ravel(), dir_terms.ravel(), g_conc.ravel()
 
-    def kernel(theta: np.ndarray, grad: np.ndarray) -> float:
-        W, b = _split_flat(theta, K, d)
-        g_w, g_b = _split_flat(grad, K, d)
-        pre = np.matmul(X, W.reshape(2, K, d).transpose(0, 2, 1)) + b.reshape(2, 1, K)
+    W, b = _split_flat(theta, K, d)
+    W = W.reshape(2, K, d).transpose(0, 2, 1)
+    b = b.reshape(2, 1, K)
+    g_W, g_b = _split_flat(grad, K, d)
+    g_W, g_b = g_W.reshape(2, K, d), g_b.reshape(2, K)
+    bounds = np.array([SCORE_CLAMP, PRE_CLAMP]).reshape(2, 1, 1)
+    neg_bounds = -bounds
+    pre, clamped, g = np.zeros((3, 2, n, K))  # g[1] is zero off the Dirichlet entries, at every step
+    g_T = g.transpose(0, 2, 1)
+    in_range = np.empty((2, n, K), dtype=bool)
+    alpha, dir_terms = np.zeros((2, n, K))  # zero off the Dirichlet entries, at every step
+    alpha_flat, dir_flat, g_conc_flat = alpha.ravel(), dir_terms.ravel(), g[1].ravel()
+    m = on.size
+    conc_sums = np.empty(m + on_rows.size)  # the entries' concentrations, then their rows' sums
+    conc, alpha0 = conc_sums[:m], conc_sums[m:]
+
+    def kernel() -> float:
+        np.matmul(X, W, out=pre)
+        np.add(pre, b, out=pre)
         if not np.isfinite(pre).all():
             raise ValueError(_NON_FINITE)
-        pre_f, pre_c = pre
-        scores = np.minimum(np.maximum(pre_f, -SCORE_CLAMP), SCORE_CLAMP)
+        np.abs(pre, out=clamped)
+        np.less(clamped, bounds, out=in_range)
+        np.maximum(pre, neg_bounds, out=clamped)
+        np.minimum(clamped, bounds, out=clamped)
+
+        scores = clamped[0]
         log_z, expected_phi = face_gibbs._log_z_and_grad(scores)
         ll_face = np.add.reduce(scores * phi, axis=1) - log_z
-        g_scores = (phi - expected_phi) * (np.abs(pre_f) < SCORE_CLAMP)
+        np.subtract(phi, expected_phi, out=g[0])
+        g[0] *= in_range[0]
 
-        pre_c = pre_c.take(on)
-        pre_cc = np.minimum(np.maximum(pre_c, -PRE_CLAMP), PRE_CLAMP)
+        pre_cc = clamped[1].take(on)
         soft = np.logaddexp(0.0, pre_cc)
-        conc = np.maximum(soft, CONC_MIN)
-        gate_c = (np.abs(pre_c) < PRE_CLAMP) & (soft > CONC_MIN)
+        np.maximum(soft, CONC_MIN, out=conc)
         alpha_flat[on] = conc
-        alpha0 = np.add.reduce(alpha, axis=1).take(on_rows)
-        dir_flat[on] = (conc - 1.0) * log_y - gammaln(conc)
+        np.add.reduce(alpha, axis=1).take(on_rows, out=alpha0)
+        lg_sums, dg_sums = gammaln(conc_sums), digamma(conc_sums)
+        dir_flat[on] = (conc - 1.0) * log_y - lg_sums[:m]
         ll_dir = np.add.reduce(dir_terms, axis=1)
-        ll_dir[on_rows] += gammaln(alpha0)
-        g_conc_flat[on] = (log_y - digamma(conc) + digamma(alpha0).take(entry_row)) * expit(pre_cc) * gate_c
+        ll_dir[on_rows] += lg_sums[m:]
+        gate_c = in_range[1].take(on) & (soft > CONC_MIN)
+        g_conc_flat[on] = (log_y - dg_sums[:m] + dg_sums[m:].take(entry_row)) * expit(pre_cc) * gate_c
 
-        np.matmul(g_scores.T, X, out=g_w[:K])
-        np.matmul(g_conc.T, X, out=g_w[K:])
-        np.add.reduce(g_scores, axis=0, out=g_b[:K])
-        np.add.reduce(g_conc, axis=0, out=g_b[K:])
+        np.matmul(g_T, X, out=g_W)
+        np.add.reduce(g, axis=1, out=g_b)
         return float(np.add.reduce(ll_face) + np.add.reduce(ll_dir))
 
     return kernel
@@ -252,11 +279,13 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     All weights live in one flat vector laid out ``[W (2K, d) | b (2K)]``,
     rows 0..K-1 of W and entries 0..K-1 of b the face map and the rest the
     concentration map, so each step is one pass of the likelihood kernel
-    (built once per fit, see ``_likelihood_kernel``) and one elementwise Adam
-    update of that vector in preallocated buffers.  Deterministic given the
-    seed, which only controls the small random initialization of the weights
-    (drawn face weights, face biases, concentration weights, concentration
-    biases, in that order).
+    (built once per fit on that vector and its gradient, see
+    ``_likelihood_kernel``) and one elementwise Adam update in preallocated
+    buffers: both moments are rows of one (2, P) array, updated together
+    with their rates and bias corrections as (2, 1) columns.  Deterministic
+    given the seed, which only controls the small random initialization of
+    the weights (drawn face weights, face biases, concentration weights,
+    concentration biases, in that order).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -264,38 +293,40 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
     n, d = X.shape
     if len(targets) != n:
         raise ValueError("one target per row required")
-    kernel = _likelihood_kernel(X, targets)
     K = targets.K
-    rng = np.random.default_rng(seed)
     theta = np.empty(2 * K * (d + 1))
+    grad = np.zeros_like(theta)
+    kernel = _likelihood_kernel(X, targets, theta, grad)
+    rng = np.random.default_rng(seed)
     W, b = _split_flat(theta, K, d)
     W[:K] = rng.normal(0.0, 0.01, (K, d))
     b[:K] = rng.normal(0.0, 0.01, K)
     W[K:] = rng.normal(0.0, 0.01, (K, d))
     b[K:] = rng.normal(0.0, 0.01, K)
-    grad, g, m, v, step, den = np.zeros((6, theta.size))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    betas = np.array([[beta1], [beta2]])
+    rates = 1.0 - betas
+    corrections = np.array([[[1.0 - beta1**t], [1.0 - beta2**t]] for t in range(1, steps + 1)])
+    g = np.zeros_like(theta)
+    moments, step = np.zeros((2, 2, theta.size))  # rows: first and second moment
+    step_m, step_v = step
     losses = np.empty(steps)
     # the kernel raises where a product overflows; weights that an update
     # made non-finite raise there too, at the next step or in GlmModel
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, steps + 1):
-            losses[t - 1] = -kernel(theta, grad) / n
+        for t in range(steps):
+            losses[t] = -kernel() / n
             np.divide(grad, -n, out=g)
-            m *= beta1
-            np.multiply(1.0 - beta1, g, out=step)
-            m += step
-            v *= beta2
-            np.multiply(1.0 - beta2, g, out=step)
-            step *= g
-            v += step
-            np.divide(m, 1.0 - beta1**t, out=step)
-            step *= lr
-            np.divide(v, 1.0 - beta2**t, out=den)
-            np.sqrt(den, out=den)
-            den += eps
-            step /= den
-            theta -= step
+            moments *= betas
+            np.multiply(rates, g, out=step)
+            step_v *= g
+            moments += step
+            np.divide(moments, corrections[t], out=step)
+            step_m *= lr
+            np.sqrt(step_v, out=step_v)
+            step_v += eps
+            step_m /= step_v
+            theta -= step_m
     return FitResult(GlmModel(W[:K], b[:K], W[K:], b[K:]), losses)
 
 
@@ -317,8 +348,9 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
     """Point predictions at the rows of X (B, d), validated as one batch.
 
     ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
-    face; ``sample-mean`` averages ``n`` draws from each row's predicted
-    distribution, all from the one generator ``rng``.  The rows are drawn in
+    face, for all rows with one face size at a time; ``sample-mean``
+    averages ``n`` draws from each row's predicted distribution, all from
+    the one generator ``rng``.  The rows are drawn in
     consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows, each block one
     ``draw_log_coords`` call with every row's table and concentrations
     repeated n times, so the stream is consumed block after block.
@@ -326,10 +358,20 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
     scores, conc = model.row_params(X)
     preds = np.zeros_like(conc)
     if rule == "most-probable-mean":
-        for i, (s, c) in enumerate(zip(scores, conc)):
-            idx = face_gibbs.most_probable_vertices(s)
-            a = c[idx]
-            preds[i, idx] = a / a.sum()
+        # the argmax face (see face_gibbs.most_probable_vertices): the
+        # vertices with a positive score, else the best one (lowest index)
+        member = scores > 0.0
+        none = np.flatnonzero(~member.any(axis=1))
+        member[none, scores[none].argmax(axis=1)] = True
+        on = np.flatnonzero(member)
+        size = member.sum(axis=1)[on // conc.shape[1]]  # the face size of each entry's row
+        conc_flat, preds_flat = conc.reshape(-1), preds.reshape(-1)
+        for L in np.unique(size):
+            # the rows with L vertices as one C-contiguous (rows, L) block:
+            # each row sum is the 1-D sum of that face, pairwise blocks included
+            idx = on[size == L]
+            a = conc_flat[idx].reshape(-1, L)
+            preds_flat[idx] = (a / a.sum(axis=1, keepdims=True)).reshape(-1)
     elif rule == "sample-mean":
         if rng is None:
             raise ValueError("sample-mean needs an rng")

@@ -219,6 +219,46 @@ def test_exact_stdout_bytes(command, p, q, extra, stdout, tmp_path, capsys):
     assert run(exact_argv(tmp_path, command, p, q, extra), capsys) == (0, stdout, "")
 
 
+#: a spec of each kind with vector fields, and values of such a field that
+#: are not flat arrays of numbers although ``float`` takes each entry (a null
+#: entry reads as NaN and fails each kind's finiteness check, see SPEC_ERRORS)
+VECTOR_SPECS = {"mixed-dirichlet": MD3, "gaussian-sparsemax": GS3, "kd-hard-concrete": KD3, "concrete": CONC3}
+NOT_NUMBERS = {
+    "bools": [True, False, True],
+    "one-bool": [1.0, True, 0.5],
+    "numeric-strings": ["0.5", "1", "2"],
+    "one-numeric-string": [0.5, "1", 2.0],
+    "huge-integer": [1, 10**400, 1],
+    "bare-bool": True,
+    "bare-numeric-string": "1",
+}
+VECTOR_CASES = [(kind, key, case) for kind, (_, _, vectors, _) in distspec._KINDS.items()
+                for key in vectors for case in NOT_NUMBERS]
+
+
+@pytest.mark.parametrize("kind, key, case", VECTOR_CASES, ids=["-".join(c) for c in VECTOR_CASES])
+def test_vector_fields_take_numbers_only(kind, key, case, tmp_path, capsys):
+    spec = dict(VECTOR_SPECS[kind], **{key: NOT_NUMBERS[case]})
+    with pytest.raises(SpecError, match=f"^field '{key}' must be a list of numbers$"):
+        parse_spec(spec)
+    assert run(["entropy", "--dist", write(tmp_path / "p.json", spec), "--mode", "exact"], capsys) == (
+        2, "", f"error: field '{key}' must be a list of numbers\n")
+
+
+@pytest.mark.parametrize("spec, key", [(KD3, "beta"), (KD3, "lambda"), (BHC, "log_alpha"), (CONC3, "beta")])
+def test_scalar_fields_reject_integers_beyond_the_double_range(spec, key, tmp_path, capsys):
+    spec = dict(spec, **{key: -(10**400)})
+    assert run(["entropy", "--dist", write(tmp_path / "p.json", spec), "--mode", "exact"], capsys) == (
+        2, "", f"error: field '{key}' must be a number\n")
+
+
+@pytest.mark.parametrize("spec", [dict(ME3, n=10**400), dict(ME3, k=10**400)], ids=["n", "k"])
+def test_maxent_integers_beyond_the_machine_range_exit_2(spec, tmp_path, capsys):
+    code, out, err = run(["entropy", "--dist", write(tmp_path / "p.json", spec), "--mode", "exact"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid parameters for kind 'maxent': ") and err.count("\n") == 1
+
+
 def test_spec_file_error_bytes(tmp_path, capsys):
     path = tmp_path / "s.json"
     argv = ["entropy", "--dist", str(path), "--mode", "exact"]

@@ -245,7 +245,7 @@ class TestNonFinitePredictors:
         theta = np.zeros(2 * 4 * (3 + 1))
         theta[0] = np.nan  # w_face[0, 0]
         with pytest.raises(ValueError, match="non-finite face scores"):
-            glm._likelihood_kernel(X, Y)(theta, np.empty_like(theta))
+            glm._likelihood_kernel(X, Y, theta, np.empty_like(theta))()
 
 
 class TestOverflowingProducts:
@@ -516,6 +516,45 @@ class TestRowBatchedSampling:
         with pytest.raises(ValueError, match="unknown prediction rule"):
             glm.predict_rows(model, np.zeros((2, 2)), "median")
 
+
+def _most_probable_mean_reference(scores, conc):
+    """``most-probable-mean`` one row at a time: the Dirichlet mean on each
+    row's argmax face, normalized by the 1-D sum of its concentrations."""
+    preds = np.zeros_like(conc)
+    for i, (s, c) in enumerate(zip(scores, conc)):
+        idx = fg.most_probable_vertices(s)
+        a = c[idx]
+        preds[i, idx] = a / a.sum()
+    return preds
+
+
+class TestMostProbableMean:
+    """The batched rule against the per-row one, bitwise.  A face of 8 or
+    more vertices sums its concentrations pairwise, so each face size is
+    gathered into a C-contiguous block whose row sums are the 1-D sums."""
+
+    @pytest.mark.parametrize("K", [2, 3, 5, 7, 8, 9, 16, 17, 28, 40])
+    def test_bitwise_equal_to_the_row_loop(self, K):
+        # face scores are the predictors (identity weights, zero bias), so
+        # the rows hold exact ties and zeros; positive shares vary per row
+        rng = np.random.default_rng(4100 + K)
+        rows = 500
+        share = rng.uniform(0.0, 1.0, (rows, 1))
+        X = np.where(rng.random((rows, K)) < share, rng.uniform(0.0, 3.0, (rows, K)),
+                     -rng.integers(0, 3, (rows, K)) * rng.choice([0.5, 1.0], (rows, K)))
+        X[:20] = -1.0  # ties: the lowest index is the argmax
+        X[20:30] = 0.0  # zero scores count as "exclude"
+        model = glm.GlmModel(np.eye(K), np.zeros(K), rng.normal(0.0, 2.0, (K, K)), rng.normal(1.0, 1.0, K))
+        scores, conc = model.row_params(X)
+        want = _most_probable_mean_reference(scores, conc)
+        got = glm.predict_rows(model, X, "most-probable-mean").coords
+        assert got.tobytes() == want.tobytes()
+        assert ((got > 0).sum(axis=1) >= 8).any() or K < 8  # pairwise sums are reached
+
+    def test_one_row(self):
+        model = glm.GlmModel(np.eye(3), np.zeros(3), np.zeros((3, 3)), np.array([1.0, 2.0, 3.0]))
+        p = glm.predict_rows(model, np.array([[0.0, -1.0, -1.0]]), "most-probable-mean")
+        assert p.coords.tolist() == [[1.0, 0.0, 0.0]]
 
 class TestMetrics:
     def test_rmse_definition(self):
