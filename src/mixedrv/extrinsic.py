@@ -82,7 +82,8 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm_pdf(x):
-    return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):  # |x| above about 1.3e154 squares to inf, and exp(-inf) = 0
+        return np.exp(-0.5 * np.asarray(x) ** 2) / np.sqrt(2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,12 +219,19 @@ def gs2_entropy(z: float, sigma: float) -> float:
     return float(-xlogy(p0, p0) - xlogy(p1, p1) + cont)
 
 
-def _kl_term(p: float, q: float) -> float:
-    if p == 0.0:
-        return 0.0
-    if q == 0.0:
-        return np.inf
-    return p * np.log(p / q)
+def _gs2_log_vertex_masses(z: float, sigma: float) -> tuple[float, float]:
+    """Logarithms of the masses at 0 and at 1 of ``gs2_face_probs``, finite
+    where the masses underflow."""
+    from scipy.special import log_ndtr
+
+    return float(log_ndtr(-z / sigma)), float(log_ndtr((z - 1.0) / sigma))
+
+
+def _kl_term(log_p: float, log_q: float) -> float:
+    """``p log(p / q)`` from the log-masses: finite however small q is, and
+    0 where p underflows to 0."""
+    p = np.exp(log_p)
+    return 0.0 if p == 0.0 else p * (log_p - log_q)
 
 
 def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
@@ -235,14 +243,14 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
     """
     sigma_p = _check_sigma(sigma_p)
     sigma_q = _check_sigma(sigma_q)
-    p0, p1, _ = gs2_face_probs(z_p, sigma_p)
-    q0, q1, _ = gs2_face_probs(z_q, sigma_q)
+    log_p0, log_p1 = _gs2_log_vertex_masses(z_p, sigma_p)
+    log_q0, log_q1 = _gs2_log_vertex_masses(z_q, sigma_q)
     m0, m1, m2 = _truncated_moments(z_p, sigma_p)
     delta = z_p - z_q
     int_p_log_p = -(m0 * 0.5 * np.log(2.0 * np.pi * sigma_p**2) + 0.5 * m2)
     e_quad = sigma_p**2 * m2 + 2.0 * sigma_p * delta * m1 + delta**2 * m0
     int_p_log_q = -m0 * 0.5 * np.log(2.0 * np.pi * sigma_q**2) - e_quad / (2.0 * sigma_q**2)
-    return float(_kl_term(p0, q0) + _kl_term(p1, q1) + int_p_log_p - int_p_log_q)
+    return float(_kl_term(log_p0, log_q0) + _kl_term(log_p1, log_q1) + int_p_log_p - int_p_log_q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ conditioned on a nonempty face, so every quantity that naively requires a
 sum over 2^K - 1 faces (the log-normalizer, vertex-membership marginals,
 sampling) has an O(K) closed form, evaluated in log space: the softplus
 sums ``S_k`` (``_softplus_sums``) and ``log P(some j >= k is taken)``
-(``_log_nonempty``), on every column for the sampling tables
-(``_closed_form``) and on column 0 only for log Z and its gradient
-(``_log_z_and_grad``, the GLM's per-step call).  The paper's
-O(K) face-lattice DAG computes the same quantities and is kept in
-``oracles`` as the independent reference.
+(``_log_nonempty``).  Two routines read them: ``_log_z_and_grad`` (column
+0 only) gives log Z and the expected statistics to every caller, the GLM's
+per-step call included, and ``sampling_tables`` (every column) gives the
+sampling tables.  ``face_log_prob`` is the one face log-probability and
+``most_probable_members`` the one argmax-face rule.  The paper's O(K)
+face-lattice DAG computes the same quantities and is kept in ``oracles`` as
+the independent reference.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import MAX_BITMASK_K, FaceIndexSet
+from .simplex import MAX_BITMASK_K, FaceIndexSet, mask_members
 
 __all__ = [
     "GibbsFaceDistribution",
@@ -41,6 +43,7 @@ __all__ = [
     "grad_log_prob",
     "most_probable_face",
     "most_probable_vertices",
+    "most_probable_members",
     "suff_stats",
 ]
 
@@ -88,33 +91,18 @@ def _log_nonempty(x: np.ndarray, s: np.ndarray, cols: slice = slice(None)) -> np
     return log_nonempty
 
 
-def _log_z(w: np.ndarray, s: np.ndarray, log_nonempty: np.ndarray) -> np.ndarray:
-    """``log Z = -sum w + S_0 + log(1 - e^-S_0)``, from column 0 of the
-    softplus sums ``s`` and of ``log_nonempty``."""
-    return -np.add.reduce(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
-
-
-def _closed_form(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The face law in closed form, over the last axis of ``w``.
-
-    With independent Bernoulli(p_j) vertices and ``S_k = sum_{j>=k}
-    softplus(2 w_j)``, returns ``log p_k = log sigma(2 w_k)``, ``log P(some
-    j >= k is taken) = log(1 - exp(-S_k))`` and the log-normalizer ``log Z
-    = log(prod_k 2cosh(w_k) * P(nonempty)) = -sum w + S_0 + log(1 - exp(-S_0))``.
-    """
-    x, log1p_exp, s = _softplus_sums(w)
-    log_nonempty = _log_nonempty(x, s)
-    return np.minimum(x, 0.0) - log1p_exp, log_nonempty, _log_z(w, s, log_nonempty)
-
-
 def _log_z_and_grad(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``log_normalizer_and_grad`` of potentials already known to be
-    finite, K >= 2: the terms of ``_closed_form`` that log Z and the
-    expected statistics use, which need ``log P(nonempty)`` in column 0
-    only."""
+    finite, K >= 2, over the last axis of ``w``.
+
+    With independent Bernoulli(p_j = sigma(2 w_j)) vertices, ``log Z =
+    log(prod_k 2cosh(w_k) * P(nonempty)) = -sum w + S_0 + log(1 - e^-S_0)``
+    and ``E[phi_k] = 2 p_k / P(nonempty) - 1``: both need ``log P(some j >=
+    k is taken)`` in column 0 only.
+    """
     x, log1p_exp, s = _softplus_sums(w)
     log_nonempty = _log_nonempty(x, s, slice(0, 1))
-    log_z = _log_z(w, s, log_nonempty)
+    log_z = -np.add.reduce(w, axis=-1) + s[..., 0] + log_nonempty[..., 0]
     phi = np.minimum(x, 0.0)  # log p, then 2 p / P(nonempty) - 1 in the same buffer
     phi -= log1p_exp
     phi -= log_nonempty
@@ -136,34 +124,30 @@ def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_normalizer(w) -> float | np.ndarray:
-    """Log-normalizer of the face distribution (see ``_closed_form``).
+    """Log-normalizer of the face distribution (see ``_log_z_and_grad``).
 
     Accepts ``w`` of shape (K,) or (B, K); returns a scalar or (B,).
     """
     w = _as_w(w)
-    log_z = _closed_form(w)[2]
+    log_z = _log_z_and_grad(w)[0]
     return float(log_z) if w.ndim == 1 else log_z
 
 
-def _take_table(log_p: np.ndarray, log_nonempty: np.ndarray) -> np.ndarray:
-    """The sampling table (see ``masks_from_uniforms``) from the closed-form
-    terms over the last axis: shape (K, 3), or (B, K, 3) for B face laws."""
+def sampling_tables(w) -> np.ndarray:
+    """Sampling tables (see ``masks_from_uniforms``) of the face laws with
+    potentials ``w`` (K,) or (B, K): shape (K, 3) or (B, K, 3), each row
+    equal to ``GibbsFaceDistribution(w[i]).take_probs``.  They need ``log
+    P(some j >= k is taken)`` in every column."""
+    x, log1p_exp, s = _softplus_sums(_as_w(w))
+    log_p = np.minimum(x, 0.0) - log1p_exp
     p = np.exp(log_p)
-    take = np.stack([np.exp(log_p - log_nonempty), p, p], axis=-1)
+    take = np.stack([np.exp(log_p - _log_nonempty(x, s)), p, p], axis=-1)
     # states that cannot occur yet: nothing is taken before vertex 0, and
     # "nonempty, previous not taken" needs two earlier vertices
     take[..., 0, 1:] = 0.0
     take[..., 1, 1] = 0.0
     take[..., -1, 0] = 1.0  # a face still empty at the last vertex must take it
     return take
-
-
-def sampling_tables(w) -> np.ndarray:
-    """Sampling tables of the face laws with potentials ``w`` (K,) or
-    (B, K): shape (K, 3) or (B, K, 3), each row equal to
-    ``GibbsFaceDistribution(w[i]).take_probs``."""
-    log_p, log_nonempty, _ = _closed_form(_as_w(w))
-    return _take_table(log_p, log_nonempty)
 
 
 def expected_suff_stats(w) -> np.ndarray:
@@ -186,8 +170,10 @@ def _face_masks(masks, K: int) -> np.ndarray:
 def suff_stats(masks, K: int) -> np.ndarray:
     """The +/-1 statistic vectors of faces over K vertices: shape (K,) for
     one bitmask, (n, K) for an array of n."""
-    bits = (_face_masks(masks, K)[..., None] >> np.arange(K)) & 1
-    return np.where(bits == 1, 1.0, -1.0)
+    phi = mask_members(_face_masks(masks, K), K).astype(float)  # then +/-1 in place, cheaper than np.where
+    phi *= 2.0
+    phi -= 1.0
+    return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +195,8 @@ class GibbsFaceDistribution:
             raise ValueError("w must be a vector")
         w = w.copy()
         w.flags.writeable = False
-        log_p, log_nonempty, log_z = _closed_form(w)
-        phi = 2.0 * np.exp(log_p - log_nonempty[0]) - 1.0
-        take = _take_table(log_p, log_nonempty)
+        log_z, phi = _log_z_and_grad(w)
+        take = sampling_tables(w)
         phi.flags.writeable = False
         take.flags.writeable = False
         object.__setattr__(self, "w", w)
@@ -225,8 +210,8 @@ class GibbsFaceDistribution:
 
 
 def face_log_prob(d: GibbsFaceDistribution, masks) -> float | np.ndarray:
-    """Log-probability of one face bitmask (a float) or of each of an array
-    of them."""
+    """Log-probability ``phi(F) . w - log Z`` of one face bitmask (a float)
+    or of each of an array of them."""
     log_p = suff_stats(masks, d.K) @ d.w - d.log_z
     return float(log_p) if log_p.ndim == 0 else log_p
 
@@ -287,15 +272,23 @@ def grad_log_prob(d: GibbsFaceDistribution, masks) -> np.ndarray:
     return suff_stats(masks, d.K) - d.expected_phi
 
 
-def most_probable_vertices(w) -> np.ndarray:
-    """Vertex indices of the argmax face of the law with potentials ``w``,
-    in O(K): all vertices with positive potential, else the best single
-    vertex (lowest index on ties).  Zero potentials count as "exclude"."""
+def most_probable_members(w) -> np.ndarray:
+    """Membership of the argmax face of each law with potentials ``w`` (K,)
+    or (B, K), of the same shape, in O(K): all vertices with positive
+    potential, else the best single vertex (lowest index on ties).  Zero
+    potentials count as "exclude"."""
     w = np.asarray(w, dtype=float)
-    positive = np.nonzero(w > 0.0)[0]
-    return positive if positive.size > 0 else np.argmax(w, keepdims=True)
+    member = w > 0.0
+    best = w.argmax(axis=-1)[..., None] == np.arange(w.shape[-1])
+    return np.where(member.any(axis=-1, keepdims=True), member, best)
+
+
+def most_probable_vertices(w) -> np.ndarray:
+    """Vertex indices of the argmax face of the law with potentials ``w``
+    (see ``most_probable_members``)."""
+    return np.flatnonzero(most_probable_members(w))
 
 
 def most_probable_face(d: GibbsFaceDistribution) -> int:
-    """Bitmask of the argmax face (see ``most_probable_vertices``)."""
+    """Bitmask of the argmax face (see ``most_probable_members``)."""
     return sum(1 << k for k in most_probable_vertices(d.w).tolist())

@@ -348,21 +348,18 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
     """Point predictions at the rows of X (B, d), validated as one batch.
 
     ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
-    face, for all rows with one face size at a time; ``sample-mean``
-    averages ``n`` draws from each row's predicted distribution, all from
-    the one generator ``rng``.  The rows are drawn in
-    consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows, each block one
-    ``draw_log_coords`` call with every row's table and concentrations
-    repeated n times, so the stream is consumed block after block.
+    face (``face_gibbs.most_probable_members``), for all rows with one face
+    size at a time; ``sample-mean`` averages ``n`` draws from each row's
+    predicted distribution, all from the one generator ``rng``.  The rows
+    are drawn in consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows,
+    each block one ``draw_log_coords`` call with every row's table and
+    concentrations repeated n times, so the stream is consumed block after
+    block.
     """
     scores, conc = model.row_params(X)
     preds = np.zeros_like(conc)
     if rule == "most-probable-mean":
-        # the argmax face (see face_gibbs.most_probable_vertices): the
-        # vertices with a positive score, else the best one (lowest index)
-        member = scores > 0.0
-        none = np.flatnonzero(~member.any(axis=1))
-        member[none, scores[none].argmax(axis=1)] = True
+        member = face_gibbs.most_probable_members(scores)
         on = np.flatnonzero(member)
         size = member.sum(axis=1)[on // conc.shape[1]]  # the face size of each entry's row
         conc_flat, preds_flat = conc.reshape(-1), preds.reshape(-1)
@@ -405,11 +402,11 @@ def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(y_true) - np.asarray(y_pred))))
 
 
-def zero_nonzero_macro_f1(y_true: np.ndarray, y_pred: np.ndarray, tol: float = 0.0) -> float:
+def zero_nonzero_macro_f1(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Macro F1 over the two classes of the coordinate-wise question
-    "is this coordinate nonzero?"."""
-    t = np.asarray(y_true) > tol
-    p = np.asarray(y_pred) > tol
+    "is this coordinate nonzero?", read as "> 0.0" (coordinates are never negative)."""
+    t = np.asarray(y_true) > 0.0
+    p = np.asarray(y_pred) > 0.0
     scores = []
     for cls in (True, False):
         tp = np.sum((p == cls) & (t == cls))

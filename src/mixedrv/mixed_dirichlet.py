@@ -220,9 +220,8 @@ def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
     plus the Dirichlet log-density on the face (0 for vertices)."""
     if batch.K != md.K:
         raise ValueError(f"point has K={batch.K}, distribution has K={md.K}")
-    member = batch.members()
-    face = np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z
-    return face + _dirichlet_log_pdf_rows(member, batch, md.alpha)
+    face = face_gibbs.face_log_prob(md.faces, batch.masks)
+    return face + _dirichlet_log_pdf_rows(batch.members(), batch, md.alpha)
 
 
 def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
@@ -236,8 +235,7 @@ def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray, np.ndarra
     if md.K > EXACT_ENUM_MAX_K:
         raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
     masks = enumerate_faces(md.K)
-    member = mask_members(masks, md.K)
-    return masks, member, np.exp(np.where(member, 1.0, -1.0) @ md.faces.w - md.faces.log_z)
+    return masks, mask_members(masks, md.K), np.exp(face_gibbs.face_log_prob(md.faces, masks))
 
 
 def entropy(md: MixedDirichlet) -> float:

@@ -124,8 +124,8 @@ _BITS = np.left_shift(1, np.arange(MAX_BITMASK_K), dtype=np.int64)
 
 
 def mask_members(masks: np.ndarray, K: int) -> np.ndarray:
-    """(n, K) boolean membership matrix of n face bitmasks."""
-    return (np.asarray(masks, dtype=np.int64)[:, None] & _BITS[:K]) != 0
+    """(n, K) boolean membership matrix of n face bitmasks, or (K,) for one."""
+    return (np.asarray(masks, dtype=np.int64)[..., None] & _BITS[:K]) != 0
 
 
 def vertex_counts(masks: np.ndarray) -> np.ndarray:
@@ -146,8 +146,6 @@ def row_max(x: np.ndarray) -> np.ndarray:
 def face_index(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct face bitmasks of ``masks``, ascending, and each row's
     index into them."""
-    if masks.shape[0] == 1:  # the common single-draw case needs no sort
-        return masks, np.zeros(1, dtype=np.intp)
     return np.unique(masks, return_inverse=True)
 
 
@@ -155,8 +153,6 @@ def face_groups(masks: np.ndarray):
     """Rows of each distinct face bitmask: ``(mask, rows)`` pairs with masks
     ascending and each face's row indices ascending."""
     faces, inverse = face_index(masks)
-    if faces.size == 1:
-        return [(int(faces[0]), np.arange(masks.shape[0]))]
     rows = np.argsort(inverse, kind="stable")
     bounds = np.cumsum(np.bincount(inverse, minlength=faces.size))[:-1]
     return list(zip(faces.tolist(), np.split(rows, bounds)))

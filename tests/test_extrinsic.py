@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import expit, ndtr
 
-from mixedrv import checks, oracles
+from mixedrv import checks, info_theory, oracles
 from mixedrv import extrinsic as ex
 from mixedrv.simplex import FaceBatch, SimplexPoint, sparsemax, sparsemax_rows
 
@@ -52,6 +53,24 @@ class TestGaussianSparsemaxSampling:
         d = ex.GaussianSparsemax([0.3, 0.2, 0.1], [1e-150, 2e-150, 1e-150])
         batch = d.sample_many(20, np.random.default_rng(66))
         assert np.isfinite(ex.gs_log_density_many(d, batch)).all()
+
+
+def _gs2_kl_mpmath(zp: float, sp: float, zq: float, sq: float) -> float:
+    """``gs2_kl`` at 50 digits: the vertex terms P log(P / Q) from the
+    normal tail masses, plus the interior integral of N_p log(N_p / N_q)
+    by quadrature."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        zp, sp, zq, sq = (mp.mpf(v) for v in (zp, sp, zq, sq))
+
+        def log_pdf(y, z, s):
+            return -((y - z) / s) ** 2 / 2 - mp.log(s * mp.sqrt(2 * mp.pi))
+
+        total = mp.fsum(P * mp.log(P / Q) for P, Q in ((mp.ncdf(-zp / sp), mp.ncdf(-zq / sq)),
+                                                       (mp.ncdf((zp - 1) / sp), mp.ncdf((zq - 1) / sq))))
+        total += mp.quad(lambda y: mp.exp(log_pdf(y, zp, sp)) * (log_pdf(y, zp, sp) - log_pdf(y, zq, sq)),
+                         [0, zp, 1])
+        return float(total)
 
 
 class TestGs2ClosedForms:
@@ -105,6 +124,41 @@ class TestGs2ClosedForms:
             diffs = oracles.gs2_log_density(y, zp, sp) - oracles.gs2_log_density(y, zq, sq)
             se = diffs.std(ddof=1) / np.sqrt(y.size)
             assert ex.gs2_kl(zp, sp, zq, sq) == pytest.approx(diffs.mean(), abs=3 * se)
+
+    @pytest.mark.parametrize("sigma_q", [0.01878, 0.015, 0.005])
+    def test_kl_with_vertex_masses_below_the_normal_range(self, sigma_q):
+        # q's vertex masses are 1.4e-310 (subnormal), then below the
+        # smallest double: the vertex terms come from the log-masses
+        p = ex.GaussianSparsemax([0.0, 0.0], [0.42426, 0.42426])
+        q = ex.GaussianSparsemax([0.0, 0.0], [sigma_q, sigma_q])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = p.direct_sum_kl(q)
+        assert got == pytest.approx(_gs2_kl_mpmath(*ex.gs2_params(p), *ex.gs2_params(q)), rel=1e-12)
+        if sigma_q == 0.01878:
+            assert got == pytest.approx(210.96, abs=0.005)
+            est = info_theory.direct_sum_kl_mc(p, q, 50_000, np.random.default_rng(1))
+            assert abs(got - est.estimate) <= 4.0 * est.std_error
+
+    def test_kl_vs_mpmath(self):
+        rng = np.random.default_rng(58)
+        for _ in range(8):
+            zp, zq = rng.uniform(-1, 2, 2)
+            sp, sq = rng.uniform(0.1, 2, 2)
+            assert ex.gs2_kl(zp, sp, zq, sq) == pytest.approx(_gs2_kl_mpmath(zp, sp, zq, sq), rel=1e-11, abs=1e-14)
+
+    def test_far_tail_entropy_and_kl_do_not_warn(self):
+        # |z / sigma| is about 7e159, beyond the 1.3e154 whose square overflows:
+        # all the mass sits at the vertex y = 1
+        tail = ex.GaussianSparsemax([1e10, 0.0], [1e-150, 1e-150])
+        p = ex.GaussianSparsemax([0.0, 0.0], [0.42426, 0.42426])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tail.direct_sum_entropy() == 0.0
+            assert tail.direct_sum_kl(p) == pytest.approx(-np.log(ndtr((ex.gs2_params(p)[0] - 1.0)
+                                                                       / ex.gs2_params(p)[1])), rel=1e-14)
+            assert p.direct_sum_kl(tail) == np.inf  # q has no interior mass in doubles
+            assert tail.direct_sum_kl(tail) == 0.0
 
     def test_kl_nonnegative(self):
         rng = np.random.default_rng(57)

@@ -462,6 +462,24 @@ class TestMostProbableFace:
             best = oracles.enum_most_probable_face(w)
             assert float(w @ fg.suff_stats(got, K)) == pytest.approx(float(w @ fg.suff_stats(best, K)), abs=1e-12)
 
+    def test_batched_rule_is_each_row_by_enumeration(self):
+        # rows with ties and zeros: the face of a row is its argmax face by
+        # enumeration, the lowest vertex on a tie of singletons
+        rng = np.random.default_rng(27)
+        W = rng.integers(-2, 3, (200, 6)) * 0.5
+        W[:3] = [-1.0] * 6, [0.0] * 6, [-2.0, -1.0, -1.0, -3.0, 0.0, -1.0]
+        members = fg.most_probable_members(W)
+        assert members.shape == W.shape
+        for w, member in zip(W, members):
+            face = np.flatnonzero(member)
+            assert fg.most_probable_members(w).tolist() == member.tolist()
+            assert fg.most_probable_vertices(w).tolist() == face.tolist()
+            best = oracles.enum_most_probable_face(w)
+            if face.size == 1:
+                assert (w > 0).sum() <= 1 and face[0] == np.flatnonzero(w == w.max())[0]
+            assert float(w @ np.where(member, 1.0, -1.0)) == float(w @ fg.suff_stats(best, 6))
+        assert members[:3].tolist() == [[True] + [False] * 5, [True] + [False] * 5, [False] * 4 + [True, False]]
+
 
 class TestMaskApi:
     """Face functions take one int64 bitmask or an array of them."""

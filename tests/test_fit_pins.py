@@ -9,8 +9,10 @@ concentration floor is reached.  The digests were recorded with numpy 2.4 on
 x86-64 before the kernel moved to stacked buffers; another numpy build may
 round differently.
 
-The face law's ``_log_z_and_grad`` is checked bitwise against the column-0
-terms of ``_closed_form``, down to potentials of -5e4 (the small-S branch).
+The face law's ``_log_z_and_grad`` is pinned too, down to potentials of
+-5e4 (the small-S branch).  Its digests were recorded while it was still
+checked bitwise against the column-0 terms of a second closed form over
+every column, which it has since replaced.
 """
 
 import hashlib
@@ -199,6 +201,18 @@ def test_pinned_fits_saturate_both_clamps():
     assert (pre_c < -7.0).any()  # softplus below the concentration floor
 
 
+#: K -> digest of ``_log_z_and_grad``'s log Z and expected statistics
+LOG_Z_AND_GRAD_PINS = {
+    2: 'e11c44c1725617c8ba131790dc63ef6d94954351cbad87fd5ce23e665888c864',
+    3: 'b5b8bedaf1cb4bdd5b1e3b87bb6f53027a507368ea95561177980f04dc23f7a2',
+    5: '8f9410ceaab24eb6c5fb751a468629ecab7a94235d4332b55ba155b80f393922',
+    8: 'f5241b272df9ce48f7b6c3a4bd3d23f1687ef834ac82e21a21b0d4db63a64154',
+    13: '7dca1cb093f05f2d6ee81b5ed56c79e6f58eb732145360ca1ae41a1172a8bba1',
+    31: '4e1f46ee603cffd732e13c683e8b5e9445d9d37def3c7b4c952844524d7f6104',
+    63: '04fe39460633e6af95f7c0fc5d454544a3b75fbb01097c937da4edd1521cc78b',
+}
+
+
 @pytest.mark.parametrize("K", [2, 3, 5, 8, 13, 31, 63])
 def test_log_z_and_grad_is_closed_form_column_zero(K):
     rng = np.random.default_rng(2500 + K)
@@ -208,11 +222,8 @@ def test_log_z_and_grad_is_closed_form_column_zero(K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log_z, phi = fg._log_z_and_grad(w)
-        log_p, log_nonempty, want_log_z = fg._closed_form(w)
+        one_log_z, one_phi = fg._log_z_and_grad(w[7])
     assert (np.logaddexp(0.0, 2.0 * w[:, -1]) < 1e-280).any()  # rows that take the small-S branch
-    want_phi = 2.0 * np.exp(log_p - log_nonempty[..., :1]) - 1.0
-    assert log_z.tobytes() == want_log_z.tobytes()
-    assert phi.tobytes() == want_phi.tobytes()
-    one_log_z, one_phi = fg._log_z_and_grad(w[7])
-    assert one_log_z.tobytes() == want_log_z[7].tobytes()
-    assert one_phi.tobytes() == want_phi[7].tobytes()
+    assert _digest(log_z, phi) == LOG_Z_AND_GRAD_PINS[K]
+    assert one_log_z.tobytes() == log_z[7].tobytes()
+    assert one_phi.tobytes() == phi[7].tobytes()

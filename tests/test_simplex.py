@@ -10,6 +10,8 @@ from mixedrv.simplex import (
     ResourceLimitError,
     SimplexPoint,
     enumerate_faces,
+    face_groups,
+    face_index,
     mask_members,
     sparsemax,
     sparsemax_jacobian,
@@ -135,6 +137,20 @@ class TestFaces:
         faces = enumerate_faces(2)
         assert faces.dtype == np.int64
         assert mask_members(faces, 2).tolist() == [[True, False], [False, True], [True, True]]
+
+    def test_mask_members_of_one_mask(self):
+        assert mask_members(0b101, 3).tolist() == [True, False, True]
+        assert mask_members(np.int64((1 << 63) - 1), 63).all()
+
+    @pytest.mark.parametrize("masks", [[6], [5, 5, 5], [3, 1, 3, 2, 1]])
+    def test_face_index_and_groups(self, masks):
+        masks = np.array(masks, dtype=np.int64)
+        faces, inverse = face_index(masks)
+        assert faces.tolist() == sorted(set(masks.tolist()))
+        assert faces[inverse].tolist() == masks.tolist()
+        groups = face_groups(masks)
+        assert [m for m, _ in groups] == faces.tolist()
+        assert [rows.tolist() for _, rows in groups] == [np.flatnonzero(masks == m).tolist() for m in faces]
 
     @pytest.mark.parametrize("K,count", [(3, 7), (10, 1023)])
     def test_enumerate_counts(self, K, count):
