@@ -25,8 +25,8 @@ _EXPORTS = {
     **dict.fromkeys(["GibbsFaceDistribution", "most_probable_face"], "face_gibbs"),
     **dict.fromkeys(["FullFaceDirichlet", "MixedDirichlet", "dirichlet_entropy", "dirichlet_kl"],
                     "mixed_dirichlet"),
-    **dict.fromkeys(["BinaryHardConcrete", "Concrete", "GaussianSparsemax", "KDHardConcrete", "QuadratureConfig",
-                     "gs2_entropy", "gs2_face_probs", "gs2_kl", "gs_log_density"], "extrinsic"),
+    **dict.fromkeys(["BinaryHardConcrete", "Concrete", "GaussianSparsemax", "KDHardConcrete", "gs2_entropy",
+                     "gs2_face_probs", "gs2_kl", "gs_log_density"], "extrinsic"),
     **dict.fromkeys(["KlMcEstimate", "MaxEntMixed", "McEstimate", "MixedDistribution", "coding_entropy",
                      "direct_sum_entropy_mc", "direct_sum_kl_mc", "maxent_entropy"], "info_theory"),
     **dict.fromkeys(["GlmModel", "glm_fit", "glm_log_likelihood", "glm_predict", "make_planted_dataset"], "glm"),

@@ -579,20 +579,6 @@ def _check_gs_orthant_wide_sigma():
     return f"wide-sigma batches match the quad oracle to {worst:.2e} relative"
 
 
-def _check_gs_quadrature_refinement():
-    rng = np.random.default_rng(135)
-    worst = 0.0
-    for _ in range(10):
-        K = int(rng.integers(2, 5))
-        d = extrinsic.GaussianSparsemax(rng.normal(0.2, 0.6, K), rng.uniform(0.3, 1.3, K))
-        y = FaceBatch.from_coords(_project(rng.normal(0.3, 0.8, K))[None])
-        a = extrinsic.gs_log_density_many(d, y, extrinsic.QuadratureConfig(64, 16))[0]
-        b = extrinsic.gs_log_density_many(d, y, extrinsic.QuadratureConfig(128, 16))[0]
-        worst = max(worst, abs(a - b))
-    _require(worst < 1e-6, f"doubling panels moves density by {worst:.2e}")
-    return f"refinement change {worst:.2e}"
-
-
 def _check_gs2_face_frequencies(n: int):
     """The 3 closed-form K = 2 face masses against their frequencies in
     ``n`` draws, within 4 binomial SE of the exact mass each: false-failure
@@ -953,7 +939,6 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs_density_unequal_sigma_batches", _FAST, _check_gs_density_unequal_sigma),
     ("extrinsic.gs_density_pooled_faces", _FAST, _check_gs_density_pooled_faces),
     ("extrinsic.gs_orthant_wide_sigma", _FAST, _check_gs_orthant_wide_sigma),
-    ("extrinsic.gs_quadrature_refinement", _FAST, _check_gs_quadrature_refinement),
     ("extrinsic.gs2_face_probs_vs_frequencies", _FAST, lambda: _check_gs2_face_frequencies(10**5)),
     ("extrinsic.gs2_face_probs_vs_frequencies_1e6", _FULL, lambda: _check_gs2_face_frequencies(10**6)),
     ("extrinsic.gs_k3_normalization", _FULL, _check_gs_k3_normalization),

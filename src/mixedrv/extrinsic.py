@@ -8,13 +8,18 @@ place probability mass on every face:
   K=2 the face probabilities, entropy, and KL have closed forms in the
   normal CDF; for general K the density w.r.t. the direct-sum measure is a
   marginal Gaussian factor times a Gaussian orthant probability, the latter
-  reduced to a one-dimensional integral evaluated by composite
-  Gauss-Legendre quadrature.
+  reduced to a one-dimensional integral evaluated by one fixed composite
+  Gauss-Legendre rule, ``_QUAD``.
 * K-D Hard Concrete: sparsemax of a stretched Concrete (Gumbel-softmax)
   draw; the stretch factor controls how often the projection hits a
   non-maximal face.
 * Binary Hard Concrete: the classic stretch-and-rectify construction on
   [0,1].
+
+``benchmarks/tracer.py`` patches three names that the library itself would
+not need: ``_sparsemax_batch`` (an alias of ``sparsemax_rows``),
+``gs_log_density`` (one point) and ``QuadratureConfig.points_weights``,
+called once per node set.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_groups, mas
                       vertex_counts)
 
 __all__ = [
-    "QuadratureConfig",
     "GaussianSparsemax",
     "Concrete",
     "KDHardConcrete",
@@ -48,29 +52,26 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-#: Minimum total node count accepted for density evaluations.
-_MIN_DENSITY_NODES = 256
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre rule for the orthant integral: ``nodes``
-    Gauss-Legendre nodes per panel, and ``panels`` equal panels across the
-    window where one row's integrand is within exp(-40.5) of its peak
+    """The composite Gauss-Legendre rule of the orthant integral, one
+    instance ``_QUAD``: ``nodes`` Gauss-Legendre nodes per panel, and
+    ``panels`` equal panels across the narrowest window of a node set's
+    rows, where each row's integrand is within exp(-40.5) of its peak
     (edges at mu_j +- sigma_j 2^k are added around steps narrower than a
     panel)."""
 
     panels: int = 24
     nodes: int = 16
 
-    def __post_init__(self):
-        if self.panels < 2 or self.nodes < 2:
-            raise ValueError(f"need panels >= 2 and nodes >= 2, got {self}")
-
     def points_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """One panel's nodes and weights on [-1, 1], read-only and built
         once per node count."""
         return _legendre(self.nodes)
+
+
+_QUAD = QuadratureConfig()
 
 
 @functools.lru_cache(maxsize=None)
@@ -121,8 +122,8 @@ class GaussianSparsemax:
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         return gs_sample_many(self, n, rng)
 
-    def log_density_many(self, batch: FaceBatch, quad: QuadratureConfig | None = None) -> np.ndarray:
-        return gs_log_density_many(self, batch, quad)
+    def log_density_many(self, batch: FaceBatch) -> np.ndarray:
+        return gs_log_density_many(self, batch)
 
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Face bitmasks 1, 2, 3 (``enumerate_faces`` order: the vertices
@@ -401,14 +402,14 @@ def _step_edges(mu, sigma, h: float) -> np.ndarray:
     return np.concatenate([centers - reach[keep], centers + reach[keep]])
 
 
-def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 quad: QuadratureConfig) -> np.ndarray:
+def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
     """Log orthant probability of the law (``mu``, ``sigma``) for rows on
     the faces ``masks`` (the rows of each face adjacent), with precision
     sums ``t``, Gaussian means ``m`` and windows ``[lo, hi]`` (see
     ``_clusters``).
 
-    One node set serves all the rows: ``quad.panels`` equal panels across
+    One node set serves all the rows: ``_QUAD.panels`` equal panels across
     the narrowest row window, spanning the union of the windows, plus edges
     at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel, for
     every coordinate off-face for some row.  Each step is evaluated once
@@ -421,8 +422,8 @@ def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo:
     off = ~mask_members(masks[runs[:-1]], mu.size)
     cols = off.any(axis=0)
     mu_off, sigma_off = mu[cols], sigma[cols]
-    x, w = quad.points_weights()
-    h = float(np.min(hi - lo)) / quad.panels
+    x, w = _QUAD.points_weights()
+    h = float(np.min(hi - lo)) / _QUAD.panels
     a = float(lo.min())
     edges = a + h * np.arange(int(np.ceil((float(hi.max()) - a) / h)) + 1)
     narrow = sigma_off < h
@@ -458,23 +459,23 @@ def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo:
     return out + 0.5 * (np.log(t) - _LOG_2PI)
 
 
-def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
-                        quad: QuadratureConfig | None = None) -> np.ndarray:
+def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch) -> np.ndarray:
     """Log-density of each row of a batch w.r.t. the direct-sum measure.
 
     With a_k = sigma_k^-2 and r = y - mu on a face S of s vertices, let
-    ``t = sum_S a_k``, ``c = sum_S a_k r_k`` and ``q = sum_S a_k (r_k -
-    c/t)^2``.  The support coordinates contribute ``log s - (q + sum_S log
-    sigma_k^2 + log t + (s - 1) log 2 pi) / 2`` (0 at vertices), the density
-    of their differences; the off-support coordinates the log orthant
-    probability, by quadrature on node sets grouped by ``_clusters`` over
-    the rows' windows.  A face with at least ``_OWN_SET_ROWS`` rows per
-    off-face coordinate gets node sets of its own; the rows of all other
-    faces share node sets, so each step is evaluated once per shared node.
+    ``t = sum_S a_k`` and ``c = sum_S a_k r_k``, and let q be the weighted
+    spread ``sum_S a_k (r_k - c/t)^2``, taken as ``sum_S a_k (d_k - e)^2``
+    with ``d = r - r_p`` shifted by the coordinate p of largest a_k on S and
+    ``e = sum_S a_k d_k / t``: there ``d_p = 0`` exactly, where r_p - c/t
+    would leave rounding noise for a huge a_p to multiply.  The support
+    coordinates contribute ``log s - (q + sum_S log sigma_k^2 + log t + (s -
+    1) log 2 pi) / 2`` (0 at vertices), the density of their differences;
+    the off-support coordinates the log orthant probability, by quadrature
+    on node sets grouped by ``_clusters`` over the rows' windows.  A face
+    with at least ``_OWN_SET_ROWS`` rows per off-face coordinate gets node
+    sets of its own; the rows of all other faces share node sets, so each
+    step is evaluated once per shared node.
     """
-    quad = QuadratureConfig() if quad is None else quad
-    if quad.panels * quad.nodes < _MIN_DENSITY_NODES:
-        raise ValueError(f"density evaluation needs panels*nodes >= {_MIN_DENSITY_NODES}, got {quad}")
     if batch.K != d.K:
         raise ValueError(f"point has K={batch.K}, distribution has K={d.K}")
     member = batch.members()
@@ -483,7 +484,9 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
     t = a_on.sum(axis=1)
     r = batch.coords - d.mu
     c = np.sum(a_on * r, axis=1)
-    q = np.sum(a_on * (r - (c / t)[:, None]) ** 2, axis=1)
+    r -= np.take_along_axis(r, np.argmax(a_on, axis=1)[:, None], axis=1)
+    r -= (np.sum(a_on * r, axis=1) / t)[:, None]
+    q = np.sum(a_on * r * r, axis=1)
     s = vertex_counts(batch.masks)
     log_det = np.where(member, -np.log(a), 0.0).sum(axis=1) + np.log(t)
     out = np.log(s) + np.where(s > 1, -0.5 * (q + log_det + (s - 1) * _LOG_2PI), 0.0)
@@ -509,14 +512,13 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch,
             rows = np.concatenate(shared)
             sets += [rows[np.sort(group)] for group in _clusters(lo[rows], hi[rows])]
         for at in sets:
-            orthant[at] = _orthant_log(d.mu, d.sigma, batch.masks[at], t[at], m[at], lo[at], hi[at], quad)
+            orthant[at] = _orthant_log(d.mu, d.sigma, batch.masks[at], t[at], m[at], lo[at], hi[at])
     return out + orthant
 
 
-def gs_log_density(d: GaussianSparsemax, y: SimplexPoint,
-                   quad: QuadratureConfig | None = None) -> float:
+def gs_log_density(d: GaussianSparsemax, y: SimplexPoint) -> float:
     """``gs_log_density_many`` at a single point."""
-    return float(gs_log_density_many(d, FaceBatch.from_coords(y.coords[None]), quad)[0])
+    return float(gs_log_density_many(d, FaceBatch.from_coords(y.coords[None]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +531,15 @@ def _gumbel(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def concrete_from_gumbels(z, beta: float, g: np.ndarray) -> np.ndarray:
-    """Softmax at temperature beta of logits plus given Gumbel noise."""
-    x = (np.asarray(z, dtype=float) + g) / beta
-    x = x - row_max(x)[..., None]
+    """Softmax at temperature beta of logits plus given Gumbel noise.
+
+    The row max is taken out before the division, so each row's top term is
+    exp(0) = 1 however small beta is; the others overflow to -inf where the
+    logits are far apart or beta is tiny, and exp(-inf) = 0 is their limit
+    (the one-hot argmax as beta -> 0)."""
+    x = np.asarray(z, dtype=float) + g
+    with np.errstate(over="ignore"):
+        x = (x - row_max(x)[..., None]) / beta
     e = np.exp(x)
     # guard subnormal underflow so samples stay in the relative interior
     e = np.maximum(e, 1e-300)
@@ -624,7 +632,8 @@ def binary_hard_concrete_from_logistic(d: BinaryHardConcrete, noise) -> np.ndarr
     """Map standard-logistic noise through the stretch-and-clamp transform."""
     from scipy.special import expit
 
-    s = expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
+    with np.errstate(over="ignore"):  # at huge log_alpha / beta, expit(+-inf) is the limit
+        s = expit((d.log_alpha + np.asarray(noise, dtype=float)) / d.beta)
     return np.clip(s * (d.r - d.l) + d.l, 0.0, 1.0)
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .simplex import FaceBatch, ResourceLimitError, enumerate_faces, vertex_counts
+from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, vertex_counts
 
 __all__ = [
     "MixedDistribution",
@@ -296,8 +296,8 @@ class MaxEntMixed:
 def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -> np.ndarray:
     """n face bitmasks: dimension class from g, then a uniform subset of
     that size (the first k slots of a random permutation per row)."""
-    if d.K > 63:
-        raise ResourceLimitError("face sampling needs K <= 63 (bitmask storage)")
+    if d.K > MAX_BITMASK_K:
+        raise ResourceLimitError(f"face sampling needs K <= {MAX_BITMASK_K} (bitmask storage)")
     ks = rng.choice(np.arange(1, d.K + 1), size=n, p=d.g)
     order = np.argsort(rng.random((n, d.K)), axis=1)
     chosen = np.arange(d.K)[None, :] < ks[:, None]

@@ -1,5 +1,6 @@
 """The public names: every name a module lists in ``__all__`` and every name
 the package re-exports resolves, so a deleted name cannot stay listed;
+every kind samples and scores through the one contract, with no option;
 outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; and
 the imports: only ``checks`` and ``oracles`` load the oracles or SciPy at
 import time, the package, the CLI and the spec parser load no kind module
@@ -7,6 +8,7 @@ at import time, and no module keeps an import it does not use."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -38,6 +40,23 @@ def test_package_names_resolve_and_are_public_in_their_module():
     for name, module_name in reexports:
         assert getattr(mixedrv, name) is getattr(importlib.import_module(f"mixedrv.{module_name}"), name)
         assert name in importlib.import_module(f"mixedrv.{module_name}").__all__, (module_name, name)
+
+
+def _kind_classes() -> list[type]:
+    from mixedrv import distspec
+    from mixedrv.mixed_dirichlet import FullFaceDirichlet
+
+    kinds = [getattr(importlib.import_module(f"mixedrv.{module}"), cls) for module, cls, *_ in distspec._KINDS.values()]
+    return [*kinds, FullFaceDirichlet]
+
+
+@pytest.mark.parametrize("cls", _kind_classes(), ids=lambda cls: cls.__name__)
+def test_every_kind_takes_exactly_the_contract_arguments(cls):
+    # sample_many(n, rng) -> FaceBatch and log_density_many(batch), with no
+    # option that only a test could set
+    assert list(inspect.signature(cls.sample_many).parameters) == ["self", "n", "rng"]
+    if hasattr(cls, "log_density_many"):
+        assert list(inspect.signature(cls.log_density_many).parameters) == ["self", "batch"]
 
 
 #: The only callables outside ``simplex`` that may still name the per-point

@@ -103,6 +103,24 @@ class TestSampleCommand:
             obj = json.loads(line)
             assert abs(sum(obj["y"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "concrete", "z": [1.0, 0.0], "beta": 1e-308},
+        {"kind": "kd-hard-concrete", "z": [1.0, 0.0, 0.0], "beta": 1e-308},
+        {"kind": "kd-hard-concrete", "z": [1e308, -1e308, 0.0], "beta": 1.0},
+        {"kind": "binary-hard-concrete", "log_alpha": 1e308, "beta": 1e-308},
+    ])
+    def test_extreme_temperature_and_logits_sample_silently(self, capsys, tmp_path, spec):
+        path = write(tmp_path / "extreme.json", spec)
+        out = tmp_path / "x.jsonl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["sample", "--dist", path, "--num", "20", "--seed", "3", "--out", str(out)]) == 0
+            assert cli.main(["face-hist", "--in", str(out)]) == 0  # the file reads back as valid draws
+        assert capsys.readouterr().err == ""
+        for line in out.read_text().strip().splitlines():
+            y = json.loads(line)["y"]
+            assert np.all(np.isfinite(y)) and abs(sum(y) - 1.0) < 1e-12
+
     def test_invalid_spec_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": "mixed-dirichlet", "w": [0.0, 0.0], "alpha": [1.0, -1.0]}')

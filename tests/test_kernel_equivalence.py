@@ -175,8 +175,8 @@ def test_sparsemax_rows(K, n, scale, seed):
 def test_concrete_from_gumbels(K, n, beta, seed):
     rng = np.random.default_rng(seed)
     z, g = rng.normal(0.0, 2.0, K), -np.log(-np.log(rng.random((n, K))))
-    x = (z + g) / beta
-    e = np.maximum(np.exp(x - x.max(axis=-1, keepdims=True)), 1e-300)
+    x = z + g
+    e = np.maximum(np.exp((x - x.max(axis=-1, keepdims=True)) / beta), 1e-300)
     ref = e / e.sum(axis=-1, keepdims=True)
     assert _same_bits(extrinsic.concrete_from_gumbels(z, beta, g), ref)
     if n:  # one vector of noise gives one point
