@@ -35,8 +35,8 @@ from collections import Counter
 
 import numpy as np
 
-from .distspec import SpecError, load_spec_file
-from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError
+from .distspec import load_spec_file
+from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, mask_members
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -106,19 +106,20 @@ def _resolve_seed(args_seed, spec_seed) -> int:
 _WRITE_ROWS = 1024
 
 
-def _row_blocks(values: np.ndarray, masks: np.ndarray, sep: str, row_format):
+def _row_blocks(values: np.ndarray, masks: np.ndarray, sep: str, row_formats):
     """The rows of ``values`` (n, m) as text, one string per block of at most
     ``_WRITE_ROWS`` rows.
 
     A value that is exactly +0.0 is written as the literal ``0.0`` (its
     ``repr``); every other value, -0.0 included, goes through ``%r``.  Rows
     that agree in ``masks`` (n,) and in where their +0.0 values lie share
-    one format, ``row_format(mask, fields)`` with ``fields`` their
-    ``sep``-joined value fields, cached under the bytes of that key; the
-    cache is emptied when it holds more than ``_WRITE_ROWS`` formats, so
-    rows that all differ cannot grow it to the size of the text.  Each
-    block joins its rows' formats in row order and applies them with one
-    ``%`` to the flat tuple of the values they print.
+    one format, cached under the bytes of that key; the cache is emptied
+    when it holds more than ``_WRITE_ROWS`` formats, so rows that all
+    differ cannot grow it to the size of the text.  The formats of a
+    block's new keys come from one call ``row_formats(masks, fields)``:
+    the keys' masks and their ``sep``-joined value fields.  Each block
+    joins its rows' formats in row order and applies them with one ``%``
+    to the flat tuple of the values they print.
     """
     masks = np.ascontiguousarray(masks, dtype=np.int64)
     fmts = {}
@@ -130,11 +131,12 @@ def _row_blocks(values: np.ndarray, masks: np.ndarray, sep: str, row_format):
         row_keys = np.hstack([head.view(np.uint8).reshape(-1, 8), np.packbits(zero, axis=1)])
         keys, first, which = np.unique(row_keys.view(np.dtype((np.void, row_keys.shape[1]))).ravel(),
                                        return_index=True, return_inverse=True)
-        block_fmts = []
-        for k, i in zip(keys.tolist(), first.tolist()):
-            if k not in fmts:
-                fmts[k] = row_format(int(head[i]), sep.join(["0.0" if z else "%r" for z in zero[i].tolist()]))
-            block_fmts.append(fmts[k])
+        keys = keys.tolist()
+        fresh = [j for j, k in enumerate(keys) if k not in fmts]
+        rows = first[fresh].tolist()
+        fields = [sep.join(["0.0" if z else "%r" for z in zero[i].tolist()]) for i in rows]
+        fmts.update(zip([keys[j] for j in fresh], row_formats(head[rows], fields)))
+        block_fmts = [fmts[k] for k in keys]
         yield "".join([block_fmts[j] for j in which.tolist()]) % tuple(block[~zero].tolist())
 
 
@@ -148,12 +150,14 @@ def _sample_lines(masks: np.ndarray, coords: np.ndarray):
     float, and ``repr(0.0)`` is ``0.0``.
     """
     K = coords.shape[1]
+    vertices = np.arange(1, K + 1)
 
-    def row_format(mask, fields):
-        face = [k + 1 for k in range(K) if mask >> k & 1]
-        return f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": [{fields}]}}\n'
+    def row_formats(masks, fields):
+        faces = [vertices[on].tolist() for on in mask_members(masks, K)]
+        return [f'{{"face": {json.dumps(face)}, "dim": {len(face) - 1}, "y": [{f}]}}\n'
+                for face, f in zip(faces, fields)]
 
-    return _row_blocks(coords, masks, ", ", row_format)
+    return _row_blocks(coords, masks, ", ", row_formats)
 
 
 #: The one line that ``_sample_lines`` writes, under ``re.M`` and without its
@@ -471,7 +475,7 @@ def _csv_lines(table: np.ndarray):
     """Comma-separated lines of the rows of a float array, one string per
     block of rows (``_row_blocks``, every row under mask 0, so keyed by its
     +0.0 pattern alone), each value written as ``repr(float(v))``."""
-    return _row_blocks(table, np.zeros(len(table), np.int64), ",", lambda mask, fields: fields + "\n")
+    return _row_blocks(table, np.zeros(len(table), np.int64), ",", lambda masks, fields: [f + "\n" for f in fields])
 
 
 def cmd_gen_glm_data(args) -> int:
@@ -592,9 +596,6 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except SpecError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, NotImplementedError, ResourceLimitError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import MAX_BITMASK_K, FaceIndexSet, mask_members
+from .simplex import FaceIndexSet, face_masks, mask_members, member_masks
 
 __all__ = [
     "GibbsFaceDistribution",
@@ -155,22 +155,10 @@ def expected_suff_stats(w) -> np.ndarray:
     return log_normalizer_and_grad(w)[1]
 
 
-def _face_masks(masks, K: int) -> np.ndarray:
-    """One face bitmask or an array of them, as int64, after checking that
-    each is a nonempty subset of the K vertices: an integer in (0, 2^K)."""
-    if K > MAX_BITMASK_K:
-        raise ValueError(f"faces are int64 bitmasks, so K must be <= {MAX_BITMASK_K}, got {K}")
-    m = np.asarray(masks)
-    bad = m if m.dtype.kind not in "iu" else m[(m <= 0) | (m >> K != 0)]
-    if bad.size:
-        raise ValueError(f"mask {bad.flat[0]} is not a nonempty subset of [{K}]")
-    return m.astype(np.int64)
-
-
 def suff_stats(masks, K: int) -> np.ndarray:
     """The +/-1 statistic vectors of faces over K vertices: shape (K,) for
     one bitmask, (n, K) for an array of n."""
-    phi = mask_members(_face_masks(masks, K), K).astype(float)  # then +/-1 in place, cheaper than np.where
+    phi = mask_members(face_masks(masks, K), K).astype(float)  # then +/-1 in place, cheaper than np.where
     phi *= 2.0
     phi -= 1.0
     return phi
@@ -228,16 +216,11 @@ def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
     So the first vertex taken is the first k with ``u[:, k] < take[k, 0]``,
     and each later k is taken when ``u[:, k] < take[k, 2]``: the comparisons
     of a pass over the vertices, made for all vertices at once.
-    ``take[-1, 0]`` is 1, so the empty face is never produced.  A K above
-    ``MAX_BITMASK_K`` raises ValueError: its masks do not fit in an int64.
+    ``take[-1, 0]`` is 1, so the empty face is never produced.
     """
-    K = u.shape[-1]
-    if K > MAX_BITMASK_K:
-        raise ValueError(f"faces are int64 bitmasks, so K must be <= {MAX_BITMASK_K}, got {K}")
     first = np.argmax(u < take[..., 0], axis=-1)[..., None]
-    vertex = np.arange(K)
-    taken = (vertex == first) | ((vertex > first) & (u < take[..., 2]))
-    return taken @ np.left_shift(1, vertex, dtype=np.int64)
+    vertex = np.arange(u.shape[-1])
+    return member_masks((vertex == first) | ((vertex > first) & (u < take[..., 2])))
 
 
 def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -291,4 +274,4 @@ def most_probable_vertices(w) -> np.ndarray:
 
 def most_probable_face(d: GibbsFaceDistribution) -> int:
     """Bitmask of the argmax face (see ``most_probable_members``)."""
-    return sum(1 << k for k in most_probable_vertices(d.w).tolist())
+    return int(member_masks(most_probable_members(d.w)))

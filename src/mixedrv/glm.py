@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import face_gibbs
-from .mixed_dirichlet import MixedDirichlet, draw_log_coords
+from .mixed_dirichlet import draw_log_coords
 from .simplex import FaceBatch, SimplexPoint
 
 __all__ = [
@@ -112,10 +112,6 @@ class GlmModel:
         conc = np.maximum(np.logaddexp(0.0, np.clip(pre_c, -PRE_CLAMP, PRE_CLAMP)), CONC_MIN)
         return scores, conc
 
-    def mixed_at(self, x) -> MixedDirichlet:
-        scores, conc = self.row_params(np.atleast_2d(np.asarray(x, dtype=float)))
-        return MixedDirichlet(scores[0], conc[0])
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.K,
@@ -131,6 +127,7 @@ class GlmModel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "GlmModel":
+        """The model of a ``fit-glm --out`` file (``to_json_dict``'s layout)."""
         return cls(obj["w_face"], obj["b_face"], obj["w_conc"], obj["b_conc"])
 
 

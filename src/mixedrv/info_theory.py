@@ -30,7 +30,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .simplex import MAX_BITMASK_K, FaceBatch, ResourceLimitError, enumerate_faces, vertex_counts
+from .simplex import FaceBatch, enumerate_faces, member_masks, vertex_counts
 
 __all__ = [
     "MixedDistribution",
@@ -53,7 +53,10 @@ class MixedDistribution(Protocol):
 
     ``sample_many`` and ``log_density_many`` must agree: minus the mean
     log-density of its own samples estimates the direct-sum entropy.
+    ``K`` is its number of vertices.
     """
+
+    K: int
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch: ...
 
@@ -132,6 +135,8 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
+    if p.K != q.K:
+        raise ValueError(f"dimension mismatch: {p.K} vs {q.K}")
     batch = p.sample_many(n, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         log_q = q.log_density_many(batch)
@@ -261,10 +266,6 @@ class MaxEntMixed:
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Every face bitmask (``enumerate_faces`` order) and its probability,
         ``g(k) / C(K, k)`` on a face with k vertices."""
-        from .mixed_dirichlet import EXACT_ENUM_MAX_K
-
-        if self.K > EXACT_ENUM_MAX_K:
-            raise ResourceLimitError(f"face enumeration needs K <= {EXACT_ENUM_MAX_K}")
         masks = enumerate_faces(self.K)
         k = vertex_counts(masks)
         with np.errstate(divide="ignore"):
@@ -296,9 +297,8 @@ class MaxEntMixed:
 def maxent_sample_face_masks(d: MaxEntMixed, n: int, rng: np.random.Generator) -> np.ndarray:
     """n face bitmasks: dimension class from g, then a uniform subset of
     that size (the first k slots of a random permutation per row)."""
-    if d.K > MAX_BITMASK_K:
-        raise ResourceLimitError(f"face sampling needs K <= {MAX_BITMASK_K} (bitmask storage)")
     ks = rng.choice(np.arange(1, d.K + 1), size=n, p=d.g)
     order = np.argsort(rng.random((n, d.K)), axis=1)
-    chosen = np.arange(d.K)[None, :] < ks[:, None]
-    return np.where(chosen, np.int64(1) << order, 0).sum(axis=1)
+    member = np.zeros((n, d.K), dtype=bool)
+    np.put_along_axis(member, order, np.arange(d.K) < ks[:, None], axis=1)
+    return member_masks(member)

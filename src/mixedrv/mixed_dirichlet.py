@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import face_gibbs
-from .simplex import (FaceBatch, ResourceLimitError, SimplexPoint, enumerate_faces, face_index, mask_members,
-                      row_max, vertex_counts)
+from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_index, mask_members, member_masks, row_max,
+                      vertex_counts)
 
 __all__ = [
     "MixedDirichlet",
@@ -31,10 +31,6 @@ __all__ = [
     "entropy",
     "kl_mixed",
 ]
-
-#: Faces are enumerated exactly only up to this K; beyond it the direct-sum
-#: measures are estimated by ``info_theory``'s Monte Carlo estimators.
-EXACT_ENUM_MAX_K = 14
 
 #: Smallest concentration that can be sampled, about 2.04e-307: below it
 #: ``log(1 - U) / a`` overflows to -inf at the largest uniform below 1.
@@ -75,7 +71,7 @@ class MixedDirichlet:
     alpha: np.ndarray
 
     def __init__(self, w, alpha):
-        faces = w if isinstance(w, face_gibbs.GibbsFaceDistribution) else face_gibbs.GibbsFaceDistribution(w)
+        faces = face_gibbs.GibbsFaceDistribution(w)
         alpha = _check_alpha(alpha)
         if alpha.size != faces.K:
             raise ValueError(f"alpha has length {alpha.size}, expected {faces.K}")
@@ -232,8 +228,6 @@ def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
 def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every face (``enumerate_faces`` order), its membership matrix and its
     exact probability: the weights of the expectations over faces."""
-    if md.K > EXACT_ENUM_MAX_K:
-        raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
     masks = enumerate_faces(md.K)
     return masks, mask_members(masks, md.K), np.exp(face_gibbs.face_log_prob(md.faces, masks))
 
@@ -278,12 +272,12 @@ class FullFaceDirichlet:
         return self.alpha.size
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
-        masks = np.full(n, (1 << self.K) - 1, dtype=np.int64)
+        masks = np.full(n, member_masks(np.ones(self.K, dtype=bool)))
         return FaceBatch.from_log_coords(masks, dirichlet_log_fill(masks, self.alpha, rng))
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Dirichlet log-density on the maximal face, -inf on every other face."""
         if batch.K != self.K:
             raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
-        full = batch.masks == (1 << self.K) - 1
-        return np.where(full, _dirichlet_log_pdf_rows(batch.members(), batch, self.alpha), -np.inf)
+        member = batch.members()
+        return np.where(member.all(axis=1), _dirichlet_log_pdf_rows(member, batch, self.alpha), -np.inf)

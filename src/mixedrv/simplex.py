@@ -3,10 +3,14 @@
 The simplex with K vertices decomposes into the disjoint union of the
 relative interiors of its 2^K - 1 nonempty faces; each face is identified
 with the nonempty subset of vertex indices it spans, stored as an int64
-bitmask (bit i set means vertex i spans the face).  This module provides
-the sparse Euclidean projection onto the simplex (which can land on any
-face), batches of points with their faces (``FaceBatch``) and face
-enumeration for brute-force oracles.
+bitmask (bit i set means vertex i spans the face).  This module owns that
+layout: ``member_masks`` is the one encoder, ``mask_members`` the one
+decoder (both refuse K above ``MAX_BITMASK_K``, the one 63-vertex check),
+``face_masks`` the one "nonempty subset of [K]" rule and
+``enumerate_faces`` the one enumeration, limited to ``EXACT_ENUM_MAX_K``.
+It also provides the sparse Euclidean projection onto the simplex (which
+can land on any face) and batches of points with their faces
+(``FaceBatch``).
 
 ``FaceIndexSet``, ``SimplexPoint``, ``sparsemax`` and ``FaceBatch``
 iteration, a per-point object form of the same data, are kept only because
@@ -25,7 +29,9 @@ __all__ = [
     "FaceIndexSet",
     "SimplexPoint",
     "FaceBatch",
+    "member_masks",
     "mask_members",
+    "face_masks",
     "vertex_counts",
     "row_max",
     "face_index",
@@ -41,6 +47,11 @@ __all__ = [
 #: the cap only constrains enumeration oracles and bitmask storage; a
 #: multi-word mask would lift it if ever needed.
 MAX_BITMASK_K = 63
+
+#: Faces are enumerated (exact mode) only up to this K; beyond it the
+#: direct-sum measures are estimated by ``info_theory``'s Monte Carlo
+#: estimators.
+EXACT_ENUM_MAX_K = 14
 
 #: Absolute tolerance for the sum-to-one check at construction.
 SUM_TOL = 1e-12
@@ -64,12 +75,12 @@ class FaceIndexSet:
     def __post_init__(self):
         if not (2 <= self.K <= MAX_BITMASK_K):
             raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {self.K}")
-        if self.mask <= 0 or self.mask >= (1 << self.K):
+        if _outside_faces(self.mask, self.K):
             raise ValueError(f"mask {self.mask:#x} is not a nonempty subset of [{self.K}]")
 
     def member_array(self) -> np.ndarray:
         """Boolean membership vector of length K."""
-        return np.array([bool(self.mask >> i & 1) for i in range(self.K)])
+        return mask_members(self.mask, self.K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,11 +109,7 @@ class SimplexPoint:
         coords = coords.copy()
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-        mask = 0
-        for i, v in enumerate(coords):
-            if v > 0.0:
-                mask |= 1 << i
-        object.__setattr__(self, "support", FaceIndexSet(mask, coords.size))
+        object.__setattr__(self, "support", FaceIndexSet(int(member_masks(coords > 0.0)), coords.size))
 
     @property
     def K(self) -> int:
@@ -123,9 +130,40 @@ class SimplexPoint:
 _BITS = np.left_shift(1, np.arange(MAX_BITMASK_K), dtype=np.int64)
 
 
+def _bits(K: int) -> np.ndarray:
+    """The int64 bits of vertices 0..K-1; a K with no int64 bit for each
+    vertex raises ValueError."""
+    if K > MAX_BITMASK_K:
+        raise ValueError(f"faces are int64 bitmasks, so K must be <= {MAX_BITMASK_K}, got {K}")
+    return _BITS[:K]
+
+
+def member_masks(member: np.ndarray) -> np.ndarray:
+    """int64 face bitmasks of (..., K) boolean memberships (the inverse of
+    ``mask_members``)."""
+    return member @ _bits(member.shape[-1])
+
+
 def mask_members(masks: np.ndarray, K: int) -> np.ndarray:
     """(n, K) boolean membership matrix of n face bitmasks, or (K,) for one."""
-    return (np.asarray(masks, dtype=np.int64)[..., None] & _BITS[:K]) != 0
+    return (np.asarray(masks, dtype=np.int64)[..., None] & _bits(K)) != 0
+
+
+def _outside_faces(masks, K: int):
+    """Which integer ``masks`` (an integer array or a Python int) are not a
+    nonempty subset of the K vertices: not in (0, 2^K)."""
+    return (masks <= 0) | (masks >> K != 0)
+
+
+def face_masks(masks, K: int) -> np.ndarray:
+    """One face bitmask or an array of them, as int64, after checking that
+    each is a nonempty subset of the K vertices: an integer in (0, 2^K)."""
+    _bits(K)  # the 63-vertex check
+    m = np.asarray(masks)
+    bad = m if m.dtype.kind not in "iu" else m[_outside_faces(m, K)]
+    if bad.size:
+        raise ValueError(f"mask {bad.flat[0]} is not a nonempty subset of [{K}]")
+    return m.astype(np.int64)
 
 
 def vertex_counts(masks: np.ndarray) -> np.ndarray:
@@ -158,11 +196,6 @@ def face_groups(masks: np.ndarray):
     return list(zip(faces.tolist(), np.split(rows, bounds)))
 
 
-def _support_masks(coords: np.ndarray) -> np.ndarray:
-    """Bitmask of the strictly positive coordinates of each row of ``coords``."""
-    return (coords > 0.0) @ _BITS[:coords.shape[1]]
-
-
 def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray,
                    log_coords: np.ndarray | None) -> ValueError:
     """The first ``SimplexPoint`` rule that a batch breaks, as an error."""
@@ -174,26 +207,19 @@ def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray,
     if bad.size:
         return ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {SUM_TOL}")
     K = coords.shape[1]
-    bad = np.nonzero((masks <= 0) | (masks >> K != 0))[0]
+    bad = np.nonzero(_outside_faces(masks, K))[0]
     if bad.size:
         return ValueError(f"mask {int(masks[bad[0]]):#x} is not a nonempty subset of [{K}]")
     if log_coords is None:
-        bad = np.nonzero(_support_masks(coords) != masks)[0]
+        bad = np.nonzero(member_masks(coords > 0.0) != masks)[0]
         return ValueError(f"row {bad[0]}: positive coordinates are not the vertices of mask {int(masks[bad[0]]):#x}")
-    bad = np.nonzero(_log_support_masks(log_coords) != masks)[0]
+    finite = np.isfinite(log_coords)
+    bad = np.nonzero(~(finite | (log_coords == -np.inf)).all(axis=1) | (member_masks(finite) != masks))[0]
     if bad.size:
         return ValueError(f"row {bad[0]}: log_coords must be finite exactly on the vertices of mask "
                           f"{int(masks[bad[0]]):#x} and -inf off them")
-    bad = np.nonzero(_support_masks(coords) & ~masks)[0]
+    bad = np.nonzero(member_masks(coords > 0.0) & ~masks)[0]
     return ValueError(f"row {bad[0]}: positive coordinates off the vertices of mask {int(masks[bad[0]]):#x}")
-
-
-def _log_support_masks(log_coords: np.ndarray) -> np.ndarray:
-    """Bitmask of the finite entries of each row of ``log_coords``, or -1
-    for a row holding an entry that is neither finite nor -inf."""
-    finite = np.isfinite(log_coords)
-    masks = finite @ _BITS[:log_coords.shape[1]]
-    return np.where((finite | (log_coords == -np.inf)).all(axis=1), masks, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,7 +260,7 @@ class FaceBatch:
             raise ValueError(f"masks must be {n} integers, got shape {masks.shape} dtype {masks.dtype}")
         masks = masks.astype(np.int64)  # a copy, so freezing it below is safe
         log_coords = self.log_coords
-        supports = _support_masks(coords)
+        supports = member_masks(coords > 0.0)
         # These tests imply every rule (NaN fails ">= 0", an infinite row
         # fails its sum, a matching face mask lies in (0, 2^K)); a failing
         # batch is diagnosed rule by rule for the error message.
@@ -249,7 +275,7 @@ class FaceBatch:
             # a row summing to one has a positive coordinate, so its mask is nonempty
             finite = np.isfinite(log_coords)
             valid = (valid and (finite | (log_coords == -np.inf)).all()
-                     and ((finite @ _BITS[:K]) == masks).all() and not (supports & ~masks).any())
+                     and (member_masks(finite) == masks).all() and not (supports & ~masks).any())
             log_coords.flags.writeable = False
         if not valid:
             raise _invalid_batch(coords, masks, sums, log_coords)
@@ -265,7 +291,7 @@ class FaceBatch:
     def from_coords(cls, coords) -> "FaceBatch":
         """Batch whose faces are the supports of the rows of ``coords``."""
         coords = np.asarray(coords, dtype=float)
-        return cls(_support_masks(coords), coords)
+        return cls(member_masks(coords > 0.0), coords)
 
     @classmethod
     def from_log_coords(cls, masks, log_coords) -> "FaceBatch":
@@ -339,10 +365,9 @@ def sparsemax_jacobian(z) -> np.ndarray:
 
 
 def enumerate_faces(K: int) -> np.ndarray:
-    """The masks of all 2^K - 1 nonempty faces, ascending, as int64.
-
-    Only intended for brute-force oracles; refuses K > 20.
-    """
-    if K > 20:
-        raise ResourceLimitError(f"enumerate_faces is limited to K <= 20, got K={K}")
+    """The masks of all 2^K - 1 nonempty faces, ascending, as int64: the
+    faces of exact mode, so K above ``EXACT_ENUM_MAX_K`` raises
+    ``ResourceLimitError``."""
+    if K > EXACT_ENUM_MAX_K:
+        raise ResourceLimitError(f"exact mode needs K <= {EXACT_ENUM_MAX_K}")
     return np.arange(1, 1 << K, dtype=np.int64)

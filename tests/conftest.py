@@ -1,6 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module (and through it libcst) in
+# its report hook the first time a test fails; under ``python -W error`` a
+# DeprecationWarning raised by that import ends the session with
+# INTERNALERROR.  Imported here first, outside the hook, with the warning
+# ignored: only the import is shielded, and no warning of mixedrv is.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed: the hook imports nothing
+        pass
 
 # One fixed profile: every run, in CI or local, draws the same examples, and
 # no example fails on a slow machine's timing.

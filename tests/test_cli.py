@@ -414,6 +414,41 @@ class TestGlmCommands:
         assert not data.exists()
         assert cli.main(["gen-glm-data", "--out", str(data), "--rows", "3", "--k", "63", "--seed", "1"]) == 0
 
+#: a 64-vertex spec of each kind whose K is set by its fields
+K64_SPECS = {
+    "mixed-dirichlet": {"kind": "mixed-dirichlet", "w": [0.0] * 64, "alpha": [1.0] * 64},
+    "gaussian-sparsemax": {"kind": "gaussian-sparsemax", "mu": [1 / 64] * 64, "sigma": [1.0] * 64},
+    "kd-hard-concrete": {"kind": "kd-hard-concrete", "z": [0.0] * 64, "beta": 0.66},
+    "concrete": {"kind": "concrete", "z": [0.0] * 64, "beta": 0.7},
+    "maxent": {"kind": "maxent", "k": 64, "n": 0},
+}
+K64_DENSITIES = ("mixed-dirichlet", "gaussian-sparsemax", "maxent")
+
+
+class TestMaskCap:
+    """Faces are int64 bitmasks: a 64-vertex draw exits 2 with the one
+    bitmask message, never with an error from inside numpy."""
+
+    ERR = "error: faces are int64 bitmasks, so K must be <= 63, got 64\n"
+
+    @pytest.mark.parametrize("kind", K64_SPECS)
+    def test_sample(self, kind, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        assert cli.main(["sample", "--dist", write(tmp_path / "p.json", K64_SPECS[kind]), "--num", "3",
+                         "--out", str(out), "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", K64_DENSITIES)
+    def test_mc_estimates(self, kind, tmp_path, capsys):
+        spec = write(tmp_path / "p.json", K64_SPECS[kind])
+        assert cli.main(["entropy", "--dist", spec, "--mode", "mc", "--samples", "10", "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
+        assert cli.main(["kl", "--dist", spec, "--dist2", spec, "--mode", "mc", "--samples", "10",
+                         "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", self.ERR)
+
+
 class TestCheckCommand:
     def test_injected_bug_fails_enumeration_oracle(self, capsys, monkeypatch):
         good = face_gibbs.log_normalizer

@@ -141,6 +141,7 @@ EXACT_ERRORS = [
     ("kl-dimension-unlike", "kl", CONC2, MD3, "error: dimension mismatch: 2 vs 3\n"),
     ("kl-dimension-gs", "kl", GS2, GS3, "error: dimension mismatch: 2 vs 3\n"),
     ("kl-dimension-bhc", "kl", BHC, KD3, "error: dimension mismatch: 2 vs 3\n"),
+    ("kl-dimension-md-maxent", "kl", MD2, ME3, "error: dimension mismatch: 2 vs 3\n"),
     ("kl-md-maxent", "kl", MD3, ME3, "error: exact KL is not available for kinds 'mixed-dirichlet'/'maxent'\n"),
     ("kl-maxent-md", "kl", ME3, MD3, "error: exact KL is not available for kinds 'maxent'/'mixed-dirichlet'\n"),
     ("kl-gs-bhc", "kl", GS2, BHC,
@@ -157,6 +158,11 @@ EXACT_ERRORS = [
      "error: exact KL is not available for kinds 'binary-hard-concrete'/'binary-hard-concrete'\n"),
     ("kl-mixed-dirichlet-k15", "kl", MD15, MD15, "error: exact mode needs K <= 14\n"),
 ]
+
+#: the kl-dimension-* cases whose kinds both have a density: `kl --mode mc`
+#: refuses them before drawing, with exact mode's stderr
+MC_DIMENSION_ERRORS = [c for c in EXACT_ERRORS if c[0] in
+                       ("kl-dimension-md", "kl-dimension-maxent", "kl-dimension-gs", "kl-dimension-md-maxent")]
 
 ME3_N1100 = {"kind": "maxent", "k": 3, "n": 1100}  # the class weight g(1) underflows to 0
 # (id, command, p, q, extra flags, stdout of `<command> --dist p [--dist2 q] --mode exact`)
@@ -211,6 +217,14 @@ def test_spec_error_bytes(spec, stderr, tmp_path, capsys):
 @pytest.mark.parametrize("command, p, q, stderr", [c[1:] for c in EXACT_ERRORS], ids=[c[0] for c in EXACT_ERRORS])
 def test_exact_error_bytes(command, p, q, stderr, tmp_path, capsys):
     assert run(exact_argv(tmp_path, command, p, q), capsys) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("command, p, q, stderr", [c[1:] for c in MC_DIMENSION_ERRORS],
+                         ids=[c[0].replace("kl-", "kl-mc-") for c in MC_DIMENSION_ERRORS])
+def test_mc_kl_dimension_error_bytes(command, p, q, stderr, tmp_path, capsys):
+    argv = [command, "--dist", write(tmp_path / "p.json", p), "--dist2", write(tmp_path / "q.json", q),
+            "--mode", "mc", "--samples", "10"]
+    assert run(argv, capsys) == (2, "", stderr)
 
 
 @pytest.mark.parametrize("command, p, q, extra, stdout", [c[1:] for c in EXACT_STDOUT],

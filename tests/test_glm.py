@@ -153,7 +153,8 @@ class TestFit:
         Y = FaceBatch.from_coords([[0.0, 1.0, 0.0]] * 50)
         fit = glm.glm_fit(X, Y, seed=0)
         for x in list(X[:10]) + [rng.normal(0, 1, 3) for _ in range(5)]:
-            assert fg.most_probable_face(fit.model.mixed_at(x).faces) == 0b010
+            scores, conc = fit.model.row_params(x[None])
+            assert fg.most_probable_face(MixedDirichlet(scores[0], conc[0]).faces) == 0b010
 
     def test_target_face_is_the_support_of_its_coordinates(self):
         # the first row was drawn on face {1, 2, 3}, but its first coordinate underflowed to 0.0
@@ -325,7 +326,8 @@ class TestPredict:
         model = glm.GlmModel(rng.normal(0, 1, (4, 2)), rng.normal(0, 1, 4),
                              rng.normal(0, 0.5, (4, 2)), rng.normal(1, 0.5, 4))
         x = np.array([0.4, -0.9])
-        dist = model.mixed_at(x)
+        scores, conc = model.row_params(x[None])
+        dist = MixedDirichlet(scores[0], conc[0])
         # exact mixture mean by enumerating faces
         mean = np.zeros(4)
         for f, prob in zip(*dist.exact_face_distribution()):
@@ -423,8 +425,8 @@ class TestRowBatchedSampling:
             X = rng.normal(0.0, 2.0, (50, d))
             scores, conc = model.row_params(X)
             for x, s, c in zip(X, scores, conc):
-                md = model.mixed_at(x)
-                assert np.array_equal(md.faces.w, s) and np.array_equal(md.alpha, c)
+                alone_s, alone_c = model.row_params(x[None])
+                assert np.array_equal(alone_s[0], s) and np.array_equal(alone_c[0], c)
                 # the row alone, as a (1, d) product
                 pre_f = x[None, :] @ model.w_face.T + model.b_face
                 pre_c = np.clip(x[None, :] @ model.w_conc.T + model.b_conc, -glm.PRE_CLAMP, glm.PRE_CLAMP)
@@ -450,7 +452,8 @@ class TestRowBatchedSampling:
             ref = _sample_mean_reference(*model.row_params(X), 50, np.random.default_rng(4), log_space_fill)
             assert np.array_equal(batch.coords, ref)
         for i, x in enumerate(X):
-            md = model.mixed_at(x)
+            scores, conc = model.row_params(x[None])
+            md = MixedDirichlet(scores[0], conc[0])
             if rule == "sample-mean":
                 # one row is one block: its n draws are sample_many's
                 ref = sample_many(md, 50, np.random.default_rng([4, i])).coords.mean(axis=0)

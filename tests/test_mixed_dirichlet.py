@@ -7,7 +7,7 @@ from mixedrv import checks
 from mixedrv import face_gibbs as fg
 from mixedrv import info_theory as it
 from mixedrv import mixed_dirichlet as md
-from mixedrv.simplex import FaceBatch, ResourceLimitError, SimplexPoint
+from mixedrv.simplex import EXACT_ENUM_MAX_K, FaceBatch, ResourceLimitError, SimplexPoint
 
 
 def _dirichlet_logpdf_oracle(y, alpha):
@@ -110,7 +110,7 @@ class TestMixedDirichlet:
         # unit-scale potentials)
         eps = np.finfo(float).eps
         rng = np.random.default_rng(50)
-        for K in (2, 3, 4, 7, 10, md.EXACT_ENUM_MAX_K):
+        for K in (2, 3, 4, 7, 10, EXACT_ENUM_MAX_K):
             for scale in (0.3, 3.0, 30.0):
                 dist = md.MixedDirichlet(rng.normal(0, scale, K), np.ones(K))
                 masks, got = dist.exact_face_distribution()

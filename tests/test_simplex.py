@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mixedrv import oracles
 from mixedrv.simplex import (
+    EXACT_ENUM_MAX_K,
     FaceBatch,
     FaceIndexSet,
     ResourceLimitError,
@@ -13,6 +14,7 @@ from mixedrv.simplex import (
     face_groups,
     face_index,
     mask_members,
+    member_masks,
     sparsemax,
     sparsemax_jacobian,
 )
@@ -142,6 +144,28 @@ class TestFaces:
         assert mask_members(0b101, 3).tolist() == [True, False, True]
         assert mask_members(np.int64((1 << 63) - 1), 63).all()
 
+    @pytest.mark.parametrize("K", [2, 8, 63])
+    def test_member_masks_round_trip(self, K):
+        rng = np.random.default_rng(K)
+        member = rng.random((40, K)) < 0.5
+        member[0] = True  # the full face, top bit included
+        member[1] = np.arange(K) == K - 1  # the top bit alone
+        masks = member_masks(member)
+        assert masks.dtype == np.int64 and masks.shape == (40,)
+        assert masks[0] == (1 << K) - 1 and masks[1] == 1 << (K - 1)
+        np.testing.assert_array_equal(mask_members(masks, K), member)
+        for row, mask in zip(member, masks.tolist()):
+            assert member_masks(row) == mask
+            np.testing.assert_array_equal(mask_members(mask, K), row)
+
+    def test_member_masks_refuse_a_64th_vertex(self):
+        with pytest.raises(ValueError, match="^faces are int64 bitmasks, so K must be <= 63, got 64$"):
+            member_masks(np.ones((2, 64), dtype=bool))
+        with pytest.raises(ValueError, match="^faces are int64 bitmasks, so K must be <= 63, got 64$"):
+            mask_members(1, 64)
+        with pytest.raises(ValueError, match="^faces are int64 bitmasks, so K must be <= 63, got 64$"):
+            FaceBatch.from_coords(np.full((2, 64), 1 / 64))
+
     @pytest.mark.parametrize("masks", [[6], [5, 5, 5], [3, 1, 3, 2, 1]])
     def test_face_index_and_groups(self, masks):
         masks = np.array(masks, dtype=np.int64)
@@ -157,8 +181,9 @@ class TestFaces:
         assert len(enumerate_faces(K)) == count
 
     def test_enumerate_limit(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_faces(21)
+        assert len(enumerate_faces(EXACT_ENUM_MAX_K)) == 2**14 - 1
+        with pytest.raises(ResourceLimitError, match="^exact mode needs K <= 14$"):
+            enumerate_faces(15)
 
     def test_bitmask_ascending_order(self):
         masks = enumerate_faces(4).tolist()
