@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_groups, mask_members, row_max, sparsemax_rows,
-                      vertex_counts)
+from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_groups, freeze, mask_members, row_max,
+                      sparsemax_rows, vertex_counts)
 
 __all__ = [
     "GaussianSparsemax",
@@ -108,11 +108,9 @@ class GaussianSparsemax:
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(sigma ** -2.0)):
                 raise ValueError(f"sigma too small: the sum of sigma^-2 overflows, got {sigma}")
-        mu, sigma = mu.copy(), sigma.copy()
-        mu.flags.writeable = False
-        sigma.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+            if not np.isfinite(np.sum(sigma ** 2.0)):
+                raise ValueError(f"sigma too large: the sum of sigma^2 overflows, got {sigma}")
+        freeze(self, mu=mu, sigma=sigma)
 
     @property
     def K(self) -> int:
@@ -261,13 +259,9 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
 # sigma_j), the product running over the off-face coordinates.
 # ---------------------------------------------------------------------------
 
-#: Elements of the (rows, nodes) reweighting array evaluated at once, the
-#: one buffer whose size grows with the rows: an eighth of a node set's
-#: terms, within these bounds (256 KB to 512 KB).  The sets of a small
-#: batch take the lower bound, which keeps its peak memory down; a set of
-#: millions of terms takes the upper, which halves the fixed cost of its
-#: chunks, about a dozen array calls each.
-_ORTHANT_CHUNK = (1 << 15, 1 << 16)
+#: Elements of the (rows, nodes) reweighting array evaluated at once (256
+#: KB), the one buffer whose size grows with the rows.
+_ORTHANT_CHUNK = 1 << 15
 
 #: A row's window is where its log-integrand lies within this drop of its
 #: peak.  The log-integrand is concave, so the mass left outside is below
@@ -436,7 +430,7 @@ def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo:
     log_phi = log_ndtr((v[:, None] - mu_off) / sigma_off)
     held = -1
     out = np.empty(m.size)
-    step = max(1, int(np.clip(m.size * v.size // 8, *_ORTHANT_CHUNK)) // v.size)
+    step = max(1, _ORTHANT_CHUNK // v.size)
     buf = np.empty((min(step, m.size), v.size))
     for i in range(0, m.size, step):
         j = min(i + step, m.size)
@@ -566,10 +560,7 @@ class Concrete:
     beta: float
 
     def __init__(self, z, beta):
-        z = _check_concrete_args(z, beta).copy()
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "beta", float(beta))
+        freeze(self, z=_check_concrete_args(z, beta), beta=float(beta))
 
     @property
     def K(self) -> int:
@@ -591,11 +582,7 @@ class KDHardConcrete:
         z = _check_concrete_args(z, beta)
         if not (np.isfinite(lam) and lam >= 1.0):
             raise ValueError(f"stretch lam must be >= 1, got {lam}")
-        z = z.copy()
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "lam", float(lam))
+        freeze(self, z=z, beta=float(beta), lam=float(lam))
 
     @property
     def K(self) -> int:

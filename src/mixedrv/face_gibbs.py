@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import FaceIndexSet, face_masks, mask_members, member_masks
+from .simplex import FaceIndexSet, face_masks, freeze, mask_members, member_masks
 
 __all__ = [
     "GibbsFaceDistribution",
@@ -42,7 +42,6 @@ __all__ = [
     "kl",
     "grad_log_prob",
     "most_probable_face",
-    "most_probable_vertices",
     "most_probable_members",
     "suff_stats",
 ]
@@ -181,16 +180,8 @@ class GibbsFaceDistribution:
         w = _as_w(np.atleast_1d(w))
         if w.ndim != 1:
             raise ValueError("w must be a vector")
-        w = w.copy()
-        w.flags.writeable = False
         log_z, phi = _log_z_and_grad(w)
-        take = sampling_tables(w)
-        phi.flags.writeable = False
-        take.flags.writeable = False
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "log_z", float(log_z))
-        object.__setattr__(self, "expected_phi", phi)
-        object.__setattr__(self, "take_probs", take)
+        freeze(self, w=w, log_z=float(log_z), expected_phi=phi, take_probs=sampling_tables(w))
 
     @property
     def K(self) -> int:
@@ -264,12 +255,6 @@ def most_probable_members(w) -> np.ndarray:
     member = w > 0.0
     best = w.argmax(axis=-1)[..., None] == np.arange(w.shape[-1])
     return np.where(member.any(axis=-1, keepdims=True), member, best)
-
-
-def most_probable_vertices(w) -> np.ndarray:
-    """Vertex indices of the argmax face of the law with potentials ``w``
-    (see ``most_probable_members``)."""
-    return np.flatnonzero(most_probable_members(w))
 
 
 def most_probable_face(d: GibbsFaceDistribution) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import face_gibbs
 from .mixed_dirichlet import draw_log_coords
-from .simplex import FaceBatch, SimplexPoint
+from .simplex import FaceBatch, SimplexPoint, freeze
 
 __all__ = [
     "SCORE_CLAMP",
@@ -70,22 +70,17 @@ class GlmModel:
     b_conc: np.ndarray  # (K,)
 
     def __init__(self, w_face, b_face, w_conc, b_conc):
-        w_face = np.array(w_face, dtype=float)
-        b_face = np.array(b_face, dtype=float)
-        w_conc = np.array(w_conc, dtype=float)
-        b_conc = np.array(b_conc, dtype=float)
+        w_face = np.asarray(w_face, dtype=float)
+        b_face = np.asarray(b_face, dtype=float)
+        w_conc = np.asarray(w_conc, dtype=float)
+        b_conc = np.asarray(b_conc, dtype=float)
         if w_face.ndim != 2 or w_conc.shape != w_face.shape:
             raise ValueError("weight matrices must be (K, d) and equal in shape")
         if b_face.shape != (w_face.shape[0],) or b_conc.shape != b_face.shape:
             raise ValueError("biases must have shape (K,)")
-        for a in (w_face, b_face, w_conc, b_conc):
-            if not np.isfinite(a).all():
-                raise ValueError("weights must be finite")
-            a.flags.writeable = False
-        object.__setattr__(self, "w_face", w_face)
-        object.__setattr__(self, "b_face", b_face)
-        object.__setattr__(self, "w_conc", w_conc)
-        object.__setattr__(self, "b_conc", b_conc)
+        if not all(np.isfinite(a).all() for a in (w_face, b_face, w_conc, b_conc)):
+            raise ValueError("weights must be finite")
+        freeze(self, w_face=w_face, b_face=b_face, w_conc=w_conc, b_conc=b_conc)
 
     @property
     def K(self) -> int:

@@ -30,7 +30,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .simplex import FaceBatch, enumerate_faces, member_masks, vertex_counts
+from .simplex import FaceBatch, enumerate_faces, freeze, member_masks, vertex_counts
 
 __all__ = [
     "MixedDistribution",
@@ -239,11 +239,7 @@ class MaxEntMixed:
         from scipy.special import logsumexp
 
         logw = maxent_log_weights(K, N)
-        g = np.exp(logw - logsumexp(logw))
-        g.flags.writeable = False
-        object.__setattr__(self, "K", int(K))
-        object.__setattr__(self, "N", int(N))
-        object.__setattr__(self, "g", g)
+        freeze(self, K=int(K), N=int(N), g=np.exp(logw - logsumexp(logw)))
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Face log-probability plus the flat conditional's log-density,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import face_gibbs
-from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_index, mask_members, member_masks, row_max,
-                      vertex_counts)
+from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_index, freeze, mask_members, member_masks,
+                      row_max, vertex_counts)
 
 __all__ = [
     "MixedDirichlet",
@@ -75,10 +75,7 @@ class MixedDirichlet:
         alpha = _check_alpha(alpha)
         if alpha.size != faces.K:
             raise ValueError(f"alpha has length {alpha.size}, expected {faces.K}")
-        alpha = alpha.copy()
-        alpha.flags.writeable = False
-        object.__setattr__(self, "faces", faces)
-        object.__setattr__(self, "alpha", alpha)
+        freeze(self, faces=faces, alpha=alpha)
 
     @property
     def K(self) -> int:
@@ -263,9 +260,7 @@ class FullFaceDirichlet:
         alpha = _check_alpha(alpha)
         if alpha.size < 2:
             raise ValueError("need K >= 2")
-        alpha = alpha.copy()
-        alpha.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
+        freeze(self, alpha=alpha)
 
     @property
     def K(self) -> int:

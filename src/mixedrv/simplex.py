@@ -8,9 +8,10 @@ layout: ``member_masks`` is the one encoder, ``mask_members`` the one
 decoder (both refuse K above ``MAX_BITMASK_K``, the one 63-vertex check),
 ``face_masks`` the one "nonempty subset of [K]" rule and
 ``enumerate_faces`` the one enumeration, limited to ``EXACT_ENUM_MAX_K``.
-It also provides the sparse Euclidean projection onto the simplex (which
-can land on any face) and batches of points with their faces
-(``FaceBatch``).
+``freeze`` sets the fields of the package's value types and stores their
+arrays as read-only copies.  It also provides the sparse Euclidean
+projection onto the simplex (which can land on any face) and batches of
+points with their faces (``FaceBatch``).
 
 ``FaceIndexSet``, ``SimplexPoint``, ``sparsemax`` and ``FaceBatch``
 iteration, a per-point object form of the same data, are kept only because
@@ -29,6 +30,7 @@ __all__ = [
     "FaceIndexSet",
     "SimplexPoint",
     "FaceBatch",
+    "freeze",
     "member_masks",
     "mask_members",
     "face_masks",
@@ -59,6 +61,18 @@ SUM_TOL = 1e-12
 
 class ResourceLimitError(RuntimeError):
     """An operation would exceed a hard size limit (e.g. 2^K enumeration)."""
+
+
+def freeze(obj, **fields) -> None:
+    """Set the fields of the frozen value type ``obj``, each ndarray as a
+    read-only copy: neither the caller's arrays nor a write through a field
+    can change the object afterwards.  Every constructor that sets its own
+    fields ends with one call, after validating its inputs uncopied."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value = value.copy(order="K")
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -106,10 +120,7 @@ class SimplexPoint:
         total = float(coords.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"coords must sum to 1 within {SUM_TOL}, got sum {total!r}")
-        coords = coords.copy()
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "support", FaceIndexSet(int(member_masks(coords > 0.0)), coords.size))
+        freeze(self, coords=coords, support=FaceIndexSet(int(member_masks(coords > 0.0)), coords.size))
 
     @property
     def K(self) -> int:
@@ -249,7 +260,7 @@ class FaceBatch:
     log_coords: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float)
+        coords = np.asarray(self.coords, dtype=float)
         masks = np.asarray(self.masks)
         if coords.ndim != 2:
             raise ValueError("coords must be an (n, K) array")
@@ -258,7 +269,7 @@ class FaceBatch:
             raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {K}")
         if masks.shape != (n,) or (n and masks.dtype.kind not in "iu"):
             raise ValueError(f"masks must be {n} integers, got shape {masks.shape} dtype {masks.dtype}")
-        masks = masks.astype(np.int64)  # a copy, so freezing it below is safe
+        masks = masks.astype(np.int64, copy=False)
         log_coords = self.log_coords
         supports = member_masks(coords > 0.0)
         # These tests imply every rule (NaN fails ">= 0", an infinite row
@@ -269,23 +280,16 @@ class FaceBatch:
         if log_coords is None:
             valid = valid and (supports == masks).all()
         else:
-            log_coords = np.array(log_coords, dtype=float)
+            log_coords = np.asarray(log_coords, dtype=float)
             if log_coords.shape != coords.shape:
                 raise ValueError(f"log_coords must have shape {coords.shape}, got {log_coords.shape}")
             # a row summing to one has a positive coordinate, so its mask is nonempty
             finite = np.isfinite(log_coords)
             valid = (valid and (finite | (log_coords == -np.inf)).all()
                      and (member_masks(finite) == masks).all() and not (supports & ~masks).any())
-            log_coords.flags.writeable = False
         if not valid:
             raise _invalid_batch(coords, masks, sums, log_coords)
-        coords.flags.writeable = False
-        masks.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "log_coords", log_coords)
-        object.__setattr__(self, "_supports", supports)
-        object.__setattr__(self, "_faces", {})
+        freeze(self, coords=coords, masks=masks, log_coords=log_coords, _supports=supports, _faces={})
 
     @classmethod
     def from_coords(cls, coords) -> "FaceBatch":
@@ -342,12 +346,15 @@ def sparsemax_rows(z: np.ndarray) -> np.ndarray:
     exact zeros at or below the threshold.  Runs in O(K log K) per row.
     """
     # projection is shift invariant; centering at the max keeps the
-    # threshold subtraction well conditioned for large-magnitude inputs
-    z = z - row_max(z)[:, None]
-    u = np.sort(z, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, z.shape[1] + 1)
-    rho = np.sum(u * k > css - 1.0, axis=1)
+    # threshold subtraction well conditioned for large-magnitude inputs.
+    # A finite spread beyond the double range overflows to -inf, and such a
+    # coordinate lies below the threshold, so it projects to 0, its limit.
+    with np.errstate(over="ignore"):
+        z = z - row_max(z)[:, None]
+        u = np.sort(z, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        k = np.arange(1, z.shape[1] + 1)
+        rho = np.sum(u * k > css - 1.0, axis=1)
     tau = (css[np.arange(len(z)), rho - 1] - 1.0) / rho
     return np.maximum(z - tau[:, None], 0.0)
 

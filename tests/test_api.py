@@ -1,17 +1,21 @@
 """The public names: every name a module lists in ``__all__`` and every name
 the package re-exports resolves, so a deleted name cannot stay listed;
 every kind samples and scores through the one contract, with no option;
-outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; and
-the imports: only ``checks`` and ``oracles`` load the oracles or SciPy at
-import time, the package, the CLI and the spec parser load no kind module
-at import time, and no module keeps an import it does not use."""
+outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; every
+value type is frozen by the one helper, ``simplex.freeze``, and its arrays
+are read-only copies; and the imports: only ``checks`` and ``oracles`` load
+the oracles or SciPy at import time, the package, the CLI and the spec
+parser load no kind module at import time, and no module keeps an import it
+does not use."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mixedrv
@@ -57,6 +61,101 @@ def test_every_kind_takes_exactly_the_contract_arguments(cls):
     assert list(inspect.signature(cls.sample_many).parameters) == ["self", "n", "rng"]
     if hasattr(cls, "log_density_many"):
         assert list(inspect.signature(cls.log_density_many).parameters) == ["self", "batch"]
+
+
+def _value_type_cases() -> dict:
+    """Per value type: a constructor from a list of the caller's arrays, and
+    those arrays."""
+    from mixedrv import extrinsic, face_gibbs, glm, info_theory, mixed_dirichlet, simplex
+
+    logs = np.array([[np.log(0.25), np.log(0.75), -np.inf], [-np.inf, -np.inf, 0.0]])
+    return {
+        "SimplexPoint": (lambda a: simplex.SimplexPoint(*a), [np.array([0.25, 0.75])]),
+        "FaceBatch": (lambda a: simplex.FaceBatch(*a), [np.array([3, 1]), np.array([[0.5, 0.5], [1.0, 0.0]])]),
+        "FaceBatch-log": (lambda a: simplex.FaceBatch.from_log_coords(*a), [np.array([3, 4]), logs]),
+        "GibbsFaceDistribution": (lambda a: face_gibbs.GibbsFaceDistribution(*a), [np.array([0.5, -1.0, 0.2])]),
+        "MixedDirichlet": (lambda a: mixed_dirichlet.MixedDirichlet(*a),
+                           [np.array([0.5, -1.0, 0.2]), np.array([1.0, 2.0, 0.5])]),
+        "FullFaceDirichlet": (lambda a: mixed_dirichlet.FullFaceDirichlet(*a), [np.array([1.0, 2.0, 0.5])]),
+        "GaussianSparsemax": (lambda a: extrinsic.GaussianSparsemax(*a),
+                              [np.array([0.4, 0.3, 0.3]), np.array([1.0, 0.5, 2.0])]),
+        "Concrete": (lambda a: extrinsic.Concrete(*a, 0.7), [np.array([0.2, -0.5, 1.0])]),
+        "KDHardConcrete": (lambda a: extrinsic.KDHardConcrete(*a, 0.66, 1.1), [np.array([0.2, -0.5, 1.0])]),
+        "MaxEntMixed": (lambda a: info_theory.MaxEntMixed(4, 2), []),
+        "GlmModel": (lambda a: glm.GlmModel(*a), [np.arange(6.0).reshape(3, 2), np.ones(3),
+                                                  -np.arange(6.0).reshape(3, 2), np.zeros(3)]),
+    }
+
+
+def _held_arrays(obj, prefix: str = "") -> dict[str, np.ndarray]:
+    """Every array an object holds, by field name, through nested value types."""
+    found = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            found[prefix + name] = value
+        elif dataclasses.is_dataclass(value):
+            found.update(_held_arrays(value, f"{prefix}{name}."))
+    return found
+
+
+@pytest.mark.parametrize("case", list(_value_type_cases()))
+def test_value_types_hold_read_only_copies(case):
+    # a write through a field raises, and changing the caller's arrays
+    # afterwards leaves the object as it was
+    make, inputs = _value_type_cases()[case]
+    held = _held_arrays(make(inputs))
+    assert held
+    before = {name: a.copy() for name, a in held.items()}
+    for a in inputs:
+        a += 1
+    for name, a in held.items():
+        np.testing.assert_array_equal(a, before[name], err_msg=name)
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+def test_value_type_cases_cover_every_kind_with_arrays():
+    from mixedrv import distspec
+
+    cases = {name.split("-")[0] for name in _value_type_cases()}
+    for module, cls_name, *_ in distspec._KINDS.values():
+        cls = getattr(importlib.import_module(f"mixedrv.{module}"), cls_name)
+        holds_arrays = any("ndarray" in str(f.type) for f in dataclasses.fields(cls))
+        assert (cls_name in cases) == holds_arrays, cls_name
+
+
+#: Where production code may bypass a frozen dataclass or flip an array's
+#: write flag: ``simplex.freeze``, plus ``SimplexPoint._trusted`` (it wraps
+#: rows of an already read-only batch, uncopied) and ``extrinsic._legendre``
+#: (a cache of the quadrature rule, not a value type).
+FROZEN_SETATTR = {("simplex", "freeze"): 1, ("simplex", "SimplexPoint._trusted"): 2}
+WRITE_FLAG = {("simplex", "freeze"): 1, ("extrinsic", "_legendre"): 1}
+
+
+def _uses(pattern) -> dict[tuple[str, str], int]:
+    """Number of nodes matching ``pattern`` in each (module, enclosing
+    function's qualified name) of the production modules."""
+    found: dict[tuple[str, str], int] = {}
+    for module in MODULES:
+        stack = [(_tree(module), "")]
+        while stack:
+            node, scope = stack.pop()
+            if pattern(node):
+                found[module, scope] = found.get((module, scope), 0) + 1
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}" if scope else node.name
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    return found
+
+
+def test_value_types_are_frozen_only_by_the_helper():
+    setattr_ = _uses(lambda n: isinstance(n, ast.Attribute) and n.attr == "__setattr__"
+                     and isinstance(n.value, ast.Name) and n.value.id == "object")
+    write_flag = _uses(lambda n: isinstance(n, ast.Attribute) and (
+        n.attr == "setflags" or n.attr == "writeable" and isinstance(n.value, ast.Attribute)
+        and n.value.attr == "flags"))
+    assert setattr_ == FROZEN_SETATTR
+    assert write_flag == WRITE_FLAG
 
 
 #: The only callables outside ``simplex`` that may still name the per-point

@@ -449,6 +449,65 @@ class TestMaskCap:
         assert capsys.readouterr() == ("", self.ERR)
 
 
+SPREAD_SPECS = {
+    "gaussian-sparsemax": {"kind": "gaussian-sparsemax", "mu": [1e308, -1e308, 0.0], "sigma": [1.0, 1.0, 1.0]},
+    "kd-hard-concrete": {"kind": "kd-hard-concrete", "z": [0.0, 0.0, 0.0], "beta": 1.0, "lambda": 1e308},
+}
+GS_SIGMA_LARGE = ({"kind": "gaussian-sparsemax", "mu": [0.3, 0.1], "sigma": [1e154, 1.0]},
+                  {"kind": "gaussian-sparsemax", "mu": [0.3, 0.1, 0.2], "sigma": [1e154, 1.0, 0.5]})
+
+
+@pytest.mark.filterwarnings("error")
+class TestExtremeParameters:
+    """Finite parameters at the edge of the double range, with warnings as
+    errors: a draw whose sparsemax input spreads beyond the double range
+    projects silently, and a sigma whose squares overflow in sum is refused
+    when the spec is read."""
+
+    @pytest.mark.parametrize("kind", SPREAD_SPECS)
+    def test_sparsemax_spread_beyond_the_double_range(self, kind, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        spec = write(tmp_path / "p.json", SPREAD_SPECS[kind])
+        assert cli.main(["sample", "--dist", spec, "--num", "3", "--seed", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert all(json.loads(line)["dim"] == 0 for line in out.read_text().splitlines())
+        assert cli.main(["face-hist", "--in", str(out)]) == 0
+        assert "dim,0,3,1.0" in capsys.readouterr().out
+
+    def test_sparsemax_spread_mc_entropy(self, tmp_path, capsys):
+        spec = write(tmp_path / "p.json", SPREAD_SPECS["gaussian-sparsemax"])
+        assert cli.main(["entropy", "--dist", spec, "--mode", "mc", "--samples", "10", "--seed", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and np.isfinite(json.loads(out)["value"])
+
+    @pytest.mark.parametrize("spec, argv", [
+        (GS_SIGMA_LARGE[0], ["entropy", "--mode", "exact"]),
+        (GS_SIGMA_LARGE[0], ["kl", "--mode", "exact"]),
+        (GS_SIGMA_LARGE[0], ["entropy", "--mode", "mc", "--samples", "50"]),
+        (GS_SIGMA_LARGE[1], ["entropy", "--mode", "mc", "--samples", "50"]),
+    ], ids=["k2-exact-entropy", "k2-exact-kl", "k2-mc", "k3-mc"])
+    def test_sigma_squares_summing_to_a_double_run(self, spec, argv, tmp_path, capsys):
+        path = write(tmp_path / "p.json", spec)
+        extra = ["--dist2", path] if argv[0] == "kl" else []
+        assert cli.main([argv[0], "--dist", path, *extra, *argv[1:], "--seed", "0"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and np.isfinite(json.loads(out)["value"])
+
+    @pytest.mark.parametrize("sigma", ([2e154, 1.0], [1e300, 1.0]))
+    @pytest.mark.parametrize("argv", (["sample", "--num", "3"], ["entropy", "--mode", "exact"],
+                                      ["entropy", "--mode", "mc", "--samples", "50"]),
+                             ids=["sample", "exact", "mc"])
+    def test_sigma_squares_overflowing_exit_2(self, sigma, argv, tmp_path, capsys):
+        spec = write(tmp_path / "p.json", {"kind": "gaussian-sparsemax", "mu": [0.3, 0.1], "sigma": sigma})
+        out = tmp_path / "out.jsonl"
+        extra = ["--out", str(out)] if argv[0] == "sample" else []
+        assert cli.main([argv[0], "--dist", spec, *argv[1:], *extra]) == 2
+        shown = np.array2string(np.array(sigma))
+        assert capsys.readouterr() == ("", "error: invalid parameters for kind 'gaussian-sparsemax': "
+                                           f"sigma too large: the sum of sigma^2 overflows, got {shown}\n")
+        assert not out.exists()
+
+
 class TestCheckCommand:
     def test_injected_bug_fails_enumeration_oracle(self, capsys, monkeypatch):
         good = face_gibbs.log_normalizer

@@ -473,7 +473,6 @@ class TestMostProbableFace:
         for w, member in zip(W, members):
             face = np.flatnonzero(member)
             assert fg.most_probable_members(w).tolist() == member.tolist()
-            assert fg.most_probable_vertices(w).tolist() == face.tolist()
             best = oracles.enum_most_probable_face(w)
             if face.size == 1:
                 assert (w > 0).sum() <= 1 and face[0] == np.flatnonzero(w == w.max())[0]

@@ -66,7 +66,7 @@ def face_stats_digest(K: int) -> str:
         one = int(masks[0])
         out += [masks, fg.suff_stats(masks, K), fg.suff_stats(one, K), fg.face_log_prob(d, masks),
                 fg.face_log_prob(d, one), fg.grad_log_prob(d, masks), fg.grad_log_prob(d, one),
-                fg.most_probable_face(d), fg.most_probable_vertices(d.w)]
+                fg.most_probable_face(d), np.flatnonzero(fg.most_probable_members(d.w))]
     return _digest(*out)
 
 

@@ -525,7 +525,7 @@ def _most_probable_mean_reference(scores, conc):
     row's argmax face, normalized by the 1-D sum of its concentrations."""
     preds = np.zeros_like(conc)
     for i, (s, c) in enumerate(zip(scores, conc)):
-        idx = fg.most_probable_vertices(s)
+        idx = np.flatnonzero(fg.most_probable_members(s))
         a = c[idx]
         preds[i, idx] = a / a.sum()
     return preds
