@@ -197,9 +197,9 @@ def _truncated_moments(z: float, sigma: float) -> tuple[float, float, float]:
     a = -z / sigma
     b = (1.0 - z) / sigma
     m0 = float(ndtr(b) - ndtr(a))
-    m1 = float(_norm_pdf(a) - _norm_pdf(b))
-    m2 = m0 - float(b * _norm_pdf(b)) + float(a * _norm_pdf(a))
-    return m0, m1, m2
+    pdf_a, pdf_b = float(_norm_pdf(a)), float(_norm_pdf(b))
+    # t pdf(t) is 0 where pdf(t) is, t = +-inf included
+    return m0, pdf_a - pdf_b, m0 - (b * pdf_b if pdf_b else 0.0) + (a * pdf_a if pdf_a else 0.0)
 
 
 def gs2_entropy(z: float, sigma: float) -> float:
@@ -214,7 +214,7 @@ def gs2_entropy(z: float, sigma: float) -> float:
     sigma = _check_sigma(sigma)
     p0, p1, _ = gs2_face_probs(z, sigma)
     m0, _, m2 = _truncated_moments(z, sigma)
-    cont = m0 * 0.5 * np.log(2.0 * np.pi * sigma**2) + 0.5 * m2
+    cont = m0 * 0.5 * np.log(2.0 * np.pi * sigma**2) + 0.5 * m2 if m0 else 0.0  # 0 without interior mass
     return float(-xlogy(p0, p0) - xlogy(p1, p1) + cont)
 
 
@@ -244,12 +244,18 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
     sigma_q = _check_sigma(sigma_q)
     log_p0, log_p1 = _gs2_log_vertex_masses(z_p, sigma_p)
     log_q0, log_q1 = _gs2_log_vertex_masses(z_q, sigma_q)
+    vertices = _kl_term(log_p0, log_q0) + _kl_term(log_p1, log_q1)
     m0, m1, m2 = _truncated_moments(z_p, sigma_p)
+    if not m0:  # the interior terms are 0 without interior mass
+        return float(vertices)
     delta = z_p - z_q
     int_p_log_p = -(m0 * 0.5 * np.log(2.0 * np.pi * sigma_p**2) + 0.5 * m2)
-    e_quad = sigma_p**2 * m2 + 2.0 * sigma_p * delta * m1 + delta**2 * m0
+    try:
+        e_quad = sigma_p**2 * m2 + 2.0 * sigma_p * delta * m1 + delta**2 * m0
+    except OverflowError:  # delta^2 beyond the double range: the interior term is +inf
+        e_quad = np.inf
     int_p_log_q = -m0 * 0.5 * np.log(2.0 * np.pi * sigma_q**2) - e_quad / (2.0 * sigma_q**2)
-    return float(_kl_term(log_p0, log_q0) + _kl_term(log_p1, log_q1) + int_p_log_p - int_p_log_q)
+    return float(vertices + int_p_log_p - int_p_log_q)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +610,8 @@ class BinaryHardConcrete:
     r: float = 1.1
 
     def __post_init__(self):
+        if not np.isfinite(self.log_alpha):
+            raise ValueError(f"log_alpha must be finite, got {self.log_alpha}")
         if not (np.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not (self.l < 0.0 < 1.0 < self.r):

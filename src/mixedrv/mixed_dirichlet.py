@@ -229,12 +229,22 @@ def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return masks, mask_members(masks, md.K), np.exp(face_gibbs.face_log_prob(md.faces, masks))
 
 
+def _finite(value: float, measure: str) -> float:
+    """``value``, or ValueError when it is not finite: near the bottom of the
+    double range a term of the closed form leaves it.  The callers silence
+    overflow and invalid operations, so this error is the only report."""
+    if not np.isfinite(value):
+        raise ValueError(f"the exact {measure} is not finite (a term beyond the range of a double)")
+    return value
+
+
 def entropy(md: MixedDirichlet) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
     entropy over the enumerated faces."""
     masks, member, weights = _face_weights(md)
-    dirichlet = _dirichlet_entropy_rows(member, md.alpha, vertex_counts(masks))
-    return face_gibbs.entropy(md.faces) + float(weights @ dirichlet)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dirichlet = _dirichlet_entropy_rows(member, md.alpha, vertex_counts(masks))
+        return _finite(face_gibbs.entropy(md.faces) + float(weights @ dirichlet), "entropy")
 
 
 def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
@@ -244,8 +254,9 @@ def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
     if md_p.K != md_q.K:
         raise ValueError(f"dimension mismatch: {md_p.K} vs {md_q.K}")
     _, member, weights = _face_weights(md_p)
-    dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
-    return face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
+        return _finite(face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet), "KL")
 
 
 @dataclass(frozen=True, eq=False)

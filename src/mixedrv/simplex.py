@@ -87,10 +87,8 @@ class FaceIndexSet:
     K: int
 
     def __post_init__(self):
-        if not (2 <= self.K <= MAX_BITMASK_K):
-            raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {self.K}")
-        if _outside_faces(self.mask, self.K):
-            raise ValueError(f"mask {self.mask:#x} is not a nonempty subset of [{self.K}]")
+        _check_k(self.K)
+        face_masks(self.mask, self.K)
 
     def member_array(self) -> np.ndarray:
         """Boolean membership vector of length K."""
@@ -101,9 +99,9 @@ class FaceIndexSet:
 class SimplexPoint:
     """A point of the simplex, carrying the face whose relative interior holds it.
 
-    Coordinates are nonnegative, sum to one within ``1e-12``, and zeros are
-    stored as exact ``0.0`` so that the support (the set of strictly positive
-    coordinates) is unambiguous.
+    Coordinates are checked by the rules of a one-row ``FaceBatch`` whose
+    face is their support (the set of strictly positive coordinates); zeros
+    are stored as exact ``0.0`` so that the support is unambiguous.
     """
 
     coords: np.ndarray
@@ -111,16 +109,10 @@ class SimplexPoint:
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1 or coords.size < 2:
-            raise ValueError("coords must be a vector of length >= 2")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coords must be finite")
-        if np.any(coords < 0.0):
-            raise ValueError(f"coords must be nonnegative, got {coords}")
-        total = float(coords.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"coords must sum to 1 within {SUM_TOL}, got sum {total!r}")
-        freeze(self, coords=coords, support=FaceIndexSet(int(member_masks(coords > 0.0)), coords.size))
+        if coords.ndim != 1:
+            raise ValueError("coords must be a vector")
+        mask = int(FaceBatch.from_coords(coords[None]).masks[0])  # the batch rules, on one row
+        freeze(self, coords=coords, support=FaceIndexSet(mask, coords.size))
 
     @property
     def K(self) -> int:
@@ -207,30 +199,15 @@ def face_groups(masks: np.ndarray):
     return list(zip(faces.tolist(), np.split(rows, bounds)))
 
 
-def _invalid_batch(coords: np.ndarray, masks: np.ndarray, sums: np.ndarray,
-                   log_coords: np.ndarray | None) -> ValueError:
-    """The first ``SimplexPoint`` rule that a batch breaks, as an error."""
-    if not np.isfinite(coords).all():
-        return ValueError("coords must be finite")
-    if (coords < 0.0).any():
-        return ValueError("coords must be nonnegative")
-    bad = np.nonzero(np.abs(sums - 1.0) > SUM_TOL)[0]
-    if bad.size:
-        return ValueError(f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {SUM_TOL}")
-    K = coords.shape[1]
-    bad = np.nonzero(_outside_faces(masks, K))[0]
-    if bad.size:
-        return ValueError(f"mask {int(masks[bad[0]]):#x} is not a nonempty subset of [{K}]")
-    if log_coords is None:
-        bad = np.nonzero(member_masks(coords > 0.0) != masks)[0]
-        return ValueError(f"row {bad[0]}: positive coordinates are not the vertices of mask {int(masks[bad[0]]):#x}")
-    finite = np.isfinite(log_coords)
-    bad = np.nonzero(~(finite | (log_coords == -np.inf)).all(axis=1) | (member_masks(finite) != masks))[0]
-    if bad.size:
-        return ValueError(f"row {bad[0]}: log_coords must be finite exactly on the vertices of mask "
-                          f"{int(masks[bad[0]]):#x} and -inf off them")
-    bad = np.nonzero(member_masks(coords > 0.0) & ~masks)[0]
-    return ValueError(f"row {bad[0]}: positive coordinates off the vertices of mask {int(masks[bad[0]]):#x}")
+def _check_k(K: int) -> None:
+    if not (2 <= K <= MAX_BITMASK_K):
+        raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {K}")
+
+
+def _first_bad_row(bad: np.ndarray, message) -> None:
+    """ValueError(``message(i)``) at the first row ``i`` that ``bad`` marks."""
+    if bad.any():
+        raise ValueError(message(int(bad.argmax())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,9 +215,11 @@ class FaceBatch:
     """n simplex points as arrays: face bitmasks ``masks`` (n,), coordinates
     ``coords`` (n, K) and optionally their logarithms ``log_coords`` (n, K).
 
-    Every batch is validated once: finite, nonnegative coordinates, rows
-    summing to one within ``SUM_TOL``, and positive coordinates exactly on
-    the vertices of the row's face.
+    A batch holds these three arrays and nothing else.  It is validated
+    once, rule after rule, each rule one whole-array test, and only a
+    broken one looks up its first row: finite, then nonnegative
+    coordinates, rows summing to one within ``SUM_TOL``, masks in (0, 2^K),
+    and positive coordinates exactly on the vertices of the row's face.
 
     A sampler that draws in log space passes ``log_coords`` (with ``coords
     = exp(log_coords)``), the faithful representation: a coordinate of the
@@ -250,9 +229,10 @@ class FaceBatch:
     nothing positive off it.
 
     Iteration yields ``(FaceIndexSet, SimplexPoint)`` pairs, sharing one
-    ``FaceIndexSet`` per distinct mask: the row's face, and a point of its
-    coordinates, whose support is the face less any coordinate that
-    underflowed to 0.0.  Only the benchmark tracer iterates a batch.
+    ``FaceIndexSet`` per distinct mask within the call: the row's face, and
+    a point of its coordinates, whose support (worked out by the iteration)
+    is the face less any coordinate that underflowed to 0.0.  Only the
+    benchmark tracer iterates a batch.
     """
 
     masks: np.ndarray
@@ -265,31 +245,36 @@ class FaceBatch:
         if coords.ndim != 2:
             raise ValueError("coords must be an (n, K) array")
         n, K = coords.shape
-        if not (2 <= K <= MAX_BITMASK_K):
-            raise ValueError(f"K must be in [2, {MAX_BITMASK_K}], got {K}")
+        _check_k(K)
         if masks.shape != (n,) or (n and masks.dtype.kind not in "iu"):
             raise ValueError(f"masks must be {n} integers, got shape {masks.shape} dtype {masks.dtype}")
         masks = masks.astype(np.int64, copy=False)
         log_coords = self.log_coords
-        supports = member_masks(coords > 0.0)
-        # These tests imply every rule (NaN fails ">= 0", an infinite row
-        # fails its sum, a matching face mask lies in (0, 2^K)); a failing
-        # batch is diagnosed rule by rule for the error message.
-        sums = coords.sum(axis=1)
-        valid = (coords >= 0.0).all() and (np.abs(sums - 1.0) <= SUM_TOL).all()
-        if log_coords is None:
-            valid = valid and (supports == masks).all()
-        else:
+        if log_coords is not None:
             log_coords = np.asarray(log_coords, dtype=float)
             if log_coords.shape != coords.shape:
                 raise ValueError(f"log_coords must have shape {coords.shape}, got {log_coords.shape}")
-            # a row summing to one has a positive coordinate, so its mask is nonempty
-            finite = np.isfinite(log_coords)
-            valid = (valid and (finite | (log_coords == -np.inf)).all()
-                     and (member_masks(finite) == masks).all() and not (supports & ~masks).any())
-        if not valid:
-            raise _invalid_batch(coords, masks, sums, log_coords)
-        freeze(self, coords=coords, masks=masks, log_coords=log_coords, _supports=supports, _faces={})
+        if not np.isfinite(coords).all():
+            raise ValueError("coords must be finite")
+        if not (coords >= 0.0).all():
+            raise ValueError("coords must be nonnegative")
+        with np.errstate(over="ignore"):  # a row beyond the double range sums to inf
+            sums = coords.sum(axis=1)
+        _first_bad_row(np.abs(sums - 1.0) > SUM_TOL, lambda i: f"row {i} sums to {sums[i]!r}, not 1 within {SUM_TOL}")
+        _first_bad_row(_outside_faces(masks, K), lambda i: f"mask {masks[i]:#x} is not a nonempty subset of [{K}]")
+        supports = member_masks(coords > 0.0)
+        if log_coords is None:
+            _first_bad_row(supports != masks,
+                           lambda i: f"row {i}: positive coordinates are not the vertices of mask {masks[i]:#x}")
+        else:  # finite exactly on the face, -inf off it: NaN and +inf fail "< inf"
+            bad, below_inf = member_masks(np.isfinite(log_coords)) != masks, log_coords < np.inf
+            if not below_inf.all():  # a row-wise reduction only when it finds something
+                bad |= ~below_inf.all(axis=1)
+            _first_bad_row(bad, lambda i: f"row {i}: log_coords must be finite exactly on the vertices of mask "
+                                          f"{masks[i]:#x} and -inf off them")
+            _first_bad_row((supports & ~masks) != 0,
+                           lambda i: f"row {i}: positive coordinates off the vertices of mask {masks[i]:#x}")
+        freeze(self, coords=coords, masks=masks, log_coords=log_coords)
 
     @classmethod
     def from_coords(cls, coords) -> "FaceBatch":
@@ -310,20 +295,15 @@ class FaceBatch:
         """(n, K) boolean membership matrix of the rows' faces."""
         return mask_members(self.masks, self.K)
 
-    def face(self, mask: int) -> FaceIndexSet:
-        """The shared ``FaceIndexSet`` of one of the batch's masks."""
-        f = self._faces.get(mask)
-        if f is None:
-            f = self._faces[mask] = FaceIndexSet(mask, self.K)
-        return f
-
     def __len__(self) -> int:
         return self.masks.shape[0]
 
     def __iter__(self):
-        for i, (m, s) in enumerate(zip(self.masks.tolist(), self._supports.tolist())):
-            f = self.face(m)
-            yield f, SimplexPoint._trusted(self.coords[i], f if s == m else self.face(s))
+        masks = self.masks.tolist()
+        supports = member_masks(self.coords > 0.0).tolist()
+        faces = {m: FaceIndexSet(m, self.K) for m in {*masks, *supports}}
+        for coords, m, s in zip(self.coords, masks, supports):
+            yield faces[m], SimplexPoint._trusted(coords, faces[s])
 
 
 def sparsemax(z) -> SimplexPoint:

@@ -2,11 +2,12 @@
 the package re-exports resolves, so a deleted name cannot stay listed;
 every kind samples and scores through the one contract, with no option;
 outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; every
-value type is frozen by the one helper, ``simplex.freeze``, and its arrays
-are read-only copies; and the imports: only ``checks`` and ``oracles`` load
-the oracles or SciPy at import time, the package, the CLI and the spec
-parser load no kind module at import time, and no module keeps an import it
-does not use."""
+value type is frozen by the one helper, ``simplex.freeze``, its arrays are
+read-only copies and its other fields scalars, None or frozen value
+types; and the imports: only ``checks`` and ``oracles`` load the oracles
+or SciPy at import time, the package, the CLI and the spec parser load no
+kind module at import time, and no module keeps an import it does not
+use."""
 
 import ast
 import dataclasses
@@ -112,6 +113,26 @@ def test_value_types_hold_read_only_copies(case):
         np.testing.assert_array_equal(a, before[name], err_msg=name)
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+
+
+def _unfrozen_fields(obj, prefix: str = "") -> list[str]:
+    """The fields of a value type, through nested frozen value types, that
+    hold anything but a read-only array, a scalar or None."""
+    found = []
+    for name, value in vars(obj).items():
+        if dataclasses.is_dataclass(value) and type(value).__dataclass_params__.frozen:
+            found += _unfrozen_fields(value, f"{prefix}{name}.")
+        elif not (value is None or np.isscalar(value)
+                  or isinstance(value, np.ndarray) and not value.flags.writeable):
+            found.append(prefix + name)
+    return found
+
+
+@pytest.mark.parametrize("case", list(_value_type_cases()))
+def test_value_types_hold_only_immutable_fields(case):
+    # no cache or other mutable container rides along with the arrays
+    make, inputs = _value_type_cases()[case]
+    assert _unfrozen_fields(make(inputs)) == []
 
 
 def test_value_type_cases_cover_every_kind_with_arrays():

@@ -457,12 +457,39 @@ GS_SIGMA_LARGE = ({"kind": "gaussian-sparsemax", "mu": [0.3, 0.1], "sigma": [1e1
                   {"kind": "gaussian-sparsemax", "mu": [0.3, 0.1, 0.2], "sigma": [1e154, 1.0, 0.5]})
 
 
+MD3_TINY = {"kind": "mixed-dirichlet", "w": [0.5, -0.3, 0.1], "alpha": [1e-310, 1.0, 1.0]}
+MD8_TINY = {"kind": "mixed-dirichlet", "w": [0.3] * 8, "alpha": [3e-308] * 8}
+GS_NEAR = {"kind": "gaussian-sparsemax", "mu": [0.3, 0.0], "sigma": [1.0, 1.0]}
+GS_FAR = {**GS_NEAR, "mu": [1e200, 0.0]}
+NOT_FINITE = "error: the exact {} is not finite (a term beyond the range of a double)\n"
+BHC_NOT_FINITE = "error: invalid parameters for kind 'binary-hard-concrete': log_alpha must be finite, got {}\n"
+#: (command, specs, expected): an error line (exit 2, empty stdout) or the
+#: values of the strict-JSON report (exit 0, empty stderr)
+DOUBLE_RANGE_EDGES = {
+    "bhc-nan": (["sample", "--num", "3"], [{"kind": "binary-hard-concrete", "log_alpha": float("nan"), "beta": 1.0}],
+                BHC_NOT_FINITE.format("nan")),
+    "bhc-inf": (["sample", "--num", "3"], [{"kind": "binary-hard-concrete", "log_alpha": float("inf"), "beta": 1.0}],
+                BHC_NOT_FINITE.format("inf")),
+    "md-exact-entropy-nan": (["entropy", "--mode", "exact"], [MD3_TINY], NOT_FINITE.format("entropy")),
+    "md-exact-entropy-inf": (["entropy", "--mode", "exact"], [MD8_TINY], NOT_FINITE.format("entropy")),
+    "md-exact-kl-nan": (["kl", "--mode", "exact"], [{**MD3_TINY, "alpha": [1.0] * 3}, MD3_TINY],
+                        NOT_FINITE.format("KL")),
+    "md-exact-kl-inf": (["kl", "--mode", "exact"], [MD8_TINY, {**MD8_TINY, "alpha": [1.0] * 8}],
+                        NOT_FINITE.format("KL")),
+    "gs-exact-entropy-far": (["entropy", "--mode", "exact"],
+                             [{"kind": "gaussian-sparsemax", "mu": [1e300, -1e300], "sigma": [1e-150, 1e-150]}],
+                             {"value": 0.0}),
+    "gs-exact-kl-far-near": (["kl", "--mode", "exact"], [GS_FAR, GS_NEAR], {"value": 1.1701867900637222}),
+    "gs-exact-kl-near-far": (["kl", "--mode", "exact"], [GS_NEAR, GS_FAR], {"value": None, "support_violation": True}),
+}
+
+
 @pytest.mark.filterwarnings("error")
 class TestExtremeParameters:
     """Finite parameters at the edge of the double range, with warnings as
     errors: a draw whose sparsemax input spreads beyond the double range
-    projects silently, and a sigma whose squares overflow in sum is refused
-    when the spec is read."""
+    projects silently, a sigma whose squares overflow in sum is refused
+    when the spec is read, and an exact measure is finite or an error."""
 
     @pytest.mark.parametrize("kind", SPREAD_SPECS)
     def test_sparsemax_spread_beyond_the_double_range(self, kind, tmp_path, capsys):
@@ -506,6 +533,26 @@ class TestExtremeParameters:
         assert capsys.readouterr() == ("", "error: invalid parameters for kind 'gaussian-sparsemax': "
                                            f"sigma too large: the sum of sigma^2 overflows, got {shown}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", DOUBLE_RANGE_EDGES)
+    def test_edges_of_the_double_range(self, case, tmp_path, capsys):
+        # no NaN, infinity or traceback: one error line, or a report in strict JSON
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        argv, dists, expected = DOUBLE_RANGE_EDGES[case]
+        paths = [write(tmp_path / f"p{i}.json", d) for i, d in enumerate(dists)]
+        extra = {"sample": ["--out", str(tmp_path / "out.jsonl")], "kl": ["--dist2", paths[-1]]}.get(argv[0], [])
+        code = cli.main([argv[0], "--dist", paths[0], *extra, *argv[1:]])
+        out, err = capsys.readouterr()
+        if isinstance(expected, str):
+            assert (code, out, err) == (2, "", expected)
+            return
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=reject)
+        for key, value in expected.items():
+            assert report[key] == (value if value is None or isinstance(value, bool)
+                                   else pytest.approx(value, rel=1e-12))
 
 
 class TestCheckCommand:

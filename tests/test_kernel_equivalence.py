@@ -111,17 +111,31 @@ def _log_density_ref(dist, batch):
     return face + _dirichlet_log_pdf_ref(member, batch, dist.alpha)
 
 
-def _log_support_masks_ref(log_coords):
-    finite = np.isfinite(log_coords)
-    masks = finite @ (np.int64(1) << np.arange(log_coords.shape[1], dtype=np.int64))
-    return np.where((finite | (log_coords == -np.inf)).all(axis=1), masks, -1)
-
-
-def _batch_valid_ref(masks, coords, log_coords):
-    """The validity rule of a batch drawn in log space, row by row."""
-    supports = (coords > 0.0) @ (np.int64(1) << np.arange(coords.shape[1], dtype=np.int64))
-    return bool((coords >= 0.0).all() and (np.abs(coords.sum(axis=1) - 1.0) <= simplex.SUM_TOL).all()
-                and (_log_support_masks_ref(log_coords) == masks).all() and not (supports & ~masks).any())
+def _first_broken_rule_ref(masks, coords, log_coords):
+    """The error text of the first rule, in the order ``FaceBatch`` checks
+    them, that a batch drawn in log space breaks, scanned row by row; None
+    for a valid batch."""
+    n, K = coords.shape
+    if not all(np.isfinite(coords[i]).all() for i in range(n)):
+        return "coords must be finite"
+    if any((coords[i] < 0.0).any() for i in range(n)):
+        return "coords must be nonnegative"
+    for i in range(n):
+        total = coords[i].sum()
+        if abs(total - 1.0) > simplex.SUM_TOL:
+            return f"row {i} sums to {total!r}, not 1 within {simplex.SUM_TOL}"
+    for i in range(n):
+        if not 0 < int(masks[i]) < 1 << K:
+            return f"mask {int(masks[i]):#x} is not a nonempty subset of [{K}]"
+    for i in range(n):
+        on = [int(masks[i]) >> k & 1 == 1 for k in range(K)]
+        if any(np.isfinite(v) != f or (not f and v != -np.inf) for v, f in zip(log_coords[i], on)):
+            return (f"row {i}: log_coords must be finite exactly on the vertices of mask {int(masks[i]):#x} "
+                    "and -inf off them")
+    for i in range(n):
+        if any(c > 0.0 and not int(masks[i]) >> k & 1 for k, c in enumerate(coords[i])):
+            return f"row {i}: positive coordinates off the vertices of mask {int(masks[i]):#x}"
+    return None
 
 
 # ------------------------------------------------------------------ tests ---
@@ -184,7 +198,7 @@ def test_concrete_from_gumbels(K, n, beta, seed):
 
 
 _CORRUPTIONS = ("none", "nan", "+inf", "finite off face", "-inf on face", "mask bit", "mask -1", "mask 0",
-                "positive coord off face")
+                "positive coord off face", "nan coord", "negative coord", "row sum")
 
 
 def _corrupt(rng, masks, coords, log_coords, how):
@@ -209,7 +223,24 @@ def _corrupt(rng, masks, coords, log_coords, how):
         masks[i] = 0
     elif how == "positive coord off face" and not on:
         coords[i, k] = 1e-300
+    elif how == "nan coord":
+        coords[i, k] = np.nan
+    elif how == "negative coord":
+        coords[i, k] = -1e-300
+    elif how == "row sum":
+        coords[i, k] += 1e-9
     return masks, coords, log_coords
+
+
+def _assert_validated_as_ref(masks, coords, log_coords):
+    ref = _first_broken_rule_ref(masks, coords, log_coords)
+    try:
+        batch = FaceBatch(masks, coords, log_coords)
+    except ValueError as e:
+        assert str(e) == ref
+    else:
+        assert ref is None
+        assert _same_bits(batch.log_coords, log_coords) and _same_bits(batch.masks, masks)
 
 
 @settings(max_examples=300)
@@ -219,17 +250,22 @@ def test_face_batch_validation(K, n, face_kind, alpha_kind, how, seed):
     rng = np.random.default_rng(seed)
     masks = _masks(rng, n, K, face_kind)
     log_coords = md.dirichlet_log_fill(masks, _alpha(rng, (K,), alpha_kind), rng)
-    masks, coords, log_coords = _corrupt(rng, masks, np.exp(log_coords), log_coords, how)
-    valid = _batch_valid_ref(masks, coords, log_coords)
-    try:
-        batch = FaceBatch(masks, coords, log_coords)
-    except ValueError as e:
-        assert not valid
-        ref = simplex._invalid_batch(coords, masks, coords.sum(axis=1), log_coords)
-        assert str(e) == str(ref)
-    else:
-        assert valid
-        assert _same_bits(batch.log_coords, log_coords) and _same_bits(batch.masks, masks)
+    _assert_validated_as_ref(*_corrupt(rng, masks, np.exp(log_coords), log_coords, how))
+
+
+@pytest.mark.parametrize("first", _CORRUPTIONS)
+def test_face_batch_validation_reports_the_first_broken_rule(first):
+    # every ordered pair of corruptions, each at a random row: the rules'
+    # precedence and the first broken row within a rule
+    for second in _CORRUPTIONS:
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            masks = _masks(rng, 6, 5, "mixed")
+            log_coords = md.dirichlet_log_fill(masks, _alpha(rng, (5,), "moderate"), rng)
+            batch = (masks, np.exp(log_coords), log_coords)
+            for how in (first, second):
+                batch = _corrupt(rng, *batch, how)
+            _assert_validated_as_ref(*batch)
 
 
 def test_face_batch_validation_accepts_an_empty_batch():
