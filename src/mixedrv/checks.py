@@ -881,7 +881,7 @@ def _check_glm_planted_recovery():
     most-probable-mean predictions above 0.9, and their RMSE no more than
     0.02 above that of sample-mean predictions.  These are not bounds in SE,
     and no false-failure rate is derived for them; the fixed seeds read
-    0.9225 and +0.0193, so the RMSE bound holds with little margin."""
+    0.9225 and +0.0194, so the RMSE bound holds with little margin."""
     f1s, gaps = [], []
     for seed in range(3):
         X, Y, _ = glm.make_planted_dataset(n=500, K=5, d=4, seed=seed)

@@ -364,7 +364,7 @@ def _glm_rows(path: str, rows: list[list[float]], linenos: list[int], x_cols: li
     bad = ~x_finite | ~finite | (Y < 0.0).any(axis=1) | (gap > 1e-4)
     first = int(np.argmax(bad)) if bad.any() else len(rows)
     for i in np.nonzero(gap[:first] > 1e-9)[0].tolist():
-        print(f"warning: {path}:{linenos[i]}: target row sums to {Y[i].sum()!r}; renormalizing", file=sys.stderr)
+        print(f"warning: {path}:{linenos[i]}: target row sums to {float(Y[i].sum())!r}; renormalizing", file=sys.stderr)
     if first < len(rows):
         y = Y[first]
         if not x_finite[first]:
@@ -374,7 +374,7 @@ def _glm_rows(path: str, rows: list[list[float]], linenos: list[int], x_cols: li
         elif np.any(y < 0.0):
             problem = "negative target value"
         else:
-            problem = f"target row sums to {y.sum()!r}"
+            problem = f"target row sums to {float(y.sum())!r}"
         raise CliError(EXIT_DATA, f"{path}:{linenos[first]}: {problem}")
     off = gap > 0.0
     Y[off] = Y[off] / sums[off, None]

@@ -104,12 +104,14 @@ class GaussianSparsemax:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ValueError("parameters must be finite")
         if np.any(sigma <= 0.0):
-            raise ValueError(f"sigma must be > 0, got {sigma}")
+            raise ValueError(f"sigma must be > 0, got {np.array2string(sigma, max_line_width=np.inf)}")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(sigma ** -2.0)):
-                raise ValueError(f"sigma too small: the sum of sigma^-2 overflows, got {sigma}")
+                raise ValueError("sigma too small: the sum of sigma^-2 overflows, "
+                                 f"got {np.array2string(sigma, max_line_width=np.inf)}")
             if not np.isfinite(np.sum(sigma ** 2.0)):
-                raise ValueError(f"sigma too large: the sum of sigma^2 overflows, got {sigma}")
+                raise ValueError("sigma too large: the sum of sigma^2 overflows, "
+                                 f"got {np.array2string(sigma, max_line_width=np.inf)}")
         freeze(self, mu=mu, sigma=sigma)
 
     @property

@@ -36,6 +36,7 @@ __all__ = [
     "face_log_prob",
     "sample_face_masks",
     "sampling_tables",
+    "members_from_uniforms",
     "masks_from_uniforms",
     "sample_faces",
     "entropy",
@@ -56,12 +57,19 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: Largest potential magnitude accepted: ``2 w`` overflows beyond it.
+_W_MAX = float(np.finfo(float).max / 2.0)
+
+
 def _as_w(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape[-1] < 2:
         raise ValueError("w must have length >= 2")
     if not np.all(np.isfinite(w)):
         raise ValueError("w must be finite")
+    if np.any(np.abs(w) > _W_MAX):
+        raise ValueError(f"w must be within +-{_W_MAX!r} (2w overflows beyond it), "
+                         f"got {np.array2string(w, max_line_width=np.inf)}")
     return w
 
 
@@ -195,23 +203,31 @@ def face_log_prob(d: GibbsFaceDistribution, masks) -> float | np.ndarray:
     return float(log_p) if log_p.ndim == 0 else log_p
 
 
-def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
-    """Face bitmasks from (n, K) uniforms under one face law's (K, 3)
-    sampling table ``take`` (its ``take_probs``, or one row of
-    ``sampling_tables``) or under one table per row (n, K, 3), by ancestral
-    sampling over the vertices.
+def members_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Vertex membership of the faces drawn from uniforms ``u`` (..., K)
+    under sampling tables ``take`` (..., K, 3) that broadcast against them
+    (one law's ``take_probs``, one row of ``sampling_tables`` per row, or
+    one row's table with an axis of length 1 across its draws), by
+    ancestral sampling over the vertices.
 
     Row k of ``take`` holds vertex k's probability of being taken in the
     states "still empty" (``p_k / P(some j >= k is taken)``), "nonempty,
     k-1 not taken" and "k-1 taken" (both ``p_k`` wherever they can occur).
-    So the first vertex taken is the first k with ``u[:, k] < take[k, 0]``,
-    and each later k is taken when ``u[:, k] < take[k, 2]``: the comparisons
-    of a pass over the vertices, made for all vertices at once.
+    So the first vertex taken is the first k with ``u[..., k] < take[k, 0]``,
+    and each later k is taken when ``u[..., k] < take[k, 2]``: the
+    comparisons of a pass over the vertices, made for all vertices at once.
     ``take[-1, 0]`` is 1, so the empty face is never produced.
     """
     first = np.argmax(u < take[..., 0], axis=-1)[..., None]
     vertex = np.arange(u.shape[-1])
-    return member_masks((vertex == first) | ((vertex > first) & (u < take[..., 2])))
+    return (vertex == first) | ((vertex > first) & (u < take[..., 2]))
+
+
+def masks_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:
+    """Face bitmasks from (n, K) uniforms under one face law's (K, 3)
+    sampling table ``take`` or under one table per row (n, K, 3): the
+    ``members_from_uniforms`` faces, encoded."""
+    return member_masks(members_from_uniforms(u, take))
 
 
 def sample_face_masks(d: GibbsFaceDistribution, n: int, rng: np.random.Generator) -> np.ndarray:

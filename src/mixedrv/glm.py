@@ -32,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import face_gibbs
-from .mixed_dirichlet import draw_log_coords
 from .simplex import FaceBatch, SimplexPoint, freeze
 
 __all__ = [
@@ -323,15 +322,15 @@ def glm_fit(X, targets: FaceBatch, steps: int = 400, lr: float = 0.1, seed: int 
 
 
 #: Draws made in one sample-mean block: 8 rows of the CLI's 100 draws.  The
-#: block's temporaries, the repeated sampling tables among them, take about
-#: 60 bytes per draw and vertex, so a block holds about 290 KB at K = 6
-#: however many rows are predicted (a 96-row prediction peaks at 365 KB
-#: under tracemalloc); one pass over all rows would hold B x n x K x 60
-#: bytes (71 MB for 2,000 rows).  At K = 6 on a 2-core x86-64 host (the
-#: planted model of ``make_planted_dataset(2000, 6, 4, seed=3)``), 96 rows
-#: took 2.8 ms in blocks of 8 rows and 2.6 ms in blocks of 16 (2,000 rows:
-#: 56 and 52 ms), 7% less time at twice the memory.  A row with more draws
-#: is a block of its own.
+#: block's temporaries (uniforms, comparisons, memberships and per-draw
+#: means) take about 30 bytes per draw and vertex, so a block holds about
+#: 150 KB at K = 6 however many rows are predicted (a 96-row prediction
+#: peaks at 210 KB under tracemalloc); one pass over all rows would hold
+#: B x n x K x 30 bytes (15 MB for 2,000 rows).  At K = 6 on a 2-core x86-64
+#: host (the planted model of ``make_planted_dataset(2000, 6, 4, seed=3)``),
+#: 96 rows took 1.6 ms in blocks of 8 rows and 1.5 ms in blocks of 16
+#: (2,000 rows: 31 and 29 ms), 8% less time at twice the memory.  A row
+#: with more draws is a block of its own.
 _BLOCK_DRAWS = 800
 
 
@@ -341,12 +340,16 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
 
     ``most-probable-mean`` puts the Dirichlet mean on each row's argmax
     face (``face_gibbs.most_probable_members``), for all rows with one face
-    size at a time; ``sample-mean`` averages ``n`` draws from each row's
-    predicted distribution, all from the one generator ``rng``.  The rows
-    are drawn in consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows,
-    each block one ``draw_log_coords`` call with every row's table and
-    concentrations repeated n times, so the stream is consumed block after
-    block.
+    size at a time.  ``sample-mean`` estimates each row's mean, ``E_F[alpha_F
+    / alpha0_F]``, from ``n`` faces drawn from its face law, all from the one
+    generator ``rng``: the average of the drawn faces' Dirichlet means.
+    Drawing a point of each face as well would only add noise (the
+    Rao-Blackwellized form of the mean of ``n`` full draws).  The rows are
+    drawn in consecutive blocks of ``max(1, _BLOCK_DRAWS // n)`` rows, each
+    block one ``rng.random((rows, n, K))`` call whose faces
+    ``face_gibbs.members_from_uniforms`` takes under each row's sampling
+    table, so the stream is consumed block after block and each row's n x
+    K uniforms are those of ``face_gibbs.sample_face_masks`` for its law.
     """
     scores, conc = model.row_params(X)
     preds = np.zeros_like(conc)
@@ -366,13 +369,15 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
             raise ValueError("sample-mean needs an rng")
         if n < 1:
             raise ValueError("n must be >= 1")
-        take = face_gibbs.sampling_tables(scores)
+        take = face_gibbs.sampling_tables(scores)[:, None]  # each row's table, across its n draws
         size = max(1, _BLOCK_DRAWS // n)
         for lo in range(0, len(conc), size):
             rows = slice(lo, lo + size)
-            m = len(conc[rows])
-            _, log_y = draw_log_coords(np.repeat(take[rows], n, 0), np.repeat(conc[rows], n, 0), m * n, rng)
-            preds[rows] = np.exp(log_y, out=log_y).reshape(m, n, -1).mean(axis=1)
+            c = conc[rows, None]
+            member = face_gibbs.members_from_uniforms(rng.random((len(c), n, c.shape[-1])), take[rows])
+            a = np.where(member, c, 0.0)  # alpha on each drawn face; over its sum, the face's Dirichlet mean
+            a /= a.sum(axis=-1, keepdims=True)
+            preds[rows] = a.mean(axis=1)
     else:
         raise ValueError(f"unknown prediction rule {rule!r}")
     return FaceBatch.from_coords(preds)
@@ -380,7 +385,8 @@ def predict_rows(model: GlmModel, X, rule: str = "most-probable-mean", n: int = 
 
 def glm_predict(model: GlmModel, x, rule: str = "most-probable-mean",
                 n: int = 100, rng: np.random.Generator | None = None) -> SimplexPoint:
-    """Point prediction at one predictor vector (``predict_rows`` on one row)."""
+    """Point prediction at one predictor vector (``predict_rows`` on one row,
+    so a ``sample-mean`` takes n x K uniforms from ``rng``)."""
     X = np.atleast_2d(np.asarray(x, dtype=float))
     return SimplexPoint(predict_rows(model, X, rule, n, rng).coords[0])
 
@@ -417,6 +423,8 @@ def make_planted_dataset(n: int = 500, K: int = 5, d: int = 4,
     log space.  Scales are chosen so the face scores vary decisively in sign
     across inputs, making the zero/nonzero pattern learnable.
     """
+    from .mixed_dirichlet import draw_log_coords  # here: fitting and predicting draw no Dirichlet points
+
     rng = np.random.default_rng(seed)
     true_model = GlmModel(
         w_face=rng.normal(0.0, 4.0, (K, d)),

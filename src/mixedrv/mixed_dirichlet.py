@@ -42,7 +42,7 @@ def _check_alpha(alpha) -> np.ndarray:
     if alpha.ndim != 1 or alpha.size < 1:
         raise ValueError("concentration must be a nonempty vector")
     if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
-        raise ValueError(f"concentrations must be finite and > 0, got {alpha}")
+        raise ValueError(f"concentrations must be finite and > 0, got {np.array2string(alpha, max_line_width=np.inf)}")
     return alpha
 
 

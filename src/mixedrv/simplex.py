@@ -260,7 +260,8 @@ class FaceBatch:
             raise ValueError("coords must be nonnegative")
         with np.errstate(over="ignore"):  # a row beyond the double range sums to inf
             sums = coords.sum(axis=1)
-        _first_bad_row(np.abs(sums - 1.0) > SUM_TOL, lambda i: f"row {i} sums to {sums[i]!r}, not 1 within {SUM_TOL}")
+        _first_bad_row(np.abs(sums - 1.0) > SUM_TOL,
+                       lambda i: f"row {i} sums to {float(sums[i])!r}, not 1 within {SUM_TOL}")
         _first_bad_row(_outside_faces(masks, K), lambda i: f"mask {masks[i]:#x} is not a nonempty subset of [{K}]")
         supports = member_masks(coords > 0.0)
         if log_coords is None:
@@ -314,7 +315,7 @@ def sparsemax(z) -> SimplexPoint:
     if z.ndim != 1 or z.size < 2:
         raise ValueError("z must be a vector of length >= 2")
     if not np.all(np.isfinite(z)):
-        raise ValueError(f"z must be finite, got {z}")
+        raise ValueError(f"z must be finite, got {np.array2string(z, max_line_width=np.inf)}")
     return SimplexPoint(sparsemax_rows(z[None, :])[0])
 
 

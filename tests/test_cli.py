@@ -463,6 +463,12 @@ GS_NEAR = {"kind": "gaussian-sparsemax", "mu": [0.3, 0.0], "sigma": [1.0, 1.0]}
 GS_FAR = {**GS_NEAR, "mu": [1e200, 0.0]}
 NOT_FINITE = "error: the exact {} is not finite (a term beyond the range of a double)\n"
 BHC_NOT_FINITE = "error: invalid parameters for kind 'binary-hard-concrete': log_alpha must be finite, got {}\n"
+MD_W_HUGE = {"kind": "mixed-dirichlet", "w": [1e308, 0.0], "alpha": [1.0, 1.0]}
+W_HUGE = ("error: invalid parameters for kind 'mixed-dirichlet': w must be within +-8.988465674311579e+307 "
+          "(2w overflows beyond it), got [1.e+308 0.e+000]\n")
+#: twelve concentrations, one negative: numpy would wrap their text at 75 columns
+MD12_NEGATIVE = {"kind": "mixed-dirichlet", "w": [0.1 * k for k in range(1, 13)],
+                 "alpha": [1.5, 2.25, 0.75, 1.125, 3.5, 0.625, 1.75, 2.5, 0.875, 1.375, 2.125, -0.5]}
 #: (command, specs, expected): an error line (exit 2, empty stdout) or the
 #: values of the strict-JSON report (exit 0, empty stderr)
 DOUBLE_RANGE_EDGES = {
@@ -481,6 +487,21 @@ DOUBLE_RANGE_EDGES = {
                              {"value": 0.0}),
     "gs-exact-kl-far-near": (["kl", "--mode", "exact"], [GS_FAR, GS_NEAR], {"value": 1.1701867900637222}),
     "gs-exact-kl-near-far": (["kl", "--mode", "exact"], [GS_NEAR, GS_FAR], {"value": None, "support_violation": True}),
+    "md-sample-w-huge": (["sample", "--num", "3"], [MD_W_HUGE], W_HUGE),
+    "md-exact-entropy-w-huge": (["entropy", "--mode", "exact"], [MD_W_HUGE], W_HUGE),
+    "md-mc-entropy-w-huge": (["entropy", "--mode", "mc", "--samples", "50"], [MD_W_HUGE], W_HUGE),
+    "md-exact-kl-w-huge": (["kl", "--mode", "exact"], [MD_W_HUGE, {**MD_W_HUGE, "w": [0.5, 0.0]}], W_HUGE),
+    "md-mc-kl-w-huge": (["kl", "--mode", "mc", "--samples", "50"], [{**MD_W_HUGE, "w": [0.5, 0.0]}, MD_W_HUGE],
+                        W_HUGE),
+    "md12-negative-alpha": (["sample", "--num", "3"], [MD12_NEGATIVE],
+                            "error: invalid parameters for kind 'mixed-dirichlet': concentrations must be finite "
+                            "and > 0, got [ 1.5    2.25   0.75   1.125  3.5    0.625  1.75   2.5    0.875  1.375  "
+                            "2.125 -0.5  ]\n"),
+    "gs8-sigma-tiny": (["sample", "--num", "3"],
+                       [{"kind": "gaussian-sparsemax", "mu": [0.0] * 8, "sigma": [1.25e-160, 2.5e-160] * 4}],
+                       "error: invalid parameters for kind 'gaussian-sparsemax': sigma too small: the sum of "
+                       "sigma^-2 overflows, got [1.25e-160 2.50e-160 1.25e-160 2.50e-160 1.25e-160 2.50e-160 "
+                       "1.25e-160 2.50e-160]\n"),
 }
 
 
@@ -488,8 +509,10 @@ DOUBLE_RANGE_EDGES = {
 class TestExtremeParameters:
     """Finite parameters at the edge of the double range, with warnings as
     errors: a draw whose sparsemax input spreads beyond the double range
-    projects silently, a sigma whose squares overflow in sum is refused
-    when the spec is read, and an exact measure is finite or an error."""
+    projects silently, a sigma whose squares overflow in sum and a
+    potential whose double overflows are refused when the spec is read (on
+    one error line, however long the vector), and an exact measure is
+    finite or an error."""
 
     @pytest.mark.parametrize("kind", SPREAD_SPECS)
     def test_sparsemax_spread_beyond_the_double_range(self, kind, tmp_path, capsys):
@@ -647,8 +670,9 @@ class TestColdStart:
         ("maxent", ["maxent", "--k", "3", "--n-max", "1"], {"cli", "distspec", "simplex", "info_theory"}, True),
         ("gen-glm-data", ["gen-glm-data", "--out", "{tmp}/g.csv", "--rows", "20", "--k", "3", "--d", "2"],
          MD | {"glm"}, False),
-        ("fit-glm", ["fit-glm", "--data", "{tmp}/glm.csv", "--out", "{tmp}/m.json", "--steps", "3"], MD | {"glm"},
-         True),
+        # fitting and predicting draw no Dirichlet points
+        ("fit-glm", ["fit-glm", "--data", "{tmp}/glm.csv", "--out", "{tmp}/m.json", "--steps", "3", "--predict",
+                     "sample-mean"], {"cli", "distspec", "simplex", "face_gibbs", "glm"}, True),
         ("check", ["check", "--level", "fast"], GS | INFO | {"glm", "checks", "oracles"}, True),
     ]
 

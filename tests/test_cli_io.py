@@ -329,7 +329,7 @@ def test_face_hist_memory_stays_near_the_file_size(tmp_path, capsys):
 # ------------------------------------------------------------------ fit-glm ---
 
 def _sum_repr(*y: float) -> str:
-    return repr(np.array(y).sum())
+    return repr(float(np.array(y).sum()))
 
 
 @pytest.mark.parametrize("bad_row,problem", [

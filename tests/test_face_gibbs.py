@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from mixedrv import face_gibbs as fg
 from mixedrv import oracles
-from mixedrv.simplex import enumerate_faces
+from mixedrv.simplex import enumerate_faces, member_masks
 
 small_w = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=8
@@ -105,6 +105,19 @@ class TestLogNormalizer:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             fg.log_normalizer([np.inf, 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_potentials_up_to_half_the_double_range(self):
+        # 2w is formed for every potential: at max/2 it is the largest
+        # double, one ulp beyond it overflows, so such potentials are refused
+        edge = np.finfo(float).max / 2.0
+        for w in ([edge, 0.0], [-edge, 0.5]):
+            assert np.isfinite(fg.GibbsFaceDistribution(w).take_probs).all()
+        beyond = np.nextafter(edge, np.inf)
+        for w in ([beyond, 0.0], [0.5, -beyond], [[0.0, 0.0], [1e308, 0.0]]):
+            for f in (fg.log_normalizer, fg.log_normalizer_and_grad, fg.sampling_tables):
+                with pytest.raises(ValueError, match="2w overflows"):
+                    f(w)
 
 
 EDGE_POTENTIALS = [400.0, -400.0, -20.0, -745.0, "alternating", "random", "normal"]
@@ -370,6 +383,18 @@ class TestBatchedSampling:
         got = fg.masks_from_uniforms(u, fg.sampling_tables(W))
         ref = [fg.masks_from_uniforms(u[i:i + 1], fg.sampling_tables(w))[0] for i, w in enumerate(W)]
         np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("K", [2, 6, 13, 63])
+    def test_tables_broadcast_across_draws(self, K):
+        # one table per row with an axis of length 1 serves each row's n
+        # draws: the faces are those of each row's uniforms under its table
+        rng = np.random.default_rng(32)
+        W = np.stack([_edge_w(K, kind) for kind in EDGE_POTENTIALS] + [rng.normal(0.0, 3.0, K) for _ in range(5)])
+        u = rng.random((len(W), 40, K))
+        member = fg.members_from_uniforms(u, fg.sampling_tables(W)[:, None])
+        assert member.shape == u.shape and member.dtype == bool
+        for i, w in enumerate(W):
+            np.testing.assert_array_equal(member_masks(member[i]), fg.masks_from_uniforms(u[i], fg.sampling_tables(w)))
 
 
 class TestEntropyKl:

@@ -7,9 +7,9 @@ import pytest
 
 from mixedrv import face_gibbs as fg
 from mixedrv import glm
-from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords, sample_many
+from mixedrv.mixed_dirichlet import MixedDirichlet, draw_log_coords
 from mixedrv.oracles import central_difference_gradient, glm_log_likelihood_reference
-from mixedrv.simplex import FaceBatch
+from mixedrv.simplex import FaceBatch, mask_members
 
 
 def _pack(model):
@@ -361,17 +361,20 @@ def _reference_draws(scores, conc, rng, fill):
     return masks, fill(masks, conc, rng)
 
 
-def _sample_mean_reference(scores, conc, n, rng, fill):
-    """Reference ``sample-mean``: blocks of 800 // n rows (at least one),
-    each ``_reference_draws`` of its rows repeated n times, from one
-    generator consumed block after block; each row's mean over its draws."""
-    size = max(1, 800 // n)
-    means = []
-    for lo in range(0, len(scores), size):
-        s, c = scores[lo:lo + size], conc[lo:lo + size]
-        _, log_y = _reference_draws(np.repeat(s, n, 0), np.repeat(c, n, 0), rng, fill)
-        means.append(np.exp(log_y).reshape(len(s), n, -1).mean(axis=1))
-    return np.concatenate(means)
+def _face_means(member, alpha):
+    """Each row's face's Dirichlet mean ``alpha_F / alpha0_F`` (0 off F)."""
+    a = np.where(member, alpha, 0.0)
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _sample_mean_reference(scores, conc, n, rng):
+    """Reference ``sample-mean``, row by row from one generator: n faces of
+    each row by the stream contract (``fg.sample_face_masks`` under the
+    row's own law), then the mean of their Dirichlet means.  Blocks of rows
+    take the same uniforms, as these rows one after another do."""
+    K = scores.shape[1]
+    return np.array([_face_means(mask_members(fg.sample_face_masks(fg.GibbsFaceDistribution(s), n, rng), K), c)
+                     .mean(axis=0) for s, c in zip(scores, conc)])
 
 
 def _row_case(K, case, rows=30, seed=0):
@@ -443,20 +446,21 @@ class TestRowBatchedSampling:
         assert np.array_equal(Y.log_coords, ref_log_y) and np.array_equal(Y.coords, np.exp(ref_log_y))
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])
-    def test_predictions_match_per_row_reference(self, rule, log_space_fill):
+    def test_predictions_match_per_row_reference(self, rule):
         rng = np.random.default_rng(105)
         model = _random_model(rng, 7, 3, scale=2.0)
         X = rng.normal(0.0, 1.0, (25, 3))
         batch = glm.predict_rows(model, X, rule, n=50, rng=np.random.default_rng(4))
         if rule == "sample-mean":
-            ref = _sample_mean_reference(*model.row_params(X), 50, np.random.default_rng(4), log_space_fill)
+            ref = _sample_mean_reference(*model.row_params(X), 50, np.random.default_rng(4))
             assert np.array_equal(batch.coords, ref)
         for i, x in enumerate(X):
             scores, conc = model.row_params(x[None])
             md = MixedDirichlet(scores[0], conc[0])
             if rule == "sample-mean":
-                # one row is one block: its n draws are sample_many's
-                ref = sample_many(md, 50, np.random.default_rng([4, i])).coords.mean(axis=0)
+                # one row is one block: its n faces are sample_face_masks'
+                masks = fg.sample_face_masks(md.faces, 50, np.random.default_rng([4, i]))
+                ref = _face_means(mask_members(masks, 7), md.alpha).mean(axis=0)
             else:
                 on = (fg.most_probable_face(md.faces) >> np.arange(7)) & 1 == 1
                 ref = np.zeros(7)
@@ -468,9 +472,8 @@ class TestRowBatchedSampling:
     @pytest.mark.parametrize("K", [2, 13, 20])
     @pytest.mark.parametrize("B", [1, 16, 37])
     @pytest.mark.parametrize("n", [100, 1700])
-    def test_sample_mean_blocks_match_per_row_reference(self, K, B, n, log_space_fill):
-        # bitwise the block-by-block reference, whose faces and Dirichlet
-        # step are written out row by row.  8 rows of 100 draws make one
+    def test_sample_mean_blocks_match_per_row_reference(self, K, B, n):
+        # bitwise the row-by-row reference.  8 rows of 100 draws make one
         # block, so B = 16 is two whole blocks and B = 37 ends on a partial
         # block; 1700 draws make a block of one row
         rng = np.random.default_rng([106, K, B])
@@ -478,7 +481,7 @@ class TestRowBatchedSampling:
         X = rng.normal(0.0, 1.0, (B, 3))
         got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         batch = glm.predict_rows(model, X, "sample-mean", n=n, rng=got_rng)
-        ref = _sample_mean_reference(*model.row_params(X), n, ref_rng, log_space_fill)
+        ref = _sample_mean_reference(*model.row_params(X), n, ref_rng)
         assert np.array_equal(batch.coords, ref)
         assert got_rng.random() == ref_rng.random()  # the stream left where the reference leaves it
 
@@ -501,10 +504,10 @@ class TestRowBatchedSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one pass over all rows would hold the repeated tables alone, a
-        # float64 (B x n, K, 3) array of 28.8 MB; the blocks hold 800 draws
-        # at a time, and what grows with B is only the per-row parameters
-        draws = 2000 * 100 * 6 * 8  # one float64 (B x n, K) array: 9.6 MB
+        # one pass over all rows would hold the uniforms alone, a float64
+        # (B, n, K) array of 9.6 MB; the blocks hold 800 draws at a time,
+        # and what grows with B is only the per-row parameters and tables
+        draws = 2000 * 100 * 6 * 8  # one float64 (B, n, K) array: 9.6 MB
         assert peak < draws / 4
 
     @pytest.mark.parametrize("rule", ["most-probable-mean", "sample-mean"])

@@ -47,6 +47,19 @@ divides by beta, rather than after, so that tiny beta or huge logits give
 the one-hot limit instead of inf - inf.  At beta != 1 the draws move by up
 to 1.9e-15 relative (2.3e-14 in the small coordinates that sparsemax leaves
 after the stretch); both ``face-hist`` digests kept their bytes.
+
+The ``sample-mean`` ``fit-glm`` stdout was then re-recorded, a declared
+output change: each held-out row's prediction became the average of its
+drawn faces' Dirichlet means alpha_F / alpha0_F (Rao-Blackwellized)
+instead of the average of full Dirichlet draws on those faces.  The faces
+come from the same uniforms as before, but no Gammas are drawn, so the
+stream is consumed differently after the first block of rows: rmse
+0.2626898838525528 -> 0.2688348540301341, mae 0.17111446936645042 ->
+0.17181660399247106 and macro_f1 0.46197802197802196 -> 0.5075239398084815
+(a predicted coordinate is nonzero where any of the row's 100 faces holds
+its vertex; 110 of the 120 are, against 113 before).  The model file, the
+``gen-glm-data`` file and the ``most-probable-mean`` stdout kept their
+bytes.
 """
 
 import hashlib
@@ -90,7 +103,7 @@ FACE_HIST_SHA256 = {
 GEN_GLM_DATA_SHA256 = "34471a1f00f3d0c74ce3d1aea0b0c9f084a8f6c706a834793cbe41ba3bc31910"
 FIT_GLM_MODEL_SHA256 = "c718202be55fbb246df67e648e78a6f7461cc4b6542e335d34297e5761666d92"
 FIT_GLM_STDOUT_SHA256 = {
-    "sample-mean": "a88b7deb846dc54b2b7526feb5c76b6ad96b40662a402bb6e212c0e25e905f6b",
+    "sample-mean": "1ca9316a3160fe8087538ae0249363d2e62adf9ce37428d7f282de916a443b69",
     "most-probable-mean": "dd72259c5a920f0ed14ae70be3ba20ef22cc92c54c793532d7f757b6af42898e",
 }
 EXACT_STDOUT = {

@@ -121,7 +121,7 @@ def _first_broken_rule_ref(masks, coords, log_coords):
     if any((coords[i] < 0.0).any() for i in range(n)):
         return "coords must be nonnegative"
     for i in range(n):
-        total = coords[i].sum()
+        total = float(coords[i].sum())
         if abs(total - 1.0) > simplex.SUM_TOL:
             return f"row {i} sums to {total!r}, not 1 within {simplex.SUM_TOL}"
     for i in range(n):
