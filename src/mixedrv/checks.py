@@ -595,42 +595,21 @@ def _check_gs2_face_frequencies(n: int):
     return "closed-form face masses match frequencies"
 
 
+#: The K = 3 law of the two cubature checks.
+_GS_K3 = ((0.5, 0.1, 0.3), (0.6, 0.9, 0.5))
+
+
 def _check_gs_k3_normalization():
-    """The direct-sum mass of a K = 3 Gaussian-Sparsemax by cubature within
-    1e-2 of 1 (deterministic), and its 3 vertex densities against their
-    frequencies in 1e6 draws, within 5 binomial SE each: false-failure rate
-    at most 1.7e-6."""
-    d = extrinsic.GaussianSparsemax([0.5, 0.1, 0.3], [0.6, 0.9, 0.5])
-    x32, w32 = np.polynomial.legendre.leggauss(32)
-
-    def gl(a, b, panels):
-        """Composite 32-node rule on (a, b), per row for array endpoints."""
-        edges = np.linspace(a, b, panels + 1, axis=-1)
-        half = np.diff(edges, axis=-1) / 2.0
-        mid = (edges[..., :-1] + edges[..., 1:]) / 2.0
-        shape = np.shape(a) + (-1,)
-        return (mid[..., None] + half[..., None] * x32).reshape(shape), (half[..., None] * w32).reshape(shape)
-
-    def mass(coords, weights):
-        return float(weights @ np.exp(extrinsic.gs_log_density_many(d, FaceBatch.from_coords(coords))))
-
-    # on vertices the counting measure makes the density the face mass
-    vertex_dens = np.exp(extrinsic.gs_log_density_many(d, FaceBatch.from_coords(np.eye(3))))
-    edge_mass = 0.0
-    ts, ws = gl(1e-9, 1.0 - 1e-9, 24)
-    for (i, j) in [(0, 1), (0, 2), (1, 2)]:
-        c = np.zeros((ts.size, 3))
-        c[:, i], c[:, j] = ts, 1.0 - ts
-        edge_mass += mass(c, ws)
-    t1, w1 = gl(1e-9, 1.0 - 1e-9, 16)
-    t2, w2 = gl(1e-9 * (1 - t1), (1 - t1) * (1 - 1e-9), 8)
-    t1 = np.broadcast_to(t1[:, None], t2.shape)
-    third = 1.0 - t1 - t2
-    keep = third > 0.0
-    interior = mass(np.stack([t1[keep], t2[keep], third[keep]], axis=1), (w1[:, None] * w2)[keep])
-    total = float(vertex_dens.sum()) + edge_mass + interior
+    """The direct-sum mass of a K = 3 Gaussian-Sparsemax by cubature
+    (``oracles.gs_k3_mass_and_entropy``) within 1e-2 of 1 (deterministic),
+    and its 3 vertex densities against their frequencies in 1e6 draws,
+    within 5 binomial SE each: false-failure rate at most 1.7e-6."""
+    d = extrinsic.GaussianSparsemax(*_GS_K3)
+    total = oracles.gs_k3_mass_and_entropy(d)[0]
     _require(abs(total - 1.0) < 1e-2, f"direct-sum mass {total:.5f} not within 1e-2 of 1")
-    # vertex densities should also reproduce the MC vertex masses
+    # on vertices the counting measure makes the density the face mass, which
+    # the vertex frequencies should reproduce
+    vertex_dens = np.exp(extrinsic.gs_log_density_many(d, FaceBatch.from_coords(np.eye(3))))
     n = 10**6
     coords = d.sample_many(n, np.random.default_rng(137)).coords
     freqs = np.bincount((coords > 0) @ (1 << np.arange(3)), minlength=8)[[1, 2, 4]] / n
@@ -638,6 +617,19 @@ def _check_gs_k3_normalization():
         se = np.sqrt(dens * (1 - dens) / n)
         _require(abs(dens - freq) < 5.0 * se, f"vertex {i}: density {dens:.5f} vs freq {freq:.5f}")
     return f"total direct-sum mass {total:.6f}"
+
+
+def _check_gs_k3_entropy_mc(n: int):
+    """The MC direct-sum entropy of the K = 3 law of
+    ``_check_gs_k3_normalization`` against its cubature
+    (``oracles.gs_k3_mass_and_entropy``, converged to about 1e-15), within
+    4 SE: false-failure rate 6.3e-5."""
+    d = extrinsic.GaussianSparsemax(*_GS_K3)
+    exact = oracles.gs_k3_mass_and_entropy(d)[1]
+    est = info_theory.direct_sum_entropy_mc(d, n, np.random.default_rng(138))
+    _require(abs(est.estimate - exact) < 4.0 * est.std_error,
+             f"MC {est.estimate:.5f} +- {est.std_error:.5f} vs cubature {exact:.5f}")
+    return f"MC {est.estimate:.4f} +- {est.std_error:.4f} vs cubature {exact:.6f}"
 
 
 def _check_concrete_gumbel_max(n: int):
@@ -942,6 +934,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs2_face_probs_vs_frequencies", _FAST, lambda: _check_gs2_face_frequencies(10**5)),
     ("extrinsic.gs2_face_probs_vs_frequencies_1e6", _FULL, lambda: _check_gs2_face_frequencies(10**6)),
     ("extrinsic.gs_k3_normalization", _FULL, _check_gs_k3_normalization),
+    ("extrinsic.gs_k3_entropy_vs_mc", _FAST, lambda: _check_gs_k3_entropy_mc(20000)),
     ("extrinsic.concrete_gumbel_max", _FAST, lambda: _check_concrete_gumbel_max(10**5)),
     ("extrinsic.concrete_gumbel_max_1e6", _FULL, lambda: _check_concrete_gumbel_max(10**6)),
     ("extrinsic.khc_binary_coupling", _FAST, _check_khc_coupling),

@@ -60,9 +60,12 @@ class QuadratureConfig:
     ``panels`` equal panels across the narrowest window of a node set's
     rows, where each row's integrand is within exp(-40.5) of its peak
     (edges at mu_j +- sigma_j 2^k are added around steps narrower than a
-    panel)."""
+    panel).  The nodes are offsets from the set's left edge, so 12 panels
+    hold the density within about 1e-15 relative of 320-digit and 40-digit
+    references wherever the windows are resolved; 12 panels of 8 nodes
+    lose about 1e-11."""
 
-    panels: int = 24
+    panels: int = 12
     nodes: int = 16
 
     def points_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -305,33 +308,35 @@ _Z_MAX = 1e150
 # f_i(V) = sum_j log Phi(z_j) - t_i (V - m_i)^2 / 2 with z_j = (V - mu_j) /
 # sigma_j over the row's off-face coordinates j.  Those come flattened as
 # one entry each: ``row`` names the entry's row, ``mu_e``/``sigma_e`` its
-# coordinate's parameters.
+# coordinate's parameters.  Each point's z is formed once, by ``_z``, and
+# ``_log_f`` and its slopes all read it, with dv = V - m.
 
-def _log_f(v, m, t, row, mu_e, sigma_e) -> np.ndarray:
+def _z(v, row, mu_e, sigma_e) -> np.ndarray:
+    return np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
+
+
+def _log_f(z, dv, t, row) -> np.ndarray:
     from scipy.special import log_ndtr
 
-    z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
-    dv = v - m
-    return np.bincount(row, log_ndtr(z), v.size) - 0.5 * t * dv * dv
+    return np.bincount(row, log_ndtr(z), dv.size) - 0.5 * t * dv * dv
 
 
-def _log_f_slope(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """First derivative of ``_log_f``, with each entry's z and inverse Mills
+def _log_f_slope(z, dv, t, row, sigma_e) -> tuple[np.ndarray, np.ndarray]:
+    """First derivative of ``_log_f``, with each entry's inverse Mills
     ratio."""
     from scipy.special import erfcx
 
-    z = np.clip((v[row] - mu_e) / sigma_e, -_Z_MAX, _Z_MAX)
     # inverse Mills ratio phi(z) / Phi(z), free of cancellation in both tails
     lam = _SQRT_2_OVER_PI / erfcx(z * -np.sqrt(0.5))
-    return np.bincount(row, lam / sigma_e, v.size) - t * (v - m), z, lam
+    return np.bincount(row, lam / sigma_e, dv.size) - t * dv, lam
 
 
-def _log_f_slopes(v, m, t, row, mu_e, sigma_e) -> tuple[np.ndarray, np.ndarray]:
+def _log_f_slopes(z, dv, t, row, sigma_e) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivatives of ``_log_f``."""
-    f1, z, lam = _log_f_slope(v, m, t, row, mu_e, sigma_e)
+    f1, lam = _log_f_slope(z, dv, t, row, sigma_e)
     # lam (z + lam) = 1 - 1/z^2 + O(z^-4) as z -> -inf, where z + lam cancels
     bend = np.where(z > -1e4, lam * (z + lam), 1.0 - (1.0 / np.minimum(z, -1e4)) ** 2)
-    return f1, -t - np.bincount(row, bend / sigma_e / sigma_e, v.size)
+    return f1, -t - np.bincount(row, bend / sigma_e / sigma_e, dv.size)
 
 
 def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,11 +350,16 @@ def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarr
     both drop points within ``(+-f'(v) + sqrt(f'(v)^2 + 2 drop t)) / t``
     of v; Newton on the concave log-integrand then walks each edge in from
     outside, so every iterate is a valid edge.  Where a Newton step is lost
-    below the spacing of doubles, the search stops there."""
+    below the spacing of doubles, the search stops there.
+
+    Every pass forms each point's z once: the mode's last z gives the peak,
+    and the edge search takes a slope only while some edge still lies below
+    its level (a nan level test counts as below)."""
     row, col = np.nonzero(off)
-    entries = (row, mu[col], sigma[col])
+    mu_e, sigma_e = mu[col], sigma[col]
     v = m.copy()
-    f1, f2 = _log_f_slopes(v, m, t, *entries)
+    z = _z(v, row, mu_e, sigma_e)
+    f1, f2 = _log_f_slopes(z, v - m, t, row, sigma_e)
     for _ in range(_NEWTON_STEPS):
         step = v + f1 / -f2
         # a step below the spacing of doubles at v: v is the mode
@@ -357,8 +367,9 @@ def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if np.all(np.abs(f1) <= 0.1 * np.sqrt(-f2)):
             break
         v = step
-        f1, f2 = _log_f_slopes(v, m, t, *entries)
-    peak = _log_f(v, m, t, *entries)
+        z = _z(v, row, mu_e, sigma_e)
+        f1, f2 = _log_f_slopes(z, v - m, t, row, sigma_e)
+    peak = _log_f(z, v - m, t, row)
     # distances (hypot(f1, sqrt(2 drop t)) +- f1) / t, the smaller one in a
     # form free of cancellation
     big = np.hypot(f1, np.sqrt(2.0 * _WINDOW_DROP * t)) + np.abs(f1)
@@ -366,13 +377,17 @@ def _row_windows(m, t, mu, sigma, off) -> tuple[np.ndarray, np.ndarray, np.ndarr
     edge = np.concatenate([v - np.where(f1 >= 0.0, near, far), v + np.where(f1 >= 0.0, far, near)])
     level = np.tile(peak - _WINDOW_DROP, 2)
     m2, t2 = np.tile(m, 2), np.tile(t, 2)
-    entries2 = (np.concatenate([row, row + m.size]), np.tile(entries[1], 2), np.tile(entries[2], 2))
+    row2, mu_e2, sigma_e2 = np.concatenate([row, row + m.size]), np.tile(mu_e, 2), np.tile(sigma_e, 2)
     for _ in range(_NEWTON_STEPS):
-        g = _log_f(edge, m2, t2, *entries2)
+        z, dv = _z(edge, row2, mu_e2, sigma_e2), edge - m2
+        g = _log_f(z, dv, t2, row2)
+        below = ~(g >= level - 1.0)
+        if not below.any():
+            break
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = edge - (g - level) / _log_f_slope(edge, m2, t2, *entries2)[0]
+            step = edge - (g - level) / _log_f_slope(z, dv, t2, row2, sigma_e2)[0]
         step = np.where(np.isfinite(step), step, edge)
-        if np.all((g >= level - 1.0) | (step == edge)):
+        if np.all(~below | (step == edge)):
             break
         edge = step
     return edge[:m.size], edge[m.size:], peak + 0.5 * (np.log(t) - np.log(-f2))
@@ -416,22 +431,29 @@ def _orthant_log(mu, sigma, masks: np.ndarray, t: np.ndarray, m: np.ndarray, lo:
     at ``mu_j +- sigma_j 2^k`` around each step narrower than a panel, for
     every coordinate off-face for some row.  Each step is evaluated once
     per node; the rows of a face sum their own steps into one base, and
-    each row only adds its Gaussian log-weight."""
+    each row only adds its Gaussian log-weight.
+
+    Nodes, edges, the steps' centres mu_j and the rows' means m_i are all
+    offsets from the set's left edge a = ``lo.min()``, so V - m_i and V -
+    mu_j are differences of small numbers: with absolute nodes, t (V -
+    m_i)^2 would carry the rounding of V, ulp(V) sqrt(t), which grows as the
+    windows narrow (1e-9 relative at on-face sigma 1e-8)."""
     from scipy.special import log_ndtr
 
     # rows runs[r]:runs[r + 1] share a face, and with it t and the base
     runs = [0, *(np.flatnonzero(masks[1:] != masks[:-1]) + 1).tolist(), m.size]
     off = ~mask_members(masks[runs[:-1]], mu.size)
     cols = off.any(axis=0)
-    mu_off, sigma_off = mu[cols], sigma[cols]
     x, w = _QUAD.points_weights()
     h = float(np.min(hi - lo)) / _QUAD.panels
+    # nodes, edges, step centres and means are offsets from a
     a = float(lo.min())
-    edges = a + h * np.arange(int(np.ceil((float(hi.max()) - a) / h)) + 1)
+    mu_off, sigma_off, m = mu[cols] - a, sigma[cols], m - a
+    edges = h * np.arange(int(np.ceil((float(hi.max()) - a) / h)) + 1)
     narrow = sigma_off < h
     if narrow.any():
         steps = _step_edges(mu_off[narrow], sigma_off[narrow], h)
-        edges = np.union1d(edges, steps[(steps > a) & (steps < edges[-1])])
+        edges = np.union1d(edges, steps[(steps > 0.0) & (steps < edges[-1])])
     half = np.diff(edges)[:, None] / 2.0
     v = ((edges[:-1, None] + half) + half * x).ravel()
     log_w = np.log((half * w).ravel())

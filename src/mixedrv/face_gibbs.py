@@ -165,7 +165,12 @@ def expected_suff_stats(w) -> np.ndarray:
 def suff_stats(masks, K: int) -> np.ndarray:
     """The +/-1 statistic vectors of faces over K vertices: shape (K,) for
     one bitmask, (n, K) for an array of n."""
-    phi = mask_members(face_masks(masks, K), K).astype(float)  # then +/-1 in place, cheaper than np.where
+    return _phi(mask_members(face_masks(masks, K), K))
+
+
+def _phi(member: np.ndarray) -> np.ndarray:
+    """+/-1 statistics of faces given as membership rows."""
+    phi = member.astype(float)  # then +/-1 in place, cheaper than np.where
     phi *= 2.0
     phi -= 1.0
     return phi
@@ -199,8 +204,14 @@ class GibbsFaceDistribution:
 def face_log_prob(d: GibbsFaceDistribution, masks) -> float | np.ndarray:
     """Log-probability ``phi(F) . w - log Z`` of one face bitmask (a float)
     or of each of an array of them."""
-    log_p = suff_stats(masks, d.K) @ d.w - d.log_z
+    log_p = _members_log_prob(d, mask_members(face_masks(masks, d.K), d.K))
     return float(log_p) if log_p.ndim == 0 else log_p
+
+
+def _members_log_prob(d: GibbsFaceDistribution, member: np.ndarray) -> np.ndarray:
+    """``face_log_prob`` of faces given as membership rows, for callers that
+    hold them decoded already."""
+    return _phi(member) @ d.w - d.log_z
 
 
 def members_from_uniforms(u: np.ndarray, take: np.ndarray) -> np.ndarray:

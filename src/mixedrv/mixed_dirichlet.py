@@ -213,8 +213,8 @@ def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
     plus the Dirichlet log-density on the face (0 for vertices)."""
     if batch.K != md.K:
         raise ValueError(f"point has K={batch.K}, distribution has K={md.K}")
-    face = face_gibbs.face_log_prob(md.faces, batch.masks)
-    return face + _dirichlet_log_pdf_rows(batch.members(), batch, md.alpha)
+    member = batch.members()
+    return face_gibbs._members_log_prob(md.faces, member) + _dirichlet_log_pdf_rows(member, batch, md.alpha)
 
 
 def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
