@@ -535,12 +535,15 @@ def _check_gs_density_unequal_sigma():
 
 
 def _pooled_faces_batch(rng: np.random.Generator, K: int) -> FaceBatch:
-    """40 rows on one face and 1-3 rows on each of 12 others, all faces
-    distinct and short of the full one, in random order: the large face
-    takes node sets of its own, the small ones share theirs."""
-    masks = rng.permutation(np.arange(1, 2**K - 1))[:13]
+    """``extrinsic._OWN_SET_ROWS`` rows on a facet (one off-face coordinate)
+    and 1-3 rows on each of 12 other faces, all distinct and short of the
+    full one, in random order: the facet takes node sets of its own, the
+    small faces share theirs."""
+    full = 2**K - 1
+    facet = full ^ (1 << int(rng.integers(K)))
+    others = rng.permutation(np.setdiff1d(np.arange(1, full), facet))[:12]
     coords = []
-    for mask, n in zip(masks.tolist(), [40, *rng.integers(1, 4, 12).tolist()]):
+    for mask, n in zip([facet, *others.tolist()], [extrinsic._OWN_SET_ROWS, *rng.integers(1, 4, 12).tolist()]):
         on = (mask >> np.arange(K)) & 1 == 1
         rows = np.zeros((n, K))
         rows[:, on] = rng.dirichlet(np.ones(on.sum()), n)
@@ -595,17 +598,23 @@ def _check_gs2_face_frequencies(n: int):
     return "closed-form face masses match frequencies"
 
 
-#: The K = 3 law of the two cubature checks.
+#: The K = 3 laws p and q of the three cubature checks.
 _GS_K3 = ((0.5, 0.1, 0.3), (0.6, 0.9, 0.5))
+_GS_K3_Q = ((0.2, 0.4, 0.1), (0.8, 0.7, 0.9))
+
+
+def _gs_k3_cubature() -> tuple[float, float, float]:
+    """Mass, entropy and KL of ``oracles.gs_k3_cubature`` at p and q."""
+    return oracles.gs_k3_cubature(extrinsic.GaussianSparsemax(*_GS_K3), extrinsic.GaussianSparsemax(*_GS_K3_Q))
 
 
 def _check_gs_k3_normalization():
     """The direct-sum mass of a K = 3 Gaussian-Sparsemax by cubature
-    (``oracles.gs_k3_mass_and_entropy``) within 1e-2 of 1 (deterministic),
-    and its 3 vertex densities against their frequencies in 1e6 draws,
-    within 5 binomial SE each: false-failure rate at most 1.7e-6."""
+    (``oracles.gs_k3_cubature``) within 1e-2 of 1 (deterministic), and its
+    3 vertex densities against their frequencies in 1e6 draws, within 5
+    binomial SE each: false-failure rate at most 1.7e-6."""
     d = extrinsic.GaussianSparsemax(*_GS_K3)
-    total = oracles.gs_k3_mass_and_entropy(d)[0]
+    total = _gs_k3_cubature()[0]
     _require(abs(total - 1.0) < 1e-2, f"direct-sum mass {total:.5f} not within 1e-2 of 1")
     # on vertices the counting measure makes the density the face mass, which
     # the vertex frequencies should reproduce
@@ -622,11 +631,24 @@ def _check_gs_k3_normalization():
 def _check_gs_k3_entropy_mc(n: int):
     """The MC direct-sum entropy of the K = 3 law of
     ``_check_gs_k3_normalization`` against its cubature
-    (``oracles.gs_k3_mass_and_entropy``, converged to about 1e-15), within
-    4 SE: false-failure rate 6.3e-5."""
+    (``oracles.gs_k3_cubature``, converged to about 1e-15), within 4 SE:
+    false-failure rate 6.3e-5."""
     d = extrinsic.GaussianSparsemax(*_GS_K3)
-    exact = oracles.gs_k3_mass_and_entropy(d)[1]
+    exact = _gs_k3_cubature()[1]
     est = info_theory.direct_sum_entropy_mc(d, n, np.random.default_rng(138))
+    _require(abs(est.estimate - exact) < 4.0 * est.std_error,
+             f"MC {est.estimate:.5f} +- {est.std_error:.5f} vs cubature {exact:.5f}")
+    return f"MC {est.estimate:.4f} +- {est.std_error:.4f} vs cubature {exact:.6f}"
+
+
+def _check_gs_k3_kl_mc(n: int):
+    """The MC direct-sum KL of the K = 3 laws p and q against its cubature
+    (``oracles.gs_k3_cubature``, converged to about 1e-15), within 4 SE:
+    false-failure rate 6.3e-5.  Its batches of ``n`` rows give the large
+    faces node sets of their own (``extrinsic._OWN_SET_ROWS``)."""
+    p, q = extrinsic.GaussianSparsemax(*_GS_K3), extrinsic.GaussianSparsemax(*_GS_K3_Q)
+    exact = _gs_k3_cubature()[2]
+    est = info_theory.direct_sum_kl_mc(p, q, n, np.random.default_rng(139))
     _require(abs(est.estimate - exact) < 4.0 * est.std_error,
              f"MC {est.estimate:.5f} +- {est.std_error:.5f} vs cubature {exact:.5f}")
     return f"MC {est.estimate:.4f} +- {est.std_error:.4f} vs cubature {exact:.6f}"
@@ -935,6 +957,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("extrinsic.gs2_face_probs_vs_frequencies_1e6", _FULL, lambda: _check_gs2_face_frequencies(10**6)),
     ("extrinsic.gs_k3_normalization", _FULL, _check_gs_k3_normalization),
     ("extrinsic.gs_k3_entropy_vs_mc", _FAST, lambda: _check_gs_k3_entropy_mc(20000)),
+    ("extrinsic.gs_k3_kl_vs_mc", _FULL, lambda: _check_gs_k3_kl_mc(20000)),
     ("extrinsic.concrete_gumbel_max", _FAST, lambda: _check_concrete_gumbel_max(10**5)),
     ("extrinsic.concrete_gumbel_max_1e6", _FULL, lambda: _check_concrete_gumbel_max(10**6)),
     ("extrinsic.khc_binary_coupling", _FAST, _check_khc_coupling),

@@ -289,9 +289,14 @@ _NEWTON_STEPS = 100
 _MAX_SPAN = 4.0
 
 #: A face keeps node sets of its own from this many rows per off-face
-#: coordinate: a step's log Phi at one node costs about as much as this
-#: many rows' Gaussian terms there.
-_OWN_SET_ROWS = 4
+#: coordinate.  Below it, a set's fixed cost (clustering its windows,
+#: building its nodes and each step's log Phi there) outweighs what its rows
+#: save on the narrower span of their own face's windows.  Measured on the
+#: extrinsic benchmark's laws (K = 6, 2-core x86-64 host), 32 to 128 all take
+#: about 0.85x the time of 4 up to 500 rows and 0.93-0.99x at 10^4 and 10^5
+#: rows, where pooling every face takes 1.07-1.15x; with 64, their batches
+#: of up to 200 rows pool every face.
+_OWN_SET_ROWS = 64
 
 #: Windows narrower than this share of their distance from 0 leave too few
 #: distinct doubles for the rule; such rows take the Laplace approximation.
@@ -496,9 +501,14 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch) -> np.ndarray:
     1) log 2 pi) / 2`` (0 at vertices), the density of their differences;
     the off-support coordinates the log orthant probability, by quadrature
     on node sets grouped by ``_clusters`` over the rows' windows.  A face
-    with at least ``_OWN_SET_ROWS`` rows per off-face coordinate gets node
-    sets of its own; the rows of all other faces share node sets, so each
-    step is evaluated once per shared node.
+    with at least ``_OWN_SET_ROWS`` (64) rows per off-face coordinate gets
+    node sets of its own; the rows of all other faces share node sets, so
+    each step is evaluated once per shared node.  Own sets pay where a face
+    holds thousands of rows: on the benchmark's laws (K = 6), pooling every
+    face takes 0.85x the time of own sets from 4 rows per coordinate up to
+    500 rows, and 1.07-1.15x from 10^4 rows on.  There batches of 120 to 200
+    rows pool every face, and from about 2,000 rows the vertices and edges
+    take their own sets.
     """
     if batch.K != d.K:
         raise ValueError(f"point has K={batch.K}, distribution has K={d.K}")

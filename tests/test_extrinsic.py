@@ -304,14 +304,37 @@ class TestGsLogDensity:
             assert np.isfinite(d.log_density_many(FaceBatch.from_coords(row[None]))).all()
 
     def test_shared_and_own_node_sets_match_the_oracle(self, monkeypatch):
-        # the check's batches: a face of 40 rows takes node sets of its own
-        # and the faces of 1-3 rows share theirs, in the same call
+        # the check's batches: a facet of _OWN_SET_ROWS rows takes node sets
+        # of its own and the faces of 1-3 rows share theirs, in the same call
         node_sets = []
         orthant_log = ex._orthant_log
         monkeypatch.setattr(ex, "_orthant_log", lambda *args: node_sets.append(args[2]) or orthant_log(*args))
         assert "match the oracle" in checks._check_gs_density_pooled_faces()
         faces = [np.unique(masks).size for masks in node_sets]
         assert min(faces) == 1 and max(faces) > 1
+
+    @pytest.mark.parametrize("short", [1, 0])
+    def test_a_face_takes_its_own_node_sets_at_the_threshold(self, monkeypatch, short):
+        # a facet of _OWN_SET_ROWS rows (one off-face coordinate) and one
+        # row on another facet, at equal sigma: every window lies within
+        # one cluster, so one row short of the threshold both faces share
+        # one node set, and at it each face has a set of its own
+        K = 5
+        d = ex.GaussianSparsemax(np.linspace(-0.2, 0.3, K), np.ones(K))
+        rng = np.random.default_rng(71)
+        big = np.zeros((ex._OWN_SET_ROWS - short, K))
+        big[:, 1:] = rng.dirichlet(np.ones(K - 1), big.shape[0])
+        lone = np.zeros((1, K))
+        lone[:, :-1] = rng.dirichlet(np.ones(K - 1), 1)
+        batch = FaceBatch.from_coords(np.concatenate([big, lone]))
+        node_sets = []
+        orthant_log = ex._orthant_log
+        monkeypatch.setattr(ex, "_orthant_log", lambda *args: node_sets.append(args[2]) or orthant_log(*args))
+        got = ex.gs_log_density_many(d, batch)
+        faces = sorted(np.unique(masks).size for masks in node_sets)
+        assert faces == ([2] if short else [1, 1])
+        ref = [oracles.gs_log_density_reference(d, row) for row in batch.coords]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
 
     def test_density_memory_is_bounded_by_the_chunk(self):
         """A batch's rows on faces of few rows share one node set, whose
@@ -331,6 +354,42 @@ class TestGsLogDensity:
             # a second buffer of (rows, nodes) terms, a chunk of 2^16 doubles
             # or the unchunked shared set's would take this past 0.6 MB
             assert peak < 0.6e6
+
+    @pytest.mark.parametrize("n", [2000, 6000])
+    def test_node_set_memory_is_bounded_by_the_chunk(self, monkeypatch, n):
+        """Where own and shared node sets both run, each set's (rows,
+        nodes) terms are evaluated in chunks: a call of ``_orthant_log``
+        allocates one chunk buffer of 2^15 doubles (256 KiB) and its nodes'
+        terms, and beside them a few doubles per row, however many rows the
+        batch or the set holds."""
+        rng = np.random.default_rng(140)
+        d = ex.GaussianSparsemax(rng.normal(0.0, 1.0, 6), rng.uniform(0.5, 1.5, 6))
+        batch = d.sample_many(n, rng)
+        # scipy's import and the rule's nodes are one-time costs
+        d.log_density_many(FaceBatch.from_coords(batch.coords[:10]))
+        calls = []
+        orthant_log = ex._orthant_log
+
+        def traced(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = orthant_log(*args)
+            calls.append((np.unique(args[2]).size, args[3].size, tracemalloc.get_traced_memory()[1] - held))
+            return out
+
+        monkeypatch.setattr(ex, "_orthant_log", traced)
+        tracemalloc.start()
+        try:
+            d.log_density_many(batch)
+        finally:
+            tracemalloc.stop()
+        # some face takes sets of its own, and the small faces share one
+        assert any(faces == 1 and rows >= ex._OWN_SET_ROWS for faces, rows, _ in calls)
+        assert any(faces > 1 for faces, _, _ in calls)
+        # an unchunked set of these rows would hold 12 panels x 16 nodes or
+        # more, 1,536 bytes a row; a second chunk buffer adds 0.26 MB
+        for _, rows, peak in calls:
+            assert peak < 0.5e6 + 32 * rows
 
     @pytest.mark.parametrize("sigma0", [1.0, 1e-4, 1e-6, 1e-8, 1e-10, 1e-20, 1e-100, 1e-150])
     def test_k3_closed_form_at_large_sigma_ratios(self, sigma0):
@@ -376,6 +435,17 @@ class TestGsLogDensity:
         freq = float(np.mean((coords[:, 1] == 0.0) & (coords[:, 2] == 0.0)))
         dens = float(np.exp(d.log_density_many(FaceBatch.from_coords(np.eye(3)[:1]))[0]))
         assert abs(freq - dens) < 5 * np.sqrt(dens * (1 - dens) / n)
+
+    def test_k3_cubature_kl_vanishes_against_the_law_itself(self):
+        p, q = ex.GaussianSparsemax(*checks._GS_K3), ex.GaussianSparsemax(*checks._GS_K3_Q)
+        mass, entropy, kl = oracles.gs_k3_cubature(p, p)
+        assert kl == 0.0
+        assert (mass, entropy) == oracles.gs_k3_cubature(p, q)[:2]
+
+    def test_k3_kl_mc_matches_the_cubature(self):
+        # the full-level check, whose 20,000-row batches give the large
+        # faces node sets of their own
+        assert "vs cubature" in checks._check_gs_k3_kl_mc(20000)
 
 
 class TestConcrete:
