@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .simplex import check_same_k
+
 __all__ = ["SpecError", "ParsedSpec", "parse_spec", "load_spec_file", "KINDS"]
 
 #: kind -> (module, class, vector fields, scalar fields with their defaults,
@@ -128,8 +130,7 @@ class ParsedSpec:
         """Exact direct-sum KL(self || other), for two specs of one kind whose
         class has a ``direct_sum_kl`` method; ``inf`` where other puts no
         mass on a part of self's support."""
-        if self.dist.K != other.dist.K:
-            raise SpecError(f"dimension mismatch: {self.dist.K} vs {other.dist.K}")
+        check_same_k(self.dist.K, other.dist.K)
         value = None
         if self.kind == other.kind:
             value = _exact(getattr(self.dist, "direct_sum_kl", None), other.dist)

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_groups, freeze, mask_members, row_max,
-                      sparsemax_rows, vertex_counts)
+from .simplex import (FaceBatch, SimplexPoint, check_same_k, check_scalar, check_vector, enumerate_faces,
+                      face_groups, freeze, mask_members, one_line, row_max, sparsemax_rows, vertex_counts)
 
 __all__ = [
     "GaussianSparsemax",
@@ -98,23 +98,14 @@ class GaussianSparsemax:
     sigma: np.ndarray
 
     def __init__(self, mu, sigma):
-        mu = np.asarray(mu, dtype=float)
-        sigma = np.asarray(sigma, dtype=float)
-        if mu.ndim != 1 or mu.size < 2:
-            raise ValueError("mu must be a vector of length >= 2")
-        if sigma.shape != mu.shape:
-            raise ValueError("sigma must match mu in shape")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
-            raise ValueError("parameters must be finite")
-        if np.any(sigma <= 0.0):
-            raise ValueError(f"sigma must be > 0, got {np.array2string(sigma, max_line_width=np.inf)}")
+        mu = check_vector("mu", mu)
+        sigma = check_vector("sigma", sigma, positive=True)
+        check_same_k(mu.size, sigma.size, "mu vs sigma")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.sum(sigma ** -2.0)):
-                raise ValueError("sigma too small: the sum of sigma^-2 overflows, "
-                                 f"got {np.array2string(sigma, max_line_width=np.inf)}")
+                raise ValueError(f"sigma too small: the sum of sigma^-2 overflows, got {one_line(sigma)}")
             if not np.isfinite(np.sum(sigma ** 2.0)):
-                raise ValueError("sigma too large: the sum of sigma^2 overflows, "
-                                 f"got {np.array2string(sigma, max_line_width=np.inf)}")
+                raise ValueError(f"sigma too large: the sum of sigma^2 overflows, got {one_line(sigma)}")
         freeze(self, mu=mu, sigma=sigma)
 
     @property
@@ -175,17 +166,11 @@ def gs2_params(d: GaussianSparsemax) -> tuple[float, float]:
     return float(z), s
 
 
-def _check_sigma(sigma: float) -> float:
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-    return float(sigma)
-
-
 def gs2_face_probs(z: float, sigma: float) -> tuple[float, float, float]:
     """(mass at 0, mass at 1, interior mass) of clamp(N(z, sigma^2), 0, 1)."""
     from scipy.special import ndtr
 
-    sigma = _check_sigma(sigma)
+    sigma = check_scalar("sigma", sigma, 0.0)
     p0 = float(ndtr(-z / sigma))
     p1 = float(ndtr((z - 1.0) / sigma))
     return p0, p1, max(1.0 - p0 - p1, 0.0)
@@ -216,7 +201,7 @@ def gs2_entropy(z: float, sigma: float) -> float:
     """
     from scipy.special import xlogy
 
-    sigma = _check_sigma(sigma)
+    sigma = check_scalar("sigma", sigma, 0.0)
     p0, p1, _ = gs2_face_probs(z, sigma)
     m0, _, m2 = _truncated_moments(z, sigma)
     cont = m0 * 0.5 * np.log(2.0 * np.pi * sigma**2) + 0.5 * m2 if m0 else 0.0  # 0 without interior mass
@@ -245,8 +230,8 @@ def gs2_kl(z_p: float, sigma_p: float, z_q: float, sigma_q: float) -> float:
     ``int_0^1 N_p log(N_p / N_q)``; the cross term integrates the quadratic
     of q under the truncated p-normal via its first two moments.
     """
-    sigma_p = _check_sigma(sigma_p)
-    sigma_q = _check_sigma(sigma_q)
+    sigma_p = check_scalar("sigma_p", sigma_p, 0.0)
+    sigma_q = check_scalar("sigma_q", sigma_q, 0.0)
     log_p0, log_p1 = _gs2_log_vertex_masses(z_p, sigma_p)
     log_q0, log_q1 = _gs2_log_vertex_masses(z_q, sigma_q)
     vertices = _kl_term(log_p0, log_q0) + _kl_term(log_p1, log_q1)
@@ -510,8 +495,7 @@ def gs_log_density_many(d: GaussianSparsemax, batch: FaceBatch) -> np.ndarray:
     rows pool every face, and from about 2,000 rows the vertices and edges
     take their own sets.
     """
-    if batch.K != d.K:
-        raise ValueError(f"point has K={batch.K}, distribution has K={d.K}")
+    check_same_k(batch.K, d.K)
     member = batch.members()
     a = d.sigma ** -2.0
     a_on = np.where(member, a, 0.0)
@@ -580,17 +564,6 @@ def concrete_from_gumbels(z, beta: float, g: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_concrete_args(z, beta: float) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("z must be a vector of length >= 2")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise ValueError(f"beta must be > 0, got {beta}")
-    return z
-
-
 @dataclass(frozen=True, eq=False)
 class Concrete:
     """Concrete (Gumbel-softmax) law with logits ``z`` at temperature ``beta``;
@@ -600,7 +573,7 @@ class Concrete:
     beta: float
 
     def __init__(self, z, beta):
-        freeze(self, z=_check_concrete_args(z, beta), beta=float(beta))
+        freeze(self, z=check_vector("z", z), beta=check_scalar("beta", beta, 0.0))
 
     @property
     def K(self) -> int:
@@ -619,10 +592,8 @@ class KDHardConcrete:
     lam: float = 1.1
 
     def __init__(self, z, beta, lam=1.1):
-        z = _check_concrete_args(z, beta)
-        if not (np.isfinite(lam) and lam >= 1.0):
-            raise ValueError(f"stretch lam must be >= 1, got {lam}")
-        freeze(self, z=z, beta=float(beta), lam=float(lam))
+        freeze(self, z=check_vector("z", z), beta=check_scalar("beta", beta, 0.0),
+               lam=check_scalar("stretch lam", lam, 1.0, at=True))
 
     @property
     def K(self) -> int:
@@ -644,12 +615,11 @@ class BinaryHardConcrete:
     r: float = 1.1
 
     def __post_init__(self):
-        if not np.isfinite(self.log_alpha):
-            raise ValueError(f"log_alpha must be finite, got {self.log_alpha}")
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not (self.l < 0.0 < 1.0 < self.r):
-            raise ValueError(f"stretch interval must satisfy l < 0 < 1 < r, got ({self.l}, {self.r})")
+        check_scalar("log_alpha", self.log_alpha)
+        check_scalar("beta", self.beta, 0.0)
+        if not (self.l < 0.0 < 1.0 < self.r and np.isfinite(float(self.r) - float(self.l))):
+            raise ValueError(f"stretch interval must satisfy l < 0 < 1 < r with r - l finite, "
+                             f"got ({one_line(self.l)}, {one_line(self.r)})")
 
     def sample_many(self, n: int, rng: np.random.Generator) -> FaceBatch:
         """n draws embedded in the two-vertex simplex as ``(y, 1 - y)``."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .simplex import FaceIndexSet, face_masks, freeze, mask_members, member_masks
+from .simplex import FaceIndexSet, check_same_k, check_vector, face_masks, freeze, mask_members, member_masks
 
 __all__ = [
     "GibbsFaceDistribution",
@@ -61,18 +61,6 @@ def __getattr__(name):
 _W_MAX = float(np.finfo(float).max / 2.0)
 
 
-def _as_w(w) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape[-1] < 2:
-        raise ValueError("w must have length >= 2")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("w must be finite")
-    if np.any(np.abs(w) > _W_MAX):
-        raise ValueError(f"w must be within +-{_W_MAX!r} (2w overflows beyond it), "
-                         f"got {np.array2string(w, max_line_width=np.inf)}")
-    return w
-
-
 def _softplus_sums(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``x = 2 w``, ``log(1 + e^-|x|)`` and the softplus sums ``S_k =
     sum_{j>=k} softplus(x_j)``, over the last axis of ``w``."""
@@ -100,7 +88,9 @@ def _log_nonempty(x: np.ndarray, s: np.ndarray, cols: slice = slice(None)) -> np
 
 def _log_z_and_grad(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``log_normalizer_and_grad`` of potentials already known to be
-    finite, K >= 2, over the last axis of ``w``.
+    finite, K >= 2, over the last axis of ``w``.  A sum beyond the double
+    range makes log Z inf or nan with a numpy warning, which the public
+    callers silence: the measures report such values as not finite.
 
     With independent Bernoulli(p_j = sigma(2 w_j)) vertices, ``log Z =
     log(prod_k 2cosh(w_k) * P(nonempty)) = -sum w + S_0 + log(1 - e^-S_0)``
@@ -127,7 +117,9 @@ def log_normalizer_and_grad(w) -> tuple[np.ndarray, np.ndarray]:
     expected statistic is ``2 P(k in F) - 1``.  Accepts ``w`` of shape (K,)
     or (B, K); returns arrays of shape () and (K,), or (B,) and (B, K).
     """
-    return _log_z_and_grad(_as_w(w))
+    w = check_vector("w", w, bound=_W_MAX, batched=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _log_z_and_grad
+        return _log_z_and_grad(w)
 
 
 def log_normalizer(w) -> float | np.ndarray:
@@ -135,9 +127,8 @@ def log_normalizer(w) -> float | np.ndarray:
 
     Accepts ``w`` of shape (K,) or (B, K); returns a scalar or (B,).
     """
-    w = _as_w(w)
-    log_z = _log_z_and_grad(w)[0]
-    return float(log_z) if w.ndim == 1 else log_z
+    log_z = log_normalizer_and_grad(w)[0]
+    return float(log_z) if log_z.ndim == 0 else log_z
 
 
 def sampling_tables(w) -> np.ndarray:
@@ -145,10 +136,12 @@ def sampling_tables(w) -> np.ndarray:
     potentials ``w`` (K,) or (B, K): shape (K, 3) or (B, K, 3), each row
     equal to ``GibbsFaceDistribution(w[i]).take_probs``.  They need ``log
     P(some j >= k is taken)`` in every column."""
-    x, log1p_exp, s = _softplus_sums(_as_w(w))
-    log_p = np.minimum(x, 0.0) - log1p_exp
-    p = np.exp(log_p)
-    take = np.stack([np.exp(log_p - _log_nonempty(x, s)), p, p], axis=-1)
+    w = check_vector("w", w, bound=_W_MAX, batched=True)
+    with np.errstate(over="ignore"):  # a sum beyond the double range is inf, and the tables take its limit
+        x, log1p_exp, s = _softplus_sums(w)
+        log_p = np.minimum(x, 0.0) - log1p_exp
+        p = np.exp(log_p)
+        take = np.stack([np.exp(log_p - _log_nonempty(x, s)), p, p], axis=-1)
     # states that cannot occur yet: nothing is taken before vertex 0, and
     # "nonempty, previous not taken" needs two earlier vertices
     take[..., 0, 1:] = 0.0
@@ -190,10 +183,8 @@ class GibbsFaceDistribution:
     take_probs: np.ndarray = field(init=False)  # sampling table, see masks_from_uniforms
 
     def __init__(self, w):
-        w = _as_w(np.atleast_1d(w))
-        if w.ndim != 1:
-            raise ValueError("w must be a vector")
-        log_z, phi = _log_z_and_grad(w)
+        w = check_vector("w", w, bound=_W_MAX)
+        log_z, phi = log_normalizer_and_grad(w)
         freeze(self, w=w, log_z=float(log_z), expected_phi=phi, take_probs=sampling_tables(w))
 
     @property
@@ -262,8 +253,7 @@ def entropy(d: GibbsFaceDistribution) -> float:
 
 def kl(d_p: GibbsFaceDistribution, d_q: GibbsFaceDistribution) -> float:
     """KL divergence between two members of the family (exact, O(K))."""
-    if d_p.K != d_q.K:
-        raise ValueError(f"dimension mismatch: {d_p.K} vs {d_q.K}")
+    check_same_k(d_p.K, d_q.K)
     return d_q.log_z - d_p.log_z - float((d_q.w - d_p.w) @ d_p.expected_phi)
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple, Protocol, runtime_checkable
 
 import numpy as np
 
-from .simplex import FaceBatch, enumerate_faces, freeze, member_masks, vertex_counts
+from .simplex import FaceBatch, check_same_k, enumerate_faces, freeze, member_masks, one_line, vertex_counts
 
 __all__ = [
     "MixedDistribution",
@@ -135,8 +135,7 @@ def direct_sum_kl_mc(p: MixedDistribution, q: MixedDistribution, n: int,
     """
     if n < 2:
         raise ValueError("need n >= 2 for a standard error")
-    if p.K != q.K:
-        raise ValueError(f"dimension mismatch: {p.K} vs {q.K}")
+    check_same_k(p.K, q.K)
     batch = p.sample_many(n, rng)
     with np.errstate(over="ignore", invalid="ignore"):
         log_q = q.log_density_many(batch)
@@ -175,9 +174,9 @@ def _log_binom(K, k):
 
 def _check_maxent_args(K: int, N: int):
     if K < 2:
-        raise ValueError(f"K must be >= 2, got {K}")
+        raise ValueError(f"K must be >= 2, got {one_line(K)}")
     if N < 0 or N != int(N):
-        raise ValueError(f"N must be a nonnegative integer, got {N}")
+        raise ValueError(f"N must be a nonnegative integer, got {one_line(N)}")
 
 
 def maxent_log_weights(K: int, N: int) -> np.ndarray:
@@ -244,8 +243,7 @@ class MaxEntMixed:
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Face log-probability plus the flat conditional's log-density,
         ``log (k-1)!`` on a face with k vertices."""
-        if batch.K != self.K:
-            raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
+        check_same_k(batch.K, self.K)
         from scipy.special import gammaln
 
         k = np.arange(1, self.K + 1)
@@ -281,8 +279,7 @@ class MaxEntMixed:
         conditionals and spread each class over its faces alike, so this is
         the KL of the class weights g; ``inf`` where a class that self
         weighs has weight 0 (underflow) under other."""
-        if other.K != self.K:
-            raise ValueError(f"dimension mismatch: {self.K} vs {other.K}")
+        check_same_k(self.K, other.K)
         on = self.g > 0.0  # a class whose weight underflows to 0 under self adds 0
         gp, gq = self.g[on], other.g[on]
         if not gq.all():

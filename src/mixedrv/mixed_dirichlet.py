@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import face_gibbs
-from .simplex import (FaceBatch, SimplexPoint, enumerate_faces, face_index, freeze, mask_members, member_masks,
-                      row_max, vertex_counts)
+from .simplex import (FaceBatch, SimplexPoint, check_same_k, check_vector, enumerate_faces, face_index, freeze,
+                      mask_members, member_masks, row_max, vertex_counts)
 
 __all__ = [
     "MixedDirichlet",
@@ -37,29 +37,19 @@ __all__ = [
 SAMPLE_ALPHA_MIN = float(-np.log1p(-(1.0 - 2.0**-53)) / np.finfo(float).max)
 
 
-def _check_alpha(alpha) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.ndim != 1 or alpha.size < 1:
-        raise ValueError("concentration must be a nonempty vector")
-    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
-        raise ValueError(f"concentrations must be finite and > 0, got {np.array2string(alpha, max_line_width=np.inf)}")
-    return alpha
-
-
 def dirichlet_entropy(alpha_restricted) -> float:
     """Differential entropy of a Dirichlet, closed form (one row of
     ``_dirichlet_entropy_rows``); exactly 0 for a single component."""
-    alpha = _check_alpha(alpha_restricted)
+    alpha = check_vector("alpha", alpha_restricted, 1, positive=True)
     return float(_dirichlet_entropy_rows(np.ones((1, alpha.size), dtype=bool), alpha, alpha.size)[0])
 
 
 def dirichlet_kl(alpha_p, alpha_q) -> float:
     """KL between Dirichlets on the same face, closed form (one row of
     ``_dirichlet_kl_rows``)."""
-    ap = _check_alpha(alpha_p)
-    aq = _check_alpha(alpha_q)
-    if ap.shape != aq.shape:
-        raise ValueError(f"dimension mismatch: {ap.shape} vs {aq.shape}")
+    ap = check_vector("alpha_p", alpha_p, 1, positive=True)
+    aq = check_vector("alpha_q", alpha_q, 1, positive=True)
+    check_same_k(ap.size, aq.size)
     return float(_dirichlet_kl_rows(np.ones((1, ap.size), dtype=bool), ap, aq)[0])
 
 
@@ -72,9 +62,8 @@ class MixedDirichlet:
 
     def __init__(self, w, alpha):
         faces = face_gibbs.GibbsFaceDistribution(w)
-        alpha = _check_alpha(alpha)
-        if alpha.size != faces.K:
-            raise ValueError(f"alpha has length {alpha.size}, expected {faces.K}")
+        alpha = check_vector("alpha", alpha, positive=True)
+        check_same_k(faces.K, alpha.size, "w vs alpha")
         freeze(self, faces=faces, alpha=alpha)
 
     @property
@@ -211,8 +200,7 @@ def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndar
 def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
     """Log-density of every row w.r.t. the direct-sum measure: face log-prob
     plus the Dirichlet log-density on the face (0 for vertices)."""
-    if batch.K != md.K:
-        raise ValueError(f"point has K={batch.K}, distribution has K={md.K}")
+    check_same_k(batch.K, md.K)
     member = batch.members()
     return face_gibbs._members_log_prob(md.faces, member) + _dirichlet_log_pdf_rows(member, batch, md.alpha)
 
@@ -241,8 +229,8 @@ def _finite(value: float, measure: str) -> float:
 def entropy(md: MixedDirichlet) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
     entropy over the enumerated faces."""
-    masks, member, weights = _face_weights(md)
     with np.errstate(over="ignore", invalid="ignore"):
+        masks, member, weights = _face_weights(md)
         dirichlet = _dirichlet_entropy_rows(member, md.alpha, vertex_counts(masks))
         return _finite(face_gibbs.entropy(md.faces) + float(weights @ dirichlet), "entropy")
 
@@ -251,10 +239,9 @@ def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
     """Direct-sum KL: exact face KL plus the expected per-face Dirichlet KL
     under the first distribution's face law.  Never infinite: every face has
     positive probability under both distributions."""
-    if md_p.K != md_q.K:
-        raise ValueError(f"dimension mismatch: {md_p.K} vs {md_q.K}")
-    _, member, weights = _face_weights(md_p)
+    check_same_k(md_p.K, md_q.K)
     with np.errstate(over="ignore", invalid="ignore"):
+        _, member, weights = _face_weights(md_p)
         dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
         return _finite(face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet), "KL")
 
@@ -268,9 +255,7 @@ class FullFaceDirichlet:
     alpha: np.ndarray
 
     def __init__(self, alpha):
-        alpha = _check_alpha(alpha)
-        if alpha.size < 2:
-            raise ValueError("need K >= 2")
+        alpha = check_vector("alpha", alpha, positive=True)
         freeze(self, alpha=alpha)
 
     @property
@@ -283,7 +268,6 @@ class FullFaceDirichlet:
 
     def log_density_many(self, batch: FaceBatch) -> np.ndarray:
         """Dirichlet log-density on the maximal face, -inf on every other face."""
-        if batch.K != self.K:
-            raise ValueError(f"point has K={batch.K}, distribution has K={self.K}")
+        check_same_k(batch.K, self.K)
         member = batch.members()
         return np.where(member.all(axis=1), _dirichlet_log_pdf_rows(member, batch, self.alpha), -np.inf)

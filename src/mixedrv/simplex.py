@@ -9,7 +9,9 @@ decoder (both refuse K above ``MAX_BITMASK_K``, the one 63-vertex check),
 ``face_masks`` the one "nonempty subset of [K]" rule and
 ``enumerate_faces`` the one enumeration, limited to ``EXACT_ENUM_MAX_K``.
 ``freeze`` sets the fields of the package's value types and stores their
-arrays as read-only copies.  It also provides the sparse Euclidean
+arrays as read-only copies.  The parameter rules of every kind are written
+here once: ``check_vector``, ``check_scalar``, ``check_same_k`` and the
+text of a value, ``one_line``.  It also provides the sparse Euclidean
 projection onto the simplex (which can land on any face) and batches of
 points with their faces (``FaceBatch``).
 
@@ -31,6 +33,10 @@ __all__ = [
     "SimplexPoint",
     "FaceBatch",
     "freeze",
+    "one_line",
+    "check_vector",
+    "check_scalar",
+    "check_same_k",
     "member_masks",
     "mask_members",
     "face_masks",
@@ -73,6 +79,52 @@ def freeze(obj, **fields) -> None:
             value = value.copy(order="K")
             value.flags.writeable = False
         object.__setattr__(obj, name, value)
+
+
+def one_line(value) -> str:
+    """A parameter value as error-message text on one line: an array without
+    numpy's wrap at 75 columns, a scalar as its Python ``repr``."""
+    value = np.asarray(value)
+    return np.array2string(value, max_line_width=np.inf) if value.ndim else repr(value.item())
+
+
+def check_vector(name: str, v, min_len: int = 2, *, positive: bool = False, bound: float | None = None,
+                 batched: bool = False) -> np.ndarray:
+    """``v`` as a float array if it is 1-D (``batched``: vectors along the
+    last axis) of length >= ``min_len``, finite, and, where asked, > 0 or
+    within +-``bound``; else ValueError naming ``name`` and showing ``v``."""
+    v = np.asarray(v, dtype=float)
+    if (v.ndim < 1 if batched else v.ndim != 1) or v.shape[-1] < min_len:
+        raise ValueError(f"{name} must be a vector of length >= {min_len}")
+    if not np.isfinite(v).all():
+        rule = "finite"
+    elif positive and not (v > 0.0).all():
+        rule = "> 0"
+    elif bound is not None and (np.abs(v) > bound).any():
+        rule = f"within +-{bound!r}"
+    else:
+        return v
+    raise ValueError(f"{name} must be {rule}, got {one_line(v)}")
+
+
+def check_scalar(name: str, x, floor: float | None = None, *, at: bool = False) -> float:
+    """``x`` as a float if it is finite and above ``floor`` (``at``: or at
+    it); else ValueError naming ``name`` and showing ``x``."""
+    x = float(x)
+    if not np.isfinite(x):
+        rule = "finite"
+    elif floor is not None and not (x >= floor if at else x > floor):
+        rule = f"{'>=' if at else '>'} {floor:g}"
+    else:
+        return x
+    raise ValueError(f"{name} must be {rule}, got {one_line(x)}")
+
+
+def check_same_k(a: int, b: int, names: str = "") -> None:
+    """ValueError "dimension mismatch: a vs b" unless ``a == b``, then
+    ``names`` (say "mu vs sigma") where the sides are not two laws."""
+    if a != b:
+        raise ValueError(f"dimension mismatch: {a} vs {b}" + (f" ({names})" if names else ""))
 
 
 @dataclass(frozen=True)
@@ -261,7 +313,7 @@ class FaceBatch:
         with np.errstate(over="ignore"):  # a row beyond the double range sums to inf
             sums = coords.sum(axis=1)
         _first_bad_row(np.abs(sums - 1.0) > SUM_TOL,
-                       lambda i: f"row {i} sums to {float(sums[i])!r}, not 1 within {SUM_TOL}")
+                       lambda i: f"row {i} sums to {one_line(sums[i])}, not 1 within {SUM_TOL}")
         _first_bad_row(_outside_faces(masks, K), lambda i: f"mask {masks[i]:#x} is not a nonempty subset of [{K}]")
         supports = member_masks(coords > 0.0)
         if log_coords is None:
@@ -311,11 +363,7 @@ def sparsemax(z) -> SimplexPoint:
     """Euclidean projection of ``z`` onto the simplex (``sparsemax_rows``
     of a single row).  Coordinates at or below the threshold come out as
     exact zeros, so the support of the result is well defined."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise ValueError("z must be a vector of length >= 2")
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"z must be finite, got {np.array2string(z, max_line_width=np.inf)}")
+    z = check_vector("z", z)
     return SimplexPoint(sparsemax_rows(z[None, :])[0])
 
 

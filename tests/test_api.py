@@ -4,7 +4,8 @@ every kind samples and scores through the one contract, with no option;
 outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; every
 value type is frozen by the one helper, ``simplex.freeze``, its arrays are
 read-only copies and its other fields scalars, None or frozen value
-types; and the imports: only ``checks`` and ``oracles`` load the oracles
+types; the texts of the parameter rules are formed only in ``simplex``;
+and the imports: only ``checks`` and ``oracles`` load the oracles
 or SciPy at import time, the package, the CLI and the spec parser load no
 kind module at import time, and no module keeps an import it does not
 use."""
@@ -177,6 +178,20 @@ def test_value_types_are_frozen_only_by_the_helper():
         and n.value.attr == "flags"))
     assert setattr_ == FROZEN_SETATTR
     assert write_flag == WRITE_FLAG
+
+
+#: Where production code forms the texts of the parameter rules: a value on
+#: one line (the one ``max_line_width``) and the K-match "dimension mismatch".
+ONE_LINE = {("simplex", "one_line"): 1}
+K_MATCH = {("simplex", "check_same_k"): 1}
+
+
+def test_parameter_rule_texts_are_formed_only_in_simplex():
+    one_line = _uses(lambda n: isinstance(n, ast.keyword) and n.arg == "max_line_width")
+    k_match = _uses(lambda n: isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and n.value.startswith("dimension mismatch"))
+    assert one_line == ONE_LINE
+    assert k_match == K_MATCH
 
 
 #: The only callables outside ``simplex`` that may still name the per-point

@@ -68,7 +68,7 @@ def test_gs_batch_pivot_invariance():
     lambda: it.MaxEntMixed(3, 0),
 ])
 def test_dimension_mismatch_rejected(make):
-    with pytest.raises(ValueError, match="K="):
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
         make().log_density_many(FaceBatch([3], [[0.5, 0.5]]))
 
 

@@ -464,8 +464,8 @@ GS_FAR = {**GS_NEAR, "mu": [1e200, 0.0]}
 NOT_FINITE = "error: the exact {} is not finite (a term beyond the range of a double)\n"
 BHC_NOT_FINITE = "error: invalid parameters for kind 'binary-hard-concrete': log_alpha must be finite, got {}\n"
 MD_W_HUGE = {"kind": "mixed-dirichlet", "w": [1e308, 0.0], "alpha": [1.0, 1.0]}
-W_HUGE = ("error: invalid parameters for kind 'mixed-dirichlet': w must be within +-8.988465674311579e+307 "
-          "(2w overflows beyond it), got [1.e+308 0.e+000]\n")
+W_HUGE = ("error: invalid parameters for kind 'mixed-dirichlet': w must be within +-8.988465674311579e+307, "
+          "got [1.e+308 0.e+000]\n")
 #: twelve concentrations, one negative: numpy would wrap their text at 75 columns
 MD12_NEGATIVE = {"kind": "mixed-dirichlet", "w": [0.1 * k for k in range(1, 13)],
                  "alpha": [1.5, 2.25, 0.75, 1.125, 3.5, 0.625, 1.75, 2.5, 0.875, 1.375, 2.125, -0.5]}
@@ -476,6 +476,10 @@ DOUBLE_RANGE_EDGES = {
                 BHC_NOT_FINITE.format("nan")),
     "bhc-inf": (["sample", "--num", "3"], [{"kind": "binary-hard-concrete", "log_alpha": float("inf"), "beta": 1.0}],
                 BHC_NOT_FINITE.format("inf")),
+    "bhc-l-infinite": (["sample", "--num", "3"],
+                       [{"kind": "binary-hard-concrete", "log_alpha": 0.0, "beta": 1.0, "l": float("-inf")}],
+                       "error: invalid parameters for kind 'binary-hard-concrete': stretch interval must satisfy "
+                       "l < 0 < 1 < r with r - l finite, got (-inf, 1.1)\n"),
     "md-exact-entropy-nan": (["entropy", "--mode", "exact"], [MD3_TINY], NOT_FINITE.format("entropy")),
     "md-exact-entropy-inf": (["entropy", "--mode", "exact"], [MD8_TINY], NOT_FINITE.format("entropy")),
     "md-exact-kl-nan": (["kl", "--mode", "exact"], [{**MD3_TINY, "alpha": [1.0] * 3}, MD3_TINY],
@@ -494,8 +498,8 @@ DOUBLE_RANGE_EDGES = {
     "md-mc-kl-w-huge": (["kl", "--mode", "mc", "--samples", "50"], [{**MD_W_HUGE, "w": [0.5, 0.0]}, MD_W_HUGE],
                         W_HUGE),
     "md12-negative-alpha": (["sample", "--num", "3"], [MD12_NEGATIVE],
-                            "error: invalid parameters for kind 'mixed-dirichlet': concentrations must be finite "
-                            "and > 0, got [ 1.5    2.25   0.75   1.125  3.5    0.625  1.75   2.5    0.875  1.375  "
+                            "error: invalid parameters for kind 'mixed-dirichlet': alpha must be > 0, "
+                            "got [ 1.5    2.25   0.75   1.125  3.5    0.625  1.75   2.5    0.875  1.375  "
                             "2.125 -0.5  ]\n"),
     "gs8-sigma-tiny": (["sample", "--num", "3"],
                        [{"kind": "gaussian-sparsemax", "mu": [0.0] * 8, "sigma": [1.25e-160, 2.5e-160] * 4}],
@@ -503,6 +507,17 @@ DOUBLE_RANGE_EDGES = {
                        "sigma^-2 overflows, got [1.25e-160 2.50e-160 1.25e-160 2.50e-160 1.25e-160 2.50e-160 "
                        "1.25e-160 2.50e-160]\n"),
 }
+
+#: potentials within +-max/2 whose sums leave the double range: the
+#: softplus sums, -sum(w) in log Z, and log P(nonempty) from the last vertex
+W_SUMS_BEYOND = {"softplus-sums": [8e307, 8e307], "minus-sum-w": [-8e307] * 3,
+                 "log-nonempty": [8.9e307, -8.9e307]}
+#: each command; kl against a plain law q of the same K, in both orders
+W_SUMS_COMMANDS = {"sample": ["sample", "--num", "5"], "exact-entropy": ["entropy", "--mode", "exact"],
+                   "mc-entropy": ["entropy", "--mode", "mc", "--samples", "50"],
+                   "exact-kl-pq": ["kl", "--mode", "exact"], "exact-kl-qp": ["kl", "--mode", "exact"],
+                   "mc-kl-pq": ["kl", "--mode", "mc", "--samples", "50"],
+                   "mc-kl-qp": ["kl", "--mode", "mc", "--samples", "50"]}
 
 
 @pytest.mark.filterwarnings("error")
@@ -556,6 +571,32 @@ class TestExtremeParameters:
         assert capsys.readouterr() == ("", "error: invalid parameters for kind 'gaussian-sparsemax': "
                                            f"sigma too large: the sum of sigma^2 overflows, got {shown}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", W_SUMS_COMMANDS)
+    @pytest.mark.parametrize("w", W_SUMS_BEYOND.values(), ids=W_SUMS_BEYOND)
+    def test_potential_sums_beyond_the_double_range(self, w, command, tmp_path, capsys):
+        # exit 0 with strict JSON (for sample, a file that face-hist reads
+        # back) or exit 2 with one error line; never a warning or traceback
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        p = write(tmp_path / "p.json", {"kind": "mixed-dirichlet", "w": w, "alpha": [1.0] * len(w)})
+        q = write(tmp_path / "q.json", {"kind": "mixed-dirichlet", "w": [0.5] * len(w), "alpha": [2.0] * len(w)})
+        out_file = str(tmp_path / "out.jsonl")
+        argv = W_SUMS_COMMANDS[command]
+        first, second = (q, p) if command.endswith("-qp") else (p, q)
+        extra = {"sample": ["--out", out_file], "kl": ["--dist2", second]}.get(argv[0], [])
+        code = cli.main([argv[0], "--dist", first, *extra, *argv[1:], "--seed", "0"])
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        elif argv[0] == "sample":
+            assert (code, out, err) == (0, "", "")
+            assert cli.main(["face-hist", "--in", out_file]) == 0
+            assert capsys.readouterr().err == ""
+        else:
+            assert (code, err) == (0, "")
+            json.loads(out, parse_constant=reject)
 
     @pytest.mark.parametrize("case", DOUBLE_RANGE_EDGES)
     def test_edges_of_the_double_range(self, case, tmp_path, capsys):

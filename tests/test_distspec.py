@@ -44,6 +44,8 @@ def invalid(kind: str, detail: str) -> str:
     return f"error: invalid parameters for kind {kind!r}: {detail}\n"
 
 
+STRETCH = "stretch interval must satisfy l < 0 < 1 < r with r - l finite, got ({})"
+
 # (id, spec, stderr of `entropy --dist <spec> --mode exact`, exit code 2)
 SPEC_ERRORS = [
     ("not-an-object", [1, 2], "error: spec must be a JSON object\n"),
@@ -76,7 +78,8 @@ SPEC_ERRORS = [
     ("vector-matrix", dict(MD3, w=[[1.0, 2.0], [3.0, 4.0]]), "error: field 'w' must be a nonempty vector\n"),
     ("vector-empty", dict(MD3, alpha=[]), "error: field 'alpha' must be a nonempty vector\n"),
     ("vector-scalar", dict(GS3, mu=5.0), "error: field 'mu' must be a nonempty vector\n"),
-    ("vector-null-entry", dict(MD3, w=[0.0, None, 1.0]), invalid("mixed-dirichlet", "w must be finite")),
+    ("vector-null-entry", dict(MD3, w=[0.0, None, 1.0]),
+     invalid("mixed-dirichlet", "w must be finite, got [ 0. nan  1.]")),
     ("vector-object", dict(CONC3, z={"a": 1}), "error: field 'z' must be a list of numbers\n"),
     ("scalar-string", dict(KD3, beta="x"), "error: field 'beta' must be a number\n"),
     ("scalar-bool", dict(CONC3, beta=True), "error: field 'beta' must be a number\n"),
@@ -97,18 +100,20 @@ SPEC_ERRORS = [
     ("maxent-n-negative", dict(ME3, n=-1), invalid("maxent", "N must be a nonnegative integer, got -1")),
     ("maxent-n-float", dict(ME3, n=1.5), "error: field 'n' must be an integer\n"),
     ("maxent-n-bool", dict(ME3, n=True), "error: field 'n' must be an integer\n"),
-    ("md-alpha-length", dict(MD3, alpha=[1.0, 2.0]), invalid("mixed-dirichlet", "alpha has length 2, expected 3")),
+    ("md-alpha-length", dict(MD3, alpha=[1.0, 2.0]),
+     invalid("mixed-dirichlet", "dimension mismatch: 3 vs 2 (w vs alpha)")),
     ("md-alpha-negative", dict(MD3, alpha=[1.0, -2.0, 0.5]),
-     invalid("mixed-dirichlet", "concentrations must be finite and > 0, got [ 1.  -2.   0.5]")),
+     invalid("mixed-dirichlet", "alpha must be > 0, got [ 1.  -2.   0.5]")),
     ("md-alpha-inf", dict(MD3, alpha=[1.0, float("inf"), 0.5]),
-     invalid("mixed-dirichlet", "concentrations must be finite and > 0, got [1.  inf 0.5]")),
+     invalid("mixed-dirichlet", "alpha must be finite, got [1.  inf 0.5]")),
     ("md-k-1", {"kind": "mixed-dirichlet", "w": [0.0], "alpha": [1.0]},
-     invalid("mixed-dirichlet", "w must have length >= 2")),
+     invalid("mixed-dirichlet", "w must be a vector of length >= 2")),
     ("gs-k-1", {"kind": "gaussian-sparsemax", "mu": [0.0], "sigma": [1.0]},
      invalid("gaussian-sparsemax", "mu must be a vector of length >= 2")),
     ("gs-sigma-zero", dict(GS3, sigma=[1.0, 0.0, 1.0]),
      invalid("gaussian-sparsemax", "sigma must be > 0, got [1. 0. 1.]")),
-    ("gs-sigma-shape", dict(GS3, sigma=[1.0, 1.0]), invalid("gaussian-sparsemax", "sigma must match mu in shape")),
+    ("gs-sigma-shape", dict(GS3, sigma=[1.0, 1.0]),
+     invalid("gaussian-sparsemax", "dimension mismatch: 3 vs 2 (mu vs sigma)")),
     ("gs-sigma-tiny", dict(GS3, sigma=[1e-300, 1.0, 1.0]),
      invalid("gaussian-sparsemax", "sigma too small: the sum of sigma^-2 overflows, got [1.e-300 1.e+000 1.e+000]")),
     ("kd-beta-zero", dict(KD3, beta=0.0), invalid("kd-hard-concrete", "beta must be > 0, got 0.0")),
@@ -116,12 +121,14 @@ SPEC_ERRORS = [
     ("kd-k-1", {"kind": "kd-hard-concrete", "z": [0.0], "beta": 0.5},
      invalid("kd-hard-concrete", "z must be a vector of length >= 2")),
     ("bhc-beta-zero", dict(BHC, beta=0.0), invalid("binary-hard-concrete", "beta must be > 0, got 0.0")),
-    ("bhc-l-positive", dict(BHC, l=0.1),
-     invalid("binary-hard-concrete", "stretch interval must satisfy l < 0 < 1 < r, got (0.1, 1.1)")),
-    ("bhc-r-small", dict(BHC, r=0.9),
-     invalid("binary-hard-concrete", "stretch interval must satisfy l < 0 < 1 < r, got (-0.1, 0.9)")),
+    ("bhc-l-positive", dict(BHC, l=0.1), invalid("binary-hard-concrete", STRETCH.format("0.1, 1.1"))),
+    ("bhc-r-small", dict(BHC, r=0.9), invalid("binary-hard-concrete", STRETCH.format("-0.1, 0.9"))),
+    ("bhc-l-infinite", dict(BHC, l=float("-inf")), invalid("binary-hard-concrete", STRETCH.format("-inf, 1.1"))),
+    ("bhc-span-overflows", dict(BHC, l=-1e308, r=1e308),
+     invalid("binary-hard-concrete", STRETCH.format("-1e+308, 1e+308"))),
     ("concrete-beta-negative", dict(CONC3, beta=-1.0), invalid("concrete", "beta must be > 0, got -1.0")),
-    ("concrete-z-inf", dict(CONC3, z=[0.0, float("inf"), 1.0]), invalid("concrete", "z must be finite")),
+    ("concrete-z-inf", dict(CONC3, z=[0.0, float("inf"), 1.0]),
+     invalid("concrete", "z must be finite, got [ 0. inf  1.]")),
 ]
 
 # (id, command, p, q, stderr of `<command> --dist p [--dist2 q] --mode exact`, exit code 2)

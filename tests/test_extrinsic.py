@@ -277,6 +277,19 @@ class TestGsLogDensity:
             assert abs(got[k] - ref) <= 1e-12 * abs(ref)
             assert abs(got[k] - -3030.2730105297276) <= 1e-12 * 3030.3
 
+    @pytest.mark.parametrize("sigma2, mu2", [(0.02, 1000.0), (0.02, 500.0), (0.05, 1000.0), (0.01, 1000.0)])
+    def test_window_edges_walked_in_from_the_curvature_bound(self, sigma2, mu2):
+        # a narrow off-face step far above the rows' Gaussian: the curvature
+        # bound puts each window edge far outside the true one, so panels
+        # cut across that span resolve the window too coarsely (8.9e-8
+        # relative at sigma2 = 0.02, mu2 = 1000) unless the Newton walk in
+        # _row_windows brings the edges in
+        d = ex.GaussianSparsemax([0.0, 0.0, mu2], [1.0, 1.0, sigma2])
+        batch = FaceBatch.from_coords([[0.5, 0.5, 0.0], [0.3, 0.7, 0.0]])
+        for got, row in zip(d.log_density_many(batch), batch.coords):
+            ref = oracles.gs_log_density_reference(d, row)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
     def test_rows_far_apart_on_one_face(self, monkeypatch):
         # narrow on-face sigmas: each row's window is ~0.1 wide while the
         # rows' Gaussian means spread over ~1, so the one face's rows take
@@ -480,6 +493,15 @@ class TestConcrete:
     def test_rejects_bad_beta(self):
         with pytest.raises(ValueError):
             ex.Concrete([0.0, 0.0], 0.0)
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan])
+    @pytest.mark.parametrize("make", [lambda beta: ex.Concrete([0.0, 0.0], beta),
+                                      lambda beta: ex.KDHardConcrete([0.0, 0.0], beta),
+                                      lambda beta: ex.BinaryHardConcrete(0.0, beta)],
+                             ids=["concrete", "kd-hard-concrete", "binary-hard-concrete"])
+    def test_non_finite_beta_is_refused_as_not_finite(self, make, beta):
+        with pytest.raises(ValueError, match=f"^beta must be finite, got {beta!r}$"):
+            make(beta)
 
 
 class TestKDHardConcrete:

@@ -116,8 +116,15 @@ class TestLogNormalizer:
         beyond = np.nextafter(edge, np.inf)
         for w in ([beyond, 0.0], [0.5, -beyond], [[0.0, 0.0], [1e308, 0.0]]):
             for f in (fg.log_normalizer, fg.log_normalizer_and_grad, fg.sampling_tables):
-                with pytest.raises(ValueError, match="2w overflows"):
+                with pytest.raises(ValueError, match=r"w must be within \+-8\.988465674311579e\+307, got"):
                     f(w)
+
+    @pytest.mark.parametrize("f", [fg.log_normalizer, fg.log_normalizer_and_grad, fg.expected_suff_stats,
+                                   fg.sampling_tables])
+    def test_scalar_potentials_are_refused(self, f):
+        # the batched rule wants vectors along the last axis, which a scalar lacks
+        with pytest.raises(ValueError, match="w must be a vector of length >= 2"):
+            f(3.0)
 
 
 EDGE_POTENTIALS = [400.0, -400.0, -20.0, -745.0, "alternating", "random", "normal"]
