@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -57,8 +58,27 @@ def _to_unit(value: float, bits: bool) -> float:
     return value / _LN2 if bits else value
 
 
-def _print_json(obj: dict):
-    print(json.dumps(obj))
+def _print_json(obj: dict | list):
+    try:  # strict JSON: a value that is not finite is one error line, exit 2
+        line = json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise ValueError("a result is not finite (beyond the range of a double)") from None
+    print(line)
+
+
+def _write_out(path: str, chunks):
+    """Write the strings ``chunks`` to the ``--out`` file; called once the
+    draw or fit is done, so a failed computation leaves the file as it was."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        raise CliError(EXIT_IO, f"cannot write {path}: {e}") from e
+
+
+def _rng(seed, spec_seed=None) -> np.random.Generator:
+    """A command's generator: seeded by ``--seed``, else by the spec's default seed, else by 0."""
+    return np.random.default_rng(seed if seed is not None else spec_seed if spec_seed is not None else 0)
 
 
 # ------------------------------------------------------------------ maxent ---
@@ -83,7 +103,7 @@ def cmd_maxent(args) -> int:
                 "H_continuous": _to_unit(-float(gammaln(K)) + 0.0, args.bits) if K > 2 else 0.0,
             })
     if args.format == "json":
-        print(json.dumps(rows))
+        _print_json(rows)
     else:
         print("K,N,H_maxent,H_discrete,H_continuous")
         for r in rows:
@@ -92,14 +112,6 @@ def cmd_maxent(args) -> int:
 
 
 # ------------------------------------------------------------------ sample ---
-
-def _resolve_seed(args_seed, spec_seed) -> int:
-    if args_seed is not None:
-        return args_seed
-    if spec_seed is not None:
-        return spec_seed
-    return 0
-
 
 #: Rows per string that ``_sample_lines`` and ``_csv_lines`` yield, so the
 #: text held at once stays bounded.
@@ -177,77 +189,60 @@ def cmd_sample(args) -> int:
     if args.num < 1:
         raise CliError(EXIT_USAGE, "--num must be >= 1")
     spec = load_spec_file(args.dist)
-    seed = _resolve_seed(args.seed, spec.default_seed)
-    # drawn before --out is opened, so a draw that fails leaves the file as it was
-    batch = spec.dist.sample_many(args.num, np.random.default_rng(seed))
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(_sample_lines(batch.masks, batch.coords))
-    except OSError as e:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+    batch = spec.dist.sample_many(args.num, _rng(args.seed, spec.default_seed))
+    _write_out(args.out, _sample_lines(batch.masks, batch.coords))
     return EXIT_OK
 
 
 # -------------------------------------------------------------- entropy/kl ---
 
+def _print_estimate(args, value, std_error=None, support_violation=None, violations=None):
+    """Print the one estimate line of ``entropy`` and ``kl``: ``value`` (None
+    for a support violation) and ``std_error`` in nats, converted under
+    ``--bits``, the given fields, the mode, ``samples`` in mc mode and the
+    unit, in that key order; a field left None is left out, but not ``value``."""
+    def unit(x):
+        return None if x is None else _to_unit(x, args.bits)
+
+    line = {"value": unit(value), "std_error": unit(std_error), "support_violation": support_violation,
+            "violations": violations, "mode": args.mode, "samples": args.samples if args.mode == "mc" else None,
+            "unit": "bits" if args.bits else "nats"}
+    _print_json({key: v for key, v in line.items() if v is not None or key == "value"})
+
+
 def cmd_entropy(args) -> int:
     spec = load_spec_file(args.dist)
-    unit = "bits" if args.bits else "nats"
     if args.mode == "exact":
-        value = spec.exact_entropy()
-        _print_json({"value": _to_unit(value, args.bits), "mode": "exact", "unit": unit})
+        _print_estimate(args, spec.exact_entropy())
         return EXIT_OK
     if not spec.supports_log_density:
         raise CliError(EXIT_USAGE, f"kind {spec.kind!r} has no density; mc entropy unavailable")
     from . import info_theory
 
-    seed = _resolve_seed(args.seed, spec.default_seed)
-    est = info_theory.direct_sum_entropy_mc(spec.dist, args.samples, np.random.default_rng(seed))
-    _print_json({
-        "value": _to_unit(est.estimate, args.bits),
-        "std_error": _to_unit(est.std_error, args.bits),
-        "mode": "mc",
-        "samples": args.samples,
-        "unit": unit,
-    })
+    est = info_theory.direct_sum_entropy_mc(spec.dist, args.samples, _rng(args.seed, spec.default_seed))
+    _print_estimate(args, est.estimate, est.std_error)
     return EXIT_OK
 
 
 def cmd_kl(args) -> int:
     spec_p = load_spec_file(args.dist)
     spec_q = load_spec_file(args.dist2)
-    unit = "bits" if args.bits else "nats"
     if args.mode == "exact":
         value = spec_p.exact_kl(spec_q)
         if math.isinf(value):  # reported as the mc mode reports a support violation
-            _print_json({"value": None, "support_violation": True, "mode": "exact", "unit": unit})
+            _print_estimate(args, None, support_violation=True)
         else:
-            _print_json({"value": _to_unit(value, args.bits), "mode": "exact", "unit": unit})
+            _print_estimate(args, value)
         return EXIT_OK
     if not (spec_p.supports_log_density and spec_q.supports_log_density):
         raise CliError(EXIT_USAGE, "mc KL needs both kinds to expose a density")
     from . import info_theory
 
-    seed = _resolve_seed(args.seed, spec_p.default_seed)
-    est = info_theory.direct_sum_kl_mc(spec_p.dist, spec_q.dist, args.samples, np.random.default_rng(seed))
+    est = info_theory.direct_sum_kl_mc(spec_p.dist, spec_q.dist, args.samples, _rng(args.seed, spec_p.default_seed))
     if est.is_infinite:
-        _print_json({
-            "value": None,
-            "support_violation": True,
-            "violations": est.support_violations,
-            "mode": "mc",
-            "samples": args.samples,
-            "unit": unit,
-        })
-        return EXIT_OK
-    _print_json({
-        "value": _to_unit(est.estimate, args.bits),
-        "std_error": _to_unit(est.std_error, args.bits),
-        "support_violation": False,
-        "mode": "mc",
-        "samples": args.samples,
-        "unit": unit,
-    })
+        _print_estimate(args, None, support_violation=True, violations=est.support_violations)
+    else:
+        _print_estimate(args, est.estimate, est.std_error, support_violation=False)
     return EXIT_OK
 
 
@@ -443,7 +438,7 @@ def cmd_fit_glm(args) -> int:
 
     X, targets = _read_glm_csv(args.data)
     n = len(targets)
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     perm = rng.permutation(n)
     n_train = max(1, int(round(args.train_frac * n)))
     if n_train >= n:
@@ -453,12 +448,7 @@ def cmd_fit_glm(args) -> int:
                       seed=args.seed)
     y_true = targets.coords[te]
     y_pred = glm.predict_rows(fit.model, X[te], args.predict, n=100, rng=rng).coords
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(fit.model.to_json_dict(), fh)
-            fh.write("\n")
-    except OSError as e:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+    _write_out(args.out, [json.dumps(fit.model.to_json_dict()) + "\n"])
     _print_json({
         "rmse": glm.rmse(y_true, y_pred),
         "mae": glm.mae(y_true, y_pred),
@@ -486,13 +476,8 @@ def cmd_gen_glm_data(args) -> int:
     from . import glm
 
     X, targets, _ = glm.make_planted_dataset(n=args.rows, K=args.k, d=args.d, seed=args.seed)
-    header = [f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.writelines(_csv_lines(np.hstack([X, targets.coords])))
-    except OSError as e:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+    header = ",".join([f"x{j + 1}" for j in range(args.d)] + [f"y{j + 1}" for j in range(args.k)]) + "\n"
+    _write_out(args.out, itertools.chain([header], _csv_lines(np.hstack([X, targets.coords]))))
     return EXIT_OK
 
 
@@ -593,15 +578,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (ValueError, NotImplementedError, ResourceLimitError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as e:  # an allocation too large for this host
-        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
-        return EXIT_USAGE
+    except (CliError, ValueError, NotImplementedError, ResourceLimitError, MemoryError) as e:
+        # a MemoryError (an allocation too large for this host) may carry no text
+        print(f"error: {str(e) or ('out of memory' if isinstance(e, MemoryError) else '')}", file=sys.stderr)
+        return e.code if isinstance(e, CliError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

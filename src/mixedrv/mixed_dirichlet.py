@@ -199,8 +199,12 @@ def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndar
 
 def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
     """Log-density of every row w.r.t. the direct-sum measure: face log-prob
-    plus the Dirichlet log-density on the face (0 for vertices)."""
+    plus the Dirichlet log-density on the face (0 for vertices).  ValueError
+    when the face law's log-normalizer leaves the double range: every face
+    log-prob would read -inf, as if the law put no mass anywhere."""
     check_same_k(batch.K, md.K)
+    if not np.isfinite(md.faces.log_z):
+        raise ValueError("the face log-normalizer is not finite (a term beyond the range of a double)")
     member = batch.members()
     return face_gibbs._members_log_prob(md.faces, member) + _dirichlet_log_pdf_rows(member, batch, md.alpha)
 

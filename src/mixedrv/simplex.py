@@ -18,7 +18,7 @@ points with their faces (``FaceBatch``).
 ``FaceIndexSet``, ``SimplexPoint``, ``sparsemax`` and ``FaceBatch``
 iteration, a per-point object form of the same data, are kept only because
 the benchmark tracer patches them, and the four callables elsewhere that
-use them, by name.
+use them, by name; no other callable of this module uses them.
 """
 
 from __future__ import annotations
@@ -389,14 +389,15 @@ def sparsemax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def sparsemax_jacobian(z) -> np.ndarray:
-    """Jacobian of ``sparsemax`` at ``z``.
+    """Jacobian of ``sparsemax`` at ``z``, from the support of ``sparsemax_rows``.
 
     With support S of the projection, ``J[i, j] = [i==j][i in S] - [i in
     S][j in S] / |S|``.  At points where the support is unstable (a
     coordinate exactly at the threshold) this returns the representative
     obtained from the computed support, a valid generalized Jacobian.
     """
-    s = (sparsemax(z).coords > 0.0).astype(float)
+    z = check_vector("z", z)
+    s = (sparsemax_rows(z[None, :])[0] > 0.0).astype(float)
     return np.diag(s) - np.outer(s, s) / s.sum()
 
 

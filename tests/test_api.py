@@ -5,7 +5,8 @@ outside ``simplex`` a face is an int64 mask, not a ``FaceIndexSet``; every
 value type is frozen by the one helper, ``simplex.freeze``, its arrays are
 read-only copies and its other fields scalars, None or frozen value
 types; the texts of the parameter rules are formed only in ``simplex``;
-and the imports: only ``checks`` and ``oracles`` load the oracles
+the CLI opens a file for writing in one place and prints JSON through
+one strict printer; and the imports: only ``checks`` and ``oracles`` load the oracles
 or SciPy at import time, the package, the CLI and the spec parser load no
 kind module at import time, and no module keeps an import it does not
 use."""
@@ -192,6 +193,32 @@ def test_parameter_rule_texts_are_formed_only_in_simplex():
                     and n.value.startswith("dimension mismatch"))
     assert one_line == ONE_LINE
     assert k_match == K_MATCH
+
+
+#: Where the package writes: the one ``--out`` writer opens a file for
+#: writing, and JSON text is formed only by the one strict printer, the
+#: sample-line formats and the model file of ``fit-glm``.
+WRITE_OPEN = {("cli", "_write_out"): 1}
+JSON_TEXT = {("cli", "_print_json"): 1, ("cli", "_sample_lines.row_formats"): 1, ("cli", "cmd_fit_glm"): 1}
+
+
+def _opens_for_writing(node) -> bool:
+    """Whether ``node`` calls ``open`` with a mode that is not a constant
+    read-only one."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)) or set(m.value) & set("wax+")
+               for m in modes)
+
+
+def test_cli_emits_through_one_writer_and_one_printer():
+    json_text = _uses(lambda n: isinstance(n, ast.Attribute) and n.attr in ("dump", "dumps")
+                      and isinstance(n.value, ast.Name) and n.value.id == "json")
+    strict = _uses(lambda n: isinstance(n, ast.keyword) and n.arg == "allow_nan")
+    assert _uses(_opens_for_writing) == WRITE_OPEN
+    assert json_text == JSON_TEXT
+    assert strict == {("cli", "_print_json"): 1}
 
 
 #: The only callables outside ``simplex`` that may still name the per-point

@@ -271,6 +271,56 @@ class TestEntropyKlCommands:
         assert np.isfinite(json.loads(capsys.readouterr().out)["value"])
 
 
+#: The keys of every estimate line of ``entropy`` and ``kl``, in their one order.
+ESTIMATE_KEYS = ["value", "std_error", "support_violation", "violations", "mode", "samples", "unit"]
+MD3_P = {"kind": "mixed-dirichlet", "w": [0.5, -0.5, 0.2], "alpha": [1.0, 2.0, 0.5]}
+MD3_Q = {"kind": "mixed-dirichlet", "w": [0.1, 0.3, -0.2], "alpha": [1.5, 1.0, 2.0]}
+#: Every shape of estimate line: a command, its specs and the keys it prints.
+#: q's vertex-class weight underflows to 0 at N = 1100, so KL(p || q) is infinite.
+ESTIMATE_SHAPES = {
+    "entropy-exact": (["entropy", "--mode", "exact"], [MD3_P], ["value", "mode", "unit"]),
+    "entropy-mc": (["entropy", "--mode", "mc"], [MD3_P], ["value", "std_error", "mode", "samples", "unit"]),
+    "kl-exact": (["kl", "--mode", "exact"], [MD3_P, MD3_Q], ["value", "mode", "unit"]),
+    "kl-exact-violation": (["kl", "--mode", "exact"], [{"kind": "maxent", "k": 3, "n": 0},
+                                                       {"kind": "maxent", "k": 3, "n": 1100}],
+                           ["value", "support_violation", "mode", "unit"]),
+    "kl-mc": (["kl", "--mode", "mc"], [MD3_P, MD3_Q],
+              ["value", "std_error", "support_violation", "mode", "samples", "unit"]),
+    "kl-mc-violations": (["kl", "--mode", "mc"], [{"kind": "maxent", "k": 3, "n": 0},
+                                                  {"kind": "maxent", "k": 3, "n": 1100}],
+                         ["value", "support_violation", "violations", "mode", "samples", "unit"]),
+}
+
+
+@pytest.mark.parametrize("bits", [False, True], ids=["nats", "bits"])
+@pytest.mark.parametrize("shape", ESTIMATE_SHAPES)
+def test_estimate_lines_share_one_key_order(shape, bits, tmp_path, capsys):
+    # one line of strict JSON, written as json.dumps writes it, with the
+    # shape's keys in the one order; --bits divides value and std_error by log 2
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    argv, dists, keys = ESTIMATE_SHAPES[shape]
+    paths = [write(tmp_path / f"p{i}.json", d) for i, d in enumerate(dists)]
+    extra = ["--dist2", paths[1]] if argv[0] == "kl" else []
+    lines = {}
+    for unit in ("nats", "bits"):
+        assert cli.main([argv[0], "--dist", paths[0], *extra, *argv[1:], "--samples", "40", "--seed", "1",
+                         *["--bits"] * (unit == "bits")]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1 and out.endswith("\n")
+        lines[unit] = json.loads(out, parse_constant=reject)
+        assert out == json.dumps(lines[unit]) + "\n"
+    line = lines["bits" if bits else "nats"]
+    assert list(line) == keys == [key for key in ESTIMATE_KEYS if key in keys]
+    assert line["unit"] == ("bits" if bits else "nats") and line["mode"] == argv[2]
+    assert line.get("samples", 40) == 40
+    assert (line["value"] is None) == line.get("support_violation", False)
+    for key in ("value", "std_error"):
+        nats = lines["nats"].get(key)
+        assert line.get(key) == (nats / np.log(2.0) if bits and nats is not None else nats)
+
+
 class TestFaceHistCommand:
     def test_vertex_only_file(self, capsys, tmp_path, specs):
         out = tmp_path / "v.jsonl"
@@ -491,6 +541,11 @@ DOUBLE_RANGE_EDGES = {
                              {"value": 0.0}),
     "gs-exact-kl-far-near": (["kl", "--mode", "exact"], [GS_FAR, GS_NEAR], {"value": 1.1701867900637222}),
     "gs-exact-kl-near-far": (["kl", "--mode", "exact"], [GS_NEAR, GS_FAR], {"value": None, "support_violation": True}),
+    # KL(p || q) reads 1.78e308 nats, which --bits divides past the largest double
+    "md-exact-kl-bits-beyond": (["kl", "--mode", "exact", "--bits"],
+                                [{"kind": "mixed-dirichlet", "w": [0.5, 0.5], "alpha": [1.0, 1.0]},
+                                 {"kind": "mixed-dirichlet", "w": [8.9e307, -8.9e307], "alpha": [1.0, 1.0]}],
+                                "error: a result is not finite (beyond the range of a double)\n"),
     "md-sample-w-huge": (["sample", "--num", "3"], [MD_W_HUGE], W_HUGE),
     "md-exact-entropy-w-huge": (["entropy", "--mode", "exact"], [MD_W_HUGE], W_HUGE),
     "md-mc-entropy-w-huge": (["entropy", "--mode", "mc", "--samples", "50"], [MD_W_HUGE], W_HUGE),
@@ -588,6 +643,11 @@ class TestExtremeParameters:
         extra = {"sample": ["--out", out_file], "kl": ["--dist2", second]}.get(argv[0], [])
         code = cli.main([argv[0], "--dist", first, *extra, *argv[1:], "--seed", "0"])
         out, err = capsys.readouterr()
+        if argv[0] != "sample" and not np.isfinite(face_gibbs.log_normalizer(np.array(w))):
+            # no density or measure of a law whose log Z is infinite: not
+            # even mc KL of q against it, which once read every draw as a
+            # support violation
+            assert code == 2
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
         elif argv[0] == "sample":

@@ -132,6 +132,14 @@ class TestLogDensity:
         v = md.log_density(dist, SimplexPoint([1.0, 0.0]))
         assert v == pytest.approx(fg.face_log_prob(dist.faces, 0b01), abs=1e-14)
 
+    @pytest.mark.parametrize("w", [[8e307, 8e307], [-8e307] * 3], ids=["softplus-sums", "minus-sum-w"])
+    def test_infinite_log_normalizer_raises(self, w):
+        # every face log-prob would read -inf, as if the law had no mass
+        dist = md.MixedDirichlet(np.array(w), np.ones(len(w)))
+        assert dist.faces.log_z == np.inf
+        with pytest.raises(ValueError, match="face log-normalizer is not finite"):
+            dist.log_density_many(FaceBatch.from_coords(np.full((1, len(w)), 1.0 / len(w))))
+
     def test_normalization_by_construction(self):
         rng = np.random.default_rng(38)
         dist = md.MixedDirichlet(rng.normal(0, 1, 5), rng.uniform(0.5, 2, 5))

@@ -119,6 +119,10 @@ class TestSparsemaxJacobian:
     def test_vertex_is_locally_constant(self):
         np.testing.assert_array_equal(sparsemax_jacobian([2.0, 0.0]), np.zeros((2, 2)))
 
+    def test_needs_no_face_bitmask(self):
+        # the support is read from the projection, so K is not capped at 63
+        np.testing.assert_array_equal(sparsemax_jacobian(np.zeros(100)), np.eye(100) - 0.01)
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
