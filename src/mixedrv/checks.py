@@ -339,6 +339,23 @@ def _check_mixed_dirichlet_entropy_consistency(n: int):
     return "exact and sample-based entropies agree"
 
 
+def _check_mixed_dirichlet_exact_vs_reference():
+    """Exact entropy and KL (subset sums over the face lattice) against the
+    dense enumeration of ``oracles.mixed_dirichlet_exact_reference``, within
+    1e-12 relative to max(1, |reference|), at K = 2, 9 and 14."""
+    rng = np.random.default_rng(128)
+    worst = 0.0
+    for K in (2, 9, 14):
+        p, q = (mixed_dirichlet.MixedDirichlet(rng.normal(0.0, 2.0, K), np.exp(rng.uniform(-3.0, 3.0, K)))
+                for _ in range(2))
+        for what, got, ref in (("entropy", mixed_dirichlet.entropy(p), oracles.mixed_dirichlet_exact_reference(p)),
+                               ("KL", mixed_dirichlet.kl_mixed(p, q), oracles.mixed_dirichlet_exact_reference(p, q))):
+            err = abs(got - ref) / max(1.0, abs(ref))
+            _require(err <= 1e-12, f"K={K} {what} {got!r} vs reference {ref!r}")
+            worst = max(worst, err)
+    return f"worst relative error {worst:.1e}"
+
+
 def _check_mixed_dirichlet_face_tv(n: int, bound: float):
     """Total variation between the face frequencies of ``n`` draws of a
     K = 4 Mixed Dirichlet and its exact face law, below ``bound``.  One draw
@@ -939,6 +956,7 @@ CHECKS: list[tuple[str, str, Callable[[], str]]] = [
     ("mixed_dirichlet.dirichlet_kl_vs_mc", _FAST, lambda: _check_dirichlet_kl_mc(10**5)),
     ("mixed_dirichlet.density_hand_values", _FAST, _check_mixed_dirichlet_density_values),
     ("mixed_dirichlet.entropy_exact_vs_mc", _FAST, lambda: _check_mixed_dirichlet_entropy_consistency(20000)),
+    ("mixed_dirichlet.exact_vs_reference", _FAST, _check_mixed_dirichlet_exact_vs_reference),
     ("mixed_dirichlet.face_frequencies_tv", _FAST, lambda: _check_mixed_dirichlet_face_tv(10**5, 0.02)),
     ("mixed_dirichlet.face_frequencies_tv_1e6", _FULL, lambda: _check_mixed_dirichlet_face_tv(10**6, 0.005)),
     ("mixed_dirichlet.flat_conditionals_ks", _FAST, _check_mixed_dirichlet_flat_conditional),

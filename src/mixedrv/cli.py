@@ -76,6 +76,18 @@ def _write_out(path: str, chunks):
         raise CliError(EXIT_IO, f"cannot write {path}: {e}") from e
 
 
+def _seed(text: str) -> int:
+    """The type of ``--seed``: an integer >= 0, the seeds numpy's generators
+    take, so a bad seed is a usage error before any file is read or written."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _rng(seed, spec_seed=None) -> np.random.Generator:
     """A command's generator: seeded by ``--seed``, else by the spec's default seed, else by 0."""
     return np.random.default_rng(seed if seed is not None else spec_seed if spec_seed is not None else 0)
@@ -523,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="draw samples to a JSON-lines file")
     s.add_argument("--dist", required=True)
     s.add_argument("--num", type=int, required=True)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(fn=cmd_sample)
 
@@ -531,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dist", required=True)
     s.add_argument("--mode", choices=("exact", "mc"), required=True)
     s.add_argument("--samples", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--bits", action="store_true")
     s.set_defaults(fn=cmd_entropy)
 
@@ -540,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dist2", required=True)
     s.add_argument("--mode", choices=("exact", "mc"), required=True)
     s.add_argument("--samples", type=int, default=10000)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--seed", type=_seed, default=None)
     s.add_argument("--bits", action="store_true")
     s.set_defaults(fn=cmd_kl)
 
@@ -553,7 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--train-frac", type=float, default=0.2)
     s.add_argument("--steps", type=int, default=400)
     s.add_argument("--lr", type=float, default=0.1)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--predict", choices=("most-probable-mean", "sample-mean"),
                    default="most-probable-mean")
@@ -564,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rows", type=int, default=500)
     s.add_argument("--k", type=int, default=5)
     s.add_argument("--d", type=int, default=4)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.set_defaults(fn=cmd_gen_glm_data)
 
     s = sub.add_parser("check", help="run the oracle cross-check suite")

@@ -6,6 +6,13 @@ coordinates of a single length-K vector restricted to the face's vertices.
 Densities are taken with respect to the direct-sum base measure: Lebesgue on
 the face's free coordinates for positive-dimensional faces, counting measure
 on vertices (log-density contribution 0 there).
+
+Exact entropy and KL weight each of the 2^K - 1 faces by its probability.
+A face's Dirichlet term is one formula (``_entropy_of_sums``,
+``_kl_of_sums``) of sums of per-vertex terms over the face, its total
+concentration a0 and its size; ``_face_sums`` forms those sums for every
+face at once by subset-sum doubling, and the one-face ``dirichlet_entropy``
+and ``dirichlet_kl`` sum over their one face.
 """
 
 from __future__ import annotations
@@ -38,19 +45,19 @@ SAMPLE_ALPHA_MIN = float(-np.log1p(-(1.0 - 2.0**-53)) / np.finfo(float).max)
 
 
 def dirichlet_entropy(alpha_restricted) -> float:
-    """Differential entropy of a Dirichlet, closed form (one row of
-    ``_dirichlet_entropy_rows``); exactly 0 for a single component."""
+    """Differential entropy of a Dirichlet, closed form (``_entropy_of_sums``
+    of the one face); exactly 0 for a single component."""
     alpha = check_vector("alpha", alpha_restricted, 1, positive=True)
-    return float(_dirichlet_entropy_rows(np.ones((1, alpha.size), dtype=bool), alpha, alpha.size)[0])
+    return float(_entropy_of_sums(_entropy_vertex_terms(alpha).sum(axis=1), alpha.size))
 
 
 def dirichlet_kl(alpha_p, alpha_q) -> float:
-    """KL between Dirichlets on the same face, closed form (one row of
-    ``_dirichlet_kl_rows``)."""
+    """KL between Dirichlets on the same face, closed form (``_kl_of_sums``
+    of the one face)."""
     ap = check_vector("alpha_p", alpha_p, 1, positive=True)
     aq = check_vector("alpha_q", alpha_q, 1, positive=True)
     check_same_k(ap.size, aq.size)
-    return float(_dirichlet_kl_rows(np.ones((1, ap.size), dtype=bool), ap, aq)[0])
+    return float(_kl_of_sums(_kl_vertex_terms(ap, aq).sum(axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +87,7 @@ class MixedDirichlet:
     def exact_face_distribution(self) -> tuple[np.ndarray, np.ndarray]:
         """Every face bitmask (``enumerate_faces`` order) and its probability:
         the weights of ``entropy`` and ``kl_mixed``."""
-        masks, _, weights = _face_weights(self)
-        return masks, weights
+        return _face_weights(self)
 
     # called by their global names, where a run-time patch of the module's
     # ``entropy``/``kl_mixed`` also reaches them
@@ -149,14 +155,21 @@ def sample_many(md: MixedDirichlet, n: int, rng: np.random.Generator) -> FaceBat
     return FaceBatch.from_log_coords(*draw_log_coords(md.faces.take_probs, md.alpha, n, rng))
 
 
+def _log_beta(lgamma_sums, a0):
+    """log B of each face: the sum of lgamma over its vertices' concentrations,
+    less lgamma of their total ``a0``."""
+    from scipy.special import gammaln
+
+    return lgamma_sums - gammaln(a0)
+
+
 def _log_beta_rows(member: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Concentrations restricted to each row's face (0 off it) and their
     log multivariate Beta function."""
     from scipy.special import gammaln
 
     alpha_m = np.where(member, alpha, 0.0)
-    log_gammas = np.where(member, gammaln(alpha), 0.0).sum(axis=1)
-    return alpha_m, log_gammas - gammaln(alpha_m.sum(axis=1))
+    return alpha_m, _log_beta(np.where(member, gammaln(alpha), 0.0).sum(axis=1), alpha_m.sum(axis=1))
 
 
 def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndarray) -> np.ndarray:
@@ -173,28 +186,55 @@ def _dirichlet_log_pdf_rows(member: np.ndarray, batch: FaceBatch, alpha: np.ndar
     return np.where(vertex_counts(batch.masks) > 1, out, 0.0)
 
 
-def _dirichlet_entropy_rows(member: np.ndarray, alpha: np.ndarray, sizes: np.ndarray | int) -> np.ndarray:
+def _entropy_vertex_terms(alpha: np.ndarray) -> np.ndarray:
+    """(3, K) per-vertex terms whose sums over a face give its entropy:
+    a_k, lgamma(a_k) and (a_k - 1) psi(a_k)."""
+    from scipy.special import digamma, gammaln
+
+    return np.stack([alpha, gammaln(alpha), (alpha - 1.0) * digamma(alpha)])
+
+
+def _entropy_of_sums(sums: np.ndarray, sizes: np.ndarray | int) -> np.ndarray:
     """Dirichlet entropy ``log B(a) + (a0 - m) psi(a0) - sum_k (a_k - 1)
-    psi(a_k)`` of alpha restricted to each row's face of m = ``sizes``
-    vertices, with ``a0 = sum a_k`` (0 at vertices)."""
+    psi(a_k)`` of faces of m = ``sizes`` vertices, from the sums of
+    ``_entropy_vertex_terms`` over each face (``sums[0]`` is a0); exactly 0
+    at vertices."""
     from scipy.special import digamma
 
-    alpha_m, log_beta = _log_beta_rows(member, alpha)
-    a0 = alpha_m.sum(axis=1)
-    psi_terms = np.where(member, (alpha - 1.0) * digamma(alpha), 0.0).sum(axis=1)
-    return log_beta + (a0 - sizes) * digamma(a0) - psi_terms
+    a0, lgamma_sums, psi_sums = sums
+    return _log_beta(lgamma_sums, a0) + (a0 - sizes) * digamma(a0) - psi_sums
 
 
-def _dirichlet_kl_rows(member: np.ndarray, alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
+def _kl_vertex_terms(alpha_p: np.ndarray, alpha_q: np.ndarray) -> np.ndarray:
+    """(5, K) per-vertex terms whose sums over a face give its KL: a_p,k,
+    a_q,k, lgamma of each and (a_p,k - a_q,k) psi(a_p,k)."""
+    from scipy.special import digamma, gammaln
+
+    return np.stack([alpha_p, alpha_q, gammaln(alpha_p), gammaln(alpha_q), (alpha_p - alpha_q) * digamma(alpha_p)])
+
+
+def _kl_of_sums(sums: np.ndarray) -> np.ndarray:
     """Dirichlet KL ``log B(a_q) - log B(a_p) + sum_k (a_p,k - a_q,k)
-    (psi(a_p,k) - psi(a_p,0))`` of the two concentrations restricted to
-    each row's face."""
+    psi(a_p,k) - (a_p,0 - a_q,0) psi(a_p,0)`` of faces, from the sums of
+    ``_kl_vertex_terms`` over each face; exactly 0 where a_p = a_q."""
     from scipy.special import digamma
 
-    ap, log_beta_p = _log_beta_rows(member, alpha_p)
-    aq, log_beta_q = _log_beta_rows(member, alpha_q)
-    psi = digamma(alpha_p) - digamma(ap.sum(axis=1))[:, None]
-    return log_beta_q - log_beta_p + np.sum((ap - aq) * psi, axis=1)
+    a0_p, a0_q, lgamma_p, lgamma_q, psi_sums = sums
+    return _log_beta(lgamma_q, a0_q) - _log_beta(lgamma_p, a0_p) + psi_sums - (a0_p - a0_q) * digamma(a0_p)
+
+
+def _face_sums(terms: np.ndarray) -> np.ndarray:
+    """(V, 2^K - 1) sums of the (V, K) per-vertex ``terms`` over every face,
+    in ``enumerate_faces`` order.  Column m of a (V, 2^K) table is the sum
+    over bitmask m: K in-place doubling steps each add vertex k to the sums
+    of the faces below bit k (the subset-sum, or zeta, transform), O(V 2^K)
+    additions with no (2^K, K) array.  Each face sums its vertices in
+    ascending order."""
+    V, K = terms.shape
+    table = np.zeros((V, 1 << K))
+    for k in range(K):
+        np.add(table[:, :1 << k], terms[:, k, None], out=table[:, 1 << k:2 << k])
+    return table[:, 1:]
 
 
 def log_density_many(md: MixedDirichlet, batch: FaceBatch) -> np.ndarray:
@@ -214,11 +254,11 @@ def log_density(md: MixedDirichlet, y: SimplexPoint) -> float:
     return float(log_density_many(md, FaceBatch.from_coords(y.coords[None]))[0])
 
 
-def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every face (``enumerate_faces`` order), its membership matrix and its
-    exact probability: the weights of the expectations over faces."""
+def _face_weights(md: MixedDirichlet) -> tuple[np.ndarray, np.ndarray]:
+    """Every face (``enumerate_faces`` order) and its exact probability: the
+    weights of the expectations over faces."""
     masks = enumerate_faces(md.K)
-    return masks, mask_members(masks, md.K), np.exp(face_gibbs.face_log_prob(md.faces, masks))
+    return masks, np.exp(face_gibbs.face_log_prob(md.faces, masks))
 
 
 def _finite(value: float, measure: str) -> float:
@@ -232,21 +272,23 @@ def _finite(value: float, measure: str) -> float:
 
 def entropy(md: MixedDirichlet) -> float:
     """Direct-sum entropy: exact face entropy plus the expected Dirichlet
-    entropy over the enumerated faces."""
+    entropy over the enumerated faces, each face's from its subset sums
+    (``_face_sums``)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        masks, member, weights = _face_weights(md)
-        dirichlet = _dirichlet_entropy_rows(member, md.alpha, vertex_counts(masks))
+        masks, weights = _face_weights(md)
+        dirichlet = _entropy_of_sums(_face_sums(_entropy_vertex_terms(md.alpha)), vertex_counts(masks))
         return _finite(face_gibbs.entropy(md.faces) + float(weights @ dirichlet), "entropy")
 
 
 def kl_mixed(md_p: MixedDirichlet, md_q: MixedDirichlet) -> float:
     """Direct-sum KL: exact face KL plus the expected per-face Dirichlet KL
-    under the first distribution's face law.  Never infinite: every face has
-    positive probability under both distributions."""
+    under the first distribution's face law, each face's from its subset
+    sums (``_face_sums``).  Never infinite: every face has positive
+    probability under both distributions."""
     check_same_k(md_p.K, md_q.K)
     with np.errstate(over="ignore", invalid="ignore"):
-        _, member, weights = _face_weights(md_p)
-        dirichlet = _dirichlet_kl_rows(member, md_p.alpha, md_q.alpha)
+        _, weights = _face_weights(md_p)
+        dirichlet = _kl_of_sums(_face_sums(_kl_vertex_terms(md_p.alpha, md_q.alpha)))
         return _finite(face_gibbs.kl(md_p.faces, md_q.faces) + float(weights @ dirichlet), "KL")
 
 

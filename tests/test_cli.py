@@ -842,6 +842,38 @@ class TestColdStart:
         assert capsys.readouterr().out == "PASS stub.fast\n1/1 checks passed (level=fast)\n"
 
 
+class TestSeedOption:
+    """``--seed`` takes the integers >= 0 that numpy's generators take; any
+    other value is an argparse usage error naming the flag."""
+
+    #: every command that takes --seed, its input files missing: a read would
+    #: end in a different error
+    SEEDED = {"sample": ["sample", "--dist", "{tmp}/missing.json", "--num", "3", "--out", "{tmp}/out"],
+              "entropy": ["entropy", "--dist", "{tmp}/missing.json", "--mode", "mc"],
+              "kl": ["kl", "--dist", "{tmp}/missing.json", "--dist2", "{tmp}/missing.json", "--mode", "mc"],
+              "fit-glm": ["fit-glm", "--data", "{tmp}/missing.csv", "--out", "{tmp}/out"],
+              "gen-glm-data": ["gen-glm-data", "--out", "{tmp}/out", "--rows", "20"]}
+
+    @pytest.mark.parametrize("command", SEEDED)
+    @pytest.mark.parametrize("seed, message", [("-1", "must be a non-negative integer, got -1"),
+                                               ("abc", "invalid int value: 'abc'")], ids=["negative", "text"])
+    def test_bad_seed_is_a_usage_error_before_any_file(self, command, seed, message, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path) for a in self.SEEDED[command]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--seed", seed])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith(f"usage: mixedrv {command} ")
+        assert err.endswith(f"error: argument --seed: {message}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_2_in_exact_mode_too(self, specs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["entropy", "--dist", specs["md4"], "--mode", "exact", "--seed", "-7"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --seed: must be a non-negative integer, got -7\n")
+
+
 class TestParserCache:
     def test_import_builds_no_parser(self):
         # a fresh interpreter: this session has long since built the parser

@@ -8,7 +8,12 @@ exact face laws, entropies and KLs, of the ``most-probable-mean`` prediction
 and of the face grouping routines are pinned.  The potentials reach +/-5e4,
 so that the small-S branch of ``face_gibbs`` runs.  The digests were recorded
 with numpy 2.4 and scipy 1.17 on x86-64 while each formula still had a second
-copy; another build may round differently.
+copy; another build may round differently.  The ``exact`` digests of K = 3,
+5, 8 and 13 were re-recorded when the per-face Dirichlet terms came to be
+taken from subset sums over the face lattice: the KL takes its psi(a_0) term
+once per face, and a face of 9 or more vertices sums them in vertex order
+rather than pairwise, which moves the last bits of those entropies and KLs.
+The face probabilities in the same digests did not move.
 """
 
 import hashlib
@@ -157,10 +162,10 @@ PINS = {
     ('density', 31): 'c5d33601cb5c1099e83ba606758dbac18e5d17b0ad020d2bb75dcd4e13b8a558',
     ('density', 63): 'e570011fab6ef8b6922d674995f9d9fc16205445b854f5196b1a07a6b8894a73',
     ('exact', 2): '00d7714047f58be8bf8b3f38ff49cbdf3eb09e3dd6ec6d5c8b0ebd4477c34116',
-    ('exact', 3): 'ec2e40e1ca802eef43f758c7b342cdb050f437bfdd1926fdf26cd9b93944361f',
-    ('exact', 5): '6bd64e800653584465742b84fd94df11dc50684067378b2f0c38bdacf52ee638',
-    ('exact', 8): '1d641c2ae9ae10db3b4486ffc104e1740668dac5c2ea9551e76de5fb78ee9a62',
-    ('exact', 13): 'c03e5da01e8a280b41eccb5458d9a3a670d3eb8b360fecd4f4800854ca6b285f',
+    ('exact', 3): '98834bfa880db4808040170a53868fdf591f652c6f4de479115dd9b96d296cbd',
+    ('exact', 5): 'e9956fd701741e8ff5c3a5d6dc803da470b241f81f84a2219170766dc21f053a',
+    ('exact', 8): '65533deee8b4151f32aec4c111b56593fb6d7e6038a55509ab22b57e0011b495',
+    ('exact', 13): 'd3a02162ea31b4d52039d26ac6ef69ad105420e3acbb7e4b63496836ad403300',
     ('most_probable_mean', 2): '6bfa9f28bf9ec88f853d01bed1b096ae68f417af11be98ab655480560ac08ba1',
     ('most_probable_mean', 3): '35decceb0cf8830f79e978f200793bc29bee32e114b6cd629b651b65a8489f95',
     ('most_probable_mean', 5): 'bcd3896ff85016ffa9d60c3fe0cc5b77ca924b69ac72093ba9b42c7719eefc6f',
